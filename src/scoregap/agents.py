@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatchError,
@@ -34,9 +33,9 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 class CostMatrix:
     """Symmetric positive-definite effort cost.
 
-    Moving features by delta costs (1/2) delta^T A delta. The Cholesky
-    factor is computed once at construction; all inverse applications go
-    through it, so A^{-1} is never formed explicitly.
+    Moving features by delta costs (1/2) delta^T A delta. Construction
+    checks positive definiteness with a Cholesky factorization; inverse
+    applications are linear solves, so A^{-1} is never formed explicitly.
     """
 
     matrix: np.ndarray
@@ -48,21 +47,25 @@ class CostMatrix:
         if np.max(np.abs(a - a.T)) > 1e-10:
             raise NotPositiveDefiniteError("cost matrix is not symmetric")
         try:
-            factor = scipy.linalg.cho_factor(a)
-        except scipy.linalg.LinAlgError as exc:
+            np.linalg.cholesky(a)
+        except np.linalg.LinAlgError as exc:
             raise NotPositiveDefiniteError(
                 "Cholesky failed; cost matrix is not positive definite"
             ) from exc
         object.__setattr__(self, "matrix", _frozen(a))
-        object.__setattr__(self, "_cho", factor)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
     def solve(self, v: np.ndarray) -> np.ndarray:
-        """A^{-1} v via the cached Cholesky factor."""
-        return scipy.linalg.cho_solve(self._cho, v)
+        """A^{-1} v; a matrix right-hand side comes back in Fortran order.
+
+        The layout is kept on purpose: `movement` computes `response @ w`,
+        and the summation order of that product, so the last digit of every
+        improvement, follows the layout of `response` (A^{-1} P).
+        """
+        return np.asfortranarray(np.linalg.solve(self.matrix, v))
 
     def quad(self, delta: np.ndarray) -> float:
         """delta^T A delta."""

@@ -14,7 +14,6 @@ failed but the run completed).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional
 
@@ -28,8 +27,14 @@ from .errors import (
 )
 from .conditions import condition_report, disparity_example
 from .config import DEFAULT_ALIGNMENT_SAMPLES, load_config
-from .experiment import classify_failures, render_csv, render_json, run_analysis
-from .ingest import load_csv, split_masks
+from .experiment import (
+    classify_failures,
+    grouping_masks,
+    prepare_features,
+    render_csv,
+    render_json,
+    run_analysis,
+)
 from .linalg import alignment, subspace_projection
 from .modelio import load_model, model_to_dict, save_model
 
@@ -53,10 +58,6 @@ def _emit(text: str, out: Optional[str]) -> None:
 def _fail(code: int, exc: Exception) -> int:
     print(f"error: {exc}", file=sys.stderr)
     return code
-
-
-def _json_text(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -107,7 +108,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         return _fail(EXIT_DEGENERATE, exc)
     doc = {"schema_version": 1, "model": args.model}
     doc.update(report.to_dict())
-    _emit(_json_text(doc), args.out)
+    _emit(render_json(doc), args.out)
     return EXIT_OK
 
 
@@ -117,7 +118,7 @@ def cmd_synthetic(args: argparse.Namespace) -> int:
     except EpsilonOutOfRangeError as exc:
         return _fail(EXIT_CONFIG, exc)
     if args.out is None:
-        sys.stdout.write(_json_text(model_to_dict(model)))
+        sys.stdout.write(render_json(model_to_dict(model)))
     else:
         save_model(args.out, model)
     return EXIT_OK
@@ -139,10 +140,9 @@ def _alignment_entries(args: argparse.Namespace):
     seed = config.seed
     entries = {}
     if config.dataset is not None:
-        ds = load_csv(config.dataset, config.encoding)
-        features = ds.feature_matrix(tuple(config.drop_columns))
+        ds, _, features = prepare_features(config)
         for spec in config.groupings:
-            mask1, mask2 = split_masks(ds, spec)
+            mask1, mask2 = grouping_masks(ds, spec)
             p1 = subspace_projection(features[mask1], config.rank)
             p2 = subspace_projection(features[mask2], config.rank)
             entries[spec.name] = alignment(p1, p2, samples, seed)
@@ -171,7 +171,7 @@ def cmd_alignment(args: argparse.Namespace) -> int:
         "seed": seed,
         "entries": entries,
     }
-    _emit(_json_text(doc), args.out)
+    _emit(render_json(doc), args.out)
     return EXIT_OK
 
 

@@ -130,13 +130,40 @@ def _error_entry(name: str, exc: Exception) -> dict:
     }
 
 
+def prepare_features(config: ExperimentConfig) -> Tuple[Dataset, Tuple[str, ...], np.ndarray]:
+    """Load the config's dataset and build the features every subcommand projects.
+
+    Returns (dataset, dropped column names, feature matrix). A `fit:`
+    outcome column is dropped along with `drop_columns`, and
+    `standardize` is applied here, so `analyze` and `alignment` work on
+    the same matrix.
+    """
+    ds = load_csv(config.dataset, config.encoding)
+    drop = tuple(config.drop_columns)
+    if config.wstar.startswith("fit:"):
+        fit_column = config.wstar[len("fit:"):]
+        ds.column_index(fit_column)
+        if fit_column not in drop:
+            drop += (fit_column,)
+    features = ds.feature_matrix(drop)
+    if config.standardize:
+        features, _, _ = standardize_columns(features)
+    return ds, drop, features
+
+
+def grouping_masks(ds: Dataset, spec: GroupingSpec) -> Tuple[np.ndarray, np.ndarray]:
+    """The grouping's two row masks; an empty group is an error."""
+    mask1, mask2 = split_masks(ds, spec)
+    for side, mask in ((1, mask1), (2, mask2)):
+        if not mask.any():
+            raise EmptyGroupError(f"grouping {spec.name!r}: group {side} received zero rows")
+    return mask1, mask2
+
+
 def _dataset_entry(ds: Dataset, features: np.ndarray, w_star: np.ndarray,
                    config: ExperimentConfig, spec: GroupingSpec) -> dict:
-    mask1, mask2 = split_masks(ds, spec)
+    mask1, mask2 = grouping_masks(ds, spec)
     x1, x2 = features[mask1], features[mask2]
-    if x1.shape[0] == 0 or x2.shape[0] == 0:
-        side = 1 if x1.shape[0] == 0 else 2
-        raise EmptyGroupError(f"grouping {spec.name!r}: group {side} received zero rows")
     dim = features.shape[1]
     model = PopulationModel(
         group1=Subgroup(
@@ -193,21 +220,11 @@ def run_analysis(config: ExperimentConfig) -> dict:
     entries: List[dict] = []
 
     if config.dataset is not None:
-        ds = load_csv(config.dataset, config.encoding)
-        drop = list(config.drop_columns)
-        if config.wstar.startswith("fit:"):
-            fit_column = config.wstar[len("fit:"):]
-            ds.column_index(fit_column)
-            if fit_column not in drop:
-                drop.append(fit_column)
-        drop_t = tuple(drop)
-        features = ds.feature_matrix(drop_t)
-        if config.standardize:
-            features, _, _ = standardize_columns(features)
-        w_star = _resolve_wstar(config, ds, features, drop_t)
+        ds, drop, features = prepare_features(config)
+        w_star = _resolve_wstar(config, ds, features, drop)
         meta["n_rows"] = ds.size
         meta["n_dropped"] = ds.n_dropped
-        meta["feature_names"] = list(ds.feature_names(drop_t))
+        meta["feature_names"] = list(ds.feature_names(drop))
         for spec in config.groupings:
             try:
                 entries.append(_dataset_entry(ds, features, w_star, config, spec))

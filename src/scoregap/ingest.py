@@ -10,6 +10,8 @@ reproducible from the config file alone.
 from __future__ import annotations
 
 import csv
+import itertools
+import operator
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
@@ -61,12 +63,8 @@ def normalize_manifest(manifest: Optional[ManifestSpec]) -> Dict[str, Optional[D
     return out
 
 
-def _encode_cell(raw: str, mapping: Optional[Dict[str, float]], row: int, column: str) -> float:
-    if mapping is None:
-        try:
-            return float(raw)
-        except ValueError:
-            raise CsvParseError(row, column, f"not numeric: {raw!r}") from None
+def _encode_category(raw: str, mapping: Dict[str, float]) -> Optional[float]:
+    """The number a categorical cell maps to, or None when it maps to nothing."""
     if raw in mapping:
         return mapping[raw]
     # Already-encoded values pass through, so applying a manifest twice is
@@ -74,10 +72,39 @@ def _encode_cell(raw: str, mapping: Optional[Dict[str, float]], row: int, column
     try:
         num = float(raw)
     except ValueError:
-        raise UnmappedCategoryError(column, raw) from None
-    if num in mapping.values():
-        return num
-    raise UnmappedCategoryError(column, raw)
+        return None
+    return num if num in mapping.values() else None
+
+
+def _cell_error(raw: str, mapping: Optional[Dict[str, float]], row: int, column: str) -> IngestError:
+    if mapping is None:
+        return CsvParseError(row, column, f"not numeric: {raw!r}")
+    return UnmappedCategoryError(column, raw)
+
+
+def _encode_column(cells: Tuple[str, ...], mapping: Optional[Dict[str, float]]
+                   ) -> Tuple[Optional[np.ndarray], Optional[int]]:
+    """Encode one column of kept cells: (values, None), or (None, index of its first bad cell).
+
+    Passthrough cells go through float() as one pass over the column.
+    Categorical cells map through a table built once per distinct value;
+    distinct values come in first-occurrence order, so the first one that
+    maps to nothing is also the column's first bad cell.
+    """
+    if mapping is None:
+        rest = iter(cells)
+        try:
+            return np.fromiter(map(float, rest), dtype=float, count=len(cells)), None
+        except ValueError:
+            # the cell float() rejected is the last one taken from `rest`
+            return None, len(cells) - operator.length_hint(rest) - 1
+    table = {}
+    for raw in dict.fromkeys(cells):
+        value = _encode_category(raw, mapping)
+        if value is None:
+            return None, cells.index(raw)
+        table[raw] = value
+    return np.fromiter(map(table.__getitem__, cells), dtype=float, count=len(cells)), None
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,7 +179,9 @@ def load_csv(path: str, manifest: Optional[ManifestSpec] = None) -> Dataset:
 
     Unlisted columns pass through as numbers. Rows with a missing cell in
     any column are dropped and counted in n_dropped. Row numbers in errors
-    are file line numbers (header is line 1).
+    count CSV records, the header being row 1; they are file line numbers
+    unless a quoted cell spans lines. A file with several bad cells or
+    ragged rows raises the error of the first in file order.
     """
     norm = normalize_manifest(manifest)
     try:
@@ -172,31 +201,42 @@ def load_csv(path: str, manifest: Optional[ManifestSpec] = None) -> Dataset:
             if name not in names:
                 raise MissingColumnError(f"manifest names column {name!r} not present in {path}")
 
-        encoded: list = []
-        raw_rows: list = []
-        dropped = 0
-        for line_no, record in enumerate(reader, start=2):
-            if len(record) != len(names):
-                raise CsvParseError(line_no, "<row>", f"expected {len(names)} cells, got {len(record)}")
-            cells = [c.strip() for c in record]
-            if any(c in MISSING_TOKENS for c in cells):
-                dropped += 1
-                continue
-            encoded.append(
-                [_encode_cell(c, norm.get(n), line_no, n) for n, c in zip(names, cells)]
-            )
-            raw_rows.append(cells)
+        records = list(reader)
 
-    if not encoded:
+    # Nothing after the first ragged row is read: its error wins unless a
+    # bad cell comes before it.
+    lengths = np.fromiter(map(len, records), dtype=np.intp, count=len(records))
+    ragged = np.flatnonzero(lengths != len(names))
+    stop = int(ragged[0]) if ragged.size else len(records)
+    columns = list(zip(*records[:stop]))
+    del records
+    for j, cells in enumerate(columns):
+        # in place, so each column's unstripped text is freed as we go
+        columns[j] = tuple(map(str.strip, cells))
+
+    keep = np.ones(stop, dtype=bool)
+    for cells in columns:
+        if not MISSING_TOKENS.isdisjoint(cells):
+            keep &= ~np.fromiter(map(MISSING_TOKENS.__contains__, cells), dtype=bool, count=stop)
+    if not keep.all():
+        columns = [tuple(itertools.compress(cells, keep)) for cells in columns]
+    row_numbers = np.flatnonzero(keep) + 2  # file rows; the header is row 1
+
+    encoded = [_encode_column(cells, norm.get(n)) for n, cells in zip(names, columns)]
+    bad = [(first, j) for j, (_, first) in enumerate(encoded) if first is not None]
+    if bad:
+        i, j = min(bad)  # row-major: earliest row, then leftmost column
+        raise _cell_error(columns[j][i], norm.get(names[j]), int(row_numbers[i]), names[j])
+    if ragged.size:
+        raise CsvParseError(stop + 2, "<row>", f"expected {len(names)} cells, got {lengths[stop]}")
+    if not row_numbers.size:
         raise IngestError(f"{path} contains no usable data rows")
-    matrix = np.array(encoded, dtype=float)
-    raw_columns = {n: tuple(r[j] for r in raw_rows) for j, n in enumerate(names)}
     return Dataset(
         column_names=names,
-        rows=matrix,
+        rows=np.column_stack([values for values, _ in encoded]),
         manifest=norm,
-        raw_columns=raw_columns,
-        n_dropped=dropped,
+        raw_columns=dict(zip(names, columns)),
+        n_dropped=stop - int(row_numbers.size),
     )
 
 
@@ -283,15 +323,23 @@ class SplitResult:
         return int(self.mask1.shape[0] - self.mask1.sum() - self.mask2.sum())
 
 
+def _predicate_mask(pred: GroupPredicate, raw: Sequence[str]) -> np.ndarray:
+    """pred.matches over a raw column, called once per distinct value.
+
+    Distinct values are visited in first-occurrence order, so a numeric
+    comparator still fails on the first non-numeric cell in row order.
+    """
+    answers = {value: pred.matches(value) for value in dict.fromkeys(raw)}
+    return np.fromiter(map(answers.__getitem__, raw), dtype=bool, count=len(raw))
+
+
 def split_masks(ds: Dataset, spec: GroupingSpec) -> Tuple[np.ndarray, np.ndarray]:
     """Boolean row masks for the two groups; disjoint by construction or error."""
-    raw = ds.raw_column(spec.group1.column)
-    mask1 = np.array([spec.group1.matches(v) for v in raw], dtype=bool)
+    mask1 = _predicate_mask(spec.group1, ds.raw_column(spec.group1.column))
     if spec.group2 is None:
         mask2 = ~mask1
     else:
-        raw2 = ds.raw_column(spec.group2.column)
-        mask2 = np.array([spec.group2.matches(v) for v in raw2], dtype=bool)
+        mask2 = _predicate_mask(spec.group2, ds.raw_column(spec.group2.column))
         overlap = int(np.sum(mask1 & mask2))
         if overlap:
             raise IngestError(

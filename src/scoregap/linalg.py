@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatchError,
@@ -267,10 +266,10 @@ def maximize_linear_under_quadratic(c, q_mat, b: float) -> np.ndarray:
     if np.linalg.norm(cv) == 0.0:
         raise ZeroObjectiveError("objective vector c is zero; maximizer not unique")
     try:
-        factor = scipy.linalg.cho_factor(q)
-    except scipy.linalg.LinAlgError as exc:
+        np.linalg.cholesky(q)
+    except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError("Cholesky failed; Q is not positive definite") from exc
-    z = scipy.linalg.cho_solve(factor, cv)
+    z = np.linalg.solve(q, cv)
     gamma = float(cv @ z)  # c^T Q^{-1} c > 0 for SPD Q
     return np.sqrt(b / gamma) * z
 

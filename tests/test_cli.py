@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import scoregap
 from scoregap.cli import (
     EXIT_CONFIG,
     EXIT_DEGENERATE,
@@ -32,6 +37,20 @@ groupings:
   - name: age
     group1: {{column: age, op: le, value: 35}}
 rank: 2
+alignment_samples: 2000
+seed: 3
+"""
+
+FIT_CONFIG = """
+dataset: {csv}
+groupings:
+  - name: age
+    group1: {{column: age, op: le, value: 35}}
+  - name: skill
+    group1: {{column: skill, op: gt, value: 0}}
+rank: 2
+wstar: fit:label
+standardize: true
 alignment_samples: 2000
 seed: 3
 """
@@ -237,6 +256,42 @@ class TestAlignment:
 
     def test_missing_model(self, tmp_path, capsys):
         assert main(["alignment", "--model", str(tmp_path / "no.json")]) == EXIT_CONFIG
+
+    def test_config_mode_equals_analyze(self, tmp_path, capsys):
+        # standardize and the fit: outcome column both shape the features
+        # analyze projects; the alignment subcommand must project the same ones
+        csv_path = write(tmp_path, "toy.csv", TOY_CSV)
+        cfg = write(tmp_path, "fit.yaml", FIT_CONFIG.format(csv=csv_path))
+        assert main(["alignment", "--config", cfg]) == EXIT_OK
+        entries = json.loads(capsys.readouterr().out)["entries"]
+        assert main(["analyze", "--config", cfg]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["feature_names"] == ["age", "skill", "effort"]
+        assert entries == {e["name"]: e["alignment"] for e in doc["groupings"]}
+
+    def test_config_mode_empty_group_is_an_ingest_error(self, tmp_path, capsys):
+        cfg = toy_config(tmp_path)
+        write(tmp_path, "config.yaml", open(cfg).read().replace("value: 35", "value: 99"))
+        assert main(["alignment", "--config", cfg]) == EXIT_INGEST
+        assert "group 2 received zero rows" in capsys.readouterr().err
+
+
+class TestImports:
+    def test_cli_imports_no_package_but_numpy_and_yaml(self):
+        # a fresh interpreter, so modules other tests loaded do not count
+        src = str(Path(scoregap.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = (
+            "import sys, importlib.metadata as md\n"
+            "before = {m.split('.')[0] for m in sys.modules}\n"
+            "import scoregap.cli\n"
+            "new = {m.split('.')[0] for m in sys.modules} - before\n"
+            "owners = md.packages_distributions()\n"
+            "print(' '.join(sorted({d for m in new for d in owners.get(m, ())})))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert set(out.split()) <= {"numpy", "PyYAML", "scoregap"}
 
 
 class TestParser:

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from scoregap import (
@@ -254,8 +253,8 @@ class TestMaximizeLinearUnderQuadratic:
             x_opt = maximize_linear_under_quadratic(c, q, b)
             lower = np.linalg.cholesky(q)
             theta = np.linspace(0, 2 * np.pi, 20001)
-            boundary = np.sqrt(b) * scipy.linalg.solve_triangular(
-                lower.T, np.stack([np.cos(theta), np.sin(theta)]), lower=False
+            boundary = np.sqrt(b) * np.linalg.solve(
+                lower.T, np.stack([np.cos(theta), np.sin(theta)])
             )
             np.testing.assert_allclose(boundary[:, 0] @ q @ boundary[:, 0], b, atol=1e-9)
             assert float(c @ x_opt) >= np.max(c @ boundary) - 1e-9
@@ -271,7 +270,7 @@ class TestMaximizeLinearUnderQuadratic:
         z = rng.standard_normal((20000, d))
         z = z / np.linalg.norm(z, axis=1, keepdims=True)
         z *= rng.uniform(0, 1, size=(20000, 1)) ** (1 / d)
-        feasible = np.sqrt(b) * scipy.linalg.solve_triangular(lower.T, z.T, lower=False).T
+        feasible = np.sqrt(b) * np.linalg.solve(lower.T, z.T).T
         quad = np.einsum("ij,jk,ik->i", feasible, q, feasible)
         assert np.all(quad <= b + 1e-9)
         assert float(c @ x_opt) >= np.max(feasible @ c)
