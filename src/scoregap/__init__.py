@@ -25,17 +25,13 @@ from .errors import (
     ScoregapError,
     ShapeMismatchError,
     UnmappedCategoryError,
-    ZeroObjectiveError,
     ZeroProjectedRuleError,
 )
 from .linalg import (
     ProjectionMatrix,
-    SpectralDecomposition,
     alignment,
     effective_rank,
-    maximize_linear_under_quadratic,
     min_norm_least_squares,
-    spectral_decomposition,
     subspace_projection,
 )
 from .agents import (
@@ -78,29 +74,26 @@ from .ingest import (
     Dataset,
     GroupPredicate,
     GroupingSpec,
-    SplitResult,
     fit_ground_truth,
     load_csv,
-    split_groups,
     split_masks,
     standardize_columns,
 )
 from .config import ExperimentConfig, ModelEntry, load_config
 from .modelio import load_model, model_from_dict, model_to_dict, save_model
-from .experiment import population_payload, render_csv, render_json, run_analysis
+from .experiment import population_payload, prepare, render_csv, render_json, run_analysis
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ScoregapError", "NonFiniteError", "EmptyDataError", "RankTooLargeError",
     "ShapeMismatchError", "DimensionMismatchError", "NotPositiveDefiniteError",
-    "ZeroObjectiveError", "EmptyPeerSetError", "DegenerateObjectiveError",
+    "EmptyPeerSetError", "DegenerateObjectiveError",
     "ZeroProjectedRuleError", "EpsilonOutOfRangeError", "IngestError",
     "CsvParseError", "UnmappedCategoryError", "MissingColumnError",
     "EmptyGroupError", "ConfigError",
-    "ProjectionMatrix", "SpectralDecomposition", "spectral_decomposition",
-    "subspace_projection", "effective_rank", "min_norm_least_squares",
-    "maximize_linear_under_quadratic", "alignment",
+    "ProjectionMatrix", "subspace_projection", "effective_rank",
+    "min_norm_least_squares", "alignment",
     "CostMatrix", "PeerDataset", "Subgroup", "estimate_rule_analytic",
     "estimate_rule_empirical", "movement", "best_response", "utility",
     "PopulationModel", "welfare_gain", "welfare_maximizing_rule", "group_optimal_rule",
@@ -110,10 +103,10 @@ __all__ = [
     "ConditionCheck", "ConditionReport", "tol_cond", "check_do_no_harm",
     "check_equal_improvement", "check_per_unit_optimality",
     "check_sufficient_per_unit", "condition_report", "disparity_example",
-    "Dataset", "GroupPredicate", "GroupingSpec", "SplitResult", "load_csv",
-    "split_groups", "split_masks", "fit_ground_truth", "standardize_columns",
+    "Dataset", "GroupPredicate", "GroupingSpec", "load_csv", "split_masks",
+    "fit_ground_truth", "standardize_columns",
     "ExperimentConfig", "ModelEntry", "load_config",
     "load_model", "save_model", "model_from_dict", "model_to_dict",
-    "run_analysis", "population_payload", "render_json", "render_csv",
+    "prepare", "run_analysis", "population_payload", "render_json", "render_csv",
     "__version__",
 ]

@@ -16,17 +16,10 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     EmptyPeerSetError,
-    NonFiniteError,
     NotPositiveDefiniteError,
     ShapeMismatchError,
 )
-from .linalg import ProjectionMatrix, as_matrix, as_vector, min_norm_least_squares
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float)
-    out.setflags(write=False)
-    return out
+from .linalg import ProjectionMatrix, as_matrix, as_vector, frozen, min_norm_least_squares
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,7 +45,7 @@ class CostMatrix:
             raise NotPositiveDefiniteError(
                 "Cholesky failed; cost matrix is not positive definite"
             ) from exc
-        object.__setattr__(self, "matrix", _frozen(a))
+        object.__setattr__(self, "matrix", frozen(a))
 
     @property
     def dim(self) -> int:
@@ -96,8 +89,8 @@ class PeerDataset:
             raise ShapeMismatchError(
                 f"{y.shape[0]} scores for {x.shape[0]} peer rows"
             )
-        object.__setattr__(self, "features", _frozen(x))
-        object.__setattr__(self, "scores", _frozen(y))
+        object.__setattr__(self, "features", frozen(x))
+        object.__setattr__(self, "scores", frozen(y))
 
     @property
     def dim(self) -> int:
@@ -151,12 +144,6 @@ class Subgroup:
     @property
     def dim(self) -> int:
         return self.projection.dim
-
-    def estimated_rule(self, w: np.ndarray) -> np.ndarray:
-        return estimate_rule_analytic(self.projection, w)
-
-    def movement(self, w: np.ndarray) -> np.ndarray:
-        return movement(self, w)
 
 
 def estimate_rule_analytic(projection: ProjectionMatrix, w) -> np.ndarray:

@@ -8,7 +8,8 @@ Subcommands:
 
 Exit codes: 0 success, 2 config/usage error, 3 ingest error, 4 numerical
 degeneracy (no rule can help anyone), 5 partial failure (some groupings
-failed but the run completed).
+failed but the run completed; `analyze` and `alignment --config` both
+write the failed entries as error objects).
 """
 
 from __future__ import annotations
@@ -17,25 +18,19 @@ import argparse
 import sys
 from typing import Optional
 
-from .errors import (
-    ConfigError,
-    DegenerateObjectiveError,
-    EpsilonOutOfRangeError,
-    IngestError,
-    ScoregapError,
-    ZeroProjectedRuleError,
-)
+from .errors import ConfigError, EpsilonOutOfRangeError, IngestError, ScoregapError
 from .conditions import condition_report, disparity_example
 from .config import DEFAULT_ALIGNMENT_SAMPLES, load_config
 from .experiment import (
+    DEGENERATE_ERRORS,
     classify_failures,
-    grouping_masks,
-    prepare_features,
+    error_record,
+    prepare,
     render_csv,
     render_json,
     run_analysis,
 )
-from .linalg import alignment, subspace_projection
+from .linalg import alignment
 from .modelio import load_model, model_to_dict, save_model
 
 EXIT_OK = 0
@@ -43,8 +38,6 @@ EXIT_CONFIG = 2
 EXIT_INGEST = 3
 EXIT_DEGENERATE = 4
 EXIT_PARTIAL = 5
-
-DEGENERATE_CLI_ERRORS = (DegenerateObjectiveError, ZeroProjectedRuleError)
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -58,6 +51,12 @@ def _emit(text: str, out: Optional[str]) -> None:
 def _fail(code: int, exc: Exception) -> int:
     print(f"error: {exc}", file=sys.stderr)
     return code
+
+
+def _report_failures(failures) -> None:
+    """One stderr line per (entry name, error object) pair."""
+    for name, err in failures:
+        print(f"grouping {name}: {err['type']}: {err['message']}", file=sys.stderr)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -90,10 +89,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     status = classify_failures(result)
     if status is None:
         return EXIT_OK
-    for entry in result["groupings"]:
-        if "error" in entry:
-            err = entry["error"]
-            print(f"grouping {entry['name']}: {err['type']}: {err['message']}", file=sys.stderr)
+    _report_failures((e["name"], e["error"]) for e in result["groupings"] if "error" in e)
     return EXIT_DEGENERATE if status == "degenerate" else EXIT_PARTIAL
 
 
@@ -104,7 +100,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         return _fail(EXIT_CONFIG, exc)
     try:
         report = condition_report(model)
-    except DEGENERATE_CLI_ERRORS as exc:
+    except DEGENERATE_ERRORS as exc:
         return _fail(EXIT_DEGENERATE, exc)
     doc = {"schema_version": 1, "model": args.model}
     doc.update(report.to_dict())
@@ -124,47 +120,29 @@ def cmd_synthetic(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _alignment_entries(args: argparse.Namespace):
-    """Return (entries, samples, seed) with defaults fully resolved."""
+def cmd_alignment(args: argparse.Namespace) -> int:
     samples = args.samples if args.samples is not None else DEFAULT_ALIGNMENT_SAMPLES
     seed = args.seed if args.seed is not None else 0
-    if args.model is not None:
-        model = load_model(args.model)
-        value = alignment(model.group1.projection, model.group2.projection, samples, seed)
-        return {"model": value}, samples, seed
-
-    config = load_config(args.config)
-    config = config.override(seed=args.seed, rank=args.rank)
-    if args.samples is None:
-        samples = config.alignment_samples
-    seed = config.seed
-    entries = {}
-    if config.dataset is not None:
-        ds, _, features = prepare_features(config)
-        for spec in config.groupings:
-            mask1, mask2 = grouping_masks(ds, spec)
-            p1 = subspace_projection(features[mask1], config.rank)
-            p2 = subspace_projection(features[mask2], config.rank)
-            entries[spec.name] = alignment(p1, p2, samples, seed)
-    else:
-        for model_entry in config.models:
-            if model_entry.epsilon is not None:
-                model = disparity_example(model_entry.epsilon)
-            else:
-                model = load_model(model_entry.path)
-            entries[model_entry.name] = alignment(
-                model.group1.projection, model.group2.projection, samples, seed
-            )
-    return entries, samples, seed
-
-
-def cmd_alignment(args: argparse.Namespace) -> int:
     try:
-        entries, samples, seed = _alignment_entries(args)
+        if args.model is not None:
+            populations = [("model", {}, load_model(args.model))]
+        else:
+            config = load_config(args.config).override(seed=args.seed, rank=args.rank)
+            if args.samples is None:
+                samples = config.alignment_samples
+            seed = config.seed
+            _, populations = prepare(config)
     except ConfigError as exc:
         return _fail(EXIT_CONFIG, exc)
     except IngestError as exc:
         return _fail(EXIT_INGEST, exc)
+    entries, failures = {}, []
+    for name, _, model in populations:
+        if isinstance(model, ScoregapError):
+            entries[name] = {"error": error_record(model)}
+            failures.append((name, entries[name]["error"]))
+        else:
+            entries[name] = alignment(model.group1.projection, model.group2.projection, samples, seed)
     doc = {
         "schema_version": 1,
         "n_samples": samples,
@@ -172,7 +150,10 @@ def cmd_alignment(args: argparse.Namespace) -> int:
         "entries": entries,
     }
     _emit(render_json(doc), args.out)
-    return EXIT_OK
+    if not failures:
+        return EXIT_OK
+    _report_failures(sorted(failures, key=lambda f: f[0]))
+    return EXIT_PARTIAL
 
 
 def build_parser() -> argparse.ArgumentParser:

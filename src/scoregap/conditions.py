@@ -38,10 +38,7 @@ def tol_cond(pop: PopulationModel) -> float:
     so the exact-arithmetic zero blurs to a band proportional to
     ||w_star||^2 times the squared largest response operator norm.
     """
-    m = float(max(
-        np.linalg.norm(pop.group1.response, 2),
-        np.linalg.norm(pop.group2.response, 2),
-    ))
+    m = float(max(np.linalg.norm(g.response, 2) for g in pop.groups))
     wnorm = float(np.linalg.norm(pop.w_star))
     return COND_TOL * max(1.0, wnorm * wnorm * m * m)
 
@@ -104,6 +101,13 @@ def check_equal_improvement(pop: PopulationModel) -> ConditionCheck:
     return _equality_check(value, tol_cond(pop))
 
 
+def _pull_and_perceived(pop: PopulationModel, gid: int) -> Tuple[np.ndarray, float, np.ndarray, float]:
+    """(t_g, ||t_g||, P_g (t_1 + t_2), ||P_g (t_1 + t_2)||)."""
+    t = pop.pull_direction(gid)
+    perceived = pop.group(gid).projection.apply(pop.gain_direction)
+    return t, float(np.linalg.norm(t)), perceived, float(np.linalg.norm(perceived))
+
+
 def check_per_unit_optimality(pop: PopulationModel, gid: int) -> ConditionCheck:
     """Does subgroup gid get its best possible per-unit gain under the welfare rule?
 
@@ -113,21 +117,17 @@ def check_per_unit_optimality(pop: PopulationModel, gid: int) -> ConditionCheck:
     vanishes exactly when the welfare rule is per-unit optimal for gid.
     """
     _require_nondegenerate(pop)
-    group = pop.group(gid)
-    t = pop.pull_direction(gid)
-    t_norm = float(np.linalg.norm(t))
+    t, t_norm, perceived, p_norm = _pull_and_perceived(pop, gid)
     if t_norm <= DEGENERATE_NORM_TOL:
         raise ZeroProjectedRuleError(
             f"subgroup {gid}'s pull direction is zero; per-unit optimum undefined"
         )
-    perceived = group.projection.apply(pop.gain_direction)
-    p_norm = float(np.linalg.norm(perceived))
     if p_norm <= DEGENERATE_NORM_TOL:
         raise ZeroProjectedRuleError(
             f"subgroup {gid} perceives a zero welfare rule; per-unit gain undefined"
         )
     diff = t / t_norm - perceived / p_norm
-    value = float(group.cost.solve(diff) @ pop.w_star)
+    value = float(pop.group(gid).cost.solve(diff) @ pop.w_star)
     return _equality_check(value, tol_cond(pop))
 
 
@@ -141,11 +141,7 @@ def check_sufficient_per_unit(pop: PopulationModel, gid: int) -> Optional[float]
     says nothing either way about the guarantee itself.
     """
     _require_nondegenerate(pop)
-    group = pop.group(gid)
-    t = pop.pull_direction(gid)
-    perceived = group.projection.apply(pop.gain_direction)
-    t_norm = float(np.linalg.norm(t))
-    p_norm = float(np.linalg.norm(perceived))
+    t, t_norm, perceived, p_norm = _pull_and_perceived(pop, gid)
     if t_norm <= DEGENERATE_NORM_TOL or p_norm <= DEGENERATE_NORM_TOL:
         return None
     if float(t @ perceived) <= 0.0:
@@ -194,20 +190,15 @@ class ConditionReport:
 
     def to_dict(self) -> dict:
         out = asdict(self)
-        out["do_no_harm"] = {"group1": asdict(self.do_no_harm[0]), "group2": asdict(self.do_no_harm[1])}
-        out["per_unit_optimal"] = {
-            "group1": asdict(self.per_unit_optimal[0]),
-            "group2": asdict(self.per_unit_optimal[1]),
-        }
-        out["sufficient_c"] = {"group1": self.sufficient_c[0], "group2": self.sufficient_c[1]}
+        for key in ("do_no_harm", "per_unit_optimal", "sufficient_c"):
+            out[key] = {f"group{gid}": value for gid, value in enumerate(out[key], start=1)}
         return out
 
 
 def condition_report(pop: PopulationModel) -> ConditionReport:
     """Run all checkers and detect structural fast paths."""
     _require_nondegenerate(pop)
-    c1 = check_sufficient_per_unit(pop, 1)
-    c2 = check_sufficient_per_unit(pop, 2)
+    c1, c2 = (check_sufficient_per_unit(pop, gid) for gid in (1, 2))
     if _orthogonal_subspaces(pop):
         fast = "orthogonal_subspaces"
     elif _scaled_equal(pop):
@@ -217,9 +208,9 @@ def condition_report(pop: PopulationModel) -> ConditionReport:
     else:
         fast = None
     return ConditionReport(
-        do_no_harm=(check_do_no_harm(pop, 1), check_do_no_harm(pop, 2)),
+        do_no_harm=tuple(check_do_no_harm(pop, gid) for gid in (1, 2)),
         equal_improvement=check_equal_improvement(pop),
-        per_unit_optimal=(check_per_unit_optimality(pop, 1), check_per_unit_optimality(pop, 2)),
+        per_unit_optimal=tuple(check_per_unit_optimality(pop, gid) for gid in (1, 2)),
         tolerance=tol_cond(pop),
         fast_path=fast,
         sufficient_c=(c1, c2),

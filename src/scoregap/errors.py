@@ -39,10 +39,6 @@ class NotPositiveDefiniteError(ScoregapError):
     """A matrix required to be symmetric positive definite is not."""
 
 
-class ZeroObjectiveError(ScoregapError):
-    """The linear objective vector is zero; the maximizer is not unique."""
-
-
 # ---------------------------------------------------------------------------
 # agents / principal / metrics
 

@@ -1,11 +1,13 @@
 """The analyze pipeline: datasets or prebuilt models in, metric reports out.
 
-For each grouping the runner splits the population, builds each
-subgroup's perceived subspace from its own rows, deploys the
-welfare-maximizing rule, and reports the six headline quantities (total
-and per-unit improvements, per-unit optima for both groups) plus subspace
-alignment and the full guarantee report. Entries are isolated: one
-failing grouping becomes an error entry instead of aborting the run.
+`prepare` turns a config into populations: for each grouping it splits
+the rows and builds each subgroup's perceived subspace from its own rows
+(or it loads each listed model). `run_analysis` then deploys the
+welfare-maximizing rule on each population and reports the six headline
+quantities (total and per-unit improvements, per-unit optima for both
+groups) plus subspace alignment and the full guarantee report. Entries
+are isolated: one failing grouping becomes an error entry instead of
+aborting the run.
 """
 
 from __future__ import annotations
@@ -104,30 +106,28 @@ def population_payload(model: PopulationModel, n_samples: int, seed: int) -> dic
     report = improvement_report(model, rule)
     conditions = condition_report(model)
     overlap = alignment(model.group1.projection, model.group2.projection, n_samples, seed)
+    metrics: Dict[str, object] = {"welfare": report.welfare, "difference": report.difference}
+    for gid, group in enumerate((report.group1, report.group2), start=1):
+        metrics[f"I{gid}"] = group.total
+        metrics[f"uI{gid}"] = group.per_unit
+        metrics[f"uI{gid}_star"] = group.optimal_per_unit
     return {
         "alignment": overlap,
         "welfare_rule": rule.tolist(),
-        "effective_ranks": [model.group1.projection.rank, model.group2.projection.rank],
-        "tie_warnings": [model.group1.projection.tie_warning, model.group2.projection.tie_warning],
-        "metrics": {
-            "I1": report.group1.total,
-            "I2": report.group2.total,
-            "uI1": report.group1.per_unit,
-            "uI2": report.group2.per_unit,
-            "uI1_star": report.group1.optimal_per_unit,
-            "uI2_star": report.group2.optimal_per_unit,
-            "welfare": report.welfare,
-            "difference": report.difference,
-        },
+        "effective_ranks": [g.projection.rank for g in model.groups],
+        "tie_warnings": [g.projection.tie_warning for g in model.groups],
+        "metrics": metrics,
         "conditions": conditions.to_dict(),
     }
 
 
+def error_record(exc: Exception) -> dict:
+    """The `error` object that stands in a failed entry's place."""
+    return {"type": type(exc).__name__, "message": str(exc)}
+
+
 def _error_entry(name: str, exc: Exception) -> dict:
-    return {
-        "name": name,
-        "error": {"type": type(exc).__name__, "message": str(exc)},
-    }
+    return {"name": name, "error": error_record(exc)}
 
 
 def prepare_features(config: ExperimentConfig) -> Tuple[Dataset, Tuple[str, ...], np.ndarray]:
@@ -135,8 +135,7 @@ def prepare_features(config: ExperimentConfig) -> Tuple[Dataset, Tuple[str, ...]
 
     Returns (dataset, dropped column names, feature matrix). A `fit:`
     outcome column is dropped along with `drop_columns`, and
-    `standardize` is applied here, so `analyze` and `alignment` work on
-    the same matrix.
+    `standardize` is applied here.
     """
     ds = load_csv(config.dataset, config.encoding)
     drop = tuple(config.drop_columns)
@@ -151,60 +150,56 @@ def prepare_features(config: ExperimentConfig) -> Tuple[Dataset, Tuple[str, ...]
     return ds, drop, features
 
 
-def grouping_masks(ds: Dataset, spec: GroupingSpec) -> Tuple[np.ndarray, np.ndarray]:
-    """The grouping's two row masks; an empty group is an error."""
-    mask1, mask2 = split_masks(ds, spec)
-    for side, mask in ((1, mask1), (2, mask2)):
+def _grouping_model(spec: GroupingSpec, ds: Dataset, features: np.ndarray,
+                    w_star: np.ndarray, config: ExperimentConfig) -> Tuple[dict, PopulationModel]:
+    masks = split_masks(ds, spec)
+    for side, mask in enumerate(masks, start=1):
         if not mask.any():
             raise EmptyGroupError(f"grouping {spec.name!r}: group {side} received zero rows")
-    return mask1, mask2
-
-
-def _dataset_entry(ds: Dataset, features: np.ndarray, w_star: np.ndarray,
-                   config: ExperimentConfig, spec: GroupingSpec) -> dict:
-    mask1, mask2 = grouping_masks(ds, spec)
-    x1, x2 = features[mask1], features[mask2]
     dim = features.shape[1]
-    model = PopulationModel(
-        group1=Subgroup(
-            name=f"{spec.name}:1",
-            cost=_build_cost(config.cost1, dim, "costs.group1"),
-            projection=subspace_projection(x1, config.rank),
-        ),
-        group2=Subgroup(
-            name=f"{spec.name}:2",
-            cost=_build_cost(config.cost2, dim, "costs.group2"),
-            projection=subspace_projection(x2, config.rank),
-        ),
-        w_star=w_star,
-    )
-    entry = {
-        "name": spec.name,
-        "group_sizes": [int(mask1.sum()), int(mask2.sum())],
-        "n_excluded": int(mask1.shape[0] - mask1.sum() - mask2.sum()),
-    }
-    entry.update(population_payload(model, config.alignment_samples, config.seed))
-    return entry
+    groups = [
+        Subgroup(
+            name=f"{spec.name}:{side}",
+            cost=_build_cost(cost, dim, f"costs.group{side}"),
+            projection=subspace_projection(features[mask], config.rank),
+        )
+        for side, (mask, cost) in enumerate(zip(masks, (config.cost1, config.cost2)), start=1)
+    ]
+    sizes = [int(mask.sum()) for mask in masks]
+    accounting = {"group_sizes": sizes, "n_excluded": int(masks[0].shape[0] - sum(sizes))}
+    return accounting, PopulationModel(group1=groups[0], group2=groups[1], w_star=w_star)
 
 
-def _model_entry(entry: ModelEntry, config: ExperimentConfig) -> dict:
+def _listed_model(entry: ModelEntry) -> Tuple[dict, PopulationModel]:
     if entry.epsilon is not None:
         model = disparity_example(entry.epsilon)
         source: Dict[str, object] = {"epsilon": entry.epsilon}
     else:
         model = load_model(entry.path)
         source = {"path": entry.path}
-    payload = {"name": entry.name, "source": source, "group_sizes": None, "n_excluded": None}
-    payload.update(population_payload(model, config.alignment_samples, config.seed))
-    return payload
+    return {"source": source, "group_sizes": None, "n_excluded": None}, model
 
 
-def run_analysis(config: ExperimentConfig) -> dict:
-    """Execute every grouping/model entry and assemble the result document.
+Population = Tuple[str, dict, Union[PopulationModel, ScoregapError]]
 
-    Dataset and config errors that poison the whole run (unreadable file,
-    bad cost shape, bad w* source) raise; errors scoped to one entry are
-    captured inside that entry.
+
+def _built(name: str, build, *args) -> Population:
+    try:
+        accounting, model = build(*args)
+    except ScoregapError as exc:
+        return name, {}, exc
+    return name, accounting, model
+
+
+def prepare(config: ExperimentConfig) -> Tuple[dict, List[Population]]:
+    """Turn a config into the run's metadata and one population per entry.
+
+    Each population is (name, accounting, model), where accounting holds
+    the entry's row counts (or its model source) and model is the
+    PopulationModel, or the ScoregapError that building it raised. Errors
+    that poison the whole run (unreadable dataset, bad w* source) raise.
+    The list is complete before it is returned, so the dataset is freed
+    before any population is analysed.
     """
     meta: Dict[str, object] = {
         "schema_version": RESULT_SCHEMA_VERSION,
@@ -217,25 +212,38 @@ def run_analysis(config: ExperimentConfig) -> dict:
         "n_rows": None,
         "n_dropped": None,
     }
-    entries: List[dict] = []
-
     if config.dataset is not None:
         ds, drop, features = prepare_features(config)
         w_star = _resolve_wstar(config, ds, features, drop)
         meta["n_rows"] = ds.size
         meta["n_dropped"] = ds.n_dropped
         meta["feature_names"] = list(ds.feature_names(drop))
-        for spec in config.groupings:
-            try:
-                entries.append(_dataset_entry(ds, features, w_star, config, spec))
-            except ScoregapError as exc:
-                entries.append(_error_entry(spec.name, exc))
+        populations = [_built(spec.name, _grouping_model, spec, ds, features, w_star, config)
+                       for spec in config.groupings]
     else:
-        for model_entry in config.models:
-            try:
-                entries.append(_model_entry(model_entry, config))
-            except ScoregapError as exc:
-                entries.append(_error_entry(model_entry.name, exc))
+        populations = [_built(entry.name, _listed_model, entry) for entry in config.models]
+    return meta, populations
+
+
+def run_analysis(config: ExperimentConfig) -> dict:
+    """Execute every grouping/model entry and assemble the result document.
+
+    Dataset and config errors that poison the whole run (unreadable file,
+    bad w* source) raise; errors scoped to one entry are captured inside
+    that entry.
+    """
+    meta, populations = prepare(config)
+    entries: List[dict] = []
+    for name, accounting, model in populations:
+        if isinstance(model, ScoregapError):
+            entries.append(_error_entry(name, model))
+            continue
+        try:
+            entry = {"name": name, **accounting}
+            entry.update(population_payload(model, config.alignment_samples, config.seed))
+        except ScoregapError as exc:
+            entry = _error_entry(name, exc)
+        entries.append(entry)
 
     entries.sort(key=lambda e: e["name"])
     failures = [e for e in entries if "error" in e]
@@ -290,11 +298,10 @@ def _flatten_entry(entry: dict) -> Dict[str, object]:
     for key in ("I1", "I2", "uI1", "uI2", "uI1_star", "uI2_star", "welfare", "difference"):
         row[key] = metrics[key]
     conditions = entry["conditions"]
-    row["do_no_harm1"] = conditions["do_no_harm"]["group1"]["verdict"]
-    row["do_no_harm2"] = conditions["do_no_harm"]["group2"]["verdict"]
+    for gid in (1, 2):
+        for key in ("do_no_harm", "per_unit_optimal"):
+            row[f"{key}{gid}"] = conditions[key][f"group{gid}"]["verdict"]
     row["equal_improvement"] = conditions["equal_improvement"]["verdict"]
-    row["per_unit_optimal1"] = conditions["per_unit_optimal"]["group1"]["verdict"]
-    row["per_unit_optimal2"] = conditions["per_unit_optimal"]["group2"]["verdict"]
     row["fast_path"] = conditions["fast_path"]
     row["tolerance"] = conditions["tolerance"]
     return row

@@ -19,13 +19,12 @@ import numpy as np
 
 from .errors import (
     CsvParseError,
-    EmptyGroupError,
     IngestError,
     MissingColumnError,
     ShapeMismatchError,
     UnmappedCategoryError,
 )
-from .linalg import as_matrix, as_vector, min_norm_least_squares
+from .linalg import as_matrix, as_vector, frozen, min_norm_least_squares
 
 # Cell values treated as missing; rows containing one in any used column
 # are dropped (and counted) rather than imputed.
@@ -36,12 +35,6 @@ PASSTHROUGH = "passthrough"
 # name -> PASSTHROUGH, ordered category list (mapped to 1..n), or explicit
 # category -> number mapping
 ManifestSpec = Mapping[str, Union[str, Sequence[str], Mapping[str, float]]]
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float)
-    out.setflags(write=False)
-    return out
 
 
 def normalize_manifest(manifest: Optional[ManifestSpec]) -> Dict[str, Optional[Dict[str, float]]]:
@@ -109,16 +102,15 @@ def _encode_column(cells: Tuple[str, ...], mapping: Optional[Dict[str, float]]
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Encoded table plus the raw text needed for predicates and decoding."""
+    """Encoded table plus the raw text that grouping predicates test."""
 
     column_names: Tuple[str, ...]
     rows: np.ndarray
-    manifest: Dict[str, Optional[Dict[str, float]]]
     raw_columns: Dict[str, Tuple[str, ...]]
     n_dropped: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", _frozen(as_matrix(self.rows, "rows")))
+        object.__setattr__(self, "rows", frozen(as_matrix(self.rows, "rows")))
         if self.rows.shape[1] != len(self.column_names):
             raise ShapeMismatchError(
                 f"{self.rows.shape[1]} columns of data for {len(self.column_names)} names"
@@ -141,14 +133,6 @@ class Dataset:
         self.column_index(name)
         return self.raw_columns[name]
 
-    def decode_column(self, name: str) -> Tuple[str, ...]:
-        """Recover the original categories of an ordinal column."""
-        mapping = self.manifest.get(name)
-        if mapping is None:
-            raise IngestError(f"column {name!r} has no ordinal encoding to invert")
-        inverse = {v: k for k, v in mapping.items()}
-        return tuple(inverse[v] for v in self.column(name))
-
     def feature_names(self, drop: Sequence[str] = ()) -> Tuple[str, ...]:
         for name in drop:
             self.column_index(name)
@@ -159,19 +143,6 @@ class Dataset:
         """All columns except `drop`, in file order."""
         keep = [self.column_index(n) for n in self.feature_names(drop)]
         return self.rows[:, keep]
-
-    def with_columns(self, names: Sequence[str], values: np.ndarray) -> "Dataset":
-        """Copy of the dataset with the named columns replaced."""
-        new_rows = np.array(self.rows)
-        for j, name in enumerate(names):
-            new_rows[:, self.column_index(name)] = values[:, j]
-        return Dataset(
-            column_names=self.column_names,
-            rows=new_rows,
-            manifest=self.manifest,
-            raw_columns=self.raw_columns,
-            n_dropped=self.n_dropped,
-        )
 
 
 def load_csv(path: str, manifest: Optional[ManifestSpec] = None) -> Dataset:
@@ -234,7 +205,6 @@ def load_csv(path: str, manifest: Optional[ManifestSpec] = None) -> Dataset:
     return Dataset(
         column_names=names,
         rows=np.column_stack([values for values, _ in encoded]),
-        manifest=norm,
         raw_columns=dict(zip(names, columns)),
         n_dropped=stop - int(row_numbers.size),
     )
@@ -305,24 +275,6 @@ class GroupingSpec:
     group2: Optional[GroupPredicate] = None
 
 
-@dataclass(frozen=True, eq=False)
-class SplitResult:
-    """Feature matrices of the two subgroups plus the row masks behind them."""
-
-    group1: np.ndarray
-    group2: np.ndarray
-    mask1: np.ndarray
-    mask2: np.ndarray
-
-    @property
-    def sizes(self) -> Tuple[int, int]:
-        return (self.group1.shape[0], self.group2.shape[0])
-
-    @property
-    def n_excluded(self) -> int:
-        return int(self.mask1.shape[0] - self.mask1.sum() - self.mask2.sum())
-
-
 def _predicate_mask(pred: GroupPredicate, raw: Sequence[str]) -> np.ndarray:
     """pred.matches over a raw column, called once per distinct value.
 
@@ -346,27 +298,6 @@ def split_masks(ds: Dataset, spec: GroupingSpec) -> Tuple[np.ndarray, np.ndarray
                 f"grouping {spec.name!r}: predicates overlap on {overlap} rows"
             )
     return mask1, mask2
-
-
-def split_groups(ds: Dataset, spec: GroupingSpec, drop: Sequence[str] = ()) -> SplitResult:
-    """Split the dataset's feature matrix into the two subgroups.
-
-    `drop` names columns excluded from features (identifiers, the outcome
-    column); the grouping column itself stays a feature unless dropped.
-    """
-    mask1, mask2 = split_masks(ds, spec)
-    features = ds.feature_matrix(drop)
-    n1, n2 = int(mask1.sum()), int(mask2.sum())
-    if n1 == 0:
-        raise EmptyGroupError(f"grouping {spec.name!r}: group 1 received zero rows")
-    if n2 == 0:
-        raise EmptyGroupError(f"grouping {spec.name!r}: group 2 received zero rows")
-    return SplitResult(
-        group1=_frozen(features[mask1]),
-        group2=_frozen(features[mask2]),
-        mask1=mask1,
-        mask2=mask2,
-    )
 
 
 def fit_ground_truth(x_mat, y) -> np.ndarray:

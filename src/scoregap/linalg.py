@@ -1,15 +1,14 @@
 """Deterministic linear-algebra primitives.
 
-Everything downstream is built out of four operations: truncated-SVD
-subspace projections, minimum-norm least squares, maximizing a linear
-objective under a quadratic constraint, and a Monte-Carlo overlap measure
-for pairs of projections. All functions are pure; given identical inputs
+Everything downstream is built out of three operations: truncated-SVD
+subspace projections, minimum-norm least squares, and a Monte-Carlo
+overlap measure for pairs of projections. All functions are pure; given identical inputs
 (and seeds) they return identical outputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,10 +16,8 @@ from .errors import (
     DimensionMismatchError,
     EmptyDataError,
     NonFiniteError,
-    NotPositiveDefiniteError,
     RankTooLargeError,
     ShapeMismatchError,
-    ZeroObjectiveError,
 )
 
 # Singular values below RANK_TOL * sigma_max count as zero, both for
@@ -30,7 +27,6 @@ RANK_TOL = 1e-10
 SYMMETRY_TOL = 1e-10
 IDEMPOTENCE_TOL = 1e-9  # scaled by dim
 TRACE_TOL = 1e-8
-ORTHONORMALITY_TOL = 1e-9
 
 _ALIGNMENT_BLOCK = 65536  # samples per RNG block; fixed so runs are reproducible
 
@@ -55,48 +51,11 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
+def frozen(arr) -> np.ndarray:
+    """Read-only float copy, for arrays that immutable objects hold."""
     out = np.array(arr, dtype=float)
     out.setflags(write=False)
     return out
-
-
-@dataclass(frozen=True, eq=False)
-class SpectralDecomposition:
-    """Right singular structure of a data matrix.
-
-    singular_values are sorted non-increasing; right_vectors holds the
-    matching right singular vectors as columns, sign-fixed so the
-    largest-magnitude entry of each column is positive (first such entry
-    on ties). A flag marks decompositions whose trailing kept value ties
-    the first discarded one, in which case any basis of the tied block is
-    equally valid.
-    """
-
-    singular_values: np.ndarray
-    right_vectors: np.ndarray
-    tie_warning: bool = False
-
-    def __post_init__(self):
-        s = as_vector(self.singular_values, "singular_values")
-        v = as_matrix(self.right_vectors, "right_vectors")
-        if np.any(s < 0):
-            raise ValueError("singular values must be non-negative")
-        if np.any(np.diff(s) > 0):
-            raise ValueError("singular values must be non-increasing")
-        if v.shape[1] != s.shape[0]:
-            raise ShapeMismatchError(
-                f"{s.shape[0]} singular values but {v.shape[1]} right vectors"
-            )
-        gram = v.T @ v
-        if np.max(np.abs(gram - np.eye(v.shape[1]))) > ORTHONORMALITY_TOL:
-            raise ValueError("right vectors are not orthonormal")
-        object.__setattr__(self, "singular_values", _frozen(s))
-        object.__setattr__(self, "right_vectors", _frozen(v))
-
-    @property
-    def dim(self) -> int:
-        return self.right_vectors.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,8 +63,8 @@ class ProjectionMatrix:
     """Orthogonal projection onto a subspace of R^d.
 
     The matrix must be symmetric and idempotent, with trace equal to the
-    stated rank. `tie_warning` is propagated from the decomposition when
-    the rank cut fell inside a tied singular-value block (the projection
+    stated rank. `subspace_projection` sets `tie_warning` when the rank
+    cut fell inside a tied singular-value block (the projection
     is then not unique).
     """
 
@@ -126,7 +85,7 @@ class ProjectionMatrix:
             raise ValueError(
                 f"trace {np.trace(p):.12g} does not match rank {self.rank}"
             )
-        object.__setattr__(self, "matrix", _frozen(p))
+        object.__setattr__(self, "matrix", frozen(p))
 
     @property
     def dim(self) -> int:
@@ -145,33 +104,6 @@ class ProjectionMatrix:
         b = as_matrix(basis, "basis")
         p = b @ b.T
         return cls((p + p.T) / 2.0, rank=b.shape[1])
-
-
-def _fix_signs(vt: np.ndarray) -> np.ndarray:
-    """Flip rows of V^T so each right vector's largest-|entry| is positive.
-
-    np.argmax breaks magnitude ties at the lowest index, which is the
-    convention we document.
-    """
-    out = vt.copy()
-    for i in range(out.shape[0]):
-        j = int(np.argmax(np.abs(out[i])))
-        if out[i, j] < 0:
-            out[i] = -out[i]
-    return out
-
-
-def spectral_decomposition(data) -> SpectralDecomposition:
-    """Full right singular decomposition of a row-sample matrix.
-
-    Exposed mainly for debugging projections; `subspace_projection` is the
-    operation everything else consumes.
-    """
-    x = as_matrix(data, "data")
-    if x.shape[0] == 0:
-        raise EmptyDataError("data matrix has zero rows")
-    _, s, vt = np.linalg.svd(x, full_matrices=False)
-    return SpectralDecomposition(singular_values=s, right_vectors=_fix_signs(vt).T)
 
 
 def effective_rank(singular_values: np.ndarray) -> int:
@@ -205,7 +137,6 @@ def subspace_projection(data, k: int) -> ProjectionMatrix:
         raise RankTooLargeError(f"rank k={k} exceeds min(n, d)={min(n, d)}")
 
     _, s, vt = np.linalg.svd(x, full_matrices=False)
-    vt = _fix_signs(vt)
     r = min(k, effective_rank(s))
 
     tie = False
@@ -242,36 +173,6 @@ def min_norm_least_squares(x_mat, y) -> np.ndarray:
         return np.zeros(x.shape[1])
     coeff = (u[:, :r].T @ yv) / s[:r]
     return vt[:r].T @ coeff
-
-
-def maximize_linear_under_quadratic(c, q_mat, b: float) -> np.ndarray:
-    """Unique maximizer of <c, x> subject to x^T Q x <= b.
-
-    Q must be symmetric positive definite and c nonzero; the maximum is
-    attained on the constraint boundary at a positive multiple of Q^{-1} c,
-    scaled so x^T Q x = b.
-    """
-    cv = as_vector(c, "c")
-    q = as_matrix(q_mat, "Q")
-    if q.shape[0] != q.shape[1]:
-        raise ShapeMismatchError(f"Q must be square, got {q.shape}")
-    if q.shape[0] != cv.shape[0]:
-        raise DimensionMismatchError(
-            f"c has dim {cv.shape[0]} but Q is {q.shape[0]}x{q.shape[0]}"
-        )
-    if np.max(np.abs(q - q.T)) > SYMMETRY_TOL:
-        raise NotPositiveDefiniteError("Q is not symmetric")
-    if not b > 0:
-        raise ValueError(f"constraint bound b must be positive, got {b}")
-    if np.linalg.norm(cv) == 0.0:
-        raise ZeroObjectiveError("objective vector c is zero; maximizer not unique")
-    try:
-        np.linalg.cholesky(q)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError("Cholesky failed; Q is not positive definite") from exc
-    z = np.linalg.solve(q, cv)
-    gamma = float(cv @ z)  # c^T Q^{-1} c > 0 for SPD Q
-    return np.sqrt(b / gamma) * z
 
 
 def alignment(p1: ProjectionMatrix, p2: ProjectionMatrix, n_samples: int, seed: int) -> float:

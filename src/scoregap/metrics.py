@@ -13,28 +13,14 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ZeroProjectedRuleError
+from .errors import ZeroProjectedRuleError
 from .agents import movement
-from .linalg import as_vector
-from .principal import PopulationModel, welfare_gain
-
-# Perceived-rule norms at or below this are treated as zero, making the
-# per-unit ratio undefined rather than an overflow.
-ZERO_NORM_TOL = 1e-12
-
-
-def _check_rule(model: PopulationModel, w) -> np.ndarray:
-    wv = as_vector(w, "w")
-    if wv.shape[0] != model.dim:
-        raise DimensionMismatchError(
-            f"rule has dim {wv.shape[0]}, model has dim {model.dim}"
-        )
-    return wv
+from .principal import DEGENERATE_NORM_TOL, PopulationModel, welfare_gain
 
 
 def total_improvement(model: PopulationModel, gid: int, w) -> float:
     """True-quality gain of subgroup gid's movement under rule w."""
-    wv = _check_rule(model, w)
+    wv = model.as_rule(w)
     return float(movement(model.group(gid), wv) @ model.w_star)
 
 
@@ -44,15 +30,12 @@ def per_unit_improvement(model: PopulationModel, gid: int, w) -> float:
     Raises ZeroProjectedRuleError when the subgroup perceives a zero rule,
     in which case the ratio has no value.
     """
-    wv = _check_rule(model, w)
-    group = model.group(gid)
-    perceived = group.projection.apply(wv)
-    norm = float(np.linalg.norm(perceived))
-    if norm <= ZERO_NORM_TOL:
+    per_unit = _group_improvement(model, gid, model.as_rule(w)).per_unit
+    if per_unit is None:
         raise ZeroProjectedRuleError(
             f"subgroup {gid} perceives a zero rule; per-unit improvement undefined"
         )
-    return total_improvement(model, gid, wv) / norm
+    return per_unit
 
 
 def optimal_per_unit_improvement(model: PopulationModel, gid: int) -> float:
@@ -64,17 +47,17 @@ def optimal_per_unit_improvement(model: PopulationModel, gid: int) -> float:
     Raises ZeroProjectedRuleError when the subgroup perceives nothing at
     all (rank-zero projection), since every ratio is then undefined.
     """
-    group = model.group(gid)
-    if group.projection.rank == 0:
+    optimal = _optimal_per_unit(model, gid)
+    if optimal is None:
         raise ZeroProjectedRuleError(
             f"subgroup {gid} has a rank-zero projection; per-unit improvement undefined"
         )
-    return float(np.linalg.norm(model.pull_direction(gid)))
+    return optimal
 
 
 def improvement_difference(model: PopulationModel, w) -> float:
     """Gap in total improvement between subgroup 1 and subgroup 2 under w."""
-    wv = _check_rule(model, w)
+    wv = model.as_rule(w)
     return total_improvement(model, 1, wv) - total_improvement(model, 2, wv)
 
 
@@ -105,26 +88,28 @@ class ImprovementReport:
         return asdict(self)
 
 
+def _optimal_per_unit(model: PopulationModel, gid: int) -> Optional[float]:
+    if model.group(gid).projection.rank == 0:
+        return None
+    return float(np.linalg.norm(model.pull_direction(gid)))
+
+
 def _group_improvement(model: PopulationModel, gid: int, w: np.ndarray) -> GroupImprovement:
-    group = model.group(gid)
-    perceived = group.projection.apply(w)
+    perceived = model.group(gid).projection.apply(w)
     norm = float(np.linalg.norm(perceived))
     total = total_improvement(model, gid, w)
-    per_unit = total / norm if norm > ZERO_NORM_TOL else None
-    if group.projection.rank == 0:
-        optimal = None
-    else:
-        optimal = float(np.linalg.norm(model.pull_direction(gid)))
     return GroupImprovement(
-        total=total, per_unit=per_unit, optimal_per_unit=optimal, perceived_norm=norm
+        total=total,
+        per_unit=total / norm if norm > DEGENERATE_NORM_TOL else None,
+        optimal_per_unit=_optimal_per_unit(model, gid),
+        perceived_norm=norm,
     )
 
 
 def improvement_report(model: PopulationModel, w) -> ImprovementReport:
     """Compute every metric at once, with undefined ratios reported as None."""
-    wv = _check_rule(model, w)
-    g1 = _group_improvement(model, 1, wv)
-    g2 = _group_improvement(model, 2, wv)
+    wv = model.as_rule(w)
+    g1, g2 = (_group_improvement(model, gid, wv) for gid in (1, 2))
     return ImprovementReport(
         group1=g1,
         group2=g2,

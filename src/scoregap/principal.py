@@ -15,26 +15,20 @@ import numpy as np
 
 from .errors import DegenerateObjectiveError, DimensionMismatchError
 from .agents import Subgroup, movement
-from .linalg import as_vector, maximize_linear_under_quadratic
+from .linalg import as_vector, frozen
 
-# Below this norm a pull direction is treated as zero and rules built from
-# it are refused rather than returned as numerical noise.
+# Below this norm a vector counts as zero: a pull direction builds no rule,
+# and a perceived rule gives no per-unit ratio.
 DEGENERATE_NORM_TOL = 1e-12
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True, eq=False)
 class PopulationModel:
     """Two subgroups plus the true quality direction the principal cares about.
 
-    Caches each subgroup's pull direction t_g = P_g A_g^{-1} w_star (the
-    gradient of that subgroup's improvement in the deployed rule) and their
-    sum, which is the gradient of total welfare.
+    Caches the subgroups' pull directions t_g = P_g A_g^{-1} w_star (the
+    gradient of each subgroup's improvement in the deployed rule) as the
+    rows of `pulls`, and their sum, which is the gradient of total welfare.
     """
 
     group1: Subgroup
@@ -51,10 +45,10 @@ class PopulationModel:
             raise DimensionMismatchError(
                 f"w_star has dim {w.shape[0]}, subgroups have dim {self.group1.dim}"
             )
-        object.__setattr__(self, "w_star", _frozen(w))
-        pulls = tuple(_frozen(g.projection.apply(g.cost.solve(w))) for g in (self.group1, self.group2))
-        object.__setattr__(self, "_pulls", pulls)
-        object.__setattr__(self, "_gain_direction", _frozen(pulls[0] + pulls[1]))
+        object.__setattr__(self, "w_star", frozen(w))
+        pulls = frozen([g.projection.apply(g.cost.solve(w)) for g in self.groups])
+        object.__setattr__(self, "pulls", pulls)
+        object.__setattr__(self, "_gain_direction", frozen(pulls[0] + pulls[1]))
 
     @property
     def dim(self) -> int:
@@ -73,7 +67,7 @@ class PopulationModel:
         """t_g = P_g A_g^{-1} w_star; <w, t_g> is subgroup g's gain under w."""
         if gid not in (1, 2):
             raise ValueError(f"group id must be 1 or 2, got {gid}")
-        return self._pulls[gid - 1]
+        return self.pulls[gid - 1]
 
     @property
     def gain_direction(self) -> np.ndarray:
@@ -85,16 +79,28 @@ class PopulationModel:
         """True when no unit rule produces any welfare gain."""
         return bool(np.linalg.norm(self._gain_direction) <= DEGENERATE_NORM_TOL)
 
+    def as_rule(self, w) -> np.ndarray:
+        """w as a finite vector of the model's dimension; raises otherwise."""
+        wv = as_vector(w, "w")
+        if wv.shape[0] != self.dim:
+            raise DimensionMismatchError(
+                f"rule has dim {wv.shape[0]}, model has dim {self.dim}"
+            )
+        return wv
+
 
 def welfare_gain(model: PopulationModel, w) -> float:
     """Total true-quality improvement both subgroups gain under rule w."""
-    wv = as_vector(w, "w")
-    if wv.shape[0] != model.dim:
-        raise DimensionMismatchError(
-            f"rule has dim {wv.shape[0]}, model has dim {model.dim}"
-        )
+    wv = model.as_rule(w)
     total = movement(model.group1, wv) + movement(model.group2, wv)
     return float(total @ model.w_star)
+
+
+def _unit_rule(direction: np.ndarray, message: str) -> np.ndarray:
+    """The unit rule w maximizing <direction, w>: direction / ||direction||."""
+    if np.linalg.norm(direction) <= DEGENERATE_NORM_TOL:
+        raise DegenerateObjectiveError(message)
+    return np.sqrt(1.0 / float(direction @ direction)) * direction
 
 
 def welfare_maximizing_rule(model: PopulationModel, weights: Optional[Tuple[float, float]] = None) -> np.ndarray:
@@ -112,18 +118,12 @@ def welfare_maximizing_rule(model: PopulationModel, weights: Optional[Tuple[floa
         if a1 < 0 or a2 < 0:
             raise ValueError(f"group weights must be non-negative, got {weights}")
         direction = a1 * model.pull_direction(1) + a2 * model.pull_direction(2)
-    if np.linalg.norm(direction) <= DEGENERATE_NORM_TOL:
-        raise DegenerateObjectiveError(
-            "welfare gain is zero for every rule; no maximizer exists"
-        )
-    return maximize_linear_under_quadratic(direction, np.eye(model.dim), 1.0)
+    return _unit_rule(direction, "welfare gain is zero for every rule; no maximizer exists")
 
 
 def group_optimal_rule(model: PopulationModel, gid: int) -> np.ndarray:
     """Unit rule maximizing subgroup gid's own improvement."""
-    t = model.pull_direction(gid)
-    if np.linalg.norm(t) <= DEGENERATE_NORM_TOL:
-        raise DegenerateObjectiveError(
-            f"subgroup {gid} cannot gain under any rule; no maximizer exists"
-        )
-    return maximize_linear_under_quadratic(t, np.eye(model.dim), 1.0)
+    return _unit_rule(
+        model.pull_direction(gid),
+        f"subgroup {gid} cannot gain under any rule; no maximizer exists",
+    )

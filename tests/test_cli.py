@@ -117,7 +117,7 @@ class TestCheck:
         out_path = str(tmp_path / "report.json")
         assert main(["check", model_path, "--out", out_path]) == EXIT_OK
         assert capsys.readouterr().out == ""
-        doc = json.loads(open(out_path).read())
+        doc = json.loads(Path(out_path).read_text())
         assert doc["schema_version"] == 1
 
 
@@ -148,15 +148,15 @@ class TestAnalyze:
         out1, out2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
         assert main(["analyze", "--config", cfg, "--out", out1]) == EXIT_OK
         assert main(["analyze", "--config", cfg, "--out", out2]) == EXIT_OK
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
     def test_csv_format_writes_sibling_json(self, tmp_path):
         cfg = toy_config(tmp_path)
         out = str(tmp_path / "table.csv")
         assert main(["analyze", "--config", cfg, "--format", "csv", "--out", out]) == EXIT_OK
-        header = open(out).readline().strip().split(",")
+        header = Path(out).read_text().splitlines()[0].split(",")
         assert header[0] == "name"
-        sibling = json.loads(open(out + ".json").read())
+        sibling = json.loads(Path(out + ".json").read_text())
         assert sibling["schema_version"] == 1
 
     def test_csv_format_stdout_only(self, tmp_path, capsys):
@@ -271,9 +271,29 @@ class TestAlignment:
 
     def test_config_mode_empty_group_is_an_ingest_error(self, tmp_path, capsys):
         cfg = toy_config(tmp_path)
-        write(tmp_path, "config.yaml", open(cfg).read().replace("value: 35", "value: 99"))
-        assert main(["alignment", "--config", cfg]) == EXIT_INGEST
-        assert "group 2 received zero rows" in capsys.readouterr().err
+        write(tmp_path, "config.yaml", Path(cfg).read_text().replace("value: 35", "value: 99"))
+        assert main(["alignment", "--config", cfg]) == EXIT_PARTIAL
+        captured = capsys.readouterr()
+        assert "group 2 received zero rows" in captured.err
+        error = json.loads(captured.out)["entries"]["age"]["error"]
+        assert error["type"] == "EmptyGroupError"
+
+    def test_config_mode_failed_grouping_is_an_error_entry(self, tmp_path, capsys):
+        # one grouping too small for the rank fails; the other is still reported,
+        # and the failure is the same error object analyze writes
+        cfg = toy_config(tmp_path)
+        write(tmp_path, "config.yaml", Path(cfg).read_text().replace(
+            "rank: 2", "  - name: old\n    group1: {column: age, op: ge, value: 60}\nrank: 2"))
+        assert main(["analyze", "--config", cfg]) == EXIT_PARTIAL
+        doc = json.loads(capsys.readouterr().out)
+        analyzed = {e["name"]: e for e in doc["groupings"]}
+        assert main(["alignment", "--config", cfg]) == EXIT_PARTIAL
+        captured = capsys.readouterr()
+        entries = json.loads(captured.out)["entries"]
+        assert entries["age"] == analyzed["age"]["alignment"]
+        assert entries["old"] == {"error": analyzed["old"]["error"]}
+        assert entries["old"]["error"]["type"] == "RankTooLargeError"
+        assert captured.err.startswith("grouping old: RankTooLargeError: ")
 
 
 class TestImports:

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scoregap import (
     CsvParseError,
     EmptyGroupError,
+    ExperimentConfig,
     GroupPredicate,
     GroupingSpec,
     IngestError,
@@ -17,7 +18,7 @@ from scoregap import (
     UnmappedCategoryError,
     fit_ground_truth,
     load_csv,
-    split_groups,
+    prepare,
     split_masks,
     standardize_columns,
 )
@@ -117,13 +118,6 @@ class TestLoadCsv:
         again = load_csv(write_csv(tmp_path, encoded_text, name="again.csv"),
                          manifest=manifest)
         np.testing.assert_array_equal(again.rows, ds.rows)
-
-    def test_decode_column_round_trip(self, tmp_path):
-        ds = load_csv(write_csv(tmp_path, MIXED_CSV),
-                      manifest={"grade": ["bad", "good", "great"]})
-        assert ds.decode_column("grade") == ("good", "bad", "great", "good")
-        with pytest.raises(IngestError):
-            ds.decode_column("age")
 
     def test_deterministic_load(self, tmp_path):
         path = write_csv(tmp_path, MIXED_CSV)
@@ -274,7 +268,7 @@ def _reference_load(path, manifest):
             raw_rows.append(cells)
     if not encoded:
         raise IngestError(f"{path} contains no usable data rows")
-    return Dataset(column_names=names, rows=np.array(encoded, dtype=float), manifest=norm,
+    return Dataset(column_names=names, rows=np.array(encoded, dtype=float),
                    raw_columns={n: tuple(r[j] for r in raw_rows) for j, n in enumerate(names)},
                    n_dropped=dropped)
 
@@ -348,14 +342,6 @@ class TestDatasetAccess:
         with pytest.raises(MissingColumnError):
             ds.column("absent")
 
-    def test_with_columns_replaces_values(self, tmp_path):
-        ds = load_csv(write_csv(tmp_path, NUMERIC_CSV))
-        new_age = np.array([[1.0], [2.0], [3.0]])
-        ds2 = ds.with_columns(["age"], new_age)
-        np.testing.assert_array_equal(ds2.column("age"), [1, 2, 3])
-        np.testing.assert_array_equal(ds.column("age"), [30, 25, 41])
-        np.testing.assert_array_equal(ds2.column("income"), ds.column("income"))
-
 
 class TestPredicates:
     def test_numeric_comparators(self):
@@ -392,15 +378,20 @@ class TestPredicates:
             GroupPredicate("a", "between", 1)
 
 
+def _sizes(mask1, mask2):
+    """(n1, n2, n_excluded) as the pipeline reports them."""
+    n1, n2 = int(mask1.sum()), int(mask2.sum())
+    return n1, n2, mask1.shape[0] - n1 - n2
+
+
 class TestSplit:
     def test_threshold_with_complement(self, tmp_path):
         ds = load_csv(write_csv(tmp_path, NUMERIC_CSV))
         spec = GroupingSpec(name="age", group1=GroupPredicate("age", "le", 25))
-        result = split_groups(ds, spec)
-        assert result.sizes == (1, 2)
-        assert result.n_excluded == 0
-        np.testing.assert_array_equal(result.mask1, [False, True, False])
-        np.testing.assert_array_equal(result.group1, ds.rows[1:2])
+        mask1, mask2 = split_masks(ds, spec)
+        assert _sizes(mask1, mask2) == (1, 2, 0)
+        np.testing.assert_array_equal(mask1, [False, True, False])
+        np.testing.assert_array_equal(ds.feature_matrix()[mask1], ds.rows[1:2])
 
     def test_two_predicates_can_exclude(self, tmp_path):
         text = "edu,x\n1,10\n2,20\n3,30\n4,40\n"
@@ -410,10 +401,9 @@ class TestSplit:
             group1=GroupPredicate("edu", "in", [1, 2]),
             group2=GroupPredicate("edu", "eq", 3),
         )
-        result = split_groups(ds, spec)
-        assert result.sizes == (2, 1)
-        assert result.n_excluded == 1
-        assert result.sizes[0] + result.sizes[1] + result.n_excluded == ds.size
+        n1, n2, n_excluded = _sizes(*split_masks(ds, spec))
+        assert (n1, n2, n_excluded) == (2, 1, 1)
+        assert n1 + n2 + n_excluded == ds.size
 
     def test_overlapping_predicates(self, tmp_path):
         ds = load_csv(write_csv(tmp_path, NUMERIC_CSV))
@@ -426,23 +416,32 @@ class TestSplit:
             split_masks(ds, spec)
 
     def test_empty_group(self, tmp_path):
-        ds = load_csv(write_csv(tmp_path, NUMERIC_CSV))
-        spec = GroupingSpec(name="none", group1=GroupPredicate("age", "gt", 100))
-        with pytest.raises(EmptyGroupError):
-            split_groups(ds, spec)
+        config = ExperimentConfig(
+            dataset=write_csv(tmp_path, NUMERIC_CSV),
+            groupings=(
+                GroupingSpec(name="none", group1=GroupPredicate("age", "gt", 100)),
+                GroupingSpec(name="age", group1=GroupPredicate("age", "le", 30)),
+            ),
+            rank=1,
+        )
+        _, populations = prepare(config)
+        (name, accounting, error), (_, _, model) = populations
+        assert (name, accounting) == ("none", {})
+        assert isinstance(error, EmptyGroupError)
+        assert str(error) == "grouping 'none': group 1 received zero rows"
+        assert model.group1.name == "age:1"
 
     def test_split_respects_drop(self, tmp_path):
         ds = load_csv(write_csv(tmp_path, NUMERIC_CSV))
         spec = GroupingSpec(name="age", group1=GroupPredicate("age", "le", 30))
-        result = split_groups(ds, spec, drop=["score"])
-        assert result.group1.shape[1] == 2
+        mask1, _ = split_masks(ds, spec)
+        assert ds.feature_matrix(drop=["score"])[mask1].shape == (2, 2)
 
     def test_grouping_on_text_column(self, tmp_path):
         ds = load_csv(write_csv(tmp_path, MIXED_CSV),
                       manifest={"grade": ["bad", "good", "great"]})
         spec = GroupingSpec(name="grade", group1=GroupPredicate("grade", "eq", "good"))
-        result = split_groups(ds, spec)
-        assert result.sizes == (2, 2)
+        assert _sizes(*split_masks(ds, spec)) == (2, 2, 0)
 
 
 _RAW_CELLS = st.one_of(
@@ -478,7 +477,7 @@ class TestSplitProperty:
     def test_masks_equal_row_by_row_predicates(self, cells, pred1, pred2):
         raw = {"a": tuple(c[0] for c in cells), "b": tuple(c[1] for c in cells)}
         ds = Dataset(column_names=("a", "b"), rows=np.zeros((len(cells), 2)),
-                     manifest={}, raw_columns=raw)
+                     raw_columns=raw)
         spec = GroupingSpec(name="g", group1=pred1, group2=pred2)
         want1, err1 = _row_by_row(pred1, raw["a"])
         if err1 is None and pred2 is not None:

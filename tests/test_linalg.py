@@ -6,20 +6,16 @@ from scoregap import (
     DimensionMismatchError,
     EmptyDataError,
     NonFiniteError,
-    NotPositiveDefiniteError,
     ProjectionMatrix,
     RankTooLargeError,
     ShapeMismatchError,
-    ZeroObjectiveError,
     alignment,
     effective_rank,
-    maximize_linear_under_quadratic,
     min_norm_least_squares,
-    spectral_decomposition,
     subspace_projection,
 )
 
-from conftest import random_orthonormal, random_projection, random_spd
+from conftest import random_orthonormal, random_projection
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +64,7 @@ class TestProjectionMatrix:
 
 
 # ---------------------------------------------------------------------------
-# spectral_decomposition / subspace_projection
+# subspace_projection
 
 class TestSubspaceProjection:
     def test_matches_pinv_oracle_at_full_effective_rank(self):
@@ -138,27 +134,6 @@ class TestSubspaceProjection:
         p1 = subspace_projection(x, 4)
         p2 = subspace_projection(x, 4)
         assert np.array_equal(p1.matrix, p2.matrix)
-
-
-class TestSpectralDecomposition:
-    def test_known_diagonal_matrix(self):
-        x = np.diag([3.0, 1.0, 2.0])
-        dec = spectral_decomposition(x)
-        np.testing.assert_allclose(dec.singular_values, [3.0, 2.0, 1.0])
-        np.testing.assert_allclose(np.abs(dec.right_vectors),
-                                   np.eye(3)[:, [0, 2, 1]], atol=1e-12)
-
-    def test_sign_convention_largest_entry_positive(self):
-        rng = np.random.default_rng(6)
-        dec = spectral_decomposition(rng.standard_normal((15, 5)))
-        for j in range(dec.right_vectors.shape[1]):
-            col = dec.right_vectors[:, j]
-            assert col[np.argmax(np.abs(col))] > 0
-
-    def test_values_non_increasing(self):
-        rng = np.random.default_rng(7)
-        dec = spectral_decomposition(rng.standard_normal((30, 9)))
-        assert np.all(np.diff(dec.singular_values) <= 0)
 
     def test_effective_rank(self):
         assert effective_rank(np.array([3.0, 1.0, 1e-14])) == 2
@@ -232,100 +207,6 @@ class TestMinNormLeastSquares:
         w_alt = w + kernel
         np.testing.assert_allclose(x @ w_alt, y, atol=1e-7)
         assert np.linalg.norm(w_alt) > np.linalg.norm(w)
-
-
-# ---------------------------------------------------------------------------
-# maximize_linear_under_quadratic
-
-class TestMaximizeLinearUnderQuadratic:
-    def test_unit_ball_identity_cost(self):
-        c = np.array([3.0, 4.0])
-        x = maximize_linear_under_quadratic(c, np.eye(2), 1.0)
-        np.testing.assert_allclose(x, c / 5.0, atol=1e-12)
-
-    def test_boundary_grid_oracle_2d(self):
-        # the entire constraint boundary is x(t) = sqrt(b) L^{-T} (cos t, sin t)
-        rng = np.random.default_rng(12)
-        for _ in range(10):
-            q = random_spd(rng, 2)
-            c = rng.standard_normal(2)
-            b = float(rng.uniform(0.2, 5.0))
-            x_opt = maximize_linear_under_quadratic(c, q, b)
-            lower = np.linalg.cholesky(q)
-            theta = np.linspace(0, 2 * np.pi, 20001)
-            boundary = np.sqrt(b) * np.linalg.solve(
-                lower.T, np.stack([np.cos(theta), np.sin(theta)])
-            )
-            np.testing.assert_allclose(boundary[:, 0] @ q @ boundary[:, 0], b, atol=1e-9)
-            assert float(c @ x_opt) >= np.max(c @ boundary) - 1e-9
-
-    def test_monte_carlo_feasible_points(self):
-        rng = np.random.default_rng(13)
-        d = 5
-        q = random_spd(rng, d)
-        c = rng.standard_normal(d)
-        b = 2.0
-        x_opt = maximize_linear_under_quadratic(c, q, b)
-        lower = np.linalg.cholesky(q)
-        z = rng.standard_normal((20000, d))
-        z = z / np.linalg.norm(z, axis=1, keepdims=True)
-        z *= rng.uniform(0, 1, size=(20000, 1)) ** (1 / d)
-        feasible = np.sqrt(b) * np.linalg.solve(lower.T, z.T).T
-        quad = np.einsum("ij,jk,ik->i", feasible, q, feasible)
-        assert np.all(quad <= b + 1e-9)
-        assert float(c @ x_opt) >= np.max(feasible @ c)
-
-    def test_constraint_active(self):
-        rng = np.random.default_rng(14)
-        q = random_spd(rng, 4)
-        c = rng.standard_normal(4)
-        for b in (0.5, 1.0, 7.3):
-            x = maximize_linear_under_quadratic(c, q, b)
-            assert abs(x @ q @ x - b) <= 1e-9 * max(1.0, b)
-
-    def test_stationarity(self):
-        # at the optimum the objective gradient is parallel to the constraint's
-        rng = np.random.default_rng(15)
-        q = random_spd(rng, 6)
-        c = rng.standard_normal(6)
-        x = maximize_linear_under_quadratic(c, q, 3.0)
-        g = q @ x
-        np.testing.assert_allclose(c / np.linalg.norm(c), g / np.linalg.norm(g), atol=1e-10)
-
-    @settings(derandomize=True, max_examples=40)
-    @given(seed=st.integers(0, 10**6), scale=st.floats(0.01, 100.0))
-    def test_direction_invariance_under_objective_scaling(self, seed, scale):
-        rng = np.random.default_rng(seed)
-        d = int(rng.integers(2, 8))
-        q = random_spd(rng, d)
-        c = rng.standard_normal(d)
-        if np.linalg.norm(c) < 1e-6:
-            return
-        x1 = maximize_linear_under_quadratic(c, q, 1.5)
-        x2 = maximize_linear_under_quadratic(scale * c, q, 1.5)
-        np.testing.assert_allclose(x1, x2, atol=1e-8 * max(1.0, np.max(np.abs(x1))))
-
-    def test_rejects_zero_objective(self):
-        with pytest.raises(ZeroObjectiveError):
-            maximize_linear_under_quadratic(np.zeros(3), np.eye(3), 1.0)
-
-    def test_rejects_nonpositive_bound(self):
-        with pytest.raises(ValueError, match="positive"):
-            maximize_linear_under_quadratic(np.ones(2), np.eye(2), 0.0)
-
-    def test_rejects_asymmetric(self):
-        q = np.array([[1.0, 0.5], [0.0, 1.0]])
-        with pytest.raises(NotPositiveDefiniteError):
-            maximize_linear_under_quadratic(np.ones(2), q, 1.0)
-
-    def test_rejects_indefinite(self):
-        q = np.diag([1.0, -1.0])
-        with pytest.raises(NotPositiveDefiniteError):
-            maximize_linear_under_quadratic(np.ones(2), q, 1.0)
-
-    def test_rejects_dim_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            maximize_linear_under_quadratic(np.ones(3), np.eye(2), 1.0)
 
 
 # ---------------------------------------------------------------------------

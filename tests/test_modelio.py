@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,7 +56,7 @@ class TestRoundTrip:
         p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         save_model(p1, model)
         save_model(p2, model)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 class TestDefaults:

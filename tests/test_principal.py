@@ -101,6 +101,10 @@ class TestWelfareMaximizingRule:
         assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-10)
         s = pop.gain_direction
         np.testing.assert_allclose(w, s / np.linalg.norm(s), atol=1e-10)
+        # the rule is a direction: rescaling w* leaves it unchanged
+        for c in (1e-3, 7.5, 1e3):
+            scaled = PopulationModel(group1=pop.group1, group2=pop.group2, w_star=c * pop.w_star)
+            np.testing.assert_allclose(welfare_maximizing_rule(scaled), w, rtol=0, atol=1e-12)
 
     def test_beats_random_unit_rules(self):
         rng = np.random.default_rng(8)
