@@ -9,7 +9,6 @@ to maximize estimated score minus a quadratic effort cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -52,13 +51,8 @@ class CostMatrix:
         return self.matrix.shape[0]
 
     def solve(self, v: np.ndarray) -> np.ndarray:
-        """A^{-1} v; a matrix right-hand side comes back in Fortran order.
-
-        The layout is kept on purpose: `movement` computes `response @ w`,
-        and the summation order of that product, so the last digit of every
-        improvement, follows the layout of `response` (A^{-1} P).
-        """
-        return np.asfortranarray(np.linalg.solve(self.matrix, v))
+        """A^{-1} v for a vector or a matrix right-hand side."""
+        return np.linalg.solve(self.matrix, v)
 
     def quad(self, delta: np.ndarray) -> float:
         """delta^T A delta."""
@@ -118,28 +112,21 @@ class PeerDataset:
 
 @dataclass(frozen=True, eq=False)
 class Subgroup:
-    """A subgroup's observable span and effort cost.
+    """A subgroup's observable span (projection P) and effort cost (A).
 
-    `response` caches A^{-1} P, the linear map sending a deployed rule to
-    this subgroup's feature movement. Optional peer data, when present,
-    must live in the same dimension.
+    Both live in the same feature dimension. Under a deployed rule w the
+    subgroup moves by A^{-1} P w (see `movement`).
     """
 
     name: str
     cost: CostMatrix
     projection: ProjectionMatrix
-    peers: Optional[PeerDataset] = None
 
     def __post_init__(self):
         if self.cost.dim != self.projection.dim:
             raise DimensionMismatchError(
                 f"cost dim {self.cost.dim} != projection dim {self.projection.dim}"
             )
-        if self.peers is not None and self.peers.dim != self.projection.dim:
-            raise DimensionMismatchError(
-                f"peer dim {self.peers.dim} != projection dim {self.projection.dim}"
-            )
-        object.__setattr__(self, "response", self.cost.solve(self.projection.matrix))
 
     @property
     def dim(self) -> int:
@@ -177,7 +164,7 @@ def movement(group: Subgroup, w) -> np.ndarray:
         raise DimensionMismatchError(
             f"rule has dim {wv.shape[0]}, subgroup has dim {group.dim}"
         )
-    return group.response @ wv
+    return group.cost.solve(group.projection.apply(wv))
 
 
 def best_response(group: Subgroup, x, w) -> np.ndarray:

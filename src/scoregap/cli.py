@@ -23,6 +23,7 @@ from .conditions import condition_report, disparity_example
 from .config import DEFAULT_ALIGNMENT_SAMPLES, load_config
 from .experiment import (
     DEGENERATE_ERRORS,
+    RESULT_SCHEMA_VERSION,
     classify_failures,
     error_record,
     prepare,
@@ -102,7 +103,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         report = condition_report(model)
     except DEGENERATE_ERRORS as exc:
         return _fail(EXIT_DEGENERATE, exc)
-    doc = {"schema_version": 1, "model": args.model}
+    doc = {"schema_version": RESULT_SCHEMA_VERSION, "model": args.model}
     doc.update(report.to_dict())
     _emit(render_json(doc), args.out)
     return EXIT_OK
@@ -124,6 +125,8 @@ def cmd_alignment(args: argparse.Namespace) -> int:
     samples = args.samples if args.samples is not None else DEFAULT_ALIGNMENT_SAMPLES
     seed = args.seed if args.seed is not None else 0
     try:
+        if samples < 1:
+            raise ConfigError(f"--samples must be >= 1, got {samples}")
         if args.model is not None:
             populations = [("model", {}, load_model(args.model))]
         else:
@@ -144,7 +147,7 @@ def cmd_alignment(args: argparse.Namespace) -> int:
         else:
             entries[name] = alignment(model.group1.projection, model.group2.projection, samples, seed)
     doc = {
-        "schema_version": 1,
+        "schema_version": RESULT_SCHEMA_VERSION,
         "n_samples": samples,
         "seed": seed,
         "entries": entries,

@@ -38,7 +38,7 @@ def tol_cond(pop: PopulationModel) -> float:
     so the exact-arithmetic zero blurs to a band proportional to
     ||w_star||^2 times the squared largest response operator norm.
     """
-    m = float(max(np.linalg.norm(g.response, 2) for g in pop.groups))
+    m = float(max(np.linalg.norm(g.cost.solve(g.projection.matrix), 2) for g in pop.groups))
     wnorm = float(np.linalg.norm(pop.w_star))
     return COND_TOL * max(1.0, wnorm * wnorm * m * m)
 
@@ -111,9 +111,9 @@ def _pull_and_perceived(pop: PopulationModel, gid: int) -> Tuple[np.ndarray, flo
 def check_per_unit_optimality(pop: PopulationModel, gid: int) -> ConditionCheck:
     """Does subgroup gid get its best possible per-unit gain under the welfare rule?
 
-    The scalar is <A_g^{-1} (u_hat - v_hat), w_star> with u_hat the unit
-    pull direction and v_hat the unit perceived welfare rule; it equals the
-    subgroup's per-unit shortfall (always >= 0 in exact arithmetic) and
+    The scalar is <u_hat - v_hat, t_g> with u_hat the unit pull direction
+    and v_hat the unit perceived welfare rule, both in range(P_g); it equals
+    the subgroup's per-unit shortfall (always >= 0 in exact arithmetic) and
     vanishes exactly when the welfare rule is per-unit optimal for gid.
     """
     _require_nondegenerate(pop)
@@ -126,8 +126,7 @@ def check_per_unit_optimality(pop: PopulationModel, gid: int) -> ConditionCheck:
         raise ZeroProjectedRuleError(
             f"subgroup {gid} perceives a zero welfare rule; per-unit gain undefined"
         )
-    diff = t / t_norm - perceived / p_norm
-    value = float(pop.group(gid).cost.solve(diff) @ pop.w_star)
+    value = float((t / t_norm - perceived / p_norm) @ t)
     return _equality_check(value, tol_cond(pop))
 
 

@@ -136,6 +136,8 @@ def _parse_model_entry(doc: object, idx: int) -> ModelEntry:
     if extra:
         raise ConfigError(f"{where}: unknown keys {sorted(extra)}")
     epsilon = doc.get("epsilon")
+    if epsilon is not None and (isinstance(epsilon, bool) or not isinstance(epsilon, (int, float))):
+        raise ConfigError(f"{where}.epsilon: expected a number, got {epsilon!r}")
     return ModelEntry(
         name=str(doc["name"]),
         path=None if doc.get("path") is None else str(doc["path"]),
@@ -161,6 +163,14 @@ def _parse_cost(doc: object, where: str) -> Union[None, float, np.ndarray]:
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ConfigError(f"{where}: expected a square matrix, got shape {arr.shape}")
     return arr
+
+
+def _integer(doc: dict, key: str, default: int) -> int:
+    """doc[key] when it is a YAML integer (not a bool); default when absent."""
+    value = doc.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key}: expected an integer, got {value!r}")
+    return value
 
 
 _KNOWN_KEYS = {
@@ -199,26 +209,26 @@ def config_from_dict(doc: object) -> ExperimentConfig:
     drop = doc.get("drop_columns") or []
     if not isinstance(drop, list):
         raise ConfigError("drop_columns: expected a list of column names")
+    standardize = doc.get("standardize", False)
+    if not isinstance(standardize, bool):
+        raise ConfigError(f"standardize: expected true or false, got {standardize!r}")
 
-    try:
-        return ExperimentConfig(
-            dataset=None if doc.get("dataset") is None else str(doc["dataset"]),
-            encoding=dict(encoding),
-            drop_columns=tuple(str(c) for c in drop),
-            groupings=groupings,
-            models=models,
-            rank=int(doc.get("rank", DEFAULT_RANK)),
-            cost1=_parse_cost(costs.get("group1"), "costs.group1"),
-            cost2=_parse_cost(costs.get("group2"), "costs.group2"),
-            wstar=str(doc.get("wstar", WSTAR_ONES)),
-            standardize=bool(doc.get("standardize", False)),
-            alignment_samples=int(doc.get("alignment_samples", DEFAULT_ALIGNMENT_SAMPLES)),
-            seed=int(doc.get("seed", 0)),
-            out=None if doc.get("out") is None else str(doc["out"]),
-            format=str(doc.get("format", "json")),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad config value: {exc}") from None
+    return ExperimentConfig(
+        dataset=None if doc.get("dataset") is None else str(doc["dataset"]),
+        encoding=dict(encoding),
+        drop_columns=tuple(str(c) for c in drop),
+        groupings=groupings,
+        models=models,
+        rank=_integer(doc, "rank", DEFAULT_RANK),
+        cost1=_parse_cost(costs.get("group1"), "costs.group1"),
+        cost2=_parse_cost(costs.get("group2"), "costs.group2"),
+        wstar=str(doc.get("wstar", WSTAR_ONES)),
+        standardize=standardize,
+        alignment_samples=_integer(doc, "alignment_samples", DEFAULT_ALIGNMENT_SAMPLES),
+        seed=_integer(doc, "seed", 0),
+        out=None if doc.get("out") is None else str(doc["out"]),
+        format=str(doc.get("format", "json")),
+    )
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -84,19 +84,12 @@ def _load_wstar_vector(path: str, dim: int) -> np.ndarray:
     return arr
 
 
-def _resolve_wstar(config: ExperimentConfig, ds: Dataset, features: np.ndarray,
-                   drop: Tuple[str, ...]) -> np.ndarray:
+def _resolve_wstar(config: ExperimentConfig, ds: Dataset, features: np.ndarray) -> np.ndarray:
     dim = features.shape[1]
     if config.wstar == "ones":
         return np.ones(dim)
     if config.wstar.startswith("fit:"):
-        column = config.wstar[len("fit:"):]
-        if column not in drop:
-            raise ConfigError(
-                f"wstar fit column {column!r} must also be excluded from features "
-                f"(it is the outcome, not an attribute)"
-            )
-        return fit_ground_truth(features, ds.column(column))
+        return fit_ground_truth(features, ds.column(config.wstar[len("fit:"):]))
     return _load_wstar_vector(config.wstar[len("vector:"):], dim)
 
 
@@ -214,7 +207,7 @@ def prepare(config: ExperimentConfig) -> Tuple[dict, List[Population]]:
     }
     if config.dataset is not None:
         ds, drop, features = prepare_features(config)
-        w_star = _resolve_wstar(config, ds, features, drop)
+        w_star = _resolve_wstar(config, ds, features)
         meta["n_rows"] = ds.size
         meta["n_dropped"] = ds.n_dropped
         meta["feature_names"] = list(ds.feature_names(drop))

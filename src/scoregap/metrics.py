@@ -14,14 +14,12 @@ from typing import Optional
 import numpy as np
 
 from .errors import ZeroProjectedRuleError
-from .agents import movement
 from .principal import DEGENERATE_NORM_TOL, PopulationModel, welfare_gain
 
 
 def total_improvement(model: PopulationModel, gid: int, w) -> float:
-    """True-quality gain of subgroup gid's movement under rule w."""
-    wv = model.as_rule(w)
-    return float(movement(model.group(gid), wv) @ model.w_star)
+    """True-quality gain of subgroup gid's movement under rule w: <w, t_gid>."""
+    return float(model.as_rule(w) @ model.pull_direction(gid))
 
 
 def per_unit_improvement(model: PopulationModel, gid: int, w) -> float:

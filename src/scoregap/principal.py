@@ -9,12 +9,12 @@ welfare-maximizing unit rule is that functional's direction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .errors import DegenerateObjectiveError, DimensionMismatchError
-from .agents import Subgroup, movement
+from .agents import Subgroup
 from .linalg import as_vector, frozen
 
 # Below this norm a vector counts as zero: a pull direction builds no rule,
@@ -90,10 +90,8 @@ class PopulationModel:
 
 
 def welfare_gain(model: PopulationModel, w) -> float:
-    """Total true-quality improvement both subgroups gain under rule w."""
-    wv = model.as_rule(w)
-    total = movement(model.group1, wv) + movement(model.group2, wv)
-    return float(total @ model.w_star)
+    """Total true-quality improvement both subgroups gain under rule w: <w, t_1 + t_2>."""
+    return float(model.as_rule(w) @ model.gain_direction)
 
 
 def _unit_rule(direction: np.ndarray, message: str) -> np.ndarray:
@@ -103,22 +101,13 @@ def _unit_rule(direction: np.ndarray, message: str) -> np.ndarray:
     return np.sqrt(1.0 / float(direction @ direction)) * direction
 
 
-def welfare_maximizing_rule(model: PopulationModel, weights: Optional[Tuple[float, float]] = None) -> np.ndarray:
-    """Unit rule maximizing total welfare gain.
+def welfare_maximizing_rule(model: PopulationModel) -> np.ndarray:
+    """Unit rule maximizing total welfare gain: (t_1 + t_2) / ||t_1 + t_2||.
 
-    With `weights` = (a1, a2) the objective becomes a1 * gain_1 + a2 * gain_2,
-    a generalization for principals that value the groups unequally; the
-    default (1, 1) is plain total welfare. Raises DegenerateObjectiveError
-    when the weighted objective is identically zero over unit rules.
+    Raises DegenerateObjectiveError when the welfare gain is zero for
+    every rule.
     """
-    if weights is None:
-        direction = model.gain_direction
-    else:
-        a1, a2 = float(weights[0]), float(weights[1])
-        if a1 < 0 or a2 < 0:
-            raise ValueError(f"group weights must be non-negative, got {weights}")
-        direction = a1 * model.pull_direction(1) + a2 * model.pull_direction(2)
-    return _unit_rule(direction, "welfare gain is zero for every rule; no maximizer exists")
+    return _unit_rule(model.gain_direction, "welfare gain is zero for every rule; no maximizer exists")
 
 
 def group_optimal_rule(model: PopulationModel, gid: int) -> np.ndarray:

@@ -128,8 +128,9 @@ def test_criterion_3_welfare_rule_tops_random_rules():
             rules = candidates[d]
             achieved = welfare_gain(pop, welfare_maximizing_rule(pop))
             # batch evaluation of the same movement-based gain
+            responses = [np.linalg.solve(g.cost.matrix, g.projection.matrix) for g in pop.groups]
             gains = (
-                rules @ pop.group1.response.T + rules @ pop.group2.response.T
+                rules @ responses[0].T + rules @ responses[1].T
             ) @ pop.w_star
             shortfall = float(np.max(gains)) - achieved
             assert shortfall <= 1e-6, f"a random rule won by {shortfall:.3e}"

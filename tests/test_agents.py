@@ -86,22 +86,10 @@ class TestPeerDataset:
 
 
 class TestSubgroup:
-    def test_response_is_inverse_cost_times_projection(self):
-        rng = np.random.default_rng(3)
-        g = random_subgroup(rng, 5, rank=3)
-        oracle = np.linalg.inv(g.cost.matrix) @ g.projection.matrix
-        np.testing.assert_allclose(g.response, oracle, atol=1e-9)
-
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             Subgroup(name="g", cost=CostMatrix.identity(3),
                      projection=ProjectionMatrix.identity(4))
-
-    def test_peers_dim_mismatch(self):
-        peers = PeerDataset(features=np.ones((2, 5)), scores=np.ones(2))
-        with pytest.raises(DimensionMismatchError):
-            Subgroup(name="g", cost=CostMatrix.identity(3),
-                     projection=ProjectionMatrix.identity(3), peers=peers)
 
 
 class TestEstimation:

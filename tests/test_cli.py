@@ -257,6 +257,16 @@ class TestAlignment:
     def test_missing_model(self, tmp_path, capsys):
         assert main(["alignment", "--model", str(tmp_path / "no.json")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_samples_below_one_is_a_usage_error(self, tmp_path, capsys, samples):
+        model_path = str(tmp_path / "m.json")
+        main(["synthetic", "0.4", "--out", model_path])
+        for source in (["--model", model_path], ["--config", toy_config(tmp_path)]):
+            assert main(["alignment", *source, "--samples", samples]) == EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: --samples must be >= 1, got {samples}\n"
+
     def test_config_mode_equals_analyze(self, tmp_path, capsys):
         # standardize and the fit: outcome column both shape the features
         # analyze projects; the alignment subcommand must project the same ones

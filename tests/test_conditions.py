@@ -247,6 +247,13 @@ class TestPerUnitOptimality:
                 )
                 assert check.value == pytest.approx(expected, abs=1e-9)
                 assert check.value >= -1e-12
+                # the solve-based form <A_g^{-1} (u_hat - v_hat), w*>
+                g = pop.group(gid)
+                t = g.projection.matrix @ np.linalg.solve(g.cost.matrix, pop.w_star)
+                v = g.projection.matrix @ pop.gain_direction
+                diff = t / np.linalg.norm(t) - v / np.linalg.norm(v)
+                solved = float(np.linalg.solve(g.cost.matrix, diff) @ pop.w_star)
+                assert check.value == pytest.approx(solved, abs=1e-9)
 
     def test_zero_pull_direction_raises(self):
         # w* lies in the kernel of group 1's subspace, identity costs

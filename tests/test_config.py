@@ -164,10 +164,23 @@ class TestValidation:
 
     def test_bad_rank_and_samples(self):
         models = [{"name": "m", "epsilon": 0.5}]
-        with pytest.raises(ConfigError, match="rank"):
-            config_from_dict({"models": models, "rank": 0})
-        with pytest.raises(ConfigError, match="alignment_samples"):
-            config_from_dict({"models": models, "alignment_samples": 0})
+        for key, value in [
+            ("rank", 0), ("alignment_samples", 0),
+            # only a YAML integer is accepted: no truncation, no bools, no strings
+            ("rank", 2.7), ("rank", True), ("rank", "3"), ("rank", None),
+            ("seed", 1.9), ("seed", False), ("seed", "7"),
+            ("alignment_samples", 2.5), ("alignment_samples", True),
+            # and only a YAML bool for standardize
+            ("standardize", "false"), ("standardize", "no"), ("standardize", 1),
+            ("standardize", None),
+        ]:
+            with pytest.raises(ConfigError, match=key):
+                config_from_dict({"models": models, key: value})
+
+    @pytest.mark.parametrize("value", ["0.5", True, [0.5]])
+    def test_epsilon_must_be_a_number(self, value):
+        with pytest.raises(ConfigError, match=r"models\[0\].epsilon"):
+            config_from_dict({"models": [{"name": "m", "epsilon": value}]})
 
     def test_bad_wstar(self):
         with pytest.raises(ConfigError, match="wstar"):

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,3 +304,39 @@ class TestRendering:
         assert int(row["n1"]) + int(row["n2"]) == 30
         assert row["n_excluded"] == "0"
         assert row["rank1"] == "2"
+
+
+class TestBenchmarkTrace:
+    def test_traced_run_equals_untraced(self, tmp_path, monkeypatch):
+        # benchmarks/run.py --trace 1 replaces names that experiment and
+        # modelio import with timed wrappers; the pipeline must still reach
+        # them, with the arguments the counters read, and give the same document
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "benchmarks"))
+        import run
+        from tracer import Tracer
+        from scoregap import experiment, modelio
+
+        rng = np.random.default_rng(6)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({
+            "w_star": rng.standard_normal(4).tolist(),
+            "data1": rng.standard_normal((6, 4)).tolist(),
+            "data2": rng.standard_normal((5, 4)).tolist(),
+            "rank": 2,
+        }))
+        config = models_config(models=(
+            ModelEntry(name="eps01", epsilon=0.1),
+            ModelEntry(name="eps06", epsilon=0.6),
+            ModelEntry(name="file", path=str(path)),
+        ), alignment_samples=1000)
+        plain = render_json(run_analysis(config))
+        tracer = Tracer()
+        run._install(tracer, experiment, modelio)
+        try:
+            traced = render_json(experiment.run_analysis(config))
+        finally:
+            tracer.remove()
+        assert traced == plain
+        assert json.loads(plain)["n_failed"] == 0
+        assert tracer.counts["linalg.alignment_samples"] > 0
+        assert tracer.counts["linalg.subspace_projection_calls"] > 0

@@ -25,11 +25,12 @@ from conftest import random_population, random_unit_rules
 class TestTotalImprovement:
     def test_is_movement_gain(self):
         rng = np.random.default_rng(0)
-        pop = random_population(rng, d=6)
-        w = rng.standard_normal(6)
-        for gid in (1, 2):
-            oracle = float(movement(pop.group(gid), w) @ pop.w_star)
-            assert total_improvement(pop, gid, w) == pytest.approx(oracle, abs=1e-12)
+        for _ in range(50):
+            pop = random_population(rng)
+            w = rng.standard_normal(pop.dim)
+            for gid in (1, 2):
+                oracle = float(movement(pop.group(gid), w) @ pop.w_star)
+                assert total_improvement(pop, gid, w) == pytest.approx(oracle, abs=1e-12)
 
     def test_two_axis_construction_values(self):
         for eps in (0.1, 0.5, 0.9):

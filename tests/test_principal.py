@@ -71,12 +71,13 @@ class TestPopulationModel:
 class TestWelfareGain:
     def test_equals_sum_of_movement_gains(self):
         rng = np.random.default_rng(4)
-        pop = random_population(rng, d=6)
-        w = rng.standard_normal(6)
-        oracle = float(
-            (movement(pop.group1, w) + movement(pop.group2, w)) @ pop.w_star
-        )
-        assert welfare_gain(pop, w) == pytest.approx(oracle, abs=1e-12)
+        for _ in range(50):
+            pop = random_population(rng)
+            w = rng.standard_normal(pop.dim)
+            oracle = float(
+                (movement(pop.group1, w) + movement(pop.group2, w)) @ pop.w_star
+            )
+            assert welfare_gain(pop, w) == pytest.approx(oracle, abs=1e-12)
 
     def test_linear_functional_of_the_rule(self):
         rng = np.random.default_rng(5)
@@ -119,28 +120,6 @@ class TestWelfareMaximizingRule:
     def test_degenerate_raises(self):
         with pytest.raises(DegenerateObjectiveError):
             welfare_maximizing_rule(_degenerate_population())
-
-    def test_weighted_objective(self):
-        rng = np.random.default_rng(9)
-        pop = random_population(rng, d=6)
-        # weight (1, 0) turns total welfare into group 1's own objective
-        np.testing.assert_allclose(
-            welfare_maximizing_rule(pop, weights=(1.0, 0.0)),
-            group_optimal_rule(pop, 1),
-            atol=1e-10,
-        )
-        # scaling both weights leaves the direction unchanged
-        np.testing.assert_allclose(
-            welfare_maximizing_rule(pop, weights=(2.5, 2.5)),
-            welfare_maximizing_rule(pop),
-            atol=1e-10,
-        )
-
-    def test_negative_weights_rejected(self):
-        rng = np.random.default_rng(10)
-        pop = random_population(rng, d=3)
-        with pytest.raises(ValueError):
-            welfare_maximizing_rule(pop, weights=(-1.0, 1.0))
 
 
 class TestGroupOptimalRule:
