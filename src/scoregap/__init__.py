@@ -51,8 +51,6 @@ from .principal import (
     welfare_maximizing_rule,
 )
 from .metrics import (
-    GroupImprovement,
-    ImprovementReport,
     improvement_difference,
     improvement_report,
     optimal_per_unit_improvement,
@@ -61,7 +59,6 @@ from .metrics import (
 )
 from .conditions import (
     ConditionCheck,
-    ConditionReport,
     check_do_no_harm,
     check_equal_improvement,
     check_per_unit_optimality,
@@ -97,10 +94,9 @@ __all__ = [
     "CostMatrix", "PeerDataset", "Subgroup", "estimate_rule_analytic",
     "estimate_rule_empirical", "movement", "best_response", "utility",
     "PopulationModel", "welfare_gain", "welfare_maximizing_rule", "group_optimal_rule",
-    "GroupImprovement", "ImprovementReport", "total_improvement",
-    "per_unit_improvement", "optimal_per_unit_improvement",
+    "total_improvement", "per_unit_improvement", "optimal_per_unit_improvement",
     "improvement_difference", "improvement_report",
-    "ConditionCheck", "ConditionReport", "tol_cond", "check_do_no_harm",
+    "ConditionCheck", "tol_cond", "check_do_no_harm",
     "check_equal_improvement", "check_per_unit_optimality",
     "check_sufficient_per_unit", "condition_report", "disparity_example",
     "Dataset", "GroupPredicate", "GroupingSpec", "load_csv", "split_masks",

@@ -18,7 +18,7 @@ import argparse
 import sys
 from typing import Optional
 
-from .errors import ConfigError, EpsilonOutOfRangeError, IngestError, ScoregapError
+from .errors import ConfigError, IngestError, ScoregapError
 from .conditions import condition_report, disparity_example
 from .config import DEFAULT_ALIGNMENT_SAMPLES, load_config
 from .experiment import (
@@ -40,6 +40,14 @@ EXIT_INGEST = 3
 EXIT_DEGENERATE = 4
 EXIT_PARTIAL = 5
 
+# The first class an error is an instance of decides its exit code.
+_EXIT_CODES = (
+    (ConfigError, EXIT_CONFIG),
+    (IngestError, EXIT_INGEST),
+    (DEGENERATE_ERRORS, EXIT_DEGENERATE),
+    (ScoregapError, EXIT_CONFIG),
+)
+
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
@@ -49,11 +57,6 @@ def _emit(text: str, out: Optional[str]) -> None:
             handle.write(text)
 
 
-def _fail(code: int, exc: Exception) -> int:
-    print(f"error: {exc}", file=sys.stderr)
-    return code
-
-
 def _report_failures(failures) -> None:
     """One stderr line per (entry name, error object) pair."""
     for name, err in failures:
@@ -61,25 +64,15 @@ def _report_failures(failures) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    try:
-        config = load_config(args.config)
-        config = config.override(
-            out=args.out,
-            format=args.format,
-            seed=args.seed,
-            rank=args.rank,
-            wstar=args.wstar,
-            standardize=args.standardize,
-        )
-    except ConfigError as exc:
-        return _fail(EXIT_CONFIG, exc)
-    try:
-        result = run_analysis(config)
-    except ConfigError as exc:
-        return _fail(EXIT_CONFIG, exc)
-    except IngestError as exc:
-        return _fail(EXIT_INGEST, exc)
-
+    config = load_config(args.config).override(
+        out=args.out,
+        format=args.format,
+        seed=args.seed,
+        rank=args.rank,
+        wstar=args.wstar,
+        standardize=args.standardize,
+    )
+    result = run_analysis(config)
     if config.format == "json":
         _emit(render_json(result), config.out)
     else:
@@ -95,25 +88,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    try:
-        model = load_model(args.model)
-    except ConfigError as exc:
-        return _fail(EXIT_CONFIG, exc)
-    try:
-        report = condition_report(model)
-    except DEGENERATE_ERRORS as exc:
-        return _fail(EXIT_DEGENERATE, exc)
+    model = load_model(args.model)
     doc = {"schema_version": RESULT_SCHEMA_VERSION, "model": args.model}
-    doc.update(report.to_dict())
+    doc.update(condition_report(model))
     _emit(render_json(doc), args.out)
     return EXIT_OK
 
 
 def cmd_synthetic(args: argparse.Namespace) -> int:
-    try:
-        model = disparity_example(args.epsilon)
-    except EpsilonOutOfRangeError as exc:
-        return _fail(EXIT_CONFIG, exc)
+    model = disparity_example(args.epsilon)
     if args.out is None:
         sys.stdout.write(render_json(model_to_dict(model)))
     else:
@@ -124,21 +107,16 @@ def cmd_synthetic(args: argparse.Namespace) -> int:
 def cmd_alignment(args: argparse.Namespace) -> int:
     samples = args.samples if args.samples is not None else DEFAULT_ALIGNMENT_SAMPLES
     seed = args.seed if args.seed is not None else 0
-    try:
-        if samples < 1:
-            raise ConfigError(f"--samples must be >= 1, got {samples}")
-        if args.model is not None:
-            populations = [("model", {}, load_model(args.model))]
-        else:
-            config = load_config(args.config).override(seed=args.seed, rank=args.rank)
-            if args.samples is None:
-                samples = config.alignment_samples
-            seed = config.seed
-            _, populations = prepare(config)
-    except ConfigError as exc:
-        return _fail(EXIT_CONFIG, exc)
-    except IngestError as exc:
-        return _fail(EXIT_INGEST, exc)
+    if samples < 1:
+        raise ConfigError(f"--samples must be >= 1, got {samples}")
+    if args.model is not None:
+        populations = [("model", {}, load_model(args.model))]
+    else:
+        config = load_config(args.config).override(seed=args.seed, rank=args.rank)
+        if args.samples is None:
+            samples = config.alignment_samples
+        seed = config.seed
+        _, populations = prepare(config)
     entries, failures = {}, []
     for name, _, model in populations:
         if isinstance(model, ScoregapError):
@@ -207,8 +185,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ScoregapError as exc:
-        # anything not mapped above is a malformed-input problem
-        return _fail(EXIT_CONFIG, exc)
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -169,33 +169,21 @@ def _scaled_equal(pop: PopulationModel) -> bool:
     return bool(np.max(np.abs(a2 - ratio * a1)) <= STRUCT_TOL * scale)
 
 
-@dataclass(frozen=True)
-class ConditionReport:
-    """Every guarantee checked at once for one population.
+def _by_group(pop: PopulationModel, check) -> dict:
+    return {f"group{gid}": asdict(check(pop, gid)) for gid in (1, 2)}
 
-    fast_path, when set, names a structural shortcut this instance
-    satisfies: "orthogonal_subspaces" (disjoint perceived spans),
-    "scaled_equal" (same span, proportional costs), or "sufficient_cg"
-    (both pull directions positively collinear with the perceived welfare
-    direction, with the multipliers in sufficient_c).
+
+def condition_report(pop: PopulationModel) -> dict:
+    """The result document's `conditions` mapping: every guarantee at once.
+
+    `do_no_harm` and `per_unit_optimal` hold each subgroup's ConditionCheck
+    as a dict under `group1`/`group2`; `sufficient_c` holds the
+    check_sufficient_per_unit multipliers the same way. `fast_path`, when
+    set, names a structural shortcut this instance satisfies:
+    "orthogonal_subspaces" (disjoint perceived spans), "scaled_equal"
+    (same span, proportional costs), or "sufficient_cg" (both pull
+    directions positively collinear with the perceived welfare direction).
     """
-
-    do_no_harm: Tuple[ConditionCheck, ConditionCheck]
-    equal_improvement: ConditionCheck
-    per_unit_optimal: Tuple[ConditionCheck, ConditionCheck]
-    tolerance: float
-    fast_path: Optional[str] = None
-    sufficient_c: Tuple[Optional[float], Optional[float]] = (None, None)
-
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        for key in ("do_no_harm", "per_unit_optimal", "sufficient_c"):
-            out[key] = {f"group{gid}": value for gid, value in enumerate(out[key], start=1)}
-        return out
-
-
-def condition_report(pop: PopulationModel) -> ConditionReport:
-    """Run all checkers and detect structural fast paths."""
     _require_nondegenerate(pop)
     c1, c2 = (check_sufficient_per_unit(pop, gid) for gid in (1, 2))
     if _orthogonal_subspaces(pop):
@@ -206,14 +194,14 @@ def condition_report(pop: PopulationModel) -> ConditionReport:
         fast = "sufficient_cg"
     else:
         fast = None
-    return ConditionReport(
-        do_no_harm=tuple(check_do_no_harm(pop, gid) for gid in (1, 2)),
-        equal_improvement=check_equal_improvement(pop),
-        per_unit_optimal=tuple(check_per_unit_optimality(pop, gid) for gid in (1, 2)),
-        tolerance=tol_cond(pop),
-        fast_path=fast,
-        sufficient_c=(c1, c2),
-    )
+    return {
+        "do_no_harm": _by_group(pop, check_do_no_harm),
+        "equal_improvement": asdict(check_equal_improvement(pop)),
+        "per_unit_optimal": _by_group(pop, check_per_unit_optimality),
+        "tolerance": tol_cond(pop),
+        "fast_path": fast,
+        "sufficient_c": {"group1": c1, "group2": c2},
+    }
 
 
 def disparity_example(epsilon: float) -> PopulationModel:

@@ -76,7 +76,10 @@ def _load_wstar_vector(path: str, dim: int) -> np.ndarray:
             values = [float(tok) for tok in text.split()]
         except ValueError:
             raise ConfigError(f"{path}: neither JSON nor whitespace-separated numbers") from None
-    arr = np.asarray(values, dtype=float)
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{path}: expected a list of numbers") from None
     if arr.ndim != 1 or arr.shape[0] != dim:
         raise ConfigError(f"{path}: expected {dim} values, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -96,21 +99,16 @@ def _resolve_wstar(config: ExperimentConfig, ds: Dataset, features: np.ndarray) 
 def population_payload(model: PopulationModel, n_samples: int, seed: int) -> dict:
     """Metrics, guarantees, and alignment for one population."""
     rule = welfare_maximizing_rule(model)
-    report = improvement_report(model, rule)
+    metrics = improvement_report(model, rule)
     conditions = condition_report(model)
     overlap = alignment(model.group1.projection, model.group2.projection, n_samples, seed)
-    metrics: Dict[str, object] = {"welfare": report.welfare, "difference": report.difference}
-    for gid, group in enumerate((report.group1, report.group2), start=1):
-        metrics[f"I{gid}"] = group.total
-        metrics[f"uI{gid}"] = group.per_unit
-        metrics[f"uI{gid}_star"] = group.optimal_per_unit
     return {
         "alignment": overlap,
         "welfare_rule": rule.tolist(),
         "effective_ranks": [g.projection.rank for g in model.groups],
         "tie_warnings": [g.projection.tie_warning for g in model.groups],
         "metrics": metrics,
-        "conditions": conditions.to_dict(),
+        "conditions": conditions,
     }
 
 

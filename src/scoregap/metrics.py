@@ -8,7 +8,6 @@ comparable; it is undefined when the perceived rule is zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
 from typing import Optional
 
 import numpy as np
@@ -28,7 +27,7 @@ def per_unit_improvement(model: PopulationModel, gid: int, w) -> float:
     Raises ZeroProjectedRuleError when the subgroup perceives a zero rule,
     in which case the ratio has no value.
     """
-    per_unit = _group_improvement(model, gid, model.as_rule(w)).per_unit
+    per_unit = _per_unit(model, gid, model.as_rule(w))
     if per_unit is None:
         raise ZeroProjectedRuleError(
             f"subgroup {gid} perceives a zero rule; per-unit improvement undefined"
@@ -59,58 +58,32 @@ def improvement_difference(model: PopulationModel, w) -> float:
     return total_improvement(model, 1, wv) - total_improvement(model, 2, wv)
 
 
-@dataclass(frozen=True)
-class GroupImprovement:
-    """One subgroup's metrics under a deployed rule.
-
-    per_unit and optimal_per_unit are None when undefined (zero perceived
-    rule, or rank-zero projection respectively).
-    """
-
-    total: float
-    per_unit: Optional[float]
-    optimal_per_unit: Optional[float]
-    perceived_norm: float
-
-
-@dataclass(frozen=True)
-class ImprovementReport:
-    """All improvement metrics of one rule on one two-subgroup population."""
-
-    group1: GroupImprovement
-    group2: GroupImprovement
-    welfare: float
-    difference: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
 def _optimal_per_unit(model: PopulationModel, gid: int) -> Optional[float]:
     if model.group(gid).projection.rank == 0:
         return None
     return float(np.linalg.norm(model.pull_direction(gid)))
 
 
-def _group_improvement(model: PopulationModel, gid: int, w: np.ndarray) -> GroupImprovement:
-    perceived = model.group(gid).projection.apply(w)
-    norm = float(np.linalg.norm(perceived))
-    total = total_improvement(model, gid, w)
-    return GroupImprovement(
-        total=total,
-        per_unit=total / norm if norm > DEGENERATE_NORM_TOL else None,
-        optimal_per_unit=_optimal_per_unit(model, gid),
-        perceived_norm=norm,
-    )
+def _per_unit(model: PopulationModel, gid: int, w: np.ndarray) -> Optional[float]:
+    """I_g(w) / ||P_g w||, or None when subgroup gid perceives a zero rule."""
+    norm = float(np.linalg.norm(model.group(gid).projection.apply(w)))
+    if norm <= DEGENERATE_NORM_TOL:
+        return None
+    return total_improvement(model, gid, w) / norm
 
 
-def improvement_report(model: PopulationModel, w) -> ImprovementReport:
-    """Compute every metric at once, with undefined ratios reported as None."""
+def improvement_report(model: PopulationModel, w) -> dict:
+    """The result document's `metrics` mapping for rule w.
+
+    Holds `welfare`, `difference` and, per subgroup g, the total `I{g}`,
+    per-unit `uI{g}` and optimal per-unit `uI{g}_star` improvements, with
+    undefined ratios reported as None.
+    """
     wv = model.as_rule(w)
-    g1, g2 = (_group_improvement(model, gid, wv) for gid in (1, 2))
-    return ImprovementReport(
-        group1=g1,
-        group2=g2,
-        welfare=welfare_gain(model, wv),
-        difference=g1.total - g2.total,
-    )
+    totals = [total_improvement(model, gid, wv) for gid in (1, 2)]
+    report = {"welfare": welfare_gain(model, wv), "difference": totals[0] - totals[1]}
+    for gid, total in enumerate(totals, start=1):
+        report[f"I{gid}"] = total
+        report[f"uI{gid}"] = _per_unit(model, gid, wv)
+        report[f"uI{gid}_star"] = _optimal_per_unit(model, gid)
+    return report

@@ -77,7 +77,7 @@ def model_from_dict(doc: dict) -> PopulationModel:
         raise ConfigError("w_star: missing")
     dim = w_star.shape[0]
     rank = doc.get("rank")
-    if rank is not None and (not isinstance(rank, int) or rank < 1):
+    if rank is not None and (isinstance(rank, bool) or not isinstance(rank, int) or rank < 1):
         raise ConfigError(f"rank: must be a positive integer, got {rank!r}")
     names = doc.get("names", ["group1", "group2"])
     if not (isinstance(names, (list, tuple)) and len(names) == 2):

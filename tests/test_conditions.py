@@ -353,23 +353,22 @@ class TestConditionReport:
         rng = np.random.default_rng(16)
         pop = random_population(rng, d=5)
         report = condition_report(pop)
-        assert report.do_no_harm[0].verdict == check_do_no_harm(pop, 1).verdict
-        assert report.equal_improvement.value == check_equal_improvement(pop).value
-        assert report.tolerance == tol_cond(pop)
-        doc = report.to_dict()
-        assert set(doc) == {
+        assert report["do_no_harm"]["group1"]["verdict"] == check_do_no_harm(pop, 1).verdict
+        assert report["equal_improvement"]["value"] == check_equal_improvement(pop).value
+        assert report["tolerance"] == tol_cond(pop)
+        assert set(report) == {
             "do_no_harm", "equal_improvement", "per_unit_optimal",
             "tolerance", "fast_path", "sufficient_c",
         }
-        assert set(doc["do_no_harm"]) == {"group1", "group2"}
+        assert set(report["do_no_harm"]) == {"group1", "group2"}
 
     def test_fast_path_orthogonal(self):
-        assert condition_report(disparity_example(0.2)).fast_path == "orthogonal_subspaces"
+        assert condition_report(disparity_example(0.2))["fast_path"] == "orthogonal_subspaces"
 
     def test_fast_path_scaled_equal(self):
         rng = np.random.default_rng(17)
         pop = scaled_population(rng, d=4, scale=3.0)
-        assert condition_report(pop).fast_path == "scaled_equal"
+        assert condition_report(pop)["fast_path"] == "scaled_equal"
 
     def test_fast_path_sufficient_ratios(self):
         # same span, costs not proportional, yet both pulls align with the rule
@@ -381,14 +380,14 @@ class TestConditionReport:
             w_star=np.array([1.0, 0.0]),
         )
         report = condition_report(pop)
-        assert report.fast_path == "sufficient_cg"
-        assert report.sufficient_c[0] == pytest.approx(1.0 / 1.5, abs=1e-9)
-        assert report.sufficient_c[1] == pytest.approx(0.5 / 1.5, abs=1e-9)
+        assert report["fast_path"] == "sufficient_cg"
+        assert report["sufficient_c"]["group1"] == pytest.approx(1.0 / 1.5, abs=1e-9)
+        assert report["sufficient_c"]["group2"] == pytest.approx(0.5 / 1.5, abs=1e-9)
 
     def test_no_fast_path_on_generic_instance(self):
         rng = np.random.default_rng(18)
         pop = random_population(rng, d=6)
-        assert condition_report(pop).fast_path is None
+        assert condition_report(pop)["fast_path"] is None
 
 
 class TestDisparityExample:

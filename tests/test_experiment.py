@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from scoregap import (
+    ConfigError,
     CostMatrix,
     ExperimentConfig,
     ModelEntry,
@@ -164,6 +165,20 @@ class TestDatasetMode:
         result = run_analysis(cfg)
         assert result["n_failed"] == 0
         assert result["wstar"] == f"vector:{wpath}"
+
+    @pytest.mark.parametrize("text, message", [
+        ('["x", 1, 2]', "expected a list of numbers"),
+        ('{"a": 1}', "expected a list of numbers"),
+        ("[1, 2]", "expected 3 values"),
+        ("[1e999, 1, 2]", "non-finite"),
+    ])
+    def test_bad_vector_wstar_is_a_config_error(self, tmp_path, text, message):
+        wpath = tmp_path / "w.json"
+        wpath.write_text(text)
+        cfg = dataset_config(tmp_path, wstar=f"vector:{wpath}")
+        with pytest.raises(ConfigError, match=message) as info:
+            run_analysis(cfg)
+        assert str(wpath) in str(info.value)
 
     def test_standardize_changes_geometry(self, tmp_path):
         plain = run_analysis(dataset_config(tmp_path))

@@ -123,15 +123,15 @@ class TestImprovementReport:
         pop = random_population(rng, d=6)
         w = welfare_maximizing_rule(pop)
         rep = improvement_report(pop, w)
-        assert rep.group1.total == pytest.approx(total_improvement(pop, 1, w), abs=1e-12)
-        assert rep.group2.total == pytest.approx(total_improvement(pop, 2, w), abs=1e-12)
-        assert rep.group1.per_unit == pytest.approx(per_unit_improvement(pop, 1, w), abs=1e-12)
-        assert rep.group2.per_unit == pytest.approx(per_unit_improvement(pop, 2, w), abs=1e-12)
-        assert rep.group1.optimal_per_unit == pytest.approx(
+        assert rep["I1"] == pytest.approx(total_improvement(pop, 1, w), abs=1e-12)
+        assert rep["I2"] == pytest.approx(total_improvement(pop, 2, w), abs=1e-12)
+        assert rep["uI1"] == pytest.approx(per_unit_improvement(pop, 1, w), abs=1e-12)
+        assert rep["uI2"] == pytest.approx(per_unit_improvement(pop, 2, w), abs=1e-12)
+        assert rep["uI1_star"] == pytest.approx(
             optimal_per_unit_improvement(pop, 1), abs=1e-12
         )
-        assert rep.welfare == pytest.approx(welfare_gain(pop, w), abs=1e-12)
-        assert rep.difference == pytest.approx(improvement_difference(pop, w), abs=1e-12)
+        assert rep["welfare"] == pytest.approx(welfare_gain(pop, w), abs=1e-12)
+        assert rep["difference"] == pytest.approx(improvement_difference(pop, w), abs=1e-12)
 
     def test_welfare_is_sum_of_totals(self):
         rng = np.random.default_rng(8)
@@ -139,14 +139,14 @@ class TestImprovementReport:
             pop = random_population(rng)
             w = rng.standard_normal(pop.dim)
             rep = improvement_report(pop, w)
-            assert rep.welfare == pytest.approx(rep.group1.total + rep.group2.total, abs=1e-9)
+            assert rep["welfare"] == pytest.approx(rep["I1"] + rep["I2"], abs=1e-9)
 
     def test_undefined_ratios_become_none(self):
         pop = disparity_example(0.3)
         rep = improvement_report(pop, np.array([0.0, 1.0]))
-        assert rep.group1.per_unit is None
-        assert rep.group1.total == pytest.approx(0.0, abs=1e-15)
-        assert rep.group2.per_unit is not None
+        assert rep["uI1"] is None
+        assert rep["I1"] == pytest.approx(0.0, abs=1e-15)
+        assert rep["uI2"] is not None
 
     def test_rank_zero_optimal_is_none(self):
         pop = PopulationModel(
@@ -157,13 +157,13 @@ class TestImprovementReport:
             w_star=np.array([1.0, 1.0]),
         )
         rep = improvement_report(pop, np.array([1.0, 0.0]))
-        assert rep.group1.optimal_per_unit is None
-        assert rep.group1.per_unit is None
+        assert rep["uI1_star"] is None
+        assert rep["uI1"] is None
 
-    def test_to_dict_round_trips_by_keys(self):
+    def test_keys_are_the_document_metrics(self):
         rng = np.random.default_rng(9)
         pop = random_population(rng, d=4)
         rep = improvement_report(pop, welfare_maximizing_rule(pop))
-        doc = rep.to_dict()
-        assert set(doc) == {"group1", "group2", "welfare", "difference"}
-        assert set(doc["group1"]) == {"total", "per_unit", "optimal_per_unit", "perceived_norm"}
+        assert set(rep) == {
+            "welfare", "difference", "I1", "I2", "uI1", "uI2", "uI1_star", "uI2_star",
+        }

@@ -103,9 +103,10 @@ class TestDataDerivedProjections:
         assert model.group1.projection.rank == 3
         assert model.group2.projection.rank == 3
 
-    def test_bad_rank(self):
-        doc = dict(base_doc(), rank=0)
-        with pytest.raises(ConfigError, match="rank"):
+    @pytest.mark.parametrize("rank", [0, True, 2.5])
+    def test_bad_rank(self, rank):
+        doc = dict(base_doc(), rank=rank)
+        with pytest.raises(ConfigError, match="rank: must be a positive integer"):
             model_from_dict(doc)
 
 

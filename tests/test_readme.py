@@ -1,0 +1,27 @@
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import scoregap
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def quick_start_code() -> str:
+    """The first python block under the README's "Library quick start" heading."""
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Library quick start"):]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_quick_start_runs_and_exports_resolve():
+    # a fresh interpreter, so the block sees only what it imports itself
+    src = str(Path(scoregap.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", quick_start_code()], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert "'uI1_star'" in out.stdout and "'do_no_harm'" in out.stdout
+    assert [name for name in scoregap.__all__ if not hasattr(scoregap, name)] == []
