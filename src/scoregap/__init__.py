@@ -65,7 +65,6 @@ from .conditions import (
     check_sufficient_per_unit,
     condition_report,
     disparity_example,
-    tol_cond,
 )
 from .ingest import (
     Dataset,
@@ -96,7 +95,7 @@ __all__ = [
     "PopulationModel", "welfare_gain", "welfare_maximizing_rule", "group_optimal_rule",
     "total_improvement", "per_unit_improvement", "optimal_per_unit_improvement",
     "improvement_difference", "improvement_report",
-    "ConditionCheck", "tol_cond", "check_do_no_harm",
+    "ConditionCheck", "check_do_no_harm",
     "check_equal_improvement", "check_per_unit_optimality",
     "check_sufficient_per_unit", "condition_report", "disparity_example",
     "Dataset", "GroupPredicate", "GroupingSpec", "load_csv", "split_masks",

@@ -32,7 +32,7 @@ from .experiment import (
     run_analysis,
 )
 from .linalg import alignment
-from .modelio import load_model, model_to_dict, save_model
+from .modelio import load_model, model_to_dict
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -52,9 +52,12 @@ _EXIT_CODES = (
 def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
 def _report_failures(failures) -> None:
@@ -96,11 +99,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_synthetic(args: argparse.Namespace) -> int:
-    model = disparity_example(args.epsilon)
-    if args.out is None:
-        sys.stdout.write(render_json(model_to_dict(model)))
-    else:
-        save_model(args.out, model)
+    _emit(render_json(model_to_dict(disparity_example(args.epsilon))), args.out)
     return EXIT_OK
 
 
@@ -109,6 +108,8 @@ def cmd_alignment(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else 0
     if samples < 1:
         raise ConfigError(f"--samples must be >= 1, got {samples}")
+    if args.model is not None and args.rank is not None:
+        raise ConfigError("--rank applies only with --config")
     if args.model is not None:
         populations = [("model", {}, load_model(args.model))]
     else:

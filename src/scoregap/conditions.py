@@ -1,56 +1,53 @@
 """Guarantee checkers for the welfare-maximizing rule.
 
 Each guarantee (no subgroup harmed, equal gains, per-unit-optimal gains)
-reduces to the sign or vanishing of one scalar built from the subgroup
-pull directions. Checkers return the raw scalar together with a verdict
-judged against a scale-aware tolerance, so callers can always re-judge.
+reduces to the sign or vanishing of one scalar, a closed form in five
+numbers the PopulationModel caches: the Gram matrix G = T T^T of the
+pull directions t_g = P_g A_g^{-1} w_star, and n_g = ||P_g s|| with
+s = t_1 + t_2. Each scalar is judged against REL_TOL times its own
+scale, so no verdict depends on the units of w_star or of the costs, or
+on the basis. ||s|| is taken from s itself, since sqrt(G_11 + 2 G_12 + G_22)
+cancels where degeneracy is decided:
+
+    quantity              value                             scale
+    do_no_harm g          G_gg + G_12                       (||t_1|| + ||t_2||) ||s||
+    equal_improvement     G_11 - G_22                       G_11 + G_22
+    per_unit_optimal g    sqrt(G_gg) - (G_gg + G_12) / n_g  sqrt(G_gg)
+    degenerate (s ~ 0)    ||s||                             ||t_1|| + ||t_2||
+    t_g ~ 0               ||t_g||                           ||t_1|| + ||t_2||
+    n_g ~ 0               n_g                               ||s||
+    P_g w ~ 0 (metrics)   ||P_g w||                         ||w||
+
+Checkers return the raw scalar together with its tolerance, so callers
+can always re-judge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from .errors import DegenerateObjectiveError, EpsilonOutOfRangeError, ZeroProjectedRuleError
 from .agents import CostMatrix, Subgroup
-from .linalg import ProjectionMatrix
-from .principal import DEGENERATE_NORM_TOL, PopulationModel
-
-# Base relative tolerance for condition scalars; scaled by the instance's
-# magnitude in tol_cond.
-COND_TOL = 1e-8
-
-# Collinearity threshold for the positive-multiple test: normalized
-# difference at most this.
-COLLINEAR_TOL = 1e-8
+from .linalg import REL_TOL, ProjectionMatrix
+from .principal import PopulationModel
 
 # Structural detections (orthogonal subspaces, proportional costs) compare
 # matrix entries at this absolute/relative level.
 STRUCT_TOL = 1e-10
 
 
-def tol_cond(pop: PopulationModel) -> float:
-    """Scale-aware tolerance for condition scalars.
-
-    The scalars are quadratic in w_star and in the response maps A_g^{-1} P_g,
-    so the exact-arithmetic zero blurs to a band proportional to
-    ||w_star||^2 times the squared largest response operator norm.
-    """
-    m = float(max(np.linalg.norm(g.cost.solve(g.projection.matrix), 2) for g in pop.groups))
-    wnorm = float(np.linalg.norm(pop.w_star))
-    return COND_TOL * max(1.0, wnorm * wnorm * m * m)
-
-
 @dataclass(frozen=True)
 class ConditionCheck:
     """Verdict on one scalar condition.
 
-    For inequality conditions the verdict is value >= -tolerance and
-    `boundary` flags |value| < tolerance (a statistical tie with zero);
-    for equality conditions the verdict is |value| <= tolerance and
-    boundary is always False.
+    `tolerance` is REL_TOL times the scalar's scale. For inequality
+    conditions the verdict is value >= -tolerance and `boundary` flags
+    |value| < tolerance (a statistical tie with zero); for equality
+    conditions the verdict is |value| <= tolerance and boundary is
+    always False.
     """
 
     verdict: bool
@@ -59,7 +56,8 @@ class ConditionCheck:
     boundary: bool = False
 
 
-def _inequality_check(value: float, tol: float) -> ConditionCheck:
+def _inequality_check(value: float, scale: float) -> ConditionCheck:
+    tol = REL_TOL * float(scale)
     return ConditionCheck(
         verdict=bool(value >= -tol),
         value=float(value),
@@ -68,7 +66,8 @@ def _inequality_check(value: float, tol: float) -> ConditionCheck:
     )
 
 
-def _equality_check(value: float, tol: float) -> ConditionCheck:
+def _equality_check(value: float, scale: float) -> ConditionCheck:
+    tol = REL_TOL * float(scale)
     return ConditionCheck(verdict=bool(abs(value) <= tol), value=float(value), tolerance=tol)
 
 
@@ -82,72 +81,63 @@ def _require_nondegenerate(pop: PopulationModel) -> None:
 def check_do_no_harm(pop: PopulationModel, gid: int) -> ConditionCheck:
     """Does the welfare-maximizing rule leave subgroup gid no worse off?
 
-    The condition scalar is <t_g, t_1 + t_2>, whose sign equals the sign of
-    subgroup gid's improvement under the welfare-maximizing rule.
+    The condition scalar is <t_g, s> = G_gg + G_12, whose sign equals the
+    sign of subgroup gid's improvement under the welfare-maximizing rule.
     """
     _require_nondegenerate(pop)
-    value = float(pop.pull_direction(gid) @ pop.gain_direction)
-    return _inequality_check(value, tol_cond(pop))
+    g = pop.gram
+    value = g[gid - 1, gid - 1] + g[0, 1]
+    return _inequality_check(value, pop.pull_scale * np.linalg.norm(pop.gain_direction))
 
 
 def check_equal_improvement(pop: PopulationModel) -> ConditionCheck:
     """Do both subgroups improve by the same amount under the welfare rule?
 
-    The scalar is <t_1 - t_2, t_1 + t_2>, which equals the improvement gap
-    at the welfare-maximizing rule times the rule's unnormalized length.
+    The scalar is <t_1 - t_2, s> = G_11 - G_22, which equals the
+    improvement gap at the welfare-maximizing rule times ||s||.
     """
     _require_nondegenerate(pop)
-    value = float((pop.pull_direction(1) - pop.pull_direction(2)) @ pop.gain_direction)
-    return _equality_check(value, tol_cond(pop))
-
-
-def _pull_and_perceived(pop: PopulationModel, gid: int) -> Tuple[np.ndarray, float, np.ndarray, float]:
-    """(t_g, ||t_g||, P_g (t_1 + t_2), ||P_g (t_1 + t_2)||)."""
-    t = pop.pull_direction(gid)
-    perceived = pop.group(gid).projection.apply(pop.gain_direction)
-    return t, float(np.linalg.norm(t)), perceived, float(np.linalg.norm(perceived))
+    g = pop.gram
+    return _equality_check(g[0, 0] - g[1, 1], g[0, 0] + g[1, 1])
 
 
 def check_per_unit_optimality(pop: PopulationModel, gid: int) -> ConditionCheck:
     """Does subgroup gid get its best possible per-unit gain under the welfare rule?
 
-    The scalar is <u_hat - v_hat, t_g> with u_hat the unit pull direction
-    and v_hat the unit perceived welfare rule, both in range(P_g); it equals
-    the subgroup's per-unit shortfall (always >= 0 in exact arithmetic) and
-    vanishes exactly when the welfare rule is per-unit optimal for gid.
+    The scalar is ||t_g|| - <t_g, P_g s> / n_g = sqrt(G_gg) - (G_gg + G_12) / n_g,
+    the subgroup's per-unit shortfall (always >= 0 in exact arithmetic);
+    it vanishes exactly when t_g is a positive multiple of P_g s.
     """
     _require_nondegenerate(pop)
-    t, t_norm, perceived, p_norm = _pull_and_perceived(pop, gid)
-    if t_norm <= DEGENERATE_NORM_TOL:
+    gg = pop.gram[gid - 1, gid - 1]
+    t_norm = float(np.sqrt(gg))
+    n = pop.perceived[gid - 1]
+    if t_norm <= REL_TOL * pop.pull_scale:
         raise ZeroProjectedRuleError(
             f"subgroup {gid}'s pull direction is zero; per-unit optimum undefined"
         )
-    if p_norm <= DEGENERATE_NORM_TOL:
+    if n <= REL_TOL * np.linalg.norm(pop.gain_direction):
         raise ZeroProjectedRuleError(
             f"subgroup {gid} perceives a zero welfare rule; per-unit gain undefined"
         )
-    value = float((t / t_norm - perceived / p_norm) @ t)
-    return _equality_check(value, tol_cond(pop))
+    return _equality_check(t_norm - (gg + pop.gram[0, 1]) / n, t_norm)
 
 
 def check_sufficient_per_unit(pop: PopulationModel, gid: int) -> Optional[float]:
-    """Structural sufficient test for per-unit optimality of subgroup gid.
+    """The multiplier c_g > 0 with t_g = c_g P_g s, or None.
 
-    Returns c_g > 0 when the pull direction t_g is a positive multiple of
-    the perceived welfare direction P_g (t_1 + t_2), which forces the
-    welfare rule to look like the subgroup's own optimum from inside its
-    span. Returns None when the vectors are not positive multiples; a None
-    says nothing either way about the guarantee itself.
+    t_g is a positive multiple of the perceived welfare direction P_g s
+    exactly when the per-unit scalar vanishes, so this returns
+    ||t_g|| / n_g when check_per_unit_optimality holds, and None when it
+    fails or either vector is zero.
     """
-    _require_nondegenerate(pop)
-    t, t_norm, perceived, p_norm = _pull_and_perceived(pop, gid)
-    if t_norm <= DEGENERATE_NORM_TOL or p_norm <= DEGENERATE_NORM_TOL:
+    try:
+        check = check_per_unit_optimality(pop, gid)
+    except ZeroProjectedRuleError:
         return None
-    if float(t @ perceived) <= 0.0:
+    if not check.verdict:
         return None
-    if float(np.linalg.norm(t / t_norm - perceived / p_norm)) > COLLINEAR_TOL:
-        return None
-    return t_norm / p_norm
+    return float(np.sqrt(pop.gram[gid - 1, gid - 1])) / pop.perceived[gid - 1]
 
 
 def _orthogonal_subspaces(pop: PopulationModel) -> bool:
@@ -163,14 +153,7 @@ def _scaled_equal(pop: PopulationModel) -> bool:
     a1 = pop.group1.cost.matrix
     a2 = pop.group2.cost.matrix
     ratio = np.trace(a2) / np.trace(a1)
-    if ratio <= 0:
-        return False
-    scale = max(1.0, float(np.max(np.abs(a2))))
-    return bool(np.max(np.abs(a2 - ratio * a1)) <= STRUCT_TOL * scale)
-
-
-def _by_group(pop: PopulationModel, check) -> dict:
-    return {f"group{gid}": asdict(check(pop, gid)) for gid in (1, 2)}
+    return bool(np.max(np.abs(a2 - ratio * a1)) <= STRUCT_TOL * np.max(np.abs(a2)))
 
 
 def condition_report(pop: PopulationModel) -> dict:
@@ -185,6 +168,9 @@ def condition_report(pop: PopulationModel) -> dict:
     directions positively collinear with the perceived welfare direction).
     """
     _require_nondegenerate(pop)
+    harm = [check_do_no_harm(pop, gid) for gid in (1, 2)]
+    equal = check_equal_improvement(pop)
+    per_unit = [check_per_unit_optimality(pop, gid) for gid in (1, 2)]
     c1, c2 = (check_sufficient_per_unit(pop, gid) for gid in (1, 2))
     if _orthogonal_subspaces(pop):
         fast = "orthogonal_subspaces"
@@ -195,10 +181,9 @@ def condition_report(pop: PopulationModel) -> dict:
     else:
         fast = None
     return {
-        "do_no_harm": _by_group(pop, check_do_no_harm),
-        "equal_improvement": asdict(check_equal_improvement(pop)),
-        "per_unit_optimal": _by_group(pop, check_per_unit_optimality),
-        "tolerance": tol_cond(pop),
+        "do_no_harm": {"group1": asdict(harm[0]), "group2": asdict(harm[1])},
+        "equal_improvement": asdict(equal),
+        "per_unit_optimal": {"group1": asdict(per_unit[0]), "group2": asdict(per_unit[1])},
         "fast_path": fast,
         "sufficient_c": {"group1": c1, "group2": c2},
     }

@@ -35,7 +35,7 @@ from .metrics import improvement_report
 from .modelio import load_model
 from .principal import PopulationModel, welfare_maximizing_rule
 
-RESULT_SCHEMA_VERSION = 1
+RESULT_SCHEMA_VERSION = 2
 
 # Error types that mean the instance violates the model's standing
 # assumptions (no gain possible anywhere) rather than being malformed.
@@ -45,7 +45,7 @@ CSV_COLUMNS = (
     "name", "error", "n1", "n2", "n_excluded", "rank1", "rank2", "alignment",
     "I1", "I2", "uI1", "uI2", "uI1_star", "uI2_star", "welfare", "difference",
     "do_no_harm1", "do_no_harm2", "equal_improvement",
-    "per_unit_optimal1", "per_unit_optimal2", "fast_path", "tolerance",
+    "per_unit_optimal1", "per_unit_optimal2", "fast_path",
 )
 
 
@@ -294,7 +294,6 @@ def _flatten_entry(entry: dict) -> Dict[str, object]:
             row[f"{key}{gid}"] = conditions[key][f"group{gid}"]["verdict"]
     row["equal_improvement"] = conditions["equal_improvement"]["verdict"]
     row["fast_path"] = conditions["fast_path"]
-    row["tolerance"] = conditions["tolerance"]
     return row
 
 

@@ -24,6 +24,10 @@ from .errors import (
 # effective rank and for the pseudo-inverse.
 RANK_TOL = 1e-10
 
+# A scalar counts as zero (or as equal to another) when it is at most
+# REL_TOL times its natural scale; the conditions module lists the scales.
+REL_TOL = 1e-8
+
 SYMMETRY_TOL = 1e-10
 IDEMPOTENCE_TOL = 1e-9  # scaled by dim
 TRACE_TOL = 1e-8

@@ -13,7 +13,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ZeroProjectedRuleError
-from .principal import DEGENERATE_NORM_TOL, PopulationModel, welfare_gain
+from .linalg import REL_TOL
+from .principal import PopulationModel, welfare_gain
 
 
 def total_improvement(model: PopulationModel, gid: int, w) -> float:
@@ -65,9 +66,9 @@ def _optimal_per_unit(model: PopulationModel, gid: int) -> Optional[float]:
 
 
 def _per_unit(model: PopulationModel, gid: int, w: np.ndarray) -> Optional[float]:
-    """I_g(w) / ||P_g w||, or None when subgroup gid perceives a zero rule."""
+    """I_g(w) / ||P_g w||, or None when ||P_g w|| <= REL_TOL * ||w||."""
     norm = float(np.linalg.norm(model.group(gid).projection.apply(w)))
-    if norm <= DEGENERATE_NORM_TOL:
+    if norm <= REL_TOL * float(np.linalg.norm(w)):
         return None
     return total_improvement(model, gid, w) / norm
 

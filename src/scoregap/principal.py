@@ -15,11 +15,7 @@ import numpy as np
 
 from .errors import DegenerateObjectiveError, DimensionMismatchError
 from .agents import Subgroup
-from .linalg import as_vector, frozen
-
-# Below this norm a vector counts as zero: a pull direction builds no rule,
-# and a perceived rule gives no per-unit ratio.
-DEGENERATE_NORM_TOL = 1e-12
+from .linalg import REL_TOL, as_vector, frozen
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,7 +24,10 @@ class PopulationModel:
 
     Caches the subgroups' pull directions t_g = P_g A_g^{-1} w_star (the
     gradient of each subgroup's improvement in the deployed rule) as the
-    rows of `pulls`, and their sum, which is the gradient of total welfare.
+    rows of `pulls`, and their sum s, which is the gradient of total
+    welfare. Every guarantee is a closed form in five more cached numbers:
+    the 2x2 Gram matrix `gram` = T T^T of the pulls and `perceived` =
+    (n_1, n_2) with n_g = ||P_g s||.
     """
 
     group1: Subgroup
@@ -47,8 +46,12 @@ class PopulationModel:
             )
         object.__setattr__(self, "w_star", frozen(w))
         pulls = frozen([g.projection.apply(g.cost.solve(w)) for g in self.groups])
+        gain = frozen(pulls[0] + pulls[1])
         object.__setattr__(self, "pulls", pulls)
-        object.__setattr__(self, "_gain_direction", frozen(pulls[0] + pulls[1]))
+        object.__setattr__(self, "_gain_direction", gain)
+        object.__setattr__(self, "gram", frozen(pulls @ pulls.T))
+        perceived = tuple(float(np.linalg.norm(g.projection.apply(gain))) for g in self.groups)
+        object.__setattr__(self, "perceived", perceived)
 
     @property
     def dim(self) -> int:
@@ -75,9 +78,14 @@ class PopulationModel:
         return self._gain_direction
 
     @property
+    def pull_scale(self) -> float:
+        """||t_1|| + ||t_2||, the scale against which s or one pull counts as zero."""
+        return float(np.sqrt(self.gram[0, 0]) + np.sqrt(self.gram[1, 1]))
+
+    @property
     def degenerate(self) -> bool:
         """True when no unit rule produces any welfare gain."""
-        return bool(np.linalg.norm(self._gain_direction) <= DEGENERATE_NORM_TOL)
+        return bool(np.linalg.norm(self._gain_direction) <= REL_TOL * self.pull_scale)
 
     def as_rule(self, w) -> np.ndarray:
         """w as a finite vector of the model's dimension; raises otherwise."""
@@ -94,9 +102,9 @@ def welfare_gain(model: PopulationModel, w) -> float:
     return float(model.as_rule(w) @ model.gain_direction)
 
 
-def _unit_rule(direction: np.ndarray, message: str) -> np.ndarray:
+def _unit_rule(model: PopulationModel, direction: np.ndarray, message: str) -> np.ndarray:
     """The unit rule w maximizing <direction, w>: direction / ||direction||."""
-    if np.linalg.norm(direction) <= DEGENERATE_NORM_TOL:
+    if np.linalg.norm(direction) <= REL_TOL * model.pull_scale:
         raise DegenerateObjectiveError(message)
     return np.sqrt(1.0 / float(direction @ direction)) * direction
 
@@ -107,12 +115,13 @@ def welfare_maximizing_rule(model: PopulationModel) -> np.ndarray:
     Raises DegenerateObjectiveError when the welfare gain is zero for
     every rule.
     """
-    return _unit_rule(model.gain_direction, "welfare gain is zero for every rule; no maximizer exists")
+    return _unit_rule(model, model.gain_direction, "welfare gain is zero for every rule; no maximizer exists")
 
 
 def group_optimal_rule(model: PopulationModel, gid: int) -> np.ndarray:
     """Unit rule maximizing subgroup gid's own improvement."""
     return _unit_rule(
+        model,
         model.pull_direction(gid),
         f"subgroup {gid} cannot gain under any rule; no maximizer exists",
     )

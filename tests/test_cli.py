@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import scoregap
+from scoregap import save_model
 from scoregap.cli import (
     EXIT_CONFIG,
     EXIT_DEGENERATE,
@@ -16,6 +17,8 @@ from scoregap.cli import (
     EXIT_PARTIAL,
     main,
 )
+
+from conftest import random_population
 
 TOY_CSV = """age,skill,effort,label
 22,0.5,1.2,1.9
@@ -118,7 +121,45 @@ class TestCheck:
         assert main(["check", model_path, "--out", out_path]) == EXIT_OK
         assert capsys.readouterr().out == ""
         doc = json.loads(Path(out_path).read_text())
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
+
+
+    def test_same_conditions_as_analyze(self, tmp_path, capsys):
+        # one model file, two subcommands: the guarantee reports must agree
+        model_path = str(tmp_path / "m.json")
+        save_model(model_path, random_population(np.random.default_rng(21), d=5))
+        cfg = models_yaml(tmp_path, f"models:\n  - name: m\n    path: {model_path}\n")
+        assert main(["check", model_path]) == EXIT_OK
+        checked = json.loads(capsys.readouterr().out)
+        assert main(["analyze", "--config", cfg]) == EXIT_OK
+        (entry,) = json.loads(capsys.readouterr().out)["groupings"]
+        assert {k: v for k, v in checked.items() if k not in ("schema_version", "model")} \
+            == entry["conditions"]
+
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize("command", [
+        ["synthetic", "0.3"],
+        ["check", "{model}"],
+        ["alignment", "--model", "{model}", "--samples", "100"],
+        ["analyze", "--config", "{config}"],
+        ["analyze", "--config", "{config}", "--format", "csv"],
+    ])
+    def test_missing_directory_is_a_usage_error(self, tmp_path, capsys, command):
+        model_path = str(tmp_path / "m.json")
+        main(["synthetic", "0.4", "--out", model_path])
+        args = [a.format(model=model_path, config=toy_config(tmp_path)) for a in command]
+        out = str(tmp_path / "absent" / "out.json")
+        assert main([*args, "--out", out]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {out}: No such file or directory\n"
+
+    def test_directory_is_a_usage_error(self, tmp_path, capsys):
+        model_path = str(tmp_path / "m.json")
+        main(["synthetic", "0.4", "--out", model_path])
+        assert main(["check", model_path, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: cannot write {tmp_path}: Is a directory\n"
 
 
 class TestAnalyze:
@@ -157,7 +198,7 @@ class TestAnalyze:
         header = Path(out).read_text().splitlines()[0].split(",")
         assert header[0] == "name"
         sibling = json.loads(Path(out + ".json").read_text())
-        assert sibling["schema_version"] == 1
+        assert sibling["schema_version"] == 2
 
     def test_csv_format_stdout_only(self, tmp_path, capsys):
         cfg = toy_config(tmp_path)
@@ -266,6 +307,14 @@ class TestAlignment:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == f"error: --samples must be >= 1, got {samples}\n"
+
+    def test_rank_in_model_mode_is_a_usage_error(self, tmp_path, capsys):
+        # the model file is never read: the flag is rejected first
+        absent = str(tmp_path / "absent.json")
+        assert main(["alignment", "--model", absent, "--rank", "2"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --rank applies only with --config\n"
 
     def test_config_mode_equals_analyze(self, tmp_path, capsys):
         # standardize and the fit: outcome column both shape the features

@@ -60,9 +60,10 @@ class TestPerUnitImprovement:
         rng = np.random.default_rng(3)
         pop = random_population(rng, d=6)
         w = rng.standard_normal(6)
-        assert per_unit_improvement(pop, 1, w) == pytest.approx(
-            per_unit_improvement(pop, 1, 7.3 * w), abs=1e-9
-        )
+        for scale in (7.3, 1e-14):
+            assert per_unit_improvement(pop, 1, w) == pytest.approx(
+                per_unit_improvement(pop, 1, scale * w), abs=1e-9
+            )
 
     def test_zero_perceived_rule_raises(self):
         pop = disparity_example(0.3)
