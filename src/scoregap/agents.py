@@ -18,7 +18,7 @@ from .errors import (
     NotPositiveDefiniteError,
     ShapeMismatchError,
 )
-from .linalg import ProjectionMatrix, as_matrix, as_vector, frozen, min_norm_least_squares
+from .linalg import SYMMETRY_TOL, ProjectionMatrix, as_matrix, as_vector, frozen, min_norm_least_squares
 
 
 @dataclass(frozen=True, eq=False)
@@ -26,8 +26,10 @@ class CostMatrix:
     """Symmetric positive-definite effort cost.
 
     Moving features by delta costs (1/2) delta^T A delta. Construction
-    checks positive definiteness with a Cholesky factorization; inverse
-    applications are linear solves, so A^{-1} is never formed explicitly.
+    checks symmetry against SYMMETRY_TOL times the largest entry, so the
+    verdict does not depend on the cost's units, and positive
+    definiteness with a Cholesky factorization; inverse applications are
+    linear solves, so A^{-1} is never formed explicitly.
     """
 
     matrix: np.ndarray
@@ -36,7 +38,7 @@ class CostMatrix:
         a = as_matrix(self.matrix, "cost matrix")
         if a.shape[0] != a.shape[1]:
             raise ShapeMismatchError(f"cost matrix must be square, got {a.shape}")
-        if np.max(np.abs(a - a.T)) > 1e-10:
+        if np.max(np.abs(a - a.T)) > SYMMETRY_TOL * np.max(np.abs(a)):
             raise NotPositiveDefiniteError("cost matrix is not symmetric")
         try:
             np.linalg.cholesky(a)

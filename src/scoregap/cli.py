@@ -15,8 +15,10 @@ write the failed entries as error objects).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
-from typing import Optional
+from typing import Dict, Optional, TextIO
 
 from .errors import ConfigError, IngestError, ScoregapError
 from .conditions import condition_report, disparity_example
@@ -52,12 +54,30 @@ _EXIT_CODES = (
 def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
-        return
+    else:
+        _write_files({out: text})
+
+
+def _write_files(texts: Dict[str, str]) -> None:
+    """Write each path's text, all or nothing.
+
+    Every path is opened before any is written. If one cannot be opened
+    or written, the files already opened are removed, so a failed
+    command leaves no output behind that looks finished.
+    """
+    handles: Dict[str, TextIO] = {}
     try:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        for path in texts:
+            handles[path] = open(path, "w", encoding="utf-8")
+        for path, handle in handles.items():
+            with handle:
+                handle.write(texts[path])
     except OSError as exc:
-        raise ConfigError(f"cannot write {out}: {exc.strerror or exc}") from None
+        for opened, handle in handles.items():
+            handle.close()
+            with contextlib.suppress(OSError):
+                os.remove(opened)
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _report_failures(failures) -> None:
@@ -78,10 +98,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     result = run_analysis(config)
     if config.format == "json":
         _emit(render_json(result), config.out)
+    elif config.out is None:
+        _emit(render_csv(result), None)
     else:
-        _emit(render_csv(result), config.out)
-        if config.out is not None:
-            _emit(render_json(result), config.out + ".json")
+        _write_files({config.out: render_csv(result), config.out + ".json": render_json(result)})
 
     status = classify_failures(result)
     if status is None:

@@ -124,11 +124,13 @@ def _error_entry(name: str, exc: Exception) -> dict:
 def prepare_features(config: ExperimentConfig) -> Tuple[Dataset, Tuple[str, ...], np.ndarray]:
     """Load the config's dataset and build the features every subcommand projects.
 
-    Returns (dataset, dropped column names, feature matrix). A `fit:`
-    outcome column is dropped along with `drop_columns`, and
+    Returns (dataset, dropped column names, feature matrix). The dataset
+    keeps the text of the columns the groupings' predicates read. A
+    `fit:` outcome column is dropped along with `drop_columns`, and
     `standardize` is applied here.
     """
-    ds = load_csv(config.dataset, config.encoding)
+    predicates = [p for spec in config.groupings for p in (spec.group1, spec.group2) if p is not None]
+    ds = load_csv(config.dataset, config.encoding, {p.column for p in predicates})
     drop = tuple(config.drop_columns)
     if config.wstar.startswith("fit:"):
         fit_column = config.wstar[len("fit:"):]

@@ -13,7 +13,7 @@ import csv
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -102,7 +102,12 @@ def _encode_column(cells: Tuple[str, ...], mapping: Optional[Dict[str, float]]
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Encoded table plus the raw text that grouping predicates test."""
+    """Encoded table plus the raw text that grouping predicates test.
+
+    `raw_columns` holds the stripped cell text of the kept rows for the
+    columns it names, which need not be all of them: `load_csv` keeps
+    text only for the columns its caller asks for.
+    """
 
     column_names: Tuple[str, ...]
     rows: np.ndarray
@@ -130,8 +135,18 @@ class Dataset:
         return self.rows[:, self.column_index(name)]
 
     def raw_column(self, name: str) -> Tuple[str, ...]:
+        """Stripped text of a column's kept cells.
+
+        Raises MissingColumnError for a column the table lacks, and
+        IngestError for a column whose text was not kept.
+        """
         self.column_index(name)
-        return self.raw_columns[name]
+        try:
+            return self.raw_columns[name]
+        except KeyError:
+            raise IngestError(
+                f"text of column {name!r} was not kept; name it in load_csv's text_columns"
+            ) from None
 
     def feature_names(self, drop: Sequence[str] = ()) -> Tuple[str, ...]:
         for name in drop:
@@ -145,7 +160,47 @@ class Dataset:
         return self.rows[:, keep]
 
 
-def load_csv(path: str, manifest: Optional[ManifestSpec] = None) -> Dataset:
+# CSV records parsed and encoded at a time. Only one block's text is held
+# at once, so the block bounds the text load_csv holds; it is large enough
+# that the per-block numpy calls cost little.
+_BLOCK_ROWS = 4096
+
+
+def _encode_block(records: Sequence[Sequence[str]], names: Tuple[str, ...],
+                  mappings: Sequence[Optional[Dict[str, float]]], first_row: int
+                  ) -> Tuple[np.ndarray, Sequence[Tuple[str, ...]]]:
+    """Encode one block of records: (values of its kept rows, their stripped text per column).
+
+    `first_row` is the CSV record number of records[0]. Raises the error of
+    the block's first bad cell or ragged row in row-major order. Nothing
+    after a ragged row is read, so a bad cell wins only if it comes first.
+    """
+    lengths = np.fromiter(map(len, records), dtype=np.intp, count=len(records))
+    ragged = np.flatnonzero(lengths != len(names))
+    stop = int(ragged[0]) if ragged.size else len(records)
+    columns = [tuple(map(str.strip, cells)) for cells in zip(*records[:stop])]
+
+    keep = np.ones(stop, dtype=bool)
+    for cells in columns:
+        if not MISSING_TOKENS.isdisjoint(cells):
+            keep &= ~np.fromiter(map(MISSING_TOKENS.__contains__, cells), dtype=bool, count=stop)
+    if not keep.all():
+        columns = [tuple(itertools.compress(cells, keep)) for cells in columns]
+    row_numbers = np.flatnonzero(keep) + first_row
+
+    encoded = [_encode_column(cells, mapping) for cells, mapping in zip(columns, mappings)]
+    bad = [(first, j) for j, (_, first) in enumerate(encoded) if first is not None]
+    if bad:
+        i, j = min(bad)  # row-major: earliest row, then leftmost column
+        raise _cell_error(columns[j][i], mappings[j], int(row_numbers[i]), names[j])
+    if ragged.size:
+        raise CsvParseError(first_row + stop, "<row>",
+                            f"expected {len(names)} cells, got {lengths[stop]}")
+    return np.column_stack([values for values, _ in encoded]), columns
+
+
+def load_csv(path: str, manifest: Optional[ManifestSpec] = None,
+             text_columns: Iterable[str] = ()) -> Dataset:
     """Load a header-row CSV, encoding columns per the manifest.
 
     Unlisted columns pass through as numbers. Rows with a missing cell in
@@ -153,6 +208,13 @@ def load_csv(path: str, manifest: Optional[ManifestSpec] = None) -> Dataset:
     count CSV records, the header being row 1; they are file line numbers
     unless a quoted cell spans lines. A file with several bad cells or
     ragged rows raises the error of the first in file order.
+
+    The file is read and encoded in blocks of records, so only one
+    block's cell text is held at a time. The stripped text of kept rows
+    is kept only for the columns named in `text_columns`, the ones
+    grouping predicates read; a named column the file lacks is skipped.
+    `Dataset.raw_column` raises IngestError for a column whose text was
+    not kept.
     """
     norm = normalize_manifest(manifest)
     try:
@@ -166,47 +228,40 @@ def load_csv(path: str, manifest: Optional[ManifestSpec] = None) -> Dataset:
         except StopIteration:
             raise IngestError(f"{path} is empty; a header row is required") from None
         names = tuple(h.strip() for h in header)
+        if not names:
+            raise IngestError(f"{path} has a blank header row")
         if len(set(names)) != len(names):
             raise IngestError(f"{path} has duplicate column names")
         for name in norm:
             if name not in names:
                 raise MissingColumnError(f"manifest names column {name!r} not present in {path}")
 
-        records = list(reader)
+        mappings = [norm.get(n) for n in names]
+        wanted = set(text_columns)
+        texts: Dict[str, list] = {n: [] for n in names if n in wanted}
+        blocks = []
+        n_read = 0
+        while True:
+            records = list(itertools.islice(reader, _BLOCK_ROWS))
+            if not records:
+                break
+            values, columns = _encode_block(records, names, mappings, n_read + 2)
+            blocks.append(values)
+            for name, cells in zip(names, columns):
+                if name in texts:
+                    texts[name].extend(cells)
+            n_read += len(records)
 
-    # Nothing after the first ragged row is read: its error wins unless a
-    # bad cell comes before it.
-    lengths = np.fromiter(map(len, records), dtype=np.intp, count=len(records))
-    ragged = np.flatnonzero(lengths != len(names))
-    stop = int(ragged[0]) if ragged.size else len(records)
-    columns = list(zip(*records[:stop]))
-    del records
-    for j, cells in enumerate(columns):
-        # in place, so each column's unstripped text is freed as we go
-        columns[j] = tuple(map(str.strip, cells))
-
-    keep = np.ones(stop, dtype=bool)
-    for cells in columns:
-        if not MISSING_TOKENS.isdisjoint(cells):
-            keep &= ~np.fromiter(map(MISSING_TOKENS.__contains__, cells), dtype=bool, count=stop)
-    if not keep.all():
-        columns = [tuple(itertools.compress(cells, keep)) for cells in columns]
-    row_numbers = np.flatnonzero(keep) + 2  # file rows; the header is row 1
-
-    encoded = [_encode_column(cells, norm.get(n)) for n, cells in zip(names, columns)]
-    bad = [(first, j) for j, (_, first) in enumerate(encoded) if first is not None]
-    if bad:
-        i, j = min(bad)  # row-major: earliest row, then leftmost column
-        raise _cell_error(columns[j][i], norm.get(names[j]), int(row_numbers[i]), names[j])
-    if ragged.size:
-        raise CsvParseError(stop + 2, "<row>", f"expected {len(names)} cells, got {lengths[stop]}")
-    if not row_numbers.size:
+    n_kept = sum(map(len, blocks))
+    if not n_kept:
         raise IngestError(f"{path} contains no usable data rows")
+    rows = np.concatenate(blocks)
+    del blocks  # freed before Dataset copies the table
     return Dataset(
         column_names=names,
-        rows=np.column_stack([values for values, _ in encoded]),
-        raw_columns=dict(zip(names, columns)),
-        n_dropped=stop - int(row_numbers.size),
+        rows=rows,
+        raw_columns={name: tuple(cells) for name, cells in texts.items()},
+        n_dropped=n_read - n_kept,
     )
 
 

@@ -28,6 +28,8 @@ RANK_TOL = 1e-10
 # REL_TOL times its natural scale; the conditions module lists the scales.
 REL_TOL = 1e-8
 
+# Largest |M - M^T| allowed per unit of max |M|. ProjectionMatrix applies it
+# as is, since a projection's entries are at most 1 in magnitude.
 SYMMETRY_TOL = 1e-10
 IDEMPOTENCE_TOL = 1e-9  # scaled by dim
 TRACE_TOL = 1e-8

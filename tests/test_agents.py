@@ -49,6 +49,16 @@ class TestCostMatrix:
         with pytest.raises(NotPositiveDefiniteError):
             CostMatrix(np.array([[1.0, 0.2], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+    def test_symmetry_is_judged_relative_to_scale(self, scale):
+        a = random_spd(np.random.default_rng(2), 4) * scale
+        roundoff, asymmetric = a.copy(), a.copy()
+        roundoff[0, 1] += 1e-13 * scale
+        asymmetric[0, 1] += 1e-6 * scale
+        CostMatrix(roundoff)
+        with pytest.raises(NotPositiveDefiniteError, match="not symmetric"):
+            CostMatrix(asymmetric)
+
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefiniteError):
             CostMatrix(np.diag([1.0, -2.0]))

@@ -155,6 +155,14 @@ class TestUnwritableOut:
         assert captured.out == ""
         assert captured.err == f"error: cannot write {out}: No such file or directory\n"
 
+    def test_csv_and_side_json_are_written_all_or_nothing(self, tmp_path, capsys):
+        out = tmp_path / "table.csv"
+        Path(f"{out}.json").mkdir()
+        assert main(["analyze", "--config", toy_config(tmp_path), "--format", "csv",
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: cannot write {out}.json: Is a directory\n"
+        assert not out.exists()
+
     def test_directory_is_a_usage_error(self, tmp_path, capsys):
         model_path = str(tmp_path / "m.json")
         main(["synthetic", "0.4", "--out", model_path])

@@ -1,6 +1,8 @@
 import csv
 import os
 import tempfile
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from scoregap import (
     split_masks,
     standardize_columns,
 )
+from scoregap import ingest
 from scoregap.ingest import MISSING_TOKENS, Dataset, normalize_manifest
 from scoregap.linalg import min_norm_least_squares
 
@@ -99,6 +102,10 @@ class TestLoadCsv:
     def test_empty_file(self, tmp_path):
         with pytest.raises(IngestError):
             load_csv(write_csv(tmp_path, ""))
+
+    def test_blank_header_row(self, tmp_path):
+        with pytest.raises(IngestError, match="blank header row"):
+            load_csv(write_csv(tmp_path, "\n1\n\n"))
 
     def test_duplicate_header(self, tmp_path):
         with pytest.raises(IngestError):
@@ -202,7 +209,7 @@ class TestErrorPrecedence:
             load_csv(write_csv(tmp_path, text), manifest={"grade": ["bad", "good"]})
         assert (info.value.row, info.value.column) == (4, "a")
         ds = load_csv(write_csv(tmp_path, text.rsplit('"5,0"', 1)[0]),
-                      manifest={"grade": ["bad", "good"]})
+                      manifest={"grade": ["bad", "good"]}, text_columns=["grade", "a"])
         np.testing.assert_array_equal(ds.rows, [[1.0, 2.0, 2.0], [3.0, 1.0, 4.5]])
         assert ds.raw_column("grade") == ("good", "bad")
         assert ds.raw_column("a") == ("1", "3")
@@ -250,7 +257,7 @@ def _reference_cell(raw, mapping, row, column):
     raise UnmappedCategoryError(column, raw)
 
 
-def _reference_load(path, manifest):
+def _reference_load(path, manifest, text_columns):
     """Row-at-a-time loader, the reference load_csv must agree with."""
     norm = normalize_manifest(manifest)
     with open(path, newline="", encoding="utf-8") as handle:
@@ -269,13 +276,14 @@ def _reference_load(path, manifest):
     if not encoded:
         raise IngestError(f"{path} contains no usable data rows")
     return Dataset(column_names=names, rows=np.array(encoded, dtype=float),
-                   raw_columns={n: tuple(r[j] for r in raw_rows) for j, n in enumerate(names)},
+                   raw_columns={n: tuple(r[j] for r in raw_rows)
+                                for j, n in enumerate(names) if n in text_columns},
                    n_dropped=dropped)
 
 
-def _outcome(load, path, manifest):
+def _outcome(load, path, manifest, text_columns):
     try:
-        ds = load(path, manifest)
+        ds = load(path, manifest, text_columns)
     except IngestError as exc:
         return type(exc).__name__, str(exc)
     except NonFiniteError as exc:
@@ -297,17 +305,89 @@ _FILE_ROWS = st.one_of(
 )
 
 
+_TEXT_COLUMNS = st.lists(st.sampled_from(["a", "b", "g", "absent"]), unique=True)
+
+
+def _assert_matches_reference(rows, text_columns):
+    text = "a,b,g\n" + "".join(",".join(cells) + "\n" for cells in rows)
+    manifest = {"g": ["lo", "hi"]}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.csv")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        assert (_outcome(load_csv, path, manifest, text_columns)
+                == _outcome(_reference_load, path, manifest, text_columns))
+
+
 class TestLoadCsvMatchesRowByRow:
     @settings(derandomize=True, max_examples=300, deadline=None)
-    @given(st.lists(_FILE_ROWS, max_size=8))
-    def test_same_result_or_same_error(self, rows):
-        text = "a,b,g\n" + "".join(",".join(cells) + "\n" for cells in rows)
-        manifest = {"g": ["lo", "hi"]}
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "data.csv")
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(text)
-            assert _outcome(load_csv, path, manifest) == _outcome(_reference_load, path, manifest)
+    @given(st.lists(_FILE_ROWS, max_size=8), _TEXT_COLUMNS)
+    def test_same_result_or_same_error(self, rows, text_columns):
+        _assert_matches_reference(rows, text_columns)
+
+    @pytest.mark.parametrize("block_rows", [1, 3])
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(rows=st.lists(_FILE_ROWS, max_size=8), text_columns=_TEXT_COLUMNS)
+    def test_block_boundaries_change_nothing(self, block_rows, rows, text_columns):
+        with mock.patch.object(ingest, "_BLOCK_ROWS", block_rows):
+            _assert_matches_reference(rows, text_columns)
+
+
+class TestBlocks:
+    """Faults past the first block of records name their own CSV record number."""
+
+    @pytest.fixture(autouse=True)
+    def two_row_blocks(self):
+        with mock.patch.object(ingest, "_BLOCK_ROWS", 2):
+            yield
+
+    def test_bad_cell_in_later_block(self, tmp_path):
+        with pytest.raises(CsvParseError) as info:
+            load_csv(write_csv(tmp_path, "a,b\n1,2\n3,4\n5,6\n7,x\n"))
+        assert (info.value.row, info.value.column) == (5, "b")
+
+    def test_ragged_row_in_later_block(self, tmp_path):
+        with pytest.raises(CsvParseError) as info:
+            load_csv(write_csv(tmp_path, "a,b\n1,2\n3,4\n5,6\n7\n8,x\n"))
+        assert (info.value.row, info.value.column) == (5, "<row>")
+
+    def test_block_of_missing_rows(self, tmp_path):
+        text = "a,b\n1,2\n3,4\n?,6\n7,NA\n9,10\n"
+        ds = load_csv(write_csv(tmp_path, text), text_columns=["a"])
+        assert (ds.size, ds.n_dropped) == (3, 2)
+        np.testing.assert_array_equal(ds.rows, [[1, 2], [3, 4], [9, 10]])
+        assert ds.raw_column("a") == ("1", "3", "9")
+        with pytest.raises(CsvParseError) as info:
+            load_csv(write_csv(tmp_path, text + "x,12\n", name="bad.csv"))
+        assert (info.value.row, info.value.column) == (7, "a")
+
+    def test_only_missing_rows(self, tmp_path):
+        with pytest.raises(IngestError, match="no usable data rows"):
+            load_csv(write_csv(tmp_path, "a,b\n?,2\n3,NA\n,6\n"))
+
+
+def test_load_csv_peak_memory_is_a_small_multiple_of_the_table(tmp_path):
+    # 30,000 x 25 numbers in the shape of the credit data, text kept for
+    # four code columns as the credit config's predicates ask.
+    rng = np.random.default_rng(7)
+    n = 30_000
+    columns = [np.arange(1, n + 1), rng.integers(1, 100, n) * 10_000, rng.integers(1, 3, n),
+               rng.integers(0, 7, n), rng.integers(0, 4, n), rng.integers(21, 80, n)]
+    columns += [rng.integers(-2, 9, n) for _ in range(6)]
+    columns += [rng.lognormal(mu, 1.5, n).astype(int) for mu in (9.5, 7.5) for _ in range(6)]
+    columns.append(rng.integers(0, 2, n))
+    names = [f"c{j}" for j in range(len(columns))]
+    path = tmp_path / "wide.csv"
+    np.savetxt(path, np.column_stack(columns), fmt="%d", delimiter=",",
+               header=",".join(names), comments="")
+    tracemalloc.start()
+    try:
+        ds = load_csv(str(path), text_columns=names[2:6])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.rows.shape == (n, 25)
+    assert peak < 5 * ds.rows.nbytes
 
 
 class TestManifest:
@@ -341,6 +421,16 @@ class TestDatasetAccess:
         ds = load_csv(write_csv(tmp_path, NUMERIC_CSV))
         with pytest.raises(MissingColumnError):
             ds.column("absent")
+
+    def test_text_kept_only_for_requested_columns(self, tmp_path):
+        ds = load_csv(write_csv(tmp_path, MIXED_CSV), manifest={"grade": ["bad", "good", "great"]},
+                      text_columns=["grade", "absent"])
+        assert ds.raw_columns == {"grade": ("good", "bad", "great", "good")}
+        with pytest.raises(IngestError, match="'age' was not kept") as info:
+            ds.raw_column("age")
+        assert type(info.value) is IngestError
+        with pytest.raises(MissingColumnError):
+            ds.raw_column("absent")
 
 
 class TestPredicates:
@@ -386,7 +476,7 @@ def _sizes(mask1, mask2):
 
 class TestSplit:
     def test_threshold_with_complement(self, tmp_path):
-        ds = load_csv(write_csv(tmp_path, NUMERIC_CSV))
+        ds = load_csv(write_csv(tmp_path, NUMERIC_CSV), text_columns=["age"])
         spec = GroupingSpec(name="age", group1=GroupPredicate("age", "le", 25))
         mask1, mask2 = split_masks(ds, spec)
         assert _sizes(mask1, mask2) == (1, 2, 0)
@@ -395,7 +485,7 @@ class TestSplit:
 
     def test_two_predicates_can_exclude(self, tmp_path):
         text = "edu,x\n1,10\n2,20\n3,30\n4,40\n"
-        ds = load_csv(write_csv(tmp_path, text))
+        ds = load_csv(write_csv(tmp_path, text), text_columns=["edu"])
         spec = GroupingSpec(
             name="edu",
             group1=GroupPredicate("edu", "in", [1, 2]),
@@ -406,13 +496,13 @@ class TestSplit:
         assert n1 + n2 + n_excluded == ds.size
 
     def test_overlapping_predicates(self, tmp_path):
-        ds = load_csv(write_csv(tmp_path, NUMERIC_CSV))
+        ds = load_csv(write_csv(tmp_path, NUMERIC_CSV), text_columns=["age"])
         spec = GroupingSpec(
             name="bad",
             group1=GroupPredicate("age", "le", 30),
             group2=GroupPredicate("age", "ge", 30),
         )
-        with pytest.raises(IngestError):
+        with pytest.raises(IngestError, match="predicates overlap on 1 rows"):
             split_masks(ds, spec)
 
     def test_empty_group(self, tmp_path):
@@ -432,14 +522,14 @@ class TestSplit:
         assert model.group1.name == "age:1"
 
     def test_split_respects_drop(self, tmp_path):
-        ds = load_csv(write_csv(tmp_path, NUMERIC_CSV))
+        ds = load_csv(write_csv(tmp_path, NUMERIC_CSV), text_columns=["age"])
         spec = GroupingSpec(name="age", group1=GroupPredicate("age", "le", 30))
         mask1, _ = split_masks(ds, spec)
         assert ds.feature_matrix(drop=["score"])[mask1].shape == (2, 2)
 
     def test_grouping_on_text_column(self, tmp_path):
         ds = load_csv(write_csv(tmp_path, MIXED_CSV),
-                      manifest={"grade": ["bad", "good", "great"]})
+                      manifest={"grade": ["bad", "good", "great"]}, text_columns=["grade"])
         spec = GroupingSpec(name="grade", group1=GroupPredicate("grade", "eq", "good"))
         assert _sizes(*split_masks(ds, spec)) == (2, 2, 0)
 
