@@ -18,7 +18,7 @@ from .errors import (
     NotPositiveDefiniteError,
     ShapeMismatchError,
 )
-from .linalg import SYMMETRY_TOL, ProjectionMatrix, as_matrix, as_vector, frozen, min_norm_least_squares
+from .linalg import REL_TOL, SYMMETRY_TOL, ProjectionMatrix, as_matrix, as_vector, frozen, min_norm_least_squares
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,14 +96,19 @@ class PeerDataset:
     def size(self) -> int:
         return self.features.shape[0]
 
-    def check_consistent(self, w: np.ndarray, tol: float = 1e-9) -> bool:
-        """True when scores equal features @ w up to tol (max abs residual)."""
+    def check_consistent(self, w: np.ndarray) -> bool:
+        """True when max |features @ w - scores| <= REL_TOL max_i sum_j |x_ij w_j|.
+
+        That scale bounds each score's roundoff in any summation order, so
+        the verdict does not depend on the units of the features or the rule.
+        """
         wv = as_vector(w, "w")
         if wv.shape[0] != self.dim:
             raise DimensionMismatchError(
                 f"rule has dim {wv.shape[0]}, peers have dim {self.dim}"
             )
-        return bool(np.max(np.abs(self.features @ wv - self.scores)) <= tol)
+        scale = np.max(np.abs(self.features) @ np.abs(wv))
+        return bool(np.max(np.abs(self.features @ wv - self.scores)) <= REL_TOL * scale)
 
     @classmethod
     def from_rule(cls, features, w) -> "PeerDataset":

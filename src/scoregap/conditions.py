@@ -17,6 +17,12 @@ cancels where degeneracy is decided:
     t_g ~ 0               ||t_g||                           ||t_1|| + ||t_2||
     n_g ~ 0               n_g                               ||s||
     P_g w ~ 0 (metrics)   ||P_g w||                         ||w||
+    orthogonal spans      ||V_1^T V_2||_F                   1
+    same span             ||V_2 - V_1 V_1^T V_2||_F         1
+    proportional costs    max |A_2 - c A_1|                 max |A_2|
+
+V_g is group g's orthonormal basis, so the span tests are norms of the
+cosines and of the sines of the principal angles; c = tr A_2 / tr A_1.
 
 Checkers return the raw scalar together with its tolerance, so callers
 can always re-judge.
@@ -33,10 +39,6 @@ from .errors import DegenerateObjectiveError, EpsilonOutOfRangeError, ZeroProjec
 from .agents import CostMatrix, Subgroup
 from .linalg import REL_TOL, ProjectionMatrix
 from .principal import PopulationModel
-
-# Structural detections (orthogonal subspaces, proportional costs) compare
-# matrix entries at this absolute/relative level.
-STRUCT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -141,19 +143,17 @@ def check_sufficient_per_unit(pop: PopulationModel, gid: int) -> Optional[float]
 
 
 def _orthogonal_subspaces(pop: PopulationModel) -> bool:
-    overlap = pop.group1.projection.matrix @ pop.group2.projection.matrix
-    return bool(np.max(np.abs(overlap)) <= STRUCT_TOL)
+    v1, v2 = pop.group1.projection.basis, pop.group2.projection.basis
+    return bool(np.linalg.norm(v1.T @ v2) <= REL_TOL)
 
 
 def _scaled_equal(pop: PopulationModel) -> bool:
-    p1 = pop.group1.projection.matrix
-    p2 = pop.group2.projection.matrix
-    if np.max(np.abs(p1 - p2)) > STRUCT_TOL:
+    v1, v2 = pop.group1.projection.basis, pop.group2.projection.basis
+    if v1.shape != v2.shape or np.linalg.norm(v2 - v1 @ (v1.T @ v2)) > REL_TOL:
         return False
-    a1 = pop.group1.cost.matrix
-    a2 = pop.group2.cost.matrix
+    a1, a2 = pop.group1.cost.matrix, pop.group2.cost.matrix
     ratio = np.trace(a2) / np.trace(a1)
-    return bool(np.max(np.abs(a2 - ratio * a1)) <= STRUCT_TOL * np.max(np.abs(a2)))
+    return bool(np.max(np.abs(a2 - ratio * a1)) <= REL_TOL * np.max(np.abs(a2)))
 
 
 def condition_report(pop: PopulationModel) -> dict:
@@ -200,8 +200,8 @@ def disparity_example(epsilon: float) -> PopulationModel:
     eps = float(epsilon)
     if not (0.0 < eps < 1.0):
         raise EpsilonOutOfRangeError(f"epsilon must lie strictly in (0, 1), got {epsilon}")
-    p1 = ProjectionMatrix(np.diag([1.0, 0.0]), rank=1)
-    p2 = ProjectionMatrix(np.diag([0.0, 1.0]), rank=1)
+    p1 = ProjectionMatrix(np.array([[1.0], [0.0]]))
+    p2 = ProjectionMatrix(np.array([[0.0], [1.0]]))
     ident = CostMatrix.identity(2)
     w_star = np.array([eps, np.sqrt(1.0 - eps * eps)])
     return PopulationModel(

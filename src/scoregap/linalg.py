@@ -1,9 +1,10 @@
 """Deterministic linear-algebra primitives.
 
 Everything downstream is built out of three operations: truncated-SVD
-subspace projections, minimum-norm least squares, and a Monte-Carlo
-overlap measure for pairs of projections. All functions are pure; given identical inputs
-(and seeds) they return identical outputs.
+subspace projections, each stored as an orthonormal basis of its range,
+minimum-norm least squares, and a Monte-Carlo overlap measure for pairs
+of projections. All functions are pure; given identical inputs (and
+seeds) they return identical outputs.
 """
 
 from __future__ import annotations
@@ -28,11 +29,8 @@ RANK_TOL = 1e-10
 # REL_TOL times its natural scale; the conditions module lists the scales.
 REL_TOL = 1e-8
 
-# Largest |M - M^T| allowed per unit of max |M|. ProjectionMatrix applies it
-# as is, since a projection's entries are at most 1 in magnitude.
+# Largest |M - M^T| allowed per unit of max |M| (cost matrices).
 SYMMETRY_TOL = 1e-10
-IDEMPOTENCE_TOL = 1e-9  # scaled by dim
-TRACE_TOL = 1e-8
 
 _ALIGNMENT_BLOCK = 65536  # samples per RNG block; fixed so runs are reproducible
 
@@ -66,50 +64,57 @@ def frozen(arr) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ProjectionMatrix:
-    """Orthogonal projection onto a subspace of R^d.
+    """Orthogonal projection onto a subspace of R^d, stored as its basis.
 
-    The matrix must be symmetric and idempotent, with trace equal to the
-    stated rank. `subspace_projection` sets `tie_warning` when the rank
-    cut fell inside a tied singular-value block (the projection
-    is then not unique).
+    `basis` V is d x r (r = 0 for the zero projection), accepted when
+    max |V^T V - I| <= REL_TOL. P x is V (V^T x). `matrix` is the dense,
+    symmetrized V V^T, formed here: formed lazily inside `alignment`,
+    between its large sample blocks, it raised the peak RSS of `analyze`.
+    See subspace_projection for `tie_warning`.
     """
 
-    matrix: np.ndarray
-    rank: int
+    basis: np.ndarray
     tie_warning: bool = False
 
     def __post_init__(self):
-        p = as_matrix(self.matrix, "projection")
-        d = p.shape[0]
-        if p.shape[0] != p.shape[1]:
-            raise ShapeMismatchError(f"projection must be square, got {p.shape}")
-        if np.max(np.abs(p - p.T)) > SYMMETRY_TOL:
-            raise ValueError("projection is not symmetric")
-        if np.linalg.norm(p @ p - p, "fro") > IDEMPOTENCE_TOL * d:
-            raise ValueError("projection is not idempotent")
-        if abs(np.trace(p) - self.rank) > TRACE_TOL:
-            raise ValueError(
-                f"trace {np.trace(p):.12g} does not match rank {self.rank}"
-            )
-        object.__setattr__(self, "matrix", frozen(p))
+        v = as_matrix(self.basis, "basis")
+        if np.max(np.abs(v.T @ v - np.eye(v.shape[1])), initial=0.0) > REL_TOL:
+            raise ValueError("basis columns are not orthonormal")
+        object.__setattr__(self, "basis", frozen(v))
+        p = self.basis @ self.basis.T
+        object.__setattr__(self, "matrix", frozen((p + p.T) / 2.0))
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.basis.shape[0]
+
+    @property
+    def rank(self) -> int:
+        return self.basis.shape[1]
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ v
+        return self.basis @ (self.basis.T @ v)
 
     @classmethod
     def identity(cls, dim: int) -> "ProjectionMatrix":
-        return cls(np.eye(dim), rank=dim)
+        return cls(np.eye(dim))
 
     @classmethod
-    def from_basis(cls, basis: np.ndarray) -> "ProjectionMatrix":
-        """Projection onto the span of orthonormal columns."""
-        b = as_matrix(basis, "basis")
-        p = b @ b.T
-        return cls((p + p.T) / 2.0, rank=b.shape[1])
+    def from_matrix(cls, m) -> "ProjectionMatrix":
+        """Projection onto the eigenvectors V of m with eigenvalue above 1/2.
+
+        Accepts m when max |m - V V^T| <= REL_TOL: a projection has 2-norm
+        1, so this one relative check covers symmetry, idempotence and trace.
+        """
+        p = as_matrix(m, "projection")
+        if p.shape[0] != p.shape[1]:
+            raise ShapeMismatchError(f"projection must be square, got {p.shape}")
+        eigvals, eigvecs = np.linalg.eigh(p)
+        out = cls(eigvecs[:, eigvals > 0.5])
+        err = np.max(np.abs(p - out.matrix), initial=0.0)
+        if err > REL_TOL:
+            raise ValueError(f"not a symmetric idempotent matrix: max |P - V V^T| = {err:.3g}")
+        return out
 
 
 def effective_rank(singular_values: np.ndarray) -> int:
@@ -144,18 +149,8 @@ def subspace_projection(data, k: int) -> ProjectionMatrix:
 
     _, s, vt = np.linalg.svd(x, full_matrices=False)
     r = min(k, effective_rank(s))
-
-    tie = False
-    if k < s.size and s[k - 1] > 0:
-        tie = bool(s[k - 1] - s[k] <= RANK_TOL * s[0])
-
-    if r == 0:
-        p = np.zeros((d, d))
-    else:
-        v = vt[:r].T
-        p = v @ v.T
-        p = (p + p.T) / 2.0
-    return ProjectionMatrix(matrix=p, rank=r, tie_warning=tie)
+    tie = bool(k < s.size and s[k - 1] > 0 and s[k - 1] - s[k] <= RANK_TOL * s[0])
+    return ProjectionMatrix(vt[:r].T, tie_warning=tie)
 
 
 def min_norm_least_squares(x_mat, y) -> np.ndarray:

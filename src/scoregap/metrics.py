@@ -67,7 +67,7 @@ def _optimal_per_unit(model: PopulationModel, gid: int) -> Optional[float]:
 
 def _per_unit(model: PopulationModel, gid: int, w: np.ndarray) -> Optional[float]:
     """I_g(w) / ||P_g w||, or None when ||P_g w|| <= REL_TOL * ||w||."""
-    norm = float(np.linalg.norm(model.group(gid).projection.apply(w)))
+    norm = float(np.linalg.norm(model.group(gid).projection.basis.T @ w))
     if norm <= REL_TOL * float(np.linalg.norm(w)):
         return None
     return total_improvement(model, gid, w) / norm

@@ -2,8 +2,9 @@
 
 A model file is a JSON document carrying the true-quality direction, both
 cost matrices, and both projections as dense arrays. Projections may
-instead be derived from raw sample matrices. Validation errors name the
-offending field so malformed files are diagnosable.
+instead be derived from raw sample matrices. A dense projection becomes
+an orthonormal basis once, on load. Validation errors name the offending
+field so malformed files are diagnosable.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ def _projection_from_doc(doc: dict, gid: int, rank: Optional[int]) -> Projection
     matrix = _field_array(doc, proj_field, 2)
     if matrix is not None:
         try:
-            return ProjectionMatrix(matrix, rank=int(round(float(np.trace(matrix)))))
+            return ProjectionMatrix.from_matrix(matrix)
         except (ScoregapError, ValueError) as exc:
             raise ConfigError(f"{proj_field}: {exc}") from None
     data = _field_array(doc, data_field, 2)
@@ -120,8 +121,3 @@ def load_model(path: str) -> PopulationModel:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from None
     return model_from_dict(doc)
 
-
-def save_model(path: str, model: PopulationModel) -> None:
-    text = json.dumps(model_to_dict(model), indent=2, sort_keys=True, allow_nan=False)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text + "\n")

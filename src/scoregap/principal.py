@@ -27,7 +27,7 @@ class PopulationModel:
     rows of `pulls`, and their sum s, which is the gradient of total
     welfare. Every guarantee is a closed form in five more cached numbers:
     the 2x2 Gram matrix `gram` = T T^T of the pulls and `perceived` =
-    (n_1, n_2) with n_g = ||P_g s||.
+    (n_1, n_2) with n_g = ||P_g s|| = ||V_g^T s|| for the basis V_g.
     """
 
     group1: Subgroup
@@ -50,7 +50,7 @@ class PopulationModel:
         object.__setattr__(self, "pulls", pulls)
         object.__setattr__(self, "_gain_direction", gain)
         object.__setattr__(self, "gram", frozen(pulls @ pulls.T))
-        perceived = tuple(float(np.linalg.norm(g.projection.apply(gain))) for g in self.groups)
+        perceived = tuple(float(np.linalg.norm(g.projection.basis.T @ gain)) for g in self.groups)
         object.__setattr__(self, "perceived", perceived)
 
     @property

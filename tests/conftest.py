@@ -24,9 +24,7 @@ def random_orthonormal(rng: np.random.Generator, d: int, k: int) -> np.ndarray:
 
 
 def random_projection(rng: np.random.Generator, d: int, k: int) -> ProjectionMatrix:
-    if k == 0:
-        return ProjectionMatrix(np.zeros((d, d)), rank=0)
-    return ProjectionMatrix.from_basis(random_orthonormal(rng, d, k))
+    return ProjectionMatrix(random_orthonormal(rng, d, k))
 
 
 def random_spd(rng: np.random.Generator, d: int, lo: float = 0.3, hi: float = 3.0) -> np.ndarray:
@@ -72,12 +70,12 @@ def orthogonal_population(rng: np.random.Generator, d: int = None) -> Population
         group1=Subgroup(
             name="g1",
             cost=CostMatrix(random_spd(rng, d)),
-            projection=ProjectionMatrix.from_basis(basis[:, :r1]),
+            projection=ProjectionMatrix(basis[:, :r1]),
         ),
         group2=Subgroup(
             name="g2",
             cost=CostMatrix(random_spd(rng, d)),
-            projection=ProjectionMatrix.from_basis(basis[:, r1:]),
+            projection=ProjectionMatrix(basis[:, r1:]),
         ),
         w_star=rng.standard_normal(d),
     )

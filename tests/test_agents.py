@@ -89,6 +89,17 @@ class TestPeerDataset:
         assert peers.check_consistent(w)
         assert not peers.check_consistent(w + 0.1)
 
+    @pytest.mark.parametrize("c", [1e-12, 1.0, 1e8])
+    def test_consistency_does_not_depend_on_units(self, c):
+        # scores summed in another order differ from x @ w by roundoff only,
+        # while the wrong rule misses by 0.1 per unit of the features
+        rng = np.random.default_rng(3)
+        x = c * rng.standard_normal((50, 6))
+        w = rng.standard_normal(6)
+        peers = PeerDataset(features=x, scores=(x * w).sum(axis=1))
+        assert peers.check_consistent(w)
+        assert not peers.check_consistent(w + 0.1)
+
     def test_consistency_dim_check(self):
         peers = PeerDataset(features=np.ones((2, 3)), scores=np.ones(2))
         with pytest.raises(DimensionMismatchError):
@@ -219,7 +230,7 @@ class TestUtility:
         g = Subgroup(
             name="g",
             cost=CostMatrix(np.diag([2.0, 1.0])),
-            projection=ProjectionMatrix(np.diag([1.0, 0.0]), rank=1),
+            projection=ProjectionMatrix(np.array([[1.0], [0.0]])),
         )
         w = np.array([3.0, 5.0])
         x = np.array([0.0, 0.0])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import scoregap
-from scoregap import save_model
+from scoregap import model_to_dict, render_json
 from scoregap.cli import (
     EXIT_CONFIG,
     EXIT_DEGENERATE,
@@ -127,7 +127,8 @@ class TestCheck:
     def test_same_conditions_as_analyze(self, tmp_path, capsys):
         # one model file, two subcommands: the guarantee reports must agree
         model_path = str(tmp_path / "m.json")
-        save_model(model_path, random_population(np.random.default_rng(21), d=5))
+        model = random_population(np.random.default_rng(21), d=5)
+        Path(model_path).write_text(render_json(model_to_dict(model)), encoding="utf-8")
         cfg = models_yaml(tmp_path, f"models:\n  - name: m\n    path: {model_path}\n")
         assert main(["check", model_path]) == EXIT_OK
         checked = json.loads(capsys.readouterr().out)

@@ -43,7 +43,7 @@ def _identical_population(rng, d=5):
 
 
 def _degenerate_population():
-    p = ProjectionMatrix(np.diag([1.0, 0.0]), rank=1)
+    p = ProjectionMatrix(np.array([[1.0], [0.0]]))
     ident = CostMatrix.identity(2)
     return PopulationModel(
         group1=Subgroup(name="a", cost=ident, projection=p),
@@ -59,7 +59,7 @@ def _per_unit_false_population():
         group1=Subgroup(name="full", cost=CostMatrix(np.diag([1.0, 2.0])),
                         projection=ProjectionMatrix.identity(2)),
         group2=Subgroup(name="axis", cost=CostMatrix.identity(2),
-                        projection=ProjectionMatrix(np.diag([1.0, 0.0]), rank=1)),
+                        projection=ProjectionMatrix(np.array([[1.0], [0.0]]))),
         w_star=np.array([1.0, 1.0]),
     )
 
@@ -70,9 +70,9 @@ def _blocked_perception_population():
     v = np.array([-1.0, 0.0, 1.0]) / np.sqrt(2.0)
     return PopulationModel(
         group1=Subgroup(name="plane", cost=CostMatrix.identity(3),
-                        projection=ProjectionMatrix(np.diag([1.0, 1.0, 0.0]), rank=2)),
+                        projection=ProjectionMatrix(np.eye(3)[:, :2])),
         group2=Subgroup(name="line", cost=CostMatrix(np.diag([2.0, 1.0, 0.4])),
-                        projection=ProjectionMatrix(np.outer(v, v), rank=1)),
+                        projection=ProjectionMatrix(v[:, None])),
         w_star=np.array([1.0, 0.0, 1.0]),
     )
 
@@ -261,7 +261,7 @@ class TestPerUnitOptimality:
         # w* lies in the kernel of group 1's subspace, identity costs
         pop = PopulationModel(
             group1=Subgroup(name="plane", cost=CostMatrix.identity(3),
-                            projection=ProjectionMatrix(np.diag([1.0, 1.0, 0.0]), rank=2)),
+                            projection=ProjectionMatrix(np.eye(3)[:, :2])),
             group2=Subgroup(name="full", cost=CostMatrix.identity(3),
                             projection=ProjectionMatrix.identity(3)),
             w_star=np.array([0.0, 0.0, 1.0]),
@@ -383,6 +383,36 @@ class TestConditionReport:
         pop = scaled_population(rng, d=4, scale=3.0)
         assert condition_report(pop)["fast_path"] == "scaled_equal"
 
+    @pytest.mark.parametrize("cos, orthogonal", [(1e-9, True), (1e-6, False)])
+    def test_orthogonal_spans_are_judged_on_the_principal_angle(self, cos, orthogonal):
+        # two lines at angle theta, cos(theta) = cos
+        line2 = np.array([cos, np.sqrt(1.0 - cos * cos), 0.0])
+        pop = PopulationModel(
+            group1=Subgroup(name="g1", cost=CostMatrix.identity(3),
+                            projection=ProjectionMatrix(np.eye(3)[:, :1])),
+            group2=Subgroup(name="g2", cost=CostMatrix.identity(3),
+                            projection=ProjectionMatrix(line2[:, None])),
+            w_star=np.ones(3),
+        )
+        fast = condition_report(pop)["fast_path"]
+        assert (fast == "orthogonal_subspaces") == orthogonal
+
+    @pytest.mark.parametrize("sin, same", [(1e-9, True), (1e-6, False)])
+    def test_same_span_is_judged_on_the_principal_angle(self, sin, same):
+        # planes sharing e1 whose second directions meet at angle theta,
+        # sin(theta) = sin, with proportional costs
+        basis2 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - sin * sin)], [0.0, sin]])
+        a1 = np.diag([1.0, 2.0, 3.0])
+        pop = PopulationModel(
+            group1=Subgroup(name="g1", cost=CostMatrix(a1),
+                            projection=ProjectionMatrix(np.eye(3)[:, :2])),
+            group2=Subgroup(name="g2", cost=CostMatrix(2.5 * a1),
+                            projection=ProjectionMatrix(basis2)),
+            w_star=np.ones(3),
+        )
+        fast = condition_report(pop)["fast_path"]
+        assert (fast == "scaled_equal") == same
+
     def test_fast_path_sufficient_ratios(self):
         # same span, costs not proportional, yet both pulls align with the rule
         pop = PopulationModel(
@@ -430,7 +460,7 @@ def _rebuilt(pop, w_scale=1.0, cost_scale=1.0, q=None, swap=False):
     q = np.eye(pop.dim) if q is None else q
     groups = [
         Subgroup(name=g.name, cost=CostMatrix(cost_scale * (q @ g.cost.matrix @ q.T)),
-                 projection=ProjectionMatrix(q @ g.projection.matrix @ q.T, rank=g.projection.rank))
+                 projection=ProjectionMatrix(q @ g.projection.basis))
         for g in pop.groups
     ]
     if swap:

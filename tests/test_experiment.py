@@ -14,7 +14,7 @@ from scoregap import (
     PopulationModel,
     ProjectionMatrix,
     Subgroup,
-    save_model,
+    model_to_dict,
 )
 from scoregap.experiment import (
     CSV_COLUMNS,
@@ -108,7 +108,7 @@ class TestModelMode:
             w_star=np.array([1.0, 0.0]),
         )
         path = str(tmp_path / "m.json")
-        save_model(path, model)
+        Path(path).write_text(render_json(model_to_dict(model)), encoding="utf-8")
         result = run_analysis(models_config(models=(ModelEntry(name="file", path=path),)))
         (entry,) = result["groupings"]
         assert entry["source"] == {"path": path}
@@ -231,27 +231,27 @@ class TestClassifyFailures:
         assert classify_failures(run_analysis(cfg)) == "partial"
 
     def test_all_degenerate(self, tmp_path):
-        p = ProjectionMatrix(np.diag([1.0, 0.0]), rank=1)
+        p = ProjectionMatrix(np.array([[1.0], [0.0]]))
         model = PopulationModel(
             group1=Subgroup(name="a", cost=CostMatrix.identity(2), projection=p),
             group2=Subgroup(name="b", cost=CostMatrix.identity(2), projection=p),
             w_star=np.array([0.0, 1.0]),
         )
         path = str(tmp_path / "degenerate.json")
-        save_model(path, model)
+        Path(path).write_text(render_json(model_to_dict(model)), encoding="utf-8")
         result = run_analysis(models_config(models=(ModelEntry(name="flat", path=path),)))
         assert result["groupings"][0]["error"]["type"] == "DegenerateObjectiveError"
         assert classify_failures(result) == "degenerate"
 
     def test_mixed_degenerate_and_success_is_partial(self, tmp_path):
-        p = ProjectionMatrix(np.diag([1.0, 0.0]), rank=1)
+        p = ProjectionMatrix(np.array([[1.0], [0.0]]))
         model = PopulationModel(
             group1=Subgroup(name="a", cost=CostMatrix.identity(2), projection=p),
             group2=Subgroup(name="b", cost=CostMatrix.identity(2), projection=p),
             w_star=np.array([0.0, 1.0]),
         )
         path = str(tmp_path / "degenerate.json")
-        save_model(path, model)
+        Path(path).write_text(render_json(model_to_dict(model)), encoding="utf-8")
         cfg = models_config(models=(
             ModelEntry(name="flat", path=path),
             ModelEntry(name="fine", epsilon=0.5),

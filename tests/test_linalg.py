@@ -27,40 +27,64 @@ class TestProjectionMatrix:
         assert p.rank == 4
         np.testing.assert_allclose(p.matrix, np.eye(4))
 
-    def test_from_basis(self):
+    def test_built_on_a_basis(self):
         rng = np.random.default_rng(0)
         b = random_orthonormal(rng, 6, 2)
-        p = ProjectionMatrix.from_basis(b)
-        assert p.rank == 2
+        p = ProjectionMatrix(b)
+        assert p.rank == 2 and p.dim == 6
         # projects basis vectors to themselves, annihilates the complement
         np.testing.assert_allclose(p.matrix @ b, b, atol=1e-12)
+        x = rng.standard_normal(6)
+        np.testing.assert_allclose(p.apply(x), p.matrix @ x, atol=1e-12)
+
+    def test_rejects_non_orthonormal_basis(self):
+        with pytest.raises(ValueError, match="orthonormal"):
+            ProjectionMatrix(np.array([[1.0], [1e-3]]))
 
     def test_rejects_non_symmetric(self):
         m = np.array([[1.0, 0.1], [0.0, 0.0]])
         with pytest.raises(ValueError, match="symmetric"):
-            ProjectionMatrix(m, rank=1)
+            ProjectionMatrix.from_matrix(m)
 
     def test_rejects_non_idempotent(self):
         m = np.array([[0.5, 0.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="idempotent"):
-            ProjectionMatrix(m, rank=1)
-
-    def test_rejects_wrong_rank(self):
-        with pytest.raises(ValueError, match="rank"):
-            ProjectionMatrix(np.eye(3), rank=2)
+            ProjectionMatrix.from_matrix(m)
 
     def test_rejects_non_square(self):
         with pytest.raises(ShapeMismatchError):
-            ProjectionMatrix(np.zeros((2, 3)), rank=0)
+            ProjectionMatrix.from_matrix(np.zeros((2, 3)))
 
     def test_matrix_is_read_only(self):
         p = ProjectionMatrix.identity(2)
         with pytest.raises(ValueError):
             p.matrix[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            p.basis[0, 0] = 5.0
 
     def test_zero_rank_allowed(self):
-        p = ProjectionMatrix(np.zeros((3, 3)), rank=0)
-        assert p.rank == 0
+        p = ProjectionMatrix(np.zeros((3, 0)))
+        assert p.rank == 0 and p.dim == 3
+        np.testing.assert_array_equal(p.matrix, np.zeros((3, 3)))
+        np.testing.assert_array_equal(p.apply(np.ones(3)), np.zeros(3))
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 12), data=st.data())
+    def test_dense_round_trip(self, seed, d, data):
+        r = data.draw(st.integers(0, d))
+        rng = np.random.default_rng(seed)
+        v = random_orthonormal(rng, d, r)
+        m = v @ v.T
+        p = ProjectionMatrix.from_matrix((m + m.T) / 2.0)
+        assert p.rank == r
+        # same span: each basis lies in the other's range
+        np.testing.assert_allclose(p.basis @ (p.basis.T @ v), v, atol=1e-12)
+        np.testing.assert_allclose(p.matrix, m, atol=1e-12)
+        e = rng.standard_normal((d, d))
+        e = e + e.T
+        e /= np.max(np.abs(e))
+        with pytest.raises(ValueError):
+            ProjectionMatrix.from_matrix(m + 1e-6 * e)
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +242,8 @@ class TestAlignment:
         assert alignment(p, p, 5000, 0) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_pair_is_zero(self):
-        p1 = ProjectionMatrix(np.diag([1.0, 0.0]), rank=1)
-        p2 = ProjectionMatrix(np.diag([0.0, 1.0]), rank=1)
+        p1 = ProjectionMatrix(np.array([[1.0], [0.0]]))
+        p2 = ProjectionMatrix(np.array([[0.0], [1.0]]))
         assert alignment(p1, p2, 5000, 0) == pytest.approx(0.0, abs=1e-12)
 
     def test_equal_projection_mean_is_rank_over_dim(self):

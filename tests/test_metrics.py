@@ -100,7 +100,7 @@ class TestOptimalPerUnitImprovement:
     def test_rank_zero_projection_raises(self):
         pop = PopulationModel(
             group1=Subgroup(name="blind", cost=CostMatrix.identity(2),
-                            projection=ProjectionMatrix(np.zeros((2, 2)), rank=0)),
+                            projection=ProjectionMatrix(np.zeros((2, 0)))),
             group2=Subgroup(name="sighted", cost=CostMatrix.identity(2),
                             projection=ProjectionMatrix.identity(2)),
             w_star=np.array([1.0, 1.0]),
@@ -152,7 +152,7 @@ class TestImprovementReport:
     def test_rank_zero_optimal_is_none(self):
         pop = PopulationModel(
             group1=Subgroup(name="blind", cost=CostMatrix.identity(2),
-                            projection=ProjectionMatrix(np.zeros((2, 2)), rank=0)),
+                            projection=ProjectionMatrix(np.zeros((2, 0)))),
             group2=Subgroup(name="sighted", cost=CostMatrix.identity(2),
                             projection=ProjectionMatrix.identity(2)),
             w_star=np.array([1.0, 1.0]),

@@ -19,7 +19,7 @@ from conftest import random_population, random_unit_rules
 
 def _degenerate_population():
     # both groups see only the first axis while w* points along the second
-    p = ProjectionMatrix(np.diag([1.0, 0.0]), rank=1)
+    p = ProjectionMatrix(np.array([[1.0], [0.0]]))
     ident = CostMatrix.identity(2)
     return PopulationModel(
         group1=Subgroup(name="a", cost=ident, projection=p),
