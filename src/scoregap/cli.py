@@ -128,6 +128,8 @@ def cmd_alignment(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else 0
     if samples < 1:
         raise ConfigError(f"--samples must be >= 1, got {samples}")
+    if seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
     if args.model is not None and args.rank is not None:
         raise ConfigError("--rank applies only with --config")
     if args.model is not None:

@@ -74,6 +74,8 @@ class ExperimentConfig:
             raise ConfigError(f"rank must be >= 1, got {self.rank}")
         if self.alignment_samples < 1:
             raise ConfigError(f"alignment_samples must be >= 1, got {self.alignment_samples}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.format not in ("json", "csv"):
             raise ConfigError(f"format must be json or csv, got {self.format!r}")
         if not (

@@ -32,7 +32,7 @@ from .config import ExperimentConfig, ModelEntry
 from .ingest import Dataset, GroupingSpec, fit_ground_truth, load_csv, split_masks, standardize_columns
 from .linalg import alignment, subspace_projection
 from .metrics import improvement_report
-from .modelio import load_model
+from .modelio import cost_from_matrix, load_model
 from .principal import PopulationModel, welfare_maximizing_rule
 
 RESULT_SCHEMA_VERSION = 2
@@ -50,17 +50,9 @@ CSV_COLUMNS = (
 
 
 def _build_cost(spec: Union[None, float, np.ndarray], dim: int, where: str) -> CostMatrix:
-    if spec is None:
-        return CostMatrix.identity(dim)
     if isinstance(spec, float):
         return CostMatrix.scaled_identity(dim, spec)
-    try:
-        cost = CostMatrix(spec)
-    except ScoregapError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-    if cost.dim != dim:
-        raise ConfigError(f"{where}: dimension {cost.dim} does not match feature count {dim}")
-    return cost
+    return cost_from_matrix(spec, dim, where, "feature count")
 
 
 def _load_wstar_vector(path: str, dim: int) -> np.ndarray:

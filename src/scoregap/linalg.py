@@ -4,12 +4,15 @@ Everything downstream is built out of three operations: truncated-SVD
 subspace projections, each stored as an orthonormal basis of its range,
 minimum-norm least squares, and a Monte-Carlo overlap measure for pairs
 of projections. All functions are pure; given identical inputs (and
-seeds) they return identical outputs.
+seeds) they return identical outputs. The overlap projects Gaussian draws
+onto the two bases in blocks, whose size sets only memory and summation
+order, not the draws.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,7 +35,9 @@ REL_TOL = 1e-8
 # Largest |M - M^T| allowed per unit of max |M| (cost matrices).
 SYMMETRY_TOL = 1e-10
 
-_ALIGNMENT_BLOCK = 65536  # samples per RNG block; fixed so runs are reproducible
+# Draws per alignment block (2 MiB at d = 64). The generator yields the same
+# sequence however it is split, so this sets only memory and summation order.
+_ALIGNMENT_BLOCK = 4096
 
 
 def as_vector(v, name: str = "vector") -> np.ndarray:
@@ -68,9 +73,8 @@ class ProjectionMatrix:
 
     `basis` V is d x r (r = 0 for the zero projection), accepted when
     max |V^T V - I| <= REL_TOL. P x is V (V^T x). `matrix` is the dense,
-    symmetrized V V^T, formed here: formed lazily inside `alignment`,
-    between its large sample blocks, it raised the peak RSS of `analyze`.
-    See subspace_projection for `tie_warning`.
+    symmetrized V V^T, formed on first use (model files and `from_matrix`
+    read it; `alignment` does not). See subspace_projection for `tie_warning`.
     """
 
     basis: np.ndarray
@@ -81,8 +85,11 @@ class ProjectionMatrix:
         if np.max(np.abs(v.T @ v - np.eye(v.shape[1])), initial=0.0) > REL_TOL:
             raise ValueError("basis columns are not orthonormal")
         object.__setattr__(self, "basis", frozen(v))
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
         p = self.basis @ self.basis.T
-        object.__setattr__(self, "matrix", frozen((p + p.T) / 2.0))
+        return frozen((p + p.T) / 2.0)
 
     @property
     def dim(self) -> int:
@@ -179,24 +186,21 @@ def min_norm_least_squares(x_mat, y) -> np.ndarray:
 def alignment(p1: ProjectionMatrix, p2: ProjectionMatrix, n_samples: int, seed: int) -> float:
     """Average overlap <P1 x, P2 x> over uniform unit vectors x.
 
-    Sampling is uniform on the sphere via normalized Gaussian draws from a
-    PCG64 generator seeded with `seed`, processed in fixed-size blocks, so
-    the value is a deterministic function of (p1, p2, n_samples, seed) and
-    symmetric in the two projections. Values near 1 mean heavily
-    overlapping subspaces; near 0, nearly orthogonal ones.
+    Each x is a Gaussian draw g over its norm, from a PCG64 generator seeded
+    with `seed`, and <P1 x, P2 x> = (V1^T g)^T (V1^T V2) (V2^T g) / ||g||^2.
+    The value is a deterministic function of (p1, p2, n_samples, seed) and,
+    up to roundoff, symmetric in the projections: near 1 for heavily
+    overlapping subspaces, near 0 for nearly orthogonal ones.
     """
     if p1.dim != p2.dim:
         raise DimensionMismatchError(f"projection dims differ: {p1.dim} vs {p2.dim}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     rng = np.random.default_rng(seed)
-    d = p1.dim
+    cross = p1.basis.T @ p2.basis
     total = 0.0
-    remaining = n_samples
-    while remaining > 0:
-        block = min(remaining, _ALIGNMENT_BLOCK)
-        x = rng.standard_normal((block, d))
-        x /= np.linalg.norm(x, axis=1, keepdims=True)
-        total += float(np.sum((x @ p1.matrix) * (x @ p2.matrix)))
-        remaining -= block
+    for start in range(0, n_samples, _ALIGNMENT_BLOCK):
+        g = rng.standard_normal((min(_ALIGNMENT_BLOCK, n_samples - start), p1.dim))
+        overlap = np.einsum("ij,ij->i", (g @ p1.basis) @ cross, g @ p2.basis)
+        total += float(np.sum(overlap / np.einsum("ij,ij->i", g, g)))
     return total / n_samples

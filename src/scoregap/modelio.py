@@ -55,9 +55,8 @@ def _projection_from_doc(doc: dict, gid: int, rank: Optional[int]) -> Projection
         raise ConfigError(f"{data_field}: {exc}") from None
 
 
-def _cost_from_doc(doc: dict, gid: int, dim: int) -> CostMatrix:
-    field = f"cost{gid}"
-    matrix = _field_array(doc, field, 2)
+def cost_from_matrix(matrix: Optional[np.ndarray], dim: int, field: str, dim_label: str) -> CostMatrix:
+    """The cost read from `field` (identity if absent); `dim_label` fixes its `dim`."""
     if matrix is None:
         return CostMatrix.identity(dim)
     try:
@@ -65,7 +64,7 @@ def _cost_from_doc(doc: dict, gid: int, dim: int) -> CostMatrix:
     except ScoregapError as exc:
         raise ConfigError(f"{field}: {exc}") from None
     if cost.dim != dim:
-        raise ConfigError(f"{field}: dimension {cost.dim} does not match w_star dimension {dim}")
+        raise ConfigError(f"{field}: dimension {cost.dim} does not match {dim_label} {dim}")
     return cost
 
 
@@ -90,7 +89,8 @@ def model_from_dict(doc: dict) -> PopulationModel:
             raise ConfigError(
                 f"projection{gid}: dimension {proj.dim} does not match w_star dimension {dim}"
             )
-        cost = _cost_from_doc(doc, gid, dim)
+        field = f"cost{gid}"
+        cost = cost_from_matrix(_field_array(doc, field, 2), dim, field, "w_star dimension")
         groups.append(Subgroup(name=str(names[gid - 1]), cost=cost, projection=proj))
     try:
         return PopulationModel(group1=groups[0], group2=groups[1], w_star=w_star)

@@ -235,6 +235,15 @@ class TestAnalyze:
         cfg = models_yaml(tmp_path, "models:\n  - name: m\n    epsilon: 0.5\nrank: 0\n")
         assert main(["analyze", "--config", cfg]) == EXIT_CONFIG
 
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys):
+        cfg = toy_config(tmp_path)
+        negative = write(tmp_path, "negative.yaml", Path(cfg).read_text().replace("seed: 3", "seed: -2"))
+        for argv, value in (([negative], "-2"), ([cfg, "--seed", "-1"], "-1")):
+            assert main(["analyze", "--config", *argv]) == EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: seed must be >= 0, got {value}\n"
+
     def test_missing_dataset_file(self, tmp_path, capsys):
         cfg = write(tmp_path, "c.yaml", TOY_CONFIG.format(csv=str(tmp_path / "gone.csv")))
         assert main(["analyze", "--config", cfg]) == EXIT_INGEST
@@ -316,6 +325,15 @@ class TestAlignment:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == f"error: --samples must be >= 1, got {samples}\n"
+
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys):
+        # rejected before either source is read
+        for source in ("--model", "--config"):
+            absent = str(tmp_path / "absent")
+            assert main(["alignment", source, absent, "--seed", "-1"]) == EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: --seed must be >= 0, got -1\n"
 
     def test_rank_in_model_mode_is_a_usage_error(self, tmp_path, capsys):
         # the model file is never read: the flag is rejected first

@@ -165,7 +165,7 @@ class TestValidation:
     def test_bad_rank_and_samples(self):
         models = [{"name": "m", "epsilon": 0.5}]
         for key, value in [
-            ("rank", 0), ("alignment_samples", 0),
+            ("rank", 0), ("alignment_samples", 0), ("seed", -2),
             # only a YAML integer is accepted: no truncation, no bools, no strings
             ("rank", 2.7), ("rank", True), ("rank", "3"), ("rank", None),
             ("seed", 1.9), ("seed", False), ("seed", "7"),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,7 @@ from scoregap import (
     min_norm_least_squares,
     subspace_projection,
 )
+from scoregap import linalg
 
 from conftest import random_orthonormal, random_projection
 
@@ -61,6 +64,15 @@ class TestProjectionMatrix:
             p.matrix[0, 0] = 5.0
         with pytest.raises(ValueError):
             p.basis[0, 0] = 5.0
+
+    def test_matrix_formed_on_first_use(self):
+        rng = np.random.default_rng(1)
+        p = random_projection(rng, 5, 2)
+        alignment(p, p, 100, 0)
+        assert "matrix" not in vars(p)  # neither construction nor alignment forms it
+        assert p.matrix is p.matrix
+        m = p.basis @ p.basis.T
+        np.testing.assert_array_equal(p.matrix, (m + m.T) / 2.0)
 
     def test_zero_rank_allowed(self):
         p = ProjectionMatrix(np.zeros((3, 0)))
@@ -236,7 +248,51 @@ class TestMinNormLeastSquares:
 # ---------------------------------------------------------------------------
 # alignment
 
+def dense_alignment(p1, p2, n_samples, seed):
+    """Reference estimator: the same draws in 65,536-row blocks, x = g/||g||, x @ P."""
+    rng = np.random.default_rng(seed)
+    total = 0.0
+    remaining = n_samples
+    while remaining > 0:
+        block = min(remaining, 65536)
+        x = rng.standard_normal((block, p1.dim))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        total += float(np.sum((x @ p1.matrix) * (x @ p2.matrix)))
+        remaining -= block
+    return total / n_samples
+
+
+SAMPLE_COUNTS = [1000, linalg._ALIGNMENT_BLOCK, 65536, 70_001]  # below, at and across blocks
+
+
 class TestAlignment:
+    @pytest.mark.parametrize("n_samples", SAMPLE_COUNTS)
+    @pytest.mark.parametrize("d, r1, r2", [(1, 1, 1), (2, 1, 1), (7, 2, 4), (64, 16, 20)])
+    def test_matches_dense_estimator(self, d, r1, r2, n_samples):
+        rng = np.random.default_rng(d)
+        p1, p2 = random_projection(rng, d, r1), random_projection(rng, d, r2)
+        expected = dense_alignment(p1, p2, n_samples, 5)
+        assert abs(alignment(p1, p2, n_samples, 5) - expected) <= 1e-13 * abs(expected)
+
+    @pytest.mark.parametrize("n_samples", SAMPLE_COUNTS)
+    def test_rank_zero_and_equal_subspaces_match_dense_estimator(self, n_samples):
+        rng = np.random.default_rng(8)
+        p, zero = random_projection(rng, 7, 3), ProjectionMatrix(np.zeros((7, 0)))
+        assert alignment(zero, p, n_samples, 6) == 0.0 == dense_alignment(zero, p, n_samples, 6)
+        expected = dense_alignment(p, p, n_samples, 6)
+        assert abs(alignment(p, p, n_samples, 6) - expected) <= 1e-13 * expected
+
+    def test_memory_is_bounded_by_the_block(self):
+        rng = np.random.default_rng(9)
+        p1, p2 = random_projection(rng, 64, 16), random_projection(rng, 64, 20)
+        tracemalloc.start()
+        try:
+            alignment(p1, p2, 200_000, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
     def test_identity_pair_is_one(self):
         p = ProjectionMatrix.identity(5)
         assert alignment(p, p, 5000, 0) == pytest.approx(1.0, abs=1e-12)
