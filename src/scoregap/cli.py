@@ -140,13 +140,13 @@ def cmd_alignment(args: argparse.Namespace) -> int:
             samples = config.alignment_samples
         seed = config.seed
         _, populations = prepare(config)
-    entries, failures = {}, []
+    entries, failures, moments = {}, [], {}
     for name, _, model in populations:
         if isinstance(model, ScoregapError):
             entries[name] = {"error": error_record(model)}
             failures.append((name, entries[name]["error"]))
         else:
-            entries[name] = alignment(model.group1.projection, model.group2.projection, samples, seed)
+            entries[name] = alignment(model.group1.projection, model.group2.projection, samples, seed, moments)
     doc = {
         "schema_version": RESULT_SCHEMA_VERSION,
         "n_samples": samples,

@@ -175,6 +175,14 @@ def _integer(doc: dict, key: str, default: int) -> int:
     return value
 
 
+def _string(doc: dict, key: str, default: Optional[str]) -> Optional[str]:
+    """doc[key] when it is a YAML string; default when absent (or null, if default is None)."""
+    value = doc.get(key, default)
+    if not isinstance(value, str) and not (value is None and default is None):
+        raise ConfigError(f"{key}: expected a string, got {value!r}")
+    return value
+
+
 _KNOWN_KEYS = {
     "dataset", "encoding", "drop_columns", "groupings", "models", "rank",
     "costs", "wstar", "standardize", "alignment_samples", "seed", "out", "format",
@@ -216,7 +224,7 @@ def config_from_dict(doc: object) -> ExperimentConfig:
         raise ConfigError(f"standardize: expected true or false, got {standardize!r}")
 
     return ExperimentConfig(
-        dataset=None if doc.get("dataset") is None else str(doc["dataset"]),
+        dataset=_string(doc, "dataset", None),
         encoding=dict(encoding),
         drop_columns=tuple(str(c) for c in drop),
         groupings=groupings,
@@ -224,12 +232,12 @@ def config_from_dict(doc: object) -> ExperimentConfig:
         rank=_integer(doc, "rank", DEFAULT_RANK),
         cost1=_parse_cost(costs.get("group1"), "costs.group1"),
         cost2=_parse_cost(costs.get("group2"), "costs.group2"),
-        wstar=str(doc.get("wstar", WSTAR_ONES)),
+        wstar=_string(doc, "wstar", WSTAR_ONES),
         standardize=standardize,
         alignment_samples=_integer(doc, "alignment_samples", DEFAULT_ALIGNMENT_SAMPLES),
         seed=_integer(doc, "seed", 0),
-        out=None if doc.get("out") is None else str(doc["out"]),
-        format=str(doc.get("format", "json")),
+        out=_string(doc, "out", None),
+        format=_string(doc, "format", "json"),
     )
 
 

@@ -88,12 +88,16 @@ def _resolve_wstar(config: ExperimentConfig, ds: Dataset, features: np.ndarray) 
     return _load_wstar_vector(config.wstar[len("vector:"):], dim)
 
 
-def population_payload(model: PopulationModel, n_samples: int, seed: int) -> dict:
-    """Metrics, guarantees, and alignment for one population."""
+def population_payload(model: PopulationModel, n_samples: int, seed: int,
+                       moments: Optional[dict] = None) -> dict:
+    """Metrics, guarantees, and alignment for one population.
+
+    `moments` is the run's shared sphere-moment dict (see linalg.alignment).
+    """
     rule = welfare_maximizing_rule(model)
     metrics = improvement_report(model, rule)
     conditions = condition_report(model)
-    overlap = alignment(model.group1.projection, model.group2.projection, n_samples, seed)
+    overlap = alignment(model.group1.projection, model.group2.projection, n_samples, seed, moments)
     return {
         "alignment": overlap,
         "welfare_rule": rule.tolist(),
@@ -219,13 +223,14 @@ def run_analysis(config: ExperimentConfig) -> dict:
     """
     meta, populations = prepare(config)
     entries: List[dict] = []
+    moments: dict = {}
     for name, accounting, model in populations:
         if isinstance(model, ScoregapError):
             entries.append(_error_entry(name, model))
             continue
         try:
             entry = {"name": name, **accounting}
-            entry.update(population_payload(model, config.alignment_samples, config.seed))
+            entry.update(population_payload(model, config.alignment_samples, config.seed, moments))
         except ScoregapError as exc:
             entry = _error_entry(name, exc)
         entries.append(entry)

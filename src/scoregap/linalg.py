@@ -4,15 +4,17 @@ Everything downstream is built out of three operations: truncated-SVD
 subspace projections, each stored as an orthonormal basis of its range,
 minimum-norm least squares, and a Monte-Carlo overlap measure for pairs
 of projections. All functions are pure; given identical inputs (and
-seeds) they return identical outputs. The overlap projects Gaussian draws
-onto the two bases in blocks, whose size sets only memory and summation
-order, not the draws.
+seeds) they return identical outputs. The overlap is linear in the draws'
+second moment M = (1/n) sum x x^T over unit vectors x, so `sphere_moment`
+draws them once per (dim, n_samples, seed), in blocks whose size sets only
+memory and summation order, and each pair reads M through its two bases.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -183,24 +185,45 @@ def min_norm_least_squares(x_mat, y) -> np.ndarray:
     return vt[:r].T @ coeff
 
 
-def alignment(p1: ProjectionMatrix, p2: ProjectionMatrix, n_samples: int, seed: int) -> float:
-    """Average overlap <P1 x, P2 x> over uniform unit vectors x.
+def sphere_moment(dim: int, n_samples: int, seed: int) -> np.ndarray:
+    """Read-only d x d second moment M = (1/n) sum x x^T of n unit vectors.
 
     Each x is a Gaussian draw g over its norm, from a PCG64 generator seeded
-    with `seed`, and <P1 x, P2 x> = (V1^T g)^T (V1^T V2) (V2^T g) / ||g||^2.
+    with `seed`, drawn and accumulated _ALIGNMENT_BLOCK rows at a time. M is
+    exactly symmetric, positive semidefinite and has trace 1 up to roundoff;
+    its expectation is I/d.
+    """
+    rng = np.random.default_rng(seed)
+    total = np.zeros((dim, dim))
+    for start in range(0, n_samples, _ALIGNMENT_BLOCK):
+        x = rng.standard_normal((min(_ALIGNMENT_BLOCK, n_samples - start), dim))
+        x /= np.sqrt(np.einsum("ij,ij->i", x, x))[:, None]  # no block-sized temporary
+        total += x.T @ x
+    return frozen((total + total.T) / (2.0 * n_samples))
+
+
+def alignment(p1: ProjectionMatrix, p2: ProjectionMatrix, n_samples: int, seed: int,
+              moments: Optional[Dict[Tuple[int, int, int], np.ndarray]] = None) -> float:
+    """Average overlap <P1 x, P2 x> over uniform unit vectors x.
+
+    The x are the draws of sphere_moment(dim, n_samples, seed), and the
+    average is <V1^T M V2, V1^T V2> (the sum of entrywise products), so the
+    draws enter only through their moment M. Pass one `moments` dict to
+    every call of a run: M is looked up there, or stored there, under
+    (dim, n_samples, seed), and the run draws once per distinct dimension.
     The value is a deterministic function of (p1, p2, n_samples, seed) and,
     up to roundoff, symmetric in the projections: near 1 for heavily
-    overlapping subspaces, near 0 for nearly orthogonal ones.
+    overlapping subspaces, near 0 for nearly orthogonal ones. The exact
+    overlap, tr(P1 P2)/d, is the same formula with M = I/d.
     """
     if p1.dim != p2.dim:
         raise DimensionMismatchError(f"projection dims differ: {p1.dim} vs {p2.dim}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    rng = np.random.default_rng(seed)
-    cross = p1.basis.T @ p2.basis
-    total = 0.0
-    for start in range(0, n_samples, _ALIGNMENT_BLOCK):
-        g = rng.standard_normal((min(_ALIGNMENT_BLOCK, n_samples - start), p1.dim))
-        overlap = np.einsum("ij,ij->i", (g @ p1.basis) @ cross, g @ p2.basis)
-        total += float(np.sum(overlap / np.einsum("ij,ij->i", g, g)))
-    return total / n_samples
+    if moments is None:
+        moments = {}
+    key = (p1.dim, n_samples, seed)
+    if key not in moments:
+        moments[key] = sphere_moment(*key)
+    v1, v2 = p1.basis, p2.basis
+    return float(np.sum((v1.T @ moments[key] @ v2) * (v1.T @ v2)))

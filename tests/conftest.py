@@ -1,8 +1,11 @@
-"""Shared instance factories and the acceptance-result summary hook."""
+"""Shared instance factories, alignment-sharing helpers and the acceptance-result summary hook."""
 
 import numpy as np
 
-from scoregap import CostMatrix, PopulationModel, ProjectionMatrix, Subgroup
+from scoregap import (
+    CostMatrix, ExperimentConfig, PopulationModel, ProjectionMatrix, Subgroup, alignment, linalg,
+)
+from scoregap.experiment import prepare
 
 # populated by test_acceptance, printed at the end of the run
 ACCEPTANCE_RESULTS = []
@@ -101,3 +104,24 @@ def scaled_population(rng: np.random.Generator, d: int = None,
 def random_unit_rules(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     w = rng.standard_normal((n, d))
     return w / np.linalg.norm(w, axis=1, keepdims=True)
+
+
+def count_moments(monkeypatch) -> list:
+    """Record the (dim, n_samples, seed) of every linalg.sphere_moment call."""
+    calls, draw = [], linalg.sphere_moment
+
+    def counted(*key):
+        calls.append(key)
+        return draw(*key)
+
+    monkeypatch.setattr(linalg, "sphere_moment", counted)
+    return calls
+
+
+def assert_fresh_alignments(config: ExperimentConfig, values: dict) -> None:
+    """Each entry's alignment equals a call that draws its own moment, bit for bit."""
+    _, populations = prepare(config)
+    assert set(values) == {name for name, _, _ in populations}
+    for name, _, model in populations:
+        p1, p2 = model.group1.projection, model.group2.projection
+        assert values[name] == alignment(p1, p2, config.alignment_samples, config.seed)

@@ -9,6 +9,7 @@ import pytest
 
 import scoregap
 from scoregap import model_to_dict, render_json
+from scoregap.config import load_config
 from scoregap.cli import (
     EXIT_CONFIG,
     EXIT_DEGENERATE,
@@ -18,7 +19,7 @@ from scoregap.cli import (
     main,
 )
 
-from conftest import random_population
+from conftest import assert_fresh_alignments, count_moments, random_population
 
 TOY_CSV = """age,skill,effort,label
 22,0.5,1.2,1.9
@@ -235,6 +236,19 @@ class TestAnalyze:
         cfg = models_yaml(tmp_path, "models:\n  - name: m\n    epsilon: 0.5\nrank: 0\n")
         assert main(["analyze", "--config", cfg]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("line, message", [
+        ("dataset: [a, b]", "dataset: expected a string, got ['a', 'b']"),
+        ("out: 7", "out: expected a string, got 7"),
+        ("format: null", "format: expected a string, got None"),
+    ])
+    def test_non_string_value_is_a_config_error(self, tmp_path, capsys, monkeypatch, line, message):
+        monkeypatch.chdir(tmp_path)
+        cfg = models_yaml(tmp_path, f"models:\n  - name: m\n    epsilon: 0.5\n{line}\n")
+        assert main(["analyze", "--config", cfg]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+        assert not (tmp_path / "7").exists()
+
     def test_negative_seed_is_a_usage_error(self, tmp_path, capsys):
         cfg = toy_config(tmp_path)
         negative = write(tmp_path, "negative.yaml", Path(cfg).read_text().replace("seed: 3", "seed: -2"))
@@ -315,6 +329,14 @@ class TestAlignment:
 
     def test_missing_model(self, tmp_path, capsys):
         assert main(["alignment", "--model", str(tmp_path / "no.json")]) == EXIT_CONFIG
+
+    def test_config_mode_draws_once(self, tmp_path, capsys, monkeypatch):
+        csv_path = write(tmp_path, "toy.csv", TOY_CSV)
+        cfg = write(tmp_path, "fit.yaml", FIT_CONFIG.format(csv=csv_path))
+        calls = count_moments(monkeypatch)
+        assert main(["alignment", "--config", cfg]) == EXIT_OK
+        assert calls == [(3, 2000, 3)]
+        assert_fresh_alignments(load_config(cfg), json.loads(capsys.readouterr().out)["entries"])
 
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_samples_below_one_is_a_usage_error(self, tmp_path, capsys, samples):

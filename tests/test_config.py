@@ -177,6 +177,21 @@ class TestValidation:
             with pytest.raises(ConfigError, match=key):
                 config_from_dict({"models": models, key: value})
 
+    @pytest.mark.parametrize("key, value", [
+        ("dataset", ["a", "b"]), ("dataset", 7), ("out", 7), ("out", True),
+        ("wstar", 1), ("wstar", None), ("format", None), ("format", ["json"]),
+    ])
+    def test_string_keys_are_not_coerced(self, key, value):
+        doc = {"models": [{"name": "m", "epsilon": 0.5}], key: value}
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(doc)
+        assert str(info.value) == f"{key}: expected a string, got {value!r}"
+
+    def test_null_dataset_and_out_mean_absent(self):
+        config = config_from_dict({"models": [{"name": "m", "epsilon": 0.5}],
+                                   "dataset": None, "out": None})
+        assert config.dataset is None and config.out is None
+
     @pytest.mark.parametrize("value", ["0.5", True, [0.5]])
     def test_epsilon_must_be_a_number(self, value):
         with pytest.raises(ConfigError, match=r"models\[0\].epsilon"):

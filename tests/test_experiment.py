@@ -25,6 +25,8 @@ from scoregap.experiment import (
 )
 from scoregap.ingest import GroupPredicate, GroupingSpec
 
+from conftest import assert_fresh_alignments, count_moments
+
 
 def models_config(**kwargs) -> ExperimentConfig:
     defaults = dict(
@@ -47,6 +49,19 @@ def write_toy_csv(tmp_path):
         lines.append(f"{age},{skill:.6f},{effort:.6f},{label:.6f}")
     path = tmp_path / "toy.csv"
     path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def write_random_model(tmp_path) -> str:
+    """A d = 4 model file built from random rows."""
+    rng = np.random.default_rng(6)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({
+        "w_star": rng.standard_normal(4).tolist(),
+        "data1": rng.standard_normal((6, 4)).tolist(),
+        "data2": rng.standard_normal((5, 4)).tolist(),
+        "rank": 2,
+    }))
     return str(path)
 
 
@@ -331,18 +346,10 @@ class TestBenchmarkTrace:
         from tracer import Tracer
         from scoregap import experiment, modelio
 
-        rng = np.random.default_rng(6)
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps({
-            "w_star": rng.standard_normal(4).tolist(),
-            "data1": rng.standard_normal((6, 4)).tolist(),
-            "data2": rng.standard_normal((5, 4)).tolist(),
-            "rank": 2,
-        }))
         config = models_config(models=(
             ModelEntry(name="eps01", epsilon=0.1),
             ModelEntry(name="eps06", epsilon=0.6),
-            ModelEntry(name="file", path=str(path)),
+            ModelEntry(name="file", path=write_random_model(tmp_path)),
         ), alignment_samples=1000)
         plain = render_json(run_analysis(config))
         tracer = Tracer()
@@ -353,5 +360,31 @@ class TestBenchmarkTrace:
             tracer.remove()
         assert traced == plain
         assert json.loads(plain)["n_failed"] == 0
-        assert tracer.counts["linalg.alignment_samples"] > 0
+        # one positional experiment.alignment call per entry, or the counter reads 0
+        assert tracer.counts["linalg.alignment_samples"] == 3 * 1000
         assert tracer.counts["linalg.subspace_projection_calls"] > 0
+
+
+class TestSharedMoment:
+    def test_csv_run_draws_once_for_all_groupings(self, tmp_path, monkeypatch):
+        config = dataset_config(tmp_path, groupings=(
+            GroupingSpec(name="age", group1=GroupPredicate("age", "le", 35)),
+            GroupingSpec(name="skill", group1=GroupPredicate("skill", "gt", 0)),
+            GroupingSpec(name="effort", group1=GroupPredicate("effort", "gt", 0)),
+        ))
+        calls = count_moments(monkeypatch)
+        result = run_analysis(config)
+        assert calls == [(3, 2000, 1)]
+        assert result["n_failed"] == 0
+        assert_fresh_alignments(config, {e["name"]: e["alignment"] for e in result["groupings"]})
+
+    def test_model_run_draws_once_per_dimension(self, tmp_path, monkeypatch):
+        config = models_config(models=(
+            ModelEntry(name="eps01", epsilon=0.1),
+            ModelEntry(name="file", path=write_random_model(tmp_path)),
+            ModelEntry(name="eps06", epsilon=0.6),
+        ))
+        calls = count_moments(monkeypatch)
+        result = run_analysis(config)
+        assert calls == [(2, 2000, 0), (4, 2000, 0)]
+        assert_fresh_alignments(config, {e["name"]: e["alignment"] for e in result["groupings"]})

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from scoregap import (
     DimensionMismatchError,
@@ -263,6 +263,33 @@ def dense_alignment(p1, p2, n_samples, seed):
 
 
 SAMPLE_COUNTS = [1000, linalg._ALIGNMENT_BLOCK, 65536, 70_001]  # below, at and across blocks
+
+
+def dense_moment(dim, n_samples, seed):
+    """Reference moment: all n draws in one block, sum x x^T / n with x = g/||g||."""
+    x = np.random.default_rng(seed).standard_normal((n_samples, dim))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    return x.T @ x / n_samples
+
+
+class TestSphereMoment:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.integers(1, 64),
+        n=st.integers(1, 2 * linalg._ALIGNMENT_BLOCK + 1),  # below, at and across a block
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(d=64, n=linalg._ALIGNMENT_BLOCK - 1, seed=3)
+    @example(d=64, n=linalg._ALIGNMENT_BLOCK, seed=3)
+    @example(d=64, n=linalg._ALIGNMENT_BLOCK + 1, seed=3)
+    def test_matches_one_block_oracle(self, d, n, seed):
+        m = linalg.sphere_moment(d, n, seed)
+        assert m.shape == (d, d) and not m.flags.writeable
+        assert np.array_equal(m, m.T)
+        assert abs(np.trace(m) - 1.0) <= 1e-12
+        assert np.linalg.eigvalsh(m)[0] >= -1e-14
+        expected = dense_moment(d, n, seed)
+        assert np.max(np.abs(m - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 class TestAlignment:
