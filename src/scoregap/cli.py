@@ -2,14 +2,12 @@
 
 Subcommands:
   analyze    run the experiment pipeline from a config file
-  check      run every guarantee checker on a model file
+  check      write the payload an `analyze` entry holds for one model file
   synthetic  write the two-axis disparity construction as a model file
-  alignment  estimate subspace overlap for a model or config
 
 Exit codes: 0 success, 2 config/usage error, 3 ingest error, 4 numerical
-degeneracy (no rule can help anyone), 5 partial failure (some groupings
-failed but the run completed; `analyze` and `alignment --config` both
-write the failed entries as error objects).
+degeneracy (no rule can help anyone), 5 partial failure (some `analyze`
+entries failed but the run completed; they are written as error objects).
 """
 
 from __future__ import annotations
@@ -21,19 +19,17 @@ import sys
 from typing import Dict, Optional, TextIO
 
 from .errors import ConfigError, IngestError, ScoregapError
-from .conditions import condition_report, disparity_example
+from .conditions import disparity_example
 from .config import DEFAULT_ALIGNMENT_SAMPLES, load_config
 from .experiment import (
     DEGENERATE_ERRORS,
     RESULT_SCHEMA_VERSION,
     classify_failures,
-    error_record,
-    prepare,
+    population_payload,
     render_csv,
     render_json,
     run_analysis,
 )
-from .linalg import alignment
 from .modelio import load_model, model_to_dict
 
 EXIT_OK = 0
@@ -80,12 +76,6 @@ def _write_files(texts: Dict[str, str]) -> None:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _report_failures(failures) -> None:
-    """One stderr line per (entry name, error object) pair."""
-    for name, err in failures:
-        print(f"grouping {name}: {err['type']}: {err['message']}", file=sys.stderr)
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
     config = load_config(args.config).override(
         out=args.out,
@@ -106,14 +96,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     status = classify_failures(result)
     if status is None:
         return EXIT_OK
-    _report_failures((e["name"], e["error"]) for e in result["groupings"] if "error" in e)
+    for entry in result["groupings"]:
+        if "error" in entry:
+            err = entry["error"]
+            print(f"grouping {entry['name']}: {err['type']}: {err['message']}", file=sys.stderr)
     return EXIT_DEGENERATE if status == "degenerate" else EXIT_PARTIAL
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    model = load_model(args.model)
-    doc = {"schema_version": RESULT_SCHEMA_VERSION, "model": args.model}
-    doc.update(condition_report(model))
+    # the sample count and seed an `analyze` models config uses when it sets neither
+    payload = population_payload(load_model(args.model), DEFAULT_ALIGNMENT_SAMPLES, 0)
+    doc = {"schema_version": RESULT_SCHEMA_VERSION, "model": args.model, **payload}
     _emit(render_json(doc), args.out)
     return EXIT_OK
 
@@ -121,43 +114,6 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_synthetic(args: argparse.Namespace) -> int:
     _emit(render_json(model_to_dict(disparity_example(args.epsilon))), args.out)
     return EXIT_OK
-
-
-def cmd_alignment(args: argparse.Namespace) -> int:
-    samples = args.samples if args.samples is not None else DEFAULT_ALIGNMENT_SAMPLES
-    seed = args.seed if args.seed is not None else 0
-    if samples < 1:
-        raise ConfigError(f"--samples must be >= 1, got {samples}")
-    if seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {seed}")
-    if args.model is not None and args.rank is not None:
-        raise ConfigError("--rank applies only with --config")
-    if args.model is not None:
-        populations = [("model", {}, load_model(args.model))]
-    else:
-        config = load_config(args.config).override(seed=args.seed, rank=args.rank)
-        if args.samples is None:
-            samples = config.alignment_samples
-        seed = config.seed
-        _, populations = prepare(config)
-    entries, failures, moments = {}, [], {}
-    for name, _, model in populations:
-        if isinstance(model, ScoregapError):
-            entries[name] = {"error": error_record(model)}
-            failures.append((name, entries[name]["error"]))
-        else:
-            entries[name] = alignment(model.group1.projection, model.group2.projection, samples, seed, moments)
-    doc = {
-        "schema_version": RESULT_SCHEMA_VERSION,
-        "n_samples": samples,
-        "seed": seed,
-        "entries": entries,
-    }
-    _emit(render_json(doc), args.out)
-    if not failures:
-        return EXIT_OK
-    _report_failures(sorted(failures, key=lambda f: f[0]))
-    return EXIT_PARTIAL
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -180,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="standardize feature columns before projecting")
     analyze.set_defaults(func=cmd_analyze)
 
-    check = sub.add_parser("check", help="run guarantee checkers on a model file")
+    check = sub.add_parser("check", help="metrics, guarantees and alignment of a model file")
     check.add_argument("model", help="model file (JSON)")
     check.add_argument("--out", help="output path (default: stdout)")
     check.set_defaults(func=cmd_check)
@@ -189,16 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     synthetic.add_argument("epsilon", type=float, help="strictly between 0 and 1")
     synthetic.add_argument("--out", help="model file path (default: stdout)")
     synthetic.set_defaults(func=cmd_synthetic)
-
-    align = sub.add_parser("alignment", help="subspace overlap of the two groups")
-    source = align.add_mutually_exclusive_group(required=True)
-    source.add_argument("--model", help="model file (JSON)")
-    source.add_argument("--config", help="YAML experiment config")
-    align.add_argument("--samples", type=int, help="Monte-Carlo sample count")
-    align.add_argument("--seed", type=int, help="sampling seed")
-    align.add_argument("--rank", type=int, help="projection rank (config mode)")
-    align.add_argument("--out", help="output path (default: stdout)")
-    align.set_defaults(func=cmd_alignment)
 
     return parser
 

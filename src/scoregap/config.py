@@ -70,6 +70,22 @@ class ExperimentConfig:
             raise ConfigError("config must set exactly one of dataset/models")
         if self.dataset is not None and not self.groupings:
             raise ConfigError("dataset mode requires at least one grouping")
+        if self.models:
+            # these shape the features a dataset is projected from; a model file has its own
+            dataset_only = {
+                "encoding": bool(self.encoding),
+                "drop_columns": bool(self.drop_columns),
+                "costs.group1": self.cost1 is not None,
+                "costs.group2": self.cost2 is not None,
+                "wstar": self.wstar != WSTAR_ONES,
+                "standardize": self.standardize,
+                "rank": self.rank != DEFAULT_RANK,
+            }
+            named = [key for key, is_set in dataset_only.items() if is_set]
+            if named:
+                raise ConfigError(
+                    f"{', '.join(named)}: applies only to a dataset config, not to models"
+                )
         if self.rank < 1:
             raise ConfigError(f"rank must be >= 1, got {self.rank}")
         if self.alignment_samples < 1:
@@ -124,7 +140,7 @@ def _parse_grouping(doc: object, idx: int) -> GroupingSpec:
     if doc.get("group2") is not None:
         group2 = _parse_predicate(doc["group2"], f"{where}.group2")
     return GroupingSpec(
-        name=str(doc["name"]),
+        name=_string(doc, "name", "", where),
         group1=_parse_predicate(doc["group1"], f"{where}.group1"),
         group2=group2,
     )
@@ -141,8 +157,8 @@ def _parse_model_entry(doc: object, idx: int) -> ModelEntry:
     if epsilon is not None and (isinstance(epsilon, bool) or not isinstance(epsilon, (int, float))):
         raise ConfigError(f"{where}.epsilon: expected a number, got {epsilon!r}")
     return ModelEntry(
-        name=str(doc["name"]),
-        path=None if doc.get("path") is None else str(doc["path"]),
+        name=_string(doc, "name", "", where),
+        path=_string(doc, "path", None, where),
         epsilon=None if epsilon is None else float(epsilon),
     )
 
@@ -175,11 +191,16 @@ def _integer(doc: dict, key: str, default: int) -> int:
     return value
 
 
-def _string(doc: dict, key: str, default: Optional[str]) -> Optional[str]:
-    """doc[key] when it is a YAML string; default when absent (or null, if default is None)."""
+def _string(doc: dict, key: str, default: Optional[str], where: Optional[str] = None) -> Optional[str]:
+    """doc[key] when it is a YAML string; default when absent (or null, if default is None).
+
+    A required key passes a non-None default, so null is rejected. `where` is the
+    path of the mapping doc sits at (e.g. "models[1]"), for the message.
+    """
     value = doc.get(key, default)
     if not isinstance(value, str) and not (value is None and default is None):
-        raise ConfigError(f"{key}: expected a string, got {value!r}")
+        field = key if where is None else f"{where}.{key}"
+        raise ConfigError(f"{field}: expected a string, got {value!r}")
     return value
 
 

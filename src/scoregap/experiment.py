@@ -35,7 +35,7 @@ from .metrics import improvement_report
 from .modelio import cost_from_matrix, load_model
 from .principal import PopulationModel, welfare_maximizing_rule
 
-RESULT_SCHEMA_VERSION = 2
+RESULT_SCHEMA_VERSION = 3
 
 # Error types that mean the instance violates the model's standing
 # assumptions (no gain possible anywhere) rather than being malformed.
@@ -108,17 +108,13 @@ def population_payload(model: PopulationModel, n_samples: int, seed: int,
     }
 
 
-def error_record(exc: Exception) -> dict:
-    """The `error` object that stands in a failed entry's place."""
-    return {"type": type(exc).__name__, "message": str(exc)}
-
-
 def _error_entry(name: str, exc: Exception) -> dict:
-    return {"name": name, "error": error_record(exc)}
+    """A failed entry: its name and an `error` object in place of the payload."""
+    return {"name": name, "error": {"type": type(exc).__name__, "message": str(exc)}}
 
 
 def prepare_features(config: ExperimentConfig) -> Tuple[Dataset, Tuple[str, ...], np.ndarray]:
-    """Load the config's dataset and build the features every subcommand projects.
+    """Load the config's dataset and build the features the pipeline projects.
 
     Returns (dataset, dropped column names, feature matrix). The dataset
     keeps the text of the columns the groupings' predicates read. A

@@ -9,7 +9,6 @@ import pytest
 
 import scoregap
 from scoregap import model_to_dict, render_json
-from scoregap.config import load_config
 from scoregap.cli import (
     EXIT_CONFIG,
     EXIT_DEGENERATE,
@@ -19,7 +18,7 @@ from scoregap.cli import (
     main,
 )
 
-from conftest import assert_fresh_alignments, count_moments, random_population
+from conftest import random_population
 
 TOY_CSV = """age,skill,effort,label
 22,0.5,1.2,1.9
@@ -41,20 +40,6 @@ groupings:
   - name: age
     group1: {{column: age, op: le, value: 35}}
 rank: 2
-alignment_samples: 2000
-seed: 3
-"""
-
-FIT_CONFIG = """
-dataset: {csv}
-groupings:
-  - name: age
-    group1: {{column: age, op: le, value: 35}}
-  - name: skill
-    group1: {{column: skill, op: gt, value: 0}}
-rank: 2
-wstar: fit:label
-standardize: true
 alignment_samples: 2000
 seed: 3
 """
@@ -92,12 +77,13 @@ class TestSynthetic:
         assert main(["check", model_path]) == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert doc["model"] == model_path
-        assert doc["fast_path"] == "orthogonal_subspaces"
-        assert doc["do_no_harm"]["group1"]["verdict"] is True
-        assert doc["do_no_harm"]["group2"]["verdict"] is True
-        assert doc["equal_improvement"]["verdict"] is False
-        assert doc["equal_improvement"]["value"] == pytest.approx(-0.98, abs=1e-12)
-        assert doc["per_unit_optimal"]["group1"]["verdict"] is True
+        conditions = doc["conditions"]
+        assert conditions["fast_path"] == "orthogonal_subspaces"
+        assert conditions["do_no_harm"]["group1"]["verdict"] is True
+        assert conditions["do_no_harm"]["group2"]["verdict"] is True
+        assert conditions["equal_improvement"]["verdict"] is False
+        assert conditions["equal_improvement"]["value"] == pytest.approx(-0.98, abs=1e-12)
+        assert conditions["per_unit_optimal"]["group1"]["verdict"] is True
 
 
 class TestCheck:
@@ -113,7 +99,15 @@ class TestCheck:
         }
         path = write(tmp_path, "flat.json", json.dumps(doc))
         assert main(["check", path]) == EXIT_DEGENERATE
-        assert "error:" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        # analyze writes the same failure as the entry's error object
+        cfg = models_yaml(tmp_path, f"models:\n  - name: flat\n    path: {path}\n")
+        assert main(["analyze", "--config", cfg]) == EXIT_DEGENERATE
+        (entry,) = json.loads(capsys.readouterr().out)["groupings"]
+        assert entry["error"]["type"] == "DegenerateObjectiveError"
+        assert captured.err == f"error: {entry['error']['message']}\n"
 
     def test_out_file(self, tmp_path, capsys):
         model_path = str(tmp_path / "m.json")
@@ -122,28 +116,57 @@ class TestCheck:
         assert main(["check", model_path, "--out", out_path]) == EXIT_OK
         assert capsys.readouterr().out == ""
         doc = json.loads(Path(out_path).read_text())
-        assert doc["schema_version"] == 2
-
+        assert doc["schema_version"] == 3
 
     def test_same_conditions_as_analyze(self, tmp_path, capsys):
-        # one model file, two subcommands: the guarantee reports must agree
-        model_path = str(tmp_path / "m.json")
-        model = random_population(np.random.default_rng(21), d=5)
-        Path(model_path).write_text(render_json(model_to_dict(model)), encoding="utf-8")
-        cfg = models_yaml(tmp_path, f"models:\n  - name: m\n    path: {model_path}\n")
-        assert main(["check", model_path]) == EXIT_OK
-        checked = json.loads(capsys.readouterr().out)
+        # one model file, two subcommands: check writes exactly the analyze entry's payload
+        rng = np.random.default_rng(21)
+        random_model = str(tmp_path / "random.json")
+        Path(random_model).write_text(
+            render_json(model_to_dict(random_population(rng, d=5))), encoding="utf-8")
+        two_axis = str(tmp_path / "two_axis.json")
+        assert main(["synthetic", "0.3", "--out", two_axis]) == EXIT_OK
+        rank_cut = write(tmp_path, "rank_cut.json", json.dumps({
+            "w_star": rng.standard_normal(6).tolist(),
+            "data1": rng.standard_normal((40, 6)).tolist(),
+            "data2": rng.standard_normal((30, 6)).tolist(),
+            "rank": 3,
+        }))
+        paths = {"random": random_model, "two_axis": two_axis, "rank_cut": rank_cut}
+        cfg = models_yaml(tmp_path, "models:\n" + "".join(
+            f"  - name: {name}\n    path: {path}\n" for name, path in paths.items()))
         assert main(["analyze", "--config", cfg]) == EXIT_OK
-        (entry,) = json.loads(capsys.readouterr().out)["groupings"]
-        assert {k: v for k, v in checked.items() if k not in ("schema_version", "model")} \
-            == entry["conditions"]
+        entries = {e["name"]: e for e in json.loads(capsys.readouterr().out)["groupings"]}
+        assert entries["rank_cut"]["effective_ranks"] == [3, 3]
+        for name, path in paths.items():
+            assert main(["check", path]) == EXIT_OK
+            checked = json.loads(capsys.readouterr().out)
+            assert checked.pop("schema_version") == 3
+            assert checked.pop("model") == path
+            skipped = ("name", "source", "group_sizes", "n_excluded")
+            assert checked == {k: v for k, v in entries[name].items() if k not in skipped}
+
+    def test_orthogonal_model_alignment_is_zero(self, tmp_path, capsys):
+        model_path = str(tmp_path / "m.json")
+        main(["synthetic", "0.4", "--out", model_path])
+        assert main(["check", model_path]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["alignment"] == 0.0
+
+    def test_identical_subspaces_alignment_is_one(self, tmp_path, capsys):
+        doc = {
+            "w_star": [1.0, 1.0],
+            "projection1": [[1.0, 0.0], [0.0, 1.0]],
+            "projection2": [[1.0, 0.0], [0.0, 1.0]],
+        }
+        path = write(tmp_path, "full.json", json.dumps(doc))
+        assert main(["check", path]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["alignment"] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestUnwritableOut:
     @pytest.mark.parametrize("command", [
         ["synthetic", "0.3"],
         ["check", "{model}"],
-        ["alignment", "--model", "{model}", "--samples", "100"],
         ["analyze", "--config", "{config}"],
         ["analyze", "--config", "{config}", "--format", "csv"],
     ])
@@ -208,7 +231,7 @@ class TestAnalyze:
         header = Path(out).read_text().splitlines()[0].split(",")
         assert header[0] == "name"
         sibling = json.loads(Path(out + ".json").read_text())
-        assert sibling["schema_version"] == 2
+        assert sibling["schema_version"] == 3
 
     def test_csv_format_stdout_only(self, tmp_path, capsys):
         cfg = toy_config(tmp_path)
@@ -227,6 +250,36 @@ class TestAnalyze:
         cfg = toy_config(tmp_path)
         assert main(["analyze", "--config", cfg, "--standardize"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["standardize"] is True
+
+    def test_seed_changes_alignment(self, tmp_path, capsys):
+        cfg = toy_config(tmp_path)
+        values = []
+        for seed in ("1", "2"):
+            assert main(["analyze", "--config", cfg, "--seed", seed]) == EXIT_OK
+            values.append(json.loads(capsys.readouterr().out)["groupings"][0]["alignment"])
+        assert values[0] != values[1]
+
+    @pytest.mark.parametrize("line, flags, key", [
+        pytest.param("encoding:\n  grade: [bad, good]", [], "encoding", id="encoding"),
+        pytest.param("drop_columns: [id]", [], "drop_columns", id="drop_columns"),
+        pytest.param("costs:\n  group1: 2.0", [], "costs.group1", id="costs.group1"),
+        pytest.param("costs:\n  group2: [[1.0, 0.0], [0.0, 1.0]]", [], "costs.group2",
+                     id="costs.group2"),
+        pytest.param('wstar: "fit:x"', [], "wstar", id="wstar"),
+        pytest.param("standardize: true", [], "standardize", id="standardize"),
+        pytest.param("rank: 3", [], "rank", id="rank"),
+        pytest.param("", ["--wstar", "fit:x"], "wstar", id="--wstar"),
+        pytest.param("", ["--standardize"], "standardize", id="--standardize"),
+        pytest.param("", ["--rank", "3"], "rank", id="--rank"),
+    ])
+    def test_dataset_only_setting_in_model_mode_is_a_usage_error(self, tmp_path, capsys,
+                                                                 line, flags, key):
+        # a model file fixes its own features, projections and costs
+        cfg = models_yaml(tmp_path, f"models:\n  - name: m\n    epsilon: 0.5\n{line}\n")
+        assert main(["analyze", "--config", cfg, *flags]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {key}: applies only to a dataset config, not to models\n"
 
     def test_missing_config(self, tmp_path, capsys):
         assert main(["analyze", "--config", str(tmp_path / "no.yaml")]) == EXIT_CONFIG
@@ -290,116 +343,25 @@ class TestAnalyze:
         assert main(["analyze", "--config", cfg]) == EXIT_DEGENERATE
         assert "DegenerateObjectiveError" in capsys.readouterr().err
 
-
-class TestAlignment:
-    def test_orthogonal_model_is_zero(self, tmp_path, capsys):
-        model_path = str(tmp_path / "m.json")
-        main(["synthetic", "0.4", "--out", model_path])
-        assert main(["alignment", "--model", model_path, "--samples", "500"]) == EXIT_OK
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["entries"]["model"] == 0.0
-        assert doc["n_samples"] == 500
-
-    def test_identical_subspaces_are_one(self, tmp_path, capsys):
-        doc = {
-            "w_star": [1.0, 1.0],
-            "projection1": [[1.0, 0.0], [0.0, 1.0]],
-            "projection2": [[1.0, 0.0], [0.0, 1.0]],
-        }
-        path = write(tmp_path, "full.json", json.dumps(doc))
-        assert main(["alignment", "--model", path, "--samples", "500"]) == EXIT_OK
-        out = json.loads(capsys.readouterr().out)
-        assert out["entries"]["model"] == pytest.approx(1.0, abs=1e-12)
-
-    def test_config_mode_lists_groupings(self, tmp_path, capsys):
-        cfg = toy_config(tmp_path)
-        assert main(["alignment", "--config", cfg, "--samples", "400"]) == EXIT_OK
-        doc = json.loads(capsys.readouterr().out)
-        assert set(doc["entries"]) == {"age"}
-        assert 0.0 <= doc["entries"]["age"] <= 1.0
-        assert doc["seed"] == 3  # config seed wins when flag absent
-
-    def test_seed_changes_estimate(self, tmp_path, capsys):
-        cfg = toy_config(tmp_path)
-        values = []
-        for seed in ("1", "2"):
-            main(["alignment", "--config", cfg, "--samples", "400", "--seed", seed])
-            values.append(json.loads(capsys.readouterr().out)["entries"]["age"])
-        assert values[0] != values[1]
-
-    def test_missing_model(self, tmp_path, capsys):
-        assert main(["alignment", "--model", str(tmp_path / "no.json")]) == EXIT_CONFIG
-
-    def test_config_mode_draws_once(self, tmp_path, capsys, monkeypatch):
-        csv_path = write(tmp_path, "toy.csv", TOY_CSV)
-        cfg = write(tmp_path, "fit.yaml", FIT_CONFIG.format(csv=csv_path))
-        calls = count_moments(monkeypatch)
-        assert main(["alignment", "--config", cfg]) == EXIT_OK
-        assert calls == [(3, 2000, 3)]
-        assert_fresh_alignments(load_config(cfg), json.loads(capsys.readouterr().out)["entries"])
-
-    @pytest.mark.parametrize("samples", ["0", "-5"])
-    def test_samples_below_one_is_a_usage_error(self, tmp_path, capsys, samples):
-        model_path = str(tmp_path / "m.json")
-        main(["synthetic", "0.4", "--out", model_path])
-        for source in (["--model", model_path], ["--config", toy_config(tmp_path)]):
-            assert main(["alignment", *source, "--samples", samples]) == EXIT_CONFIG
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err == f"error: --samples must be >= 1, got {samples}\n"
-
-    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys):
-        # rejected before either source is read
-        for source in ("--model", "--config"):
-            absent = str(tmp_path / "absent")
-            assert main(["alignment", source, absent, "--seed", "-1"]) == EXIT_CONFIG
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err == "error: --seed must be >= 0, got -1\n"
-
-    def test_rank_in_model_mode_is_a_usage_error(self, tmp_path, capsys):
-        # the model file is never read: the flag is rejected first
-        absent = str(tmp_path / "absent.json")
-        assert main(["alignment", "--model", absent, "--rank", "2"]) == EXIT_CONFIG
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: --rank applies only with --config\n"
-
-    def test_config_mode_equals_analyze(self, tmp_path, capsys):
-        # standardize and the fit: outcome column both shape the features
-        # analyze projects; the alignment subcommand must project the same ones
-        csv_path = write(tmp_path, "toy.csv", TOY_CSV)
-        cfg = write(tmp_path, "fit.yaml", FIT_CONFIG.format(csv=csv_path))
-        assert main(["alignment", "--config", cfg]) == EXIT_OK
-        entries = json.loads(capsys.readouterr().out)["entries"]
-        assert main(["analyze", "--config", cfg]) == EXIT_OK
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["feature_names"] == ["age", "skill", "effort"]
-        assert entries == {e["name"]: e["alignment"] for e in doc["groupings"]}
-
-    def test_config_mode_empty_group_is_an_ingest_error(self, tmp_path, capsys):
+    def test_empty_group_is_an_error_entry(self, tmp_path, capsys):
         cfg = toy_config(tmp_path)
         write(tmp_path, "config.yaml", Path(cfg).read_text().replace("value: 35", "value: 99"))
-        assert main(["alignment", "--config", cfg]) == EXIT_PARTIAL
+        assert main(["analyze", "--config", cfg]) == EXIT_PARTIAL
         captured = capsys.readouterr()
         assert "group 2 received zero rows" in captured.err
-        error = json.loads(captured.out)["entries"]["age"]["error"]
-        assert error["type"] == "EmptyGroupError"
+        (entry,) = json.loads(captured.out)["groupings"]
+        assert entry["error"]["type"] == "EmptyGroupError"
 
-    def test_config_mode_failed_grouping_is_an_error_entry(self, tmp_path, capsys):
-        # one grouping too small for the rank fails; the other is still reported,
-        # and the failure is the same error object analyze writes
+    def test_failed_grouping_is_an_error_entry(self, tmp_path, capsys):
+        # one grouping too small for the rank fails; the other is still reported
         cfg = toy_config(tmp_path)
         write(tmp_path, "config.yaml", Path(cfg).read_text().replace(
             "rank: 2", "  - name: old\n    group1: {column: age, op: ge, value: 60}\nrank: 2"))
         assert main(["analyze", "--config", cfg]) == EXIT_PARTIAL
-        doc = json.loads(capsys.readouterr().out)
-        analyzed = {e["name"]: e for e in doc["groupings"]}
-        assert main(["alignment", "--config", cfg]) == EXIT_PARTIAL
         captured = capsys.readouterr()
-        entries = json.loads(captured.out)["entries"]
-        assert entries["age"] == analyzed["age"]["alignment"]
-        assert entries["old"] == {"error": analyzed["old"]["error"]}
+        entries = {e["name"]: e for e in json.loads(captured.out)["groupings"]}
+        assert 0.0 <= entries["age"]["alignment"] <= 1.0
+        assert entries["old"] == {"name": "old", "error": entries["old"]["error"]}
         assert entries["old"]["error"]["type"] == "RankTooLargeError"
         assert captured.err.startswith("grouping old: RankTooLargeError: ")
 

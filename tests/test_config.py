@@ -94,7 +94,11 @@ class TestLoadConfig:
             load_config(write_yaml(tmp_path, "a: [unclosed"))
 
     def test_matrix_cost(self, tmp_path):
-        text = MODELS_YAML + "costs:\n  group1: [[2.0, 0.0], [0.0, 3.0]]\n"
+        text = (
+            "dataset: x.csv\n"
+            "groupings:\n  - name: g\n    group1: {column: a, op: le, value: 1}\n"
+            "costs:\n  group1: [[2.0, 0.0], [0.0, 3.0]]\n"
+        )
         cfg = load_config(write_yaml(tmp_path, text))
         np.testing.assert_array_equal(cfg.cost1, [[2, 0], [0, 3]])
         assert cfg.cost2 is None
@@ -186,6 +190,21 @@ class TestValidation:
         with pytest.raises(ConfigError) as info:
             config_from_dict(doc)
         assert str(info.value) == f"{key}: expected a string, got {value!r}"
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"dataset": "x.csv", "groupings": [
+            {"name": None, "group1": {"column": "a", "op": "le", "value": 1}}]},
+         "groupings[0].name: expected a string, got None"),
+        ({"models": [{"name": ["a", "b"], "epsilon": 0.5}]},
+         "models[0].name: expected a string, got ['a', 'b']"),
+        ({"models": [{"name": "m", "epsilon": 0.5}, {"name": None, "epsilon": 0.6}]},
+         "models[1].name: expected a string, got None"),
+        ({"models": [{"name": "m", "path": 7}]}, "models[0].path: expected a string, got 7"),
+    ])
+    def test_entry_names_and_paths_are_not_coerced(self, doc, message):
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(doc)
+        assert str(info.value) == message
 
     def test_null_dataset_and_out_mean_absent(self):
         config = config_from_dict({"models": [{"name": "m", "epsilon": 0.5}],

@@ -83,7 +83,7 @@ def dataset_config(tmp_path, **kwargs) -> ExperimentConfig:
 class TestModelMode:
     def test_two_axis_entry_values(self):
         result = run_analysis(models_config())
-        assert result["schema_version"] == 2
+        assert result["schema_version"] == 3
         assert result["n_failed"] == 0
         assert result["dataset"] is None
         (entry,) = result["groupings"]
@@ -285,7 +285,7 @@ class TestRendering:
         assert text1 == text2
         assert text1.endswith("\n")
         doc = json.loads(text1)
-        assert doc["schema_version"] == 2
+        assert doc["schema_version"] == 3
 
     def test_json_rejects_non_finite(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import argparse
 import os
 import re
 import subprocess
@@ -5,6 +6,7 @@ import sys
 from pathlib import Path
 
 import scoregap
+from scoregap.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -25,3 +27,12 @@ def test_quick_start_runs_and_exports_resolve():
     assert out.returncode == 0, out.stderr
     assert "'uI1_star'" in out.stdout and "'do_no_harm'" in out.stdout
     assert [name for name in scoregap.__all__ if not hasattr(scoregap, name)] == []
+
+
+def test_command_line_examples_name_every_subcommand():
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Command line"):]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    documented = {line.split()[1] for line in block.splitlines() if line.startswith("scoregap ")}
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert documented == set(subparsers.choices)
