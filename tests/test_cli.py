@@ -9,6 +9,7 @@ import pytest
 
 import scoregap
 from scoregap import model_to_dict, render_json
+from scoregap.config import load_config
 from scoregap.cli import (
     EXIT_CONFIG,
     EXIT_DEGENERATE,
@@ -18,7 +19,7 @@ from scoregap.cli import (
     main,
 )
 
-from conftest import random_population
+from conftest import assert_fresh_alignments, count_moments, random_population
 
 TOY_CSV = """age,skill,effort,label
 22,0.5,1.2,1.9
@@ -40,6 +41,20 @@ groupings:
   - name: age
     group1: {{column: age, op: le, value: 35}}
 rank: 2
+alignment_samples: 2000
+seed: 3
+"""
+
+FIT_CONFIG = """
+dataset: {csv}
+groupings:
+  - name: age
+    group1: {{column: age, op: le, value: 35}}
+  - name: skill
+    group1: {{column: skill, op: gt, value: 0}}
+rank: 2
+wstar: fit:label
+standardize: true
 alignment_samples: 2000
 seed: 3
 """
@@ -364,6 +379,55 @@ class TestAnalyze:
         assert entries["old"] == {"name": "old", "error": entries["old"]["error"]}
         assert entries["old"]["error"]["type"] == "RankTooLargeError"
         assert captured.err.startswith("grouping old: RankTooLargeError: ")
+
+
+class TestAlignment:
+    """The alignment figure, now reported by analyze entries and by check."""
+
+    def test_missing_model(self, tmp_path, capsys):
+        absent = str(tmp_path / "no.json")
+        assert main(["check", absent]) == EXIT_CONFIG
+        assert capsys.readouterr().out == ""
+        # in a models config the missing file is an error entry with no alignment
+        cfg = models_yaml(tmp_path, f"models:\n  - name: gone\n    path: {absent}\n")
+        assert main(["analyze", "--config", cfg]) == EXIT_PARTIAL
+        (entry,) = json.loads(capsys.readouterr().out)["groupings"]
+        assert set(entry) == {"name", "error"}
+        assert entry["error"]["type"] == "ConfigError"
+
+    def test_config_mode_draws_once(self, tmp_path, capsys, monkeypatch):
+        csv_path = write(tmp_path, "toy.csv", TOY_CSV)
+        cfg = write(tmp_path, "fit.yaml", FIT_CONFIG.format(csv=csv_path))
+        calls = count_moments(monkeypatch)
+        assert main(["analyze", "--config", cfg]) == EXIT_OK
+        assert calls == [(3, 2000, 3)]
+        entries = json.loads(capsys.readouterr().out)["groupings"]
+        assert [e["name"] for e in entries] == ["age", "skill"]
+        assert_fresh_alignments(load_config(cfg), {e["name"]: e["alignment"] for e in entries})
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_samples_below_one_is_a_usage_error(self, tmp_path, capsys, samples):
+        # rejected for either source, before the dataset or model file is read
+        absent = str(tmp_path / "absent")
+        for source in (f"dataset: {absent}\ngroupings:\n  - name: g\n"
+                       "    group1: {column: a, op: le, value: 1}\n",
+                       f"models:\n  - name: m\n    path: {absent}\n"):
+            cfg = write(tmp_path, "c.yaml", f"{source}alignment_samples: {samples}\n")
+            assert main(["analyze", "--config", cfg]) == EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: alignment_samples must be >= 1, got {samples}\n"
+
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys):
+        # a models config is rejected before its model file is read
+        absent = str(tmp_path / "absent.json")
+        cfg = models_yaml(tmp_path, f"models:\n  - name: m\n    path: {absent}\n")
+        negative = write(tmp_path, "negative.yaml", Path(cfg).read_text() + "seed: -2\n")
+        for argv, value in (([negative], "-2"), ([cfg, "--seed", "-1"], "-1")):
+            assert main(["analyze", "--config", *argv]) == EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: seed must be >= 0, got {value}\n"
 
 
 class TestImports:
