@@ -70,7 +70,6 @@ from .ingest import (
     Dataset,
     GroupPredicate,
     GroupingSpec,
-    fit_ground_truth,
     load_csv,
     split_masks,
     standardize_columns,
@@ -99,7 +98,7 @@ __all__ = [
     "check_equal_improvement", "check_per_unit_optimality",
     "check_sufficient_per_unit", "condition_report", "disparity_example",
     "Dataset", "GroupPredicate", "GroupingSpec", "load_csv", "split_masks",
-    "fit_ground_truth", "standardize_columns",
+    "standardize_columns",
     "ExperimentConfig", "ModelEntry", "load_config",
     "load_model", "model_from_dict", "model_to_dict",
     "prepare", "run_analysis", "population_payload", "render_json", "render_csv",

@@ -35,9 +35,7 @@ class CostMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        a = as_matrix(self.matrix, "cost matrix")
-        if a.shape[0] != a.shape[1]:
-            raise ShapeMismatchError(f"cost matrix must be square, got {a.shape}")
+        a = as_matrix(self.matrix, "cost matrix", square=True)
         if np.max(np.abs(a - a.T)) > SYMMETRY_TOL * np.max(np.abs(a)):
             raise NotPositiveDefiniteError("cost matrix is not symmetric")
         try:
@@ -102,19 +100,14 @@ class PeerDataset:
         That scale bounds each score's roundoff in any summation order, so
         the verdict does not depend on the units of the features or the rule.
         """
-        wv = as_vector(w, "w")
-        if wv.shape[0] != self.dim:
-            raise DimensionMismatchError(
-                f"rule has dim {wv.shape[0]}, peers have dim {self.dim}"
-            )
+        wv = as_vector(w, "w", self.dim)
         scale = np.max(np.abs(self.features) @ np.abs(wv))
         return bool(np.max(np.abs(self.features @ wv - self.scores)) <= REL_TOL * scale)
 
     @classmethod
     def from_rule(cls, features, w) -> "PeerDataset":
         x = as_matrix(features, "peer features")
-        wv = as_vector(w, "w")
-        return cls(features=x, scores=x @ wv)
+        return cls(features=x, scores=x @ as_vector(w, "w", x.shape[1]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,12 +140,7 @@ def estimate_rule_analytic(projection: ProjectionMatrix, w) -> np.ndarray:
     P w exactly, so the estimate is computed directly as the projection of
     the deployed rule.
     """
-    wv = as_vector(w, "w")
-    if wv.shape[0] != projection.dim:
-        raise DimensionMismatchError(
-            f"rule has dim {wv.shape[0]}, projection has dim {projection.dim}"
-        )
-    return projection.apply(wv)
+    return projection.apply(as_vector(w, "w", projection.dim))
 
 
 def estimate_rule_empirical(peers: PeerDataset) -> np.ndarray:
@@ -166,12 +154,7 @@ def estimate_rule_empirical(peers: PeerDataset) -> np.ndarray:
 
 def movement(group: Subgroup, w) -> np.ndarray:
     """Feature change a subgroup makes when rule w is deployed: A^{-1} P w."""
-    wv = as_vector(w, "w")
-    if wv.shape[0] != group.dim:
-        raise DimensionMismatchError(
-            f"rule has dim {wv.shape[0]}, subgroup has dim {group.dim}"
-        )
-    return group.cost.solve(group.projection.apply(wv))
+    return group.cost.solve(group.projection.apply(as_vector(w, "w", group.dim)))
 
 
 def best_response(group: Subgroup, x, w) -> np.ndarray:
@@ -180,12 +163,7 @@ def best_response(group: Subgroup, x, w) -> np.ndarray:
     The quadratic program has the closed form x + A^{-1} P w; the optimal
     shift does not depend on the starting point.
     """
-    xv = as_vector(x, "x")
-    if xv.shape[0] != group.dim:
-        raise DimensionMismatchError(
-            f"x has dim {xv.shape[0]}, subgroup has dim {group.dim}"
-        )
-    return xv + movement(group, w)
+    return as_vector(x, "x", group.dim) + movement(group, w)
 
 
 def utility(group: Subgroup, x, x_new, w) -> float:
@@ -193,14 +171,8 @@ def utility(group: Subgroup, x, x_new, w) -> float:
 
     u = <P w, x_new> - (1/2) (x_new - x)^T A (x_new - x).
     """
-    xv = as_vector(x, "x")
-    xn = as_vector(x_new, "x_new")
-    wv = as_vector(w, "w")
-    if not (xv.shape[0] == xn.shape[0] == wv.shape[0] == group.dim):
-        raise DimensionMismatchError(
-            f"dims (x={xv.shape[0]}, x_new={xn.shape[0]}, w={wv.shape[0]}) "
-            f"must all equal subgroup dim {group.dim}"
-        )
-    est = group.projection.apply(wv)
+    xv = as_vector(x, "x", group.dim)
+    xn = as_vector(x_new, "x_new", group.dim)
+    est = group.projection.apply(as_vector(w, "w", group.dim))
     delta = xn - xv
     return float(est @ xn) - 0.5 * group.cost.quad(delta)

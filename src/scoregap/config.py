@@ -9,14 +9,16 @@ here; command-line flags override individual fields.
 from __future__ import annotations
 
 import dataclasses
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 import yaml
 
-from .errors import ConfigError
+from .errors import ConfigError, IngestError, ScoregapError
 from .ingest import GroupPredicate, GroupingSpec, normalize_manifest
+from .linalg import as_matrix
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -121,9 +123,11 @@ def _parse_predicate(doc: object, where: str) -> GroupPredicate:
     value = doc["value"]
     if isinstance(value, list):
         value = tuple(value)
+    column = _string(doc["column"], f"{where}.column")
+    op = _string(doc["op"], f"{where}.op")
     try:
-        return GroupPredicate(column=str(doc["column"]), op=str(doc["op"]), value=value)
-    except Exception as exc:
+        return GroupPredicate(column=column, op=op, value=value)
+    except IngestError as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
 
@@ -140,7 +144,7 @@ def _parse_grouping(doc: object, idx: int) -> GroupingSpec:
     if doc.get("group2") is not None:
         group2 = _parse_predicate(doc["group2"], f"{where}.group2")
     return GroupingSpec(
-        name=_string(doc, "name", "", where),
+        name=_string(doc["name"], f"{where}.name"),
         group1=_parse_predicate(doc["group1"], f"{where}.group1"),
         group2=group2,
     )
@@ -157,8 +161,8 @@ def _parse_model_entry(doc: object, idx: int) -> ModelEntry:
     if epsilon is not None and (isinstance(epsilon, bool) or not isinstance(epsilon, (int, float))):
         raise ConfigError(f"{where}.epsilon: expected a number, got {epsilon!r}")
     return ModelEntry(
-        name=_string(doc, "name", "", where),
-        path=_string(doc, "path", None, where),
+        name=_string(doc["name"], f"{where}.name"),
+        path=_string(doc.get("path"), f"{where}.path", nullable=True),
         epsilon=None if epsilon is None else float(epsilon),
     )
 
@@ -168,19 +172,15 @@ def _parse_cost(doc: object, where: str) -> Union[None, float, np.ndarray]:
     if doc is None or doc == "identity":
         return None
     if isinstance(doc, (int, float)) and not isinstance(doc, bool):
-        scale = float(doc)
-        if scale <= 0:
-            raise ConfigError(f"{where}: scale must be positive, got {scale}")
-        return scale
+        if not 0 < doc <= sys.float_info.max:  # exact for ints; false for nan
+            raise ConfigError(f"{where}: scale must be a positive finite number, got {doc}")
+        return float(doc)
     if isinstance(doc, dict):
         raise ConfigError(f"{where}: expected a matrix, 'identity', or a positive number")
     try:
-        arr = np.asarray(doc, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: not a numeric matrix ({exc})") from None
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ConfigError(f"{where}: expected a square matrix, got shape {arr.shape}")
-    return arr
+        return as_matrix(doc, where, square=True)
+    except ScoregapError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _integer(doc: dict, key: str, default: int) -> int:
@@ -191,15 +191,9 @@ def _integer(doc: dict, key: str, default: int) -> int:
     return value
 
 
-def _string(doc: dict, key: str, default: Optional[str], where: Optional[str] = None) -> Optional[str]:
-    """doc[key] when it is a YAML string; default when absent (or null, if default is None).
-
-    A required key passes a non-None default, so null is rejected. `where` is the
-    path of the mapping doc sits at (e.g. "models[1]"), for the message.
-    """
-    value = doc.get(key, default)
-    if not isinstance(value, str) and not (value is None and default is None):
-        field = key if where is None else f"{where}.{key}"
+def _string(value: object, field: str, nullable: bool = False) -> Optional[str]:
+    """value when it is a YAML string (or null, when `nullable`); `field` is its path."""
+    if not isinstance(value, str) and not (nullable and value is None):
         raise ConfigError(f"{field}: expected a string, got {value!r}")
     return value
 
@@ -245,20 +239,20 @@ def config_from_dict(doc: object) -> ExperimentConfig:
         raise ConfigError(f"standardize: expected true or false, got {standardize!r}")
 
     return ExperimentConfig(
-        dataset=_string(doc, "dataset", None),
+        dataset=_string(doc.get("dataset"), "dataset", nullable=True),
         encoding=dict(encoding),
-        drop_columns=tuple(str(c) for c in drop),
+        drop_columns=tuple(_string(c, f"drop_columns[{i}]") for i, c in enumerate(drop)),
         groupings=groupings,
         models=models,
         rank=_integer(doc, "rank", DEFAULT_RANK),
         cost1=_parse_cost(costs.get("group1"), "costs.group1"),
         cost2=_parse_cost(costs.get("group2"), "costs.group2"),
-        wstar=_string(doc, "wstar", WSTAR_ONES),
+        wstar=_string(doc.get("wstar", WSTAR_ONES), "wstar"),
         standardize=standardize,
         alignment_samples=_integer(doc, "alignment_samples", DEFAULT_ALIGNMENT_SAMPLES),
         seed=_integer(doc, "seed", 0),
-        out=_string(doc, "out", None),
-        format=_string(doc, "format", "json"),
+        out=_string(doc.get("out"), "out", nullable=True),
+        format=_string(doc.get("format", "json"), "format"),
     )
 
 

@@ -29,8 +29,8 @@ from .errors import (
 from .agents import CostMatrix, Subgroup
 from .conditions import condition_report, disparity_example
 from .config import ExperimentConfig, ModelEntry
-from .ingest import Dataset, GroupingSpec, fit_ground_truth, load_csv, split_masks, standardize_columns
-from .linalg import alignment, subspace_projection
+from .ingest import Dataset, GroupingSpec, load_csv, split_masks, standardize_columns
+from .linalg import alignment, as_vector, min_norm_least_squares, subspace_projection
 from .metrics import improvement_report
 from .modelio import cost_from_matrix, load_model
 from .principal import PopulationModel, welfare_maximizing_rule
@@ -69,14 +69,9 @@ def _load_wstar_vector(path: str, dim: int) -> np.ndarray:
         except ValueError:
             raise ConfigError(f"{path}: neither JSON nor whitespace-separated numbers") from None
     try:
-        arr = np.asarray(values, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path}: expected a list of numbers") from None
-    if arr.ndim != 1 or arr.shape[0] != dim:
-        raise ConfigError(f"{path}: expected {dim} values, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ConfigError(f"{path}: contains non-finite values")
-    return arr
+        return as_vector(values, path, dim)
+    except ScoregapError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _resolve_wstar(config: ExperimentConfig, ds: Dataset, features: np.ndarray) -> np.ndarray:
@@ -84,7 +79,7 @@ def _resolve_wstar(config: ExperimentConfig, ds: Dataset, features: np.ndarray) 
     if config.wstar == "ones":
         return np.ones(dim)
     if config.wstar.startswith("fit:"):
-        return fit_ground_truth(features, ds.column(config.wstar[len("fit:"):]))
+        return min_norm_least_squares(features, ds.column(config.wstar[len("fit:"):]))
     return _load_wstar_vector(config.wstar[len("vector:"):], dim)
 
 

@@ -24,7 +24,7 @@ from .errors import (
     ShapeMismatchError,
     UnmappedCategoryError,
 )
-from .linalg import as_matrix, as_vector, frozen, min_norm_least_squares
+from .linalg import as_matrix, frozen
 
 # Cell values treated as missing; rows containing one in any used column
 # are dropped (and counted) rather than imputed.
@@ -271,7 +271,8 @@ class GroupPredicate:
 
     Comparators le/lt/ge/gt parse the raw value as a number; eq/ne/in
     compare text, accepting a numeric match as equal so "1" and "1.0"
-    agree.
+    agree. Construction checks `value`: le/lt/ge/gt need one that float()
+    accepts and that is not a bool, and in needs a list.
     """
 
     column: str
@@ -284,26 +285,30 @@ class GroupPredicate:
     def __post_init__(self):
         if self.op not in self._NUMERIC_OPS + self._SET_OPS:
             raise IngestError(f"unknown comparator {self.op!r}")
-
-    def _values(self) -> Tuple[object, ...]:
-        if self.op == "in":
-            if not isinstance(self.value, (list, tuple, set, frozenset)):
-                raise IngestError(f"'in' comparator needs a value list, got {self.value!r}")
-            return tuple(self.value)
-        return (self.value,)
+        if self.op == "in" and not isinstance(self.value, (list, tuple, set, frozenset)):
+            raise IngestError(f"'in' comparator needs a value list, got {self.value!r}")
+        if self.op in self._NUMERIC_OPS:
+            try:
+                float(self.value)  # type: ignore[arg-type]
+                numeric = not isinstance(self.value, bool)
+            except (TypeError, ValueError):
+                numeric = False
+            if not numeric:
+                raise IngestError(f"comparator {self.op!r} needs a numeric value, got {self.value!r}")
 
     def matches(self, raw: str) -> bool:
         if self.op in self._NUMERIC_OPS:
             try:
                 x = float(raw)
-                threshold = float(self.value)  # type: ignore[arg-type]
-            except (TypeError, ValueError):
+            except ValueError:
                 raise IngestError(
                     f"comparator {self.op!r} on column {self.column!r} needs numeric "
                     f"values, got cell {raw!r} vs {self.value!r}"
                 ) from None
+            threshold = float(self.value)  # type: ignore[arg-type]
             return {"le": x <= threshold, "lt": x < threshold, "ge": x >= threshold, "gt": x > threshold}[self.op]
-        hit = any(_text_equal(raw, v) for v in self._values())
+        values = self.value if self.op == "in" else (self.value,)
+        hit = any(_text_equal(raw, v) for v in values)
         return not hit if self.op == "ne" else hit
 
 
@@ -353,13 +358,6 @@ def split_masks(ds: Dataset, spec: GroupingSpec) -> Tuple[np.ndarray, np.ndarray
                 f"grouping {spec.name!r}: predicates overlap on {overlap} rows"
             )
     return mask1, mask2
-
-
-def fit_ground_truth(x_mat, y) -> np.ndarray:
-    """Fit a true-quality rule from observed outcomes by min-norm least squares."""
-    x = as_matrix(x_mat, "X")
-    yv = as_vector(y, "y")
-    return min_norm_least_squares(x, yv)
 
 
 def standardize_columns(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

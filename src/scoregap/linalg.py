@@ -8,6 +8,11 @@ seeds) they return identical outputs. The overlap is linear in the draws'
 second moment M = (1/n) sum x x^T over unit vectors x, so `sphere_moment`
 draws them once per (dim, n_samples, seed), in blocks whose size sets only
 memory and summation order, and each pair reads M through its two bases.
+
+`as_vector` and `as_matrix` are the one reader of outside values: every
+array that enters the program, from a config, a model file, a w* file or
+a library caller, becomes a finite float array of the checked shape
+through them, and each error they raise starts with the name it was given.
 """
 
 from __future__ import annotations
@@ -42,23 +47,34 @@ SYMMETRY_TOL = 1e-10
 _ALIGNMENT_BLOCK = 4096
 
 
-def as_vector(v, name: str = "vector") -> np.ndarray:
-    """Coerce to a finite float 1-D array."""
-    arr = np.asarray(v, dtype=float)
-    if arr.ndim != 1:
-        raise ShapeMismatchError(f"{name} must be 1-D, got shape {arr.shape}")
+def _as_array(value, name: str, ndim: int) -> np.ndarray:
+    """value as a finite float array with `ndim` axes; errors start with `name`."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        raise NonFiniteError(f"{name}: contains non-finite values") from None
+    except (TypeError, ValueError):
+        raise ShapeMismatchError(f"{name}: expected a list of numbers") from None
+    if arr.ndim != ndim:
+        raise ShapeMismatchError(f"{name}: expected a {ndim}-D array, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise NonFiniteError(f"{name} contains non-finite entries")
+        raise NonFiniteError(f"{name}: contains non-finite values")
     return arr
 
 
-def as_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite float 2-D array."""
-    arr = np.asarray(m, dtype=float)
-    if arr.ndim != 2:
-        raise ShapeMismatchError(f"{name} must be 2-D, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteError(f"{name} contains non-finite entries")
+def as_vector(v, name: str = "vector", dim: Optional[int] = None) -> np.ndarray:
+    """v as a finite float 1-D array, of length `dim` when given."""
+    arr = _as_array(v, name, 1)
+    if dim is not None and arr.shape[0] != dim:
+        raise DimensionMismatchError(f"{name}: expected {dim} values, got shape {arr.shape}")
+    return arr
+
+
+def as_matrix(m, name: str = "matrix", square: bool = False) -> np.ndarray:
+    """m as a finite float 2-D array, square when `square` is set."""
+    arr = _as_array(m, name, 2)
+    if square and arr.shape[0] != arr.shape[1]:
+        raise ShapeMismatchError(f"{name}: expected a square matrix, got shape {arr.shape}")
     return arr
 
 
@@ -115,9 +131,7 @@ class ProjectionMatrix:
         Accepts m when max |m - V V^T| <= REL_TOL: a projection has 2-norm
         1, so this one relative check covers symmetry, idempotence and trace.
         """
-        p = as_matrix(m, "projection")
-        if p.shape[0] != p.shape[1]:
-            raise ShapeMismatchError(f"projection must be square, got {p.shape}")
+        p = as_matrix(m, "projection", square=True)
         eigvals, eigvecs = np.linalg.eigh(p)
         out = cls(eigvecs[:, eigvals > 0.5])
         err = np.max(np.abs(p - out.matrix), initial=0.0)

@@ -16,36 +16,34 @@ import numpy as np
 
 from .errors import ConfigError, ScoregapError
 from .agents import CostMatrix, Subgroup
-from .linalg import ProjectionMatrix, subspace_projection
+from .linalg import ProjectionMatrix, as_matrix, as_vector, subspace_projection
 from .principal import PopulationModel
 
 MODEL_SCHEMA_VERSION = 1
 
 
-def _field_array(doc: dict, field: str, ndim: int) -> Optional[np.ndarray]:
-    if field not in doc or doc[field] is None:
+def _field_array(doc: dict, field: str, read=as_matrix) -> Optional[np.ndarray]:
+    """doc[field] through `read` (as_vector or as_matrix); None when absent or null."""
+    if doc.get(field) is None:
         return None
     try:
-        arr = np.asarray(doc[field], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{field}: not a numeric array ({exc})") from None
-    if arr.ndim != ndim:
-        raise ConfigError(f"{field}: expected a {ndim}-d array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ConfigError(f"{field}: contains non-finite values")
-    return arr
+        return read(doc[field], field)
+    except ScoregapError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _projection_from_doc(doc: dict, gid: int, rank: Optional[int]) -> ProjectionMatrix:
     proj_field = f"projection{gid}"
     data_field = f"data{gid}"
-    matrix = _field_array(doc, proj_field, 2)
+    matrix = _field_array(doc, proj_field)
+    data = _field_array(doc, data_field)
     if matrix is not None:
+        if data is not None:
+            raise ConfigError(f"{data_field}: set alongside {proj_field}; give only one")
         try:
             return ProjectionMatrix.from_matrix(matrix)
         except (ScoregapError, ValueError) as exc:
             raise ConfigError(f"{proj_field}: {exc}") from None
-    data = _field_array(doc, data_field, 2)
     if data is None:
         raise ConfigError(f"{proj_field}: missing (provide {proj_field} or {data_field})")
     k = rank if rank is not None else min(data.shape)
@@ -72,16 +70,19 @@ def model_from_dict(doc: dict) -> PopulationModel:
     """Build a PopulationModel from a parsed model document."""
     if not isinstance(doc, dict):
         raise ConfigError("model file must contain a JSON object")
-    w_star = _field_array(doc, "w_star", 1)
+    w_star = _field_array(doc, "w_star", as_vector)
     if w_star is None:
         raise ConfigError("w_star: missing")
     dim = w_star.shape[0]
     rank = doc.get("rank")
     if rank is not None and (isinstance(rank, bool) or not isinstance(rank, int) or rank < 1):
         raise ConfigError(f"rank: must be a positive integer, got {rank!r}")
+    if rank is not None and doc.get("data1") is None and doc.get("data2") is None:
+        raise ConfigError("rank: applies only to data1/data2, and neither is given")
     names = doc.get("names", ["group1", "group2"])
-    if not (isinstance(names, (list, tuple)) and len(names) == 2):
-        raise ConfigError(f"names: expected two entries, got {names!r}")
+    if not (isinstance(names, (list, tuple)) and len(names) == 2
+            and all(isinstance(name, str) for name in names)):
+        raise ConfigError(f"names: expected two strings, got {names!r}")
     groups = []
     for gid in (1, 2):
         proj = _projection_from_doc(doc, gid, rank)
@@ -90,8 +91,8 @@ def model_from_dict(doc: dict) -> PopulationModel:
                 f"projection{gid}: dimension {proj.dim} does not match w_star dimension {dim}"
             )
         field = f"cost{gid}"
-        cost = cost_from_matrix(_field_array(doc, field, 2), dim, field, "w_star dimension")
-        groups.append(Subgroup(name=str(names[gid - 1]), cost=cost, projection=proj))
+        cost = cost_from_matrix(_field_array(doc, field), dim, field, "w_star dimension")
+        groups.append(Subgroup(name=names[gid - 1], cost=cost, projection=proj))
     try:
         return PopulationModel(group1=groups[0], group2=groups[1], w_star=w_star)
     except ScoregapError as exc:

@@ -35,15 +35,11 @@ class PopulationModel:
     w_star: np.ndarray
 
     def __post_init__(self):
-        w = as_vector(self.w_star, "w_star")
         if self.group1.dim != self.group2.dim:
             raise DimensionMismatchError(
                 f"subgroup dims differ: {self.group1.dim} vs {self.group2.dim}"
             )
-        if w.shape[0] != self.group1.dim:
-            raise DimensionMismatchError(
-                f"w_star has dim {w.shape[0]}, subgroups have dim {self.group1.dim}"
-            )
+        w = as_vector(self.w_star, "w_star", self.group1.dim)
         object.__setattr__(self, "w_star", frozen(w))
         pulls = frozen([g.projection.apply(g.cost.solve(w)) for g in self.groups])
         gain = frozen(pulls[0] + pulls[1])
@@ -89,12 +85,7 @@ class PopulationModel:
 
     def as_rule(self, w) -> np.ndarray:
         """w as a finite vector of the model's dimension; raises otherwise."""
-        wv = as_vector(w, "w")
-        if wv.shape[0] != self.dim:
-            raise DimensionMismatchError(
-                f"rule has dim {wv.shape[0]}, model has dim {self.dim}"
-            )
-        return wv
+        return as_vector(w, "w", self.dim)
 
 
 def welfare_gain(model: PopulationModel, w) -> float:

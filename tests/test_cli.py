@@ -381,6 +381,69 @@ class TestAnalyze:
         assert captured.err.startswith("grouping old: RankTooLargeError: ")
 
 
+# The dataset is absent, so a config that got past loading would exit 3, not 2.
+REJECTED_CONFIG = """dataset: absent.csv
+drop_columns: [label]
+groupings:
+  - name: age
+    group1: {column: age, op: le, value: 35}
+"""
+REJECTED_MODEL = {"w_star": [1.0, 0.0], "projection1": [[1.0, 0.0], [0.0, 0.0]],
+                  "projection2": [[0.0, 0.0], [0.0, 1.0]]}
+
+
+def _config_with(old, new):
+    return "config.yaml", REJECTED_CONFIG.replace(old, new)
+
+
+def _model_with(**fields):
+    return "model.json", json.dumps(dict(REJECTED_MODEL, **fields))
+
+
+class TestRejectedValues:
+    @pytest.mark.parametrize("source, message", [
+        pytest.param(_config_with("column: age", "column: null"),
+                     "groupings[0].group1.column: expected a string, got None", id="null-column"),
+        pytest.param(_config_with("op: le", "op: [le]"),
+                     "groupings[0].group1.op: expected a string, got ['le']", id="list-op"),
+        pytest.param(_config_with("[label]", "[null]"),
+                     "drop_columns[0]: expected a string, got None", id="null-drop-column"),
+        pytest.param(_config_with("value: 35", "value: abc"),
+                     "groupings[0].group1: comparator 'le' needs a numeric value, got 'abc'",
+                     id="text-threshold"),
+        pytest.param(_config_with("value: 35", "value: true"),
+                     "groupings[0].group1: comparator 'le' needs a numeric value, got True",
+                     id="bool-threshold"),
+        pytest.param(_config_with("op: le, value: 35", "op: in, value: 30"),
+                     "groupings[0].group1: 'in' comparator needs a value list, got 30", id="in-scalar"),
+        pytest.param(_config_with("[label]\n", "[label]\ncosts: {group1: .inf}\n"),
+                     "costs.group1: scale must be a positive finite number, got inf", id="inf-scale"),
+        pytest.param(_config_with("[label]\n", "[label]\ncosts: {group2: .nan}\n"),
+                     "costs.group2: scale must be a positive finite number, got nan", id="nan-scale"),
+        pytest.param(_config_with("[label]\n", f"[label]\ncosts: {{group1: {10 ** 400}}}\n"),
+                     f"costs.group1: scale must be a positive finite number, got {10 ** 400}",
+                     id="huge-int-scale"),
+        pytest.param(_config_with("[label]\n", "[label]\ncosts: {group1: [[1, 0], [0, .nan]]}\n"),
+                     "costs.group1: contains non-finite values", id="nan-cost-matrix"),
+        pytest.param(_model_with(data1=[[1.0, 0.0]]),
+                     "data1: set alongside projection1; give only one", id="data-and-projection"),
+        pytest.param(_model_with(rank=1),
+                     "rank: applies only to data1/data2, and neither is given", id="rank-without-data"),
+        pytest.param(_model_with(names=[None, 7]),
+                     "names: expected two strings, got [None, 7]", id="non-string-names"),
+        pytest.param(_model_with(w_star=[10 ** 400, 0]),
+                     "w_star: contains non-finite values", id="huge-int-w_star"),
+    ])
+    def test_is_a_usage_error_naming_the_field(self, tmp_path, capsys, monkeypatch, source, message):
+        monkeypatch.chdir(tmp_path)
+        name, text = source
+        path = write(tmp_path, name, text)
+        argv = ["analyze", "--config", path] if name.endswith(".yaml") else ["check", path]
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
 class TestAlignment:
     """The alignment figure, now reported by analyze entries and by check."""
 

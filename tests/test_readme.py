@@ -5,8 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import yaml
+
 import scoregap
 from scoregap.cli import build_parser
+from scoregap.config import config_from_dict
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -36,3 +39,12 @@ def test_command_line_examples_name_every_subcommand():
     documented = {line.split()[1] for line in block.splitlines() if line.startswith("scoregap ")}
     subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert documented == set(subparsers.choices)
+
+
+def test_config_format_examples_load():
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Experiment config format"):text.index("## Model file format")]
+    blocks = re.findall(r"```yaml\n(.*?)```", section, re.S)
+    assert len(blocks) == 2
+    for block in blocks:
+        config_from_dict(yaml.safe_load(block))
