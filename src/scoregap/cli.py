@@ -20,7 +20,7 @@ from typing import Dict, Optional, TextIO
 
 from .errors import ConfigError, IngestError, ScoregapError
 from .conditions import disparity_example
-from .config import DEFAULT_ALIGNMENT_SAMPLES, load_config
+from .config import load_config
 from .experiment import (
     DEGENERATE_ERRORS,
     RESULT_SCHEMA_VERSION,
@@ -80,7 +80,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     config = load_config(args.config).override(
         out=args.out,
         format=args.format,
-        seed=args.seed,
         rank=args.rank,
         wstar=args.wstar,
         standardize=args.standardize,
@@ -104,8 +103,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    # the sample count and seed an `analyze` models config uses when it sets neither
-    payload = population_payload(load_model(args.model), DEFAULT_ALIGNMENT_SAMPLES, 0)
+    payload = population_payload(load_model(args.model))
     doc = {"schema_version": RESULT_SCHEMA_VERSION, "model": args.model, **payload}
     _emit(render_json(doc), args.out)
     return EXIT_OK
@@ -129,7 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--format", choices=("json", "csv"),
                          help="csv writes the flat table; with --out the JSON "
                               "document is also written to OUT.json")
-    analyze.add_argument("--seed", type=int, help="alignment sampling seed")
     analyze.add_argument("--rank", type=int, help="projection rank per subgroup")
     analyze.add_argument("--wstar", help="ones | fit:COLUMN | vector:FILE")
     analyze.add_argument("--standardize", action="store_const", const=True, default=None,

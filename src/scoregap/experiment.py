@@ -30,12 +30,15 @@ from .agents import CostMatrix, Subgroup
 from .conditions import condition_report, disparity_example
 from .config import ExperimentConfig, ModelEntry
 from .ingest import Dataset, GroupingSpec, load_csv, split_masks, standardize_columns
+# `alignment` is imported but not called: benchmarks/run.py wraps this name
+# and reads a sample count from its arguments. ROADMAP item 1 replaces that
+# counter, and this import goes with it.
 from .linalg import alignment, as_vector, min_norm_least_squares, subspace_projection
 from .metrics import improvement_report
 from .modelio import cost_from_matrix, load_model
 from .principal import PopulationModel, welfare_maximizing_rule
 
-RESULT_SCHEMA_VERSION = 3
+RESULT_SCHEMA_VERSION = 4
 
 # Error types that mean the instance violates the model's standing
 # assumptions (no gain possible anywhere) rather than being malformed.
@@ -83,18 +86,13 @@ def _resolve_wstar(config: ExperimentConfig, ds: Dataset, features: np.ndarray) 
     return _load_wstar_vector(config.wstar[len("vector:"):], dim)
 
 
-def population_payload(model: PopulationModel, n_samples: int, seed: int,
-                       moments: Optional[dict] = None) -> dict:
-    """Metrics, guarantees, and alignment for one population.
-
-    `moments` is the run's shared sphere-moment dict (see linalg.alignment).
-    """
+def population_payload(model: PopulationModel) -> dict:
+    """Metrics, guarantees, and alignment for one population."""
     rule = welfare_maximizing_rule(model)
     metrics = improvement_report(model, rule)
     conditions = condition_report(model)
-    overlap = alignment(model.group1.projection, model.group2.projection, n_samples, seed, moments)
     return {
-        "alignment": overlap,
+        "alignment": model.alignment,
         "welfare_rule": rule.tolist(),
         "effective_ranks": [g.projection.rank for g in model.groups],
         "tie_warnings": [g.projection.tie_warning for g in model.groups],
@@ -184,8 +182,6 @@ def prepare(config: ExperimentConfig) -> Tuple[dict, List[Population]]:
     meta: Dict[str, object] = {
         "schema_version": RESULT_SCHEMA_VERSION,
         "rank": config.rank,
-        "seed": config.seed,
-        "alignment_samples": config.alignment_samples,
         "wstar": config.wstar,
         "standardize": config.standardize,
         "dataset": config.dataset,
@@ -214,14 +210,13 @@ def run_analysis(config: ExperimentConfig) -> dict:
     """
     meta, populations = prepare(config)
     entries: List[dict] = []
-    moments: dict = {}
     for name, accounting, model in populations:
         if isinstance(model, ScoregapError):
             entries.append(_error_entry(name, model))
             continue
         try:
             entry = {"name": name, **accounting}
-            entry.update(population_payload(model, config.alignment_samples, config.seed, moments))
+            entry.update(population_payload(model))
         except ScoregapError as exc:
             entry = _error_entry(name, exc)
         entries.append(entry)

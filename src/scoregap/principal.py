@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DegenerateObjectiveError, DimensionMismatchError
 from .agents import Subgroup
-from .linalg import REL_TOL, as_vector, frozen
+from .linalg import REL_TOL, alignment, as_vector, frozen
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,6 +28,7 @@ class PopulationModel:
     welfare. Every guarantee is a closed form in five more cached numbers:
     the 2x2 Gram matrix `gram` = T T^T of the pulls and `perceived` =
     (n_1, n_2) with n_g = ||P_g s|| = ||V_g^T s|| for the basis V_g.
+    `alignment` is the overlap tr(P_1 P_2)/d of the two perceived subspaces.
     """
 
     group1: Subgroup
@@ -48,6 +49,7 @@ class PopulationModel:
         object.__setattr__(self, "gram", frozen(pulls @ pulls.T))
         perceived = tuple(float(np.linalg.norm(g.projection.basis.T @ gain)) for g in self.groups)
         object.__setattr__(self, "perceived", perceived)
+        object.__setattr__(self, "alignment", alignment(*(g.projection for g in self.groups)))
 
     @property
     def dim(self) -> int:

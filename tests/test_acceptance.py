@@ -74,9 +74,7 @@ def criterion(num, desc, limit=None):
 
 def test_criterion_1_two_axis_exact_values():
     with criterion(1, "two-axis example reproduced exactly through the pipeline", limit=1.0):
-        cfg = ExperimentConfig(
-            models=(ModelEntry(name="eps", epsilon=0.1),), alignment_samples=1000
-        )
+        cfg = ExperimentConfig(models=(ModelEntry(name="eps", epsilon=0.1),))
         (entry,) = run_analysis(cfg)["groupings"]
         root = math.sqrt(1.0 - 0.01)
         m = entry["metrics"]
@@ -308,8 +306,6 @@ def test_criterion_9_cli_determinism(tmp_path, capsys):
             "  - name: age\n"
             "    group1: {column: age, op: le, value: 40}\n"
             "rank: 2\n"
-            "alignment_samples: 50000\n"
-            "seed: 17\n"
         )
         out1, out2 = tmp_path / "run1.json", tmp_path / "run2.json"
         assert main(["analyze", "--config", str(config_path), "--out", str(out1)]) == 0

@@ -9,7 +9,6 @@ import pytest
 
 import scoregap
 from scoregap import model_to_dict, render_json
-from scoregap.config import load_config
 from scoregap.cli import (
     EXIT_CONFIG,
     EXIT_DEGENERATE,
@@ -19,7 +18,7 @@ from scoregap.cli import (
     main,
 )
 
-from conftest import assert_fresh_alignments, count_moments, random_population
+from conftest import random_population
 
 TOY_CSV = """age,skill,effort,label
 22,0.5,1.2,1.9
@@ -41,22 +40,6 @@ groupings:
   - name: age
     group1: {{column: age, op: le, value: 35}}
 rank: 2
-alignment_samples: 2000
-seed: 3
-"""
-
-FIT_CONFIG = """
-dataset: {csv}
-groupings:
-  - name: age
-    group1: {{column: age, op: le, value: 35}}
-  - name: skill
-    group1: {{column: skill, op: gt, value: 0}}
-rank: 2
-wstar: fit:label
-standardize: true
-alignment_samples: 2000
-seed: 3
 """
 
 
@@ -131,7 +114,7 @@ class TestCheck:
         assert main(["check", model_path, "--out", out_path]) == EXIT_OK
         assert capsys.readouterr().out == ""
         doc = json.loads(Path(out_path).read_text())
-        assert doc["schema_version"] == 3
+        assert doc["schema_version"] == 4
 
     def test_same_conditions_as_analyze(self, tmp_path, capsys):
         # one model file, two subcommands: check writes exactly the analyze entry's payload
@@ -156,7 +139,7 @@ class TestCheck:
         for name, path in paths.items():
             assert main(["check", path]) == EXIT_OK
             checked = json.loads(capsys.readouterr().out)
-            assert checked.pop("schema_version") == 3
+            assert checked.pop("schema_version") == 4
             assert checked.pop("model") == path
             skipped = ("name", "source", "group_sizes", "n_excluded")
             assert checked == {k: v for k, v in entries[name].items() if k not in skipped}
@@ -223,7 +206,6 @@ class TestAnalyze:
     def test_model_config_values(self, tmp_path, capsys):
         cfg = models_yaml(tmp_path, (
             "models:\n  - name: eps01\n    epsilon: 0.1\n"
-            "alignment_samples: 1000\n"
         ))
         assert main(["analyze", "--config", cfg]) == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
@@ -246,7 +228,7 @@ class TestAnalyze:
         header = Path(out).read_text().splitlines()[0].split(",")
         assert header[0] == "name"
         sibling = json.loads(Path(out + ".json").read_text())
-        assert sibling["schema_version"] == 3
+        assert sibling["schema_version"] == 4
 
     def test_csv_format_stdout_only(self, tmp_path, capsys):
         cfg = toy_config(tmp_path)
@@ -265,14 +247,6 @@ class TestAnalyze:
         cfg = toy_config(tmp_path)
         assert main(["analyze", "--config", cfg, "--standardize"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["standardize"] is True
-
-    def test_seed_changes_alignment(self, tmp_path, capsys):
-        cfg = toy_config(tmp_path)
-        values = []
-        for seed in ("1", "2"):
-            assert main(["analyze", "--config", cfg, "--seed", seed]) == EXIT_OK
-            values.append(json.loads(capsys.readouterr().out)["groupings"][0]["alignment"])
-        assert values[0] != values[1]
 
     @pytest.mark.parametrize("line, flags, key", [
         pytest.param("encoding:\n  grade: [bad, good]", [], "encoding", id="encoding"),
@@ -318,13 +292,18 @@ class TestAnalyze:
         assert not (tmp_path / "7").exists()
 
     def test_negative_seed_is_a_usage_error(self, tmp_path, capsys):
+        # a config's `seed` is still read and checked; the --seed flag is gone
         cfg = toy_config(tmp_path)
-        negative = write(tmp_path, "negative.yaml", Path(cfg).read_text().replace("seed: 3", "seed: -2"))
-        for argv, value in (([negative], "-2"), ([cfg, "--seed", "-1"], "-1")):
-            assert main(["analyze", "--config", *argv]) == EXIT_CONFIG
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err == f"error: seed must be >= 0, got {value}\n"
+        negative = write(tmp_path, "negative.yaml", Path(cfg).read_text() + "seed: -2\n")
+        assert main(["analyze", "--config", negative]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: seed must be >= 0, got -2\n")
+        with pytest.raises(SystemExit) as info:
+            main(["analyze", "--config", cfg, "--seed", "1"])
+        assert info.value.code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: unrecognized arguments: --seed 1" in captured.err
 
     def test_missing_dataset_file(self, tmp_path, capsys):
         cfg = write(tmp_path, "c.yaml", TOY_CONFIG.format(csv=str(tmp_path / "gone.csv")))
@@ -336,7 +315,6 @@ class TestAnalyze:
             "models:\n"
             "  - name: fine\n    epsilon: 0.5\n"
             f"  - name: broken\n    path: {tmp_path / 'absent.json'}\n"
-            "alignment_samples: 1000\n"
         ))
         assert main(["analyze", "--config", cfg]) == EXIT_PARTIAL
         captured = capsys.readouterr()
@@ -353,7 +331,6 @@ class TestAnalyze:
         model_path = write(tmp_path, "flat.json", json.dumps(doc))
         cfg = models_yaml(tmp_path, (
             f"models:\n  - name: flat\n    path: {model_path}\n"
-            "alignment_samples: 1000\n"
         ))
         assert main(["analyze", "--config", cfg]) == EXIT_DEGENERATE
         assert "DegenerateObjectiveError" in capsys.readouterr().err
@@ -425,6 +402,11 @@ class TestRejectedValues:
                      id="huge-int-scale"),
         pytest.param(_config_with("[label]\n", "[label]\ncosts: {group1: [[1, 0], [0, .nan]]}\n"),
                      "costs.group1: contains non-finite values", id="nan-cost-matrix"),
+        pytest.param(("config.yaml", f"models:\n  - name: m\n    epsilon: {10 ** 400}\n"),
+                     f"models[0].epsilon: expected a finite number, got {10 ** 400}",
+                     id="huge-int-epsilon"),
+        pytest.param(("config.yaml", "models:\n  - name: m\n    epsilon: .inf\n"),
+                     "models[0].epsilon: expected a finite number, got inf", id="inf-epsilon"),
         pytest.param(_model_with(data1=[[1.0, 0.0]]),
                      "data1: set alongside projection1; give only one", id="data-and-projection"),
         pytest.param(_model_with(rank=1),
@@ -458,19 +440,10 @@ class TestAlignment:
         assert set(entry) == {"name", "error"}
         assert entry["error"]["type"] == "ConfigError"
 
-    def test_config_mode_draws_once(self, tmp_path, capsys, monkeypatch):
-        csv_path = write(tmp_path, "toy.csv", TOY_CSV)
-        cfg = write(tmp_path, "fit.yaml", FIT_CONFIG.format(csv=csv_path))
-        calls = count_moments(monkeypatch)
-        assert main(["analyze", "--config", cfg]) == EXIT_OK
-        assert calls == [(3, 2000, 3)]
-        entries = json.loads(capsys.readouterr().out)["groupings"]
-        assert [e["name"] for e in entries] == ["age", "skill"]
-        assert_fresh_alignments(load_config(cfg), {e["name"]: e["alignment"] for e in entries})
-
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_samples_below_one_is_a_usage_error(self, tmp_path, capsys, samples):
-        # rejected for either source, before the dataset or model file is read
+        # alignment_samples is no longer a key: rejected for either source,
+        # before the dataset or model file is read
         absent = str(tmp_path / "absent")
         for source in (f"dataset: {absent}\ngroupings:\n  - name: g\n"
                        "    group1: {column: a, op: le, value: 1}\n",
@@ -479,18 +452,22 @@ class TestAlignment:
             assert main(["analyze", "--config", cfg]) == EXIT_CONFIG
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert captured.err == f"error: alignment_samples must be >= 1, got {samples}\n"
+            assert captured.err == "error: unknown config keys: ['alignment_samples']\n"
 
     def test_negative_seed_is_a_usage_error(self, tmp_path, capsys):
         # a models config is rejected before its model file is read
         absent = str(tmp_path / "absent.json")
         cfg = models_yaml(tmp_path, f"models:\n  - name: m\n    path: {absent}\n")
         negative = write(tmp_path, "negative.yaml", Path(cfg).read_text() + "seed: -2\n")
-        for argv, value in (([negative], "-2"), ([cfg, "--seed", "-1"], "-1")):
-            assert main(["analyze", "--config", *argv]) == EXIT_CONFIG
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err == f"error: seed must be >= 0, got {value}\n"
+        assert main(["analyze", "--config", negative]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: seed must be >= 0, got -2\n")
+        with pytest.raises(SystemExit) as info:
+            main(["analyze", "--config", cfg, "--seed", "-1"])
+        assert info.value.code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: unrecognized arguments: --seed -1" in captured.err
 
 
 class TestImports:

@@ -8,7 +8,6 @@ from scoregap import (
     load_config,
 )
 from scoregap.config import (
-    DEFAULT_ALIGNMENT_SAMPLES,
     DEFAULT_RANK,
     config_from_dict,
 )
@@ -31,8 +30,6 @@ costs:
   group2: 2.5
 wstar: "fit:label"
 standardize: true
-alignment_samples: 5000
-seed: 7
 out: results.json
 format: json
 """
@@ -68,8 +65,6 @@ class TestLoadConfig:
         assert cfg.cost2 == 2.5
         assert cfg.wstar == "fit:label"
         assert cfg.standardize is True
-        assert cfg.alignment_samples == 5000
-        assert cfg.seed == 7
         assert cfg.out == "results.json"
 
     def test_models_config_defaults(self, tmp_path):
@@ -79,8 +74,6 @@ class TestLoadConfig:
         assert cfg.models[0] == ModelEntry(name="synthetic", epsilon=0.1)
         assert cfg.models[1] == ModelEntry(name="stored", path="some/model.json")
         assert cfg.rank == DEFAULT_RANK
-        assert cfg.alignment_samples == DEFAULT_ALIGNMENT_SAMPLES
-        assert cfg.seed == 0
         assert cfg.wstar == "ones"
         assert cfg.standardize is False
         assert cfg.format == "json"
@@ -169,17 +162,26 @@ class TestValidation:
     def test_bad_rank_and_samples(self):
         models = [{"name": "m", "epsilon": 0.5}]
         for key, value in [
-            ("rank", 0), ("alignment_samples", 0), ("seed", -2),
+            ("rank", 0), ("seed", -2),
             # only a YAML integer is accepted: no truncation, no bools, no strings
             ("rank", 2.7), ("rank", True), ("rank", "3"), ("rank", None),
             ("seed", 1.9), ("seed", False), ("seed", "7"),
-            ("alignment_samples", 2.5), ("alignment_samples", True),
             # and only a YAML bool for standardize
             ("standardize", "false"), ("standardize", "no"), ("standardize", 1),
             ("standardize", None),
         ]:
             with pytest.raises(ConfigError, match=key):
                 config_from_dict({"models": models, key: value})
+        # alignment is exact, so the sample count is no longer a key
+        for value in (0, 5000, 2.5, True):
+            with pytest.raises(ConfigError) as info:
+                config_from_dict({"models": models, "alignment_samples": value})
+            assert str(info.value) == "unknown config keys: ['alignment_samples']"
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_seed_is_read_and_dropped(self, seed):
+        models = [{"name": "m", "epsilon": 0.5}]
+        assert config_from_dict({"models": models, "seed": seed}) == config_from_dict({"models": models})
 
     @pytest.mark.parametrize("key, value", [
         ("dataset", ["a", "b"]), ("dataset", 7), ("out", 7), ("out", True),
@@ -241,15 +243,15 @@ class TestValidation:
 
 class TestOverride:
     def test_non_none_values_win(self):
-        cfg = ExperimentConfig(models=(ModelEntry(name="m", epsilon=0.5),), seed=3)
-        out = cfg.override(seed=11, rank=None, out="o.json")
-        assert out.seed == 11
+        cfg = ExperimentConfig(models=(ModelEntry(name="m", epsilon=0.5),), format="csv")
+        out = cfg.override(format="json", rank=None, out="o.json")
+        assert out.format == "json"
         assert out.rank == cfg.rank
         assert out.out == "o.json"
 
     def test_no_overrides_is_identity(self):
         cfg = ExperimentConfig(models=(ModelEntry(name="m", epsilon=0.5),))
-        assert cfg.override(seed=None, out=None) is cfg
+        assert cfg.override(format=None, out=None) is cfg
 
     def test_override_still_validates(self):
         cfg = ExperimentConfig(models=(ModelEntry(name="m", epsilon=0.5),))

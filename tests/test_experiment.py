@@ -14,6 +14,7 @@ from scoregap import (
     PopulationModel,
     ProjectionMatrix,
     Subgroup,
+    load_config,
     model_to_dict,
 )
 from scoregap.experiment import (
@@ -25,14 +26,10 @@ from scoregap.experiment import (
 )
 from scoregap.ingest import GroupPredicate, GroupingSpec
 
-from conftest import assert_fresh_alignments, count_moments
-
 
 def models_config(**kwargs) -> ExperimentConfig:
     defaults = dict(
         models=(ModelEntry(name="eps01", epsilon=0.1),),
-        alignment_samples=2000,
-        seed=0,
     )
     defaults.update(kwargs)
     return ExperimentConfig(**defaults)
@@ -73,8 +70,6 @@ def dataset_config(tmp_path, **kwargs) -> ExperimentConfig:
             GroupingSpec(name="age", group1=GroupPredicate("age", "le", 35)),
         ),
         rank=2,
-        alignment_samples=2000,
-        seed=1,
     )
     defaults.update(kwargs)
     return ExperimentConfig(**defaults)
@@ -83,7 +78,7 @@ def dataset_config(tmp_path, **kwargs) -> ExperimentConfig:
 class TestModelMode:
     def test_two_axis_entry_values(self):
         result = run_analysis(models_config())
-        assert result["schema_version"] == 3
+        assert result["schema_version"] == 4
         assert result["n_failed"] == 0
         assert result["dataset"] is None
         (entry,) = result["groupings"]
@@ -285,7 +280,7 @@ class TestRendering:
         assert text1 == text2
         assert text1.endswith("\n")
         doc = json.loads(text1)
-        assert doc["schema_version"] == 3
+        assert doc["schema_version"] == 4
 
     def test_json_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -336,12 +331,15 @@ class TestRendering:
         assert row["rank1"] == "2"
 
 
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+
+
 class TestBenchmarkTrace:
     def test_traced_run_equals_untraced(self, tmp_path, monkeypatch):
         # benchmarks/run.py --trace 1 replaces names that experiment and
         # modelio import with timed wrappers; the pipeline must still reach
-        # them, with the arguments the counters read, and give the same document
-        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "benchmarks"))
+        # them and give the same document
+        monkeypatch.syspath_prepend(str(BENCHMARKS))
         import run
         from tracer import Tracer
         from scoregap import experiment, modelio
@@ -350,7 +348,7 @@ class TestBenchmarkTrace:
             ModelEntry(name="eps01", epsilon=0.1),
             ModelEntry(name="eps06", epsilon=0.6),
             ModelEntry(name="file", path=write_random_model(tmp_path)),
-        ), alignment_samples=1000)
+        ))
         plain = render_json(run_analysis(config))
         tracer = Tracer()
         run._install(tracer, experiment, modelio)
@@ -360,31 +358,23 @@ class TestBenchmarkTrace:
             tracer.remove()
         assert traced == plain
         assert json.loads(plain)["n_failed"] == 0
-        # one positional experiment.alignment call per entry, or the counter reads 0
-        assert tracer.counts["linalg.alignment_samples"] == 3 * 1000
+        # alignment is exact and computed with each PopulationModel, so the
+        # sampler counters read zero: nothing is drawn
+        assert tracer.counts["linalg.alignment_samples"] == 0
+        assert tracer.counts["linalg.alignment_flops"] == 0
         assert tracer.counts["linalg.subspace_projection_calls"] > 0
 
 
-class TestSharedMoment:
-    def test_csv_run_draws_once_for_all_groupings(self, tmp_path, monkeypatch):
-        config = dataset_config(tmp_path, groupings=(
-            GroupingSpec(name="age", group1=GroupPredicate("age", "le", 35)),
-            GroupingSpec(name="skill", group1=GroupPredicate("skill", "gt", 0)),
-            GroupingSpec(name="effort", group1=GroupPredicate("effort", "gt", 0)),
-        ))
-        calls = count_moments(monkeypatch)
-        result = run_analysis(config)
-        assert calls == [(3, 2000, 1)]
-        assert result["n_failed"] == 0
-        assert_fresh_alignments(config, {e["name"]: e["alignment"] for e in result["groupings"]})
+class TestBenchmarkWorkloads:
+    @pytest.mark.parametrize("name", ["models", "credit", "adult"])
+    def test_seed_one_inputs_pass_the_benchmark_check(self, tmp_path, monkeypatch, name):
+        # the benchmark's own generator and checker, on its seed-1 inputs:
+        # its configs still load and every document passes its checks
+        monkeypatch.syspath_prepend(str(BENCHMARKS))
+        import workloads
+        from check import alignment_errors, problems
 
-    def test_model_run_draws_once_per_dimension(self, tmp_path, monkeypatch):
-        config = models_config(models=(
-            ModelEntry(name="eps01", epsilon=0.1),
-            ModelEntry(name="file", path=write_random_model(tmp_path)),
-            ModelEntry(name="eps06", epsilon=0.6),
-        ))
-        calls = count_moments(monkeypatch)
-        result = run_analysis(config)
-        assert calls == [(2, 2000, 0), (4, 2000, 0)]
-        assert_fresh_alignments(config, {e["name"]: e["alignment"] for e in result["groupings"]})
+        wl = workloads.generate(name, BENCHMARKS.parent, tmp_path, seed=1)
+        doc = run_analysis(load_config(str(wl.config)))
+        assert problems(doc, wl) == []
+        assert max(alignment_errors(doc, wl)) <= 1e-12
