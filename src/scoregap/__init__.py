@@ -76,7 +76,7 @@ from .ingest import (
 )
 from .config import ExperimentConfig, ModelEntry, load_config
 from .modelio import load_model, model_from_dict, model_to_dict
-from .experiment import population_payload, prepare, render_csv, render_json, run_analysis
+from .experiment import population_payload, render_csv, render_json, run_analysis
 
 __version__ = "0.1.0"
 
@@ -101,6 +101,6 @@ __all__ = [
     "standardize_columns",
     "ExperimentConfig", "ModelEntry", "load_config",
     "load_model", "model_from_dict", "model_to_dict",
-    "prepare", "run_analysis", "population_payload", "render_json", "render_csv",
+    "run_analysis", "population_payload", "render_json", "render_csv",
     "__version__",
 ]

@@ -193,6 +193,14 @@ def _string(value: object, field: str, nullable: bool = False) -> Optional[str]:
     return value
 
 
+def _list(doc: dict, key: str, items: str) -> list:
+    """doc[key] when it is a YAML list; [] when absent or falsy."""
+    value = doc.get(key) or []
+    if not isinstance(value, list):
+        raise ConfigError(f"{key}: expected a list of {items}")
+    return value
+
+
 _KNOWN_KEYS = {
     "dataset", "encoding", "drop_columns", "groupings", "models", "rank",
     "costs", "wstar", "standardize", "seed", "out", "format",
@@ -219,16 +227,9 @@ def config_from_dict(doc: object) -> ExperimentConfig:
     if bad:
         raise ConfigError(f"costs: unknown keys {sorted(bad)}")
 
-    groupings = tuple(
-        _parse_grouping(g, i) for i, g in enumerate(doc.get("groupings") or [])
-    )
-    models = tuple(
-        _parse_model_entry(m, i) for i, m in enumerate(doc.get("models") or [])
-    )
-
-    drop = doc.get("drop_columns") or []
-    if not isinstance(drop, list):
-        raise ConfigError("drop_columns: expected a list of column names")
+    groupings = tuple(_parse_grouping(g, i) for i, g in enumerate(_list(doc, "groupings", "groupings")))
+    models = tuple(_parse_model_entry(m, i) for i, m in enumerate(_list(doc, "models", "model entries")))
+    drop = _list(doc, "drop_columns", "column names")
     standardize = doc.get("standardize", False)
     if not isinstance(standardize, bool):
         raise ConfigError(f"standardize: expected true or false, got {standardize!r}")
@@ -261,6 +262,6 @@ def load_config(path: str) -> ExperimentConfig:
             doc = yaml.safe_load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot open config {path}: {exc}") from None
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: an integer too long to convert
         raise ConfigError(f"{path} is not valid YAML: {exc}") from None
     return config_from_dict(doc)

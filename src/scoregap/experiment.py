@@ -1,13 +1,13 @@
 """The analyze pipeline: datasets or prebuilt models in, metric reports out.
 
-`prepare` turns a config into populations: for each grouping it splits
-the rows and builds each subgroup's perceived subspace from its own rows
-(or it loads each listed model). `run_analysis` then deploys the
-welfare-maximizing rule on each population and reports the six headline
-quantities (total and per-unit improvements, per-unit optima for both
-groups) plus subspace alignment and the full guarantee report. Entries
-are isolated: one failing grouping becomes an error entry instead of
-aborting the run.
+`run_analysis` makes one pass per grouping or model entry: it splits the
+rows and builds each subgroup's perceived subspace from its own rows (or
+it loads the listed model), deploys the welfare-maximizing rule and
+reports the six headline quantities (total and per-unit improvements,
+per-unit optima for both groups) plus subspace alignment and the full
+guarantee report. Each entry is built and analysed under one error
+boundary: a failing grouping becomes an error entry instead of aborting
+the run.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -62,11 +62,11 @@ def _load_wstar_vector(path: str, dim: int) -> np.ndarray:
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot open w* file {path}: {exc}") from None
     try:
         values = json.loads(text)
-    except json.JSONDecodeError:
+    except ValueError:  # JSONDecodeError, or an integer too long to convert
         try:
             values = [float(tok) for tok in text.split()]
         except ValueError:
@@ -75,15 +75,6 @@ def _load_wstar_vector(path: str, dim: int) -> np.ndarray:
         return as_vector(values, path, dim)
     except ScoregapError as exc:
         raise ConfigError(str(exc)) from None
-
-
-def _resolve_wstar(config: ExperimentConfig, ds: Dataset, features: np.ndarray) -> np.ndarray:
-    dim = features.shape[1]
-    if config.wstar == "ones":
-        return np.ones(dim)
-    if config.wstar.startswith("fit:"):
-        return min_norm_least_squares(features, ds.column(config.wstar[len("fit:"):]))
-    return _load_wstar_vector(config.wstar[len("vector:"):], dim)
 
 
 def population_payload(model: PopulationModel) -> dict:
@@ -101,31 +92,32 @@ def population_payload(model: PopulationModel) -> dict:
     }
 
 
-def _error_entry(name: str, exc: Exception) -> dict:
-    """A failed entry: its name and an `error` object in place of the payload."""
-    return {"name": name, "error": {"type": type(exc).__name__, "message": str(exc)}}
+def prepare_features(config: ExperimentConfig) -> Tuple[Dataset, Tuple[str, ...], np.ndarray, np.ndarray]:
+    """Load the config's dataset and build the features and w* the pipeline uses.
 
-
-def prepare_features(config: ExperimentConfig) -> Tuple[Dataset, Tuple[str, ...], np.ndarray]:
-    """Load the config's dataset and build the features the pipeline projects.
-
-    Returns (dataset, dropped column names, feature matrix). The dataset
-    keeps the text of the columns the groupings' predicates read. A
-    `fit:` outcome column is dropped along with `drop_columns`, and
-    `standardize` is applied here.
+    Returns (dataset, dropped column names, feature matrix, w*). The
+    dataset keeps the text of the columns the groupings' predicates read.
+    A `fit:` outcome column is dropped along with `drop_columns`, and
+    `standardize` is applied before w* is fitted.
     """
     predicates = [p for spec in config.groupings for p in (spec.group1, spec.group2) if p is not None]
     ds = load_csv(config.dataset, config.encoding, {p.column for p in predicates})
     drop = tuple(config.drop_columns)
-    if config.wstar.startswith("fit:"):
-        fit_column = config.wstar[len("fit:"):]
-        ds.column_index(fit_column)
-        if fit_column not in drop:
-            drop += (fit_column,)
+    source, _, argument = config.wstar.partition(":")
+    if source == "fit":
+        ds.column_index(argument)
+        if argument not in drop:
+            drop += (argument,)
     features = ds.feature_matrix(drop)
     if config.standardize:
         features, _, _ = standardize_columns(features)
-    return ds, drop, features
+    if source == "fit":
+        w_star = min_norm_least_squares(features, ds.column(argument))
+    elif source == "vector":
+        w_star = _load_wstar_vector(argument, features.shape[1])
+    else:
+        w_star = np.ones(features.shape[1])
+    return ds, drop, features, w_star
 
 
 def _grouping_model(spec: GroupingSpec, ds: Dataset, features: np.ndarray,
@@ -158,47 +150,17 @@ def _listed_model(entry: ModelEntry) -> Tuple[dict, PopulationModel]:
     return {"source": source, "group_sizes": None, "n_excluded": None}, model
 
 
-Population = Tuple[str, dict, Union[PopulationModel, ScoregapError]]
+def _entry(name: str, build, *args) -> dict:
+    """One result entry: the population `build(*args)` returns, analysed.
 
-
-def _built(name: str, build, *args) -> Population:
+    A ScoregapError raised while building or analysing it becomes the
+    entry's `error` object in place of the payload.
+    """
     try:
         accounting, model = build(*args)
+        return {"name": name, **accounting, **population_payload(model)}
     except ScoregapError as exc:
-        return name, {}, exc
-    return name, accounting, model
-
-
-def prepare(config: ExperimentConfig) -> Tuple[dict, List[Population]]:
-    """Turn a config into the run's metadata and one population per entry.
-
-    Each population is (name, accounting, model), where accounting holds
-    the entry's row counts (or its model source) and model is the
-    PopulationModel, or the ScoregapError that building it raised. Errors
-    that poison the whole run (unreadable dataset, bad w* source) raise.
-    The list is complete before it is returned, so the dataset is freed
-    before any population is analysed.
-    """
-    meta: Dict[str, object] = {
-        "schema_version": RESULT_SCHEMA_VERSION,
-        "rank": config.rank,
-        "wstar": config.wstar,
-        "standardize": config.standardize,
-        "dataset": config.dataset,
-        "n_rows": None,
-        "n_dropped": None,
-    }
-    if config.dataset is not None:
-        ds, drop, features = prepare_features(config)
-        w_star = _resolve_wstar(config, ds, features)
-        meta["n_rows"] = ds.size
-        meta["n_dropped"] = ds.n_dropped
-        meta["feature_names"] = list(ds.feature_names(drop))
-        populations = [_built(spec.name, _grouping_model, spec, ds, features, w_star, config)
-                       for spec in config.groupings]
-    else:
-        populations = [_built(entry.name, _listed_model, entry) for entry in config.models]
-    return meta, populations
+        return {"name": name, "error": {"type": type(exc).__name__, "message": str(exc)}}
 
 
 def run_analysis(config: ExperimentConfig) -> dict:
@@ -208,24 +170,26 @@ def run_analysis(config: ExperimentConfig) -> dict:
     bad w* source) raise; errors scoped to one entry are captured inside
     that entry.
     """
-    meta, populations = prepare(config)
-    entries: List[dict] = []
-    for name, accounting, model in populations:
-        if isinstance(model, ScoregapError):
-            entries.append(_error_entry(name, model))
-            continue
-        try:
-            entry = {"name": name, **accounting}
-            entry.update(population_payload(model))
-        except ScoregapError as exc:
-            entry = _error_entry(name, exc)
-        entries.append(entry)
-
+    result: Dict[str, object] = {
+        "schema_version": RESULT_SCHEMA_VERSION,
+        "rank": config.rank,
+        "wstar": config.wstar,
+        "standardize": config.standardize,
+        "dataset": config.dataset,
+        "n_rows": None,
+        "n_dropped": None,
+    }
+    if config.dataset is not None:
+        ds, drop, features, w_star = prepare_features(config)
+        result.update(n_rows=ds.size, n_dropped=ds.n_dropped, feature_names=list(ds.feature_names(drop)))
+        entries = [_entry(spec.name, _grouping_model, spec, ds, features, w_star, config)
+                   for spec in config.groupings]
+    else:
+        entries = [_entry(entry.name, _listed_model, entry) for entry in config.models]
     entries.sort(key=lambda e: e["name"])
-    failures = [e for e in entries if "error" in e]
-    meta["groupings"] = entries
-    meta["n_failed"] = len(failures)
-    return meta
+    result["groupings"] = entries
+    result["n_failed"] = sum("error" in e for e in entries)
+    return result
 
 
 def classify_failures(result: dict) -> Optional[str]:

@@ -93,10 +93,7 @@ def model_from_dict(doc: dict) -> PopulationModel:
         field = f"cost{gid}"
         cost = cost_from_matrix(_field_array(doc, field), dim, field, "w_star dimension")
         groups.append(Subgroup(name=names[gid - 1], cost=cost, projection=proj))
-    try:
-        return PopulationModel(group1=groups[0], group2=groups[1], w_star=w_star)
-    except ScoregapError as exc:
-        raise ConfigError(str(exc)) from None
+    return PopulationModel(group1=groups[0], group2=groups[1], w_star=w_star)
 
 
 def model_to_dict(model: PopulationModel) -> dict:
@@ -118,7 +115,7 @@ def load_model(path: str) -> PopulationModel:
             doc = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot open model file {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise ConfigError(f"{path} is not valid JSON: {exc}") from None
     return model_from_dict(doc)
 

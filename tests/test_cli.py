@@ -385,6 +385,12 @@ class TestRejectedValues:
                      "groupings[0].group1.op: expected a string, got ['le']", id="list-op"),
         pytest.param(_config_with("[label]", "[null]"),
                      "drop_columns[0]: expected a string, got None", id="null-drop-column"),
+        pytest.param(("config.yaml", "dataset: absent.csv\ngroupings: 5\n"),
+                     "groupings: expected a list of groupings", id="scalar-groupings"),
+        pytest.param(("config.yaml", "models: 7\n"),
+                     "models: expected a list of model entries", id="scalar-models"),
+        pytest.param(("config.yaml", "models: true\n"),
+                     "models: expected a list of model entries", id="bool-models"),
         pytest.param(_config_with("value: 35", "value: abc"),
                      "groupings[0].group1: comparator 'le' needs a numeric value, got 'abc'",
                      id="text-threshold"),
@@ -415,6 +421,8 @@ class TestRejectedValues:
                      "names: expected two strings, got [None, 7]", id="non-string-names"),
         pytest.param(_model_with(w_star=[10 ** 400, 0]),
                      "w_star: contains non-finite values", id="huge-int-w_star"),
+        pytest.param(_model_with(projection1=None, data1=[[1.0, 0.0]], rank=2),
+                     "data1: rank k=2 exceeds min(n, d)=1", id="rank-above-data1"),
     ])
     def test_is_a_usage_error_naming_the_field(self, tmp_path, capsys, monkeypatch, source, message):
         monkeypatch.chdir(tmp_path)
@@ -424,6 +432,48 @@ class TestRejectedValues:
         assert main(argv) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+# An integer literal longer than Python's int-conversion limit (4,300
+# digits by default). Where the reader's own error text follows, it varies
+# by Python version, so only the message prefix is pinned.
+HUGE_INT = "1" * 5000
+
+
+class TestWstarFile:
+    @pytest.mark.parametrize("text, message", [
+        pytest.param(None, "cannot open w* file {path}: ", id="unreadable"),
+        pytest.param("1.0 \xff 2.0\n", "cannot open w* file {path}: ", id="not-utf-8"),
+        pytest.param("1.0 two 3.0\n", "{path}: neither JSON nor whitespace-separated numbers\n",
+                     id="not-numbers"),
+        pytest.param(f"[{HUGE_INT}, 0, 0]", "{path}: neither JSON nor whitespace-separated numbers\n",
+                     id="huge-int"),
+    ])
+    def test_is_a_usage_error_naming_the_file(self, tmp_path, capsys, text, message):
+        path = tmp_path / "wstar.txt"
+        if text is not None:
+            path.write_bytes(text.encode("latin-1"))  # one byte per character, so \xff is not UTF-8
+        cfg = toy_config(tmp_path, f"wstar: vector:{path}\n")
+        assert main(["analyze", "--config", cfg]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: " + message.format(path=path))
+
+
+class TestHugeIntegers:
+    def test_config(self, tmp_path, capsys):
+        cfg = models_yaml(tmp_path, f"models:\n  - name: m\n    epsilon: 0.5\nrank: {HUGE_INT}\n")
+        assert main(["analyze", "--config", cfg]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {cfg} is not valid YAML")
+
+    def test_model_file(self, tmp_path, capsys):
+        model = write(tmp_path, "model.json", json.dumps(REJECTED_MODEL).replace("1.0", HUGE_INT, 1))
+        assert main(["check", model]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {model} is not valid JSON")
 
 
 class TestAlignment:

@@ -19,7 +19,7 @@ from scoregap import (
     NonFiniteError,
     UnmappedCategoryError,
     load_csv,
-    prepare,
+    run_analysis,
     split_masks,
     standardize_columns,
 )
@@ -513,12 +513,12 @@ class TestSplit:
             ),
             rank=1,
         )
-        _, populations = prepare(config)
-        (name, accounting, error), (_, _, model) = populations
-        assert (name, accounting) == ("none", {})
-        assert isinstance(error, EmptyGroupError)
-        assert str(error) == "grouping 'none': group 1 received zero rows"
-        assert model.group1.name == "age:1"
+        analysed, failed = run_analysis(config)["groupings"]
+        assert failed == {"name": "none", "error": {
+            "type": EmptyGroupError.__name__,
+            "message": "grouping 'none': group 1 received zero rows"}}
+        assert analysed["name"] == "age" and "error" not in analysed
+        assert analysed["group_sizes"] == [2, 1]
 
     def test_split_respects_drop(self, tmp_path):
         ds = load_csv(write_csv(tmp_path, NUMERIC_CSV), text_columns=["age"])

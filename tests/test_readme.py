@@ -1,5 +1,7 @@
 import argparse
+import importlib
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -48,3 +50,16 @@ def test_config_format_examples_load():
     assert len(blocks) == 2
     for block in blocks:
         config_from_dict(yaml.safe_load(block))
+
+
+def test_box_references_resolve():
+    # every backticked `module.name` in the module tour names something that exists
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## What is in the box"):text.index("## Install")]
+    submodules = {info.name for info in pkgutil.iter_modules(scoregap.__path__)}
+    references = [ref for span in re.findall(r"`([^`]+)`", section)
+                  for ref in re.findall(r"^(\w+)\.(\w+)", span) if ref[0] in submodules]
+    assert references
+    missing = [f"{module}.{name}" for module, name in references
+               if not hasattr(importlib.import_module(f"scoregap.{module}"), name)]
+    assert missing == []
