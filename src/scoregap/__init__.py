@@ -75,7 +75,7 @@ from .ingest import (
     standardize_columns,
 )
 from .config import ExperimentConfig, ModelEntry, load_config
-from .modelio import load_model, model_from_dict, model_to_dict
+from .modelio import load_model, model_from_dict
 from .experiment import population_payload, render_csv, render_json, run_analysis
 
 __version__ = "0.1.0"
@@ -100,7 +100,7 @@ __all__ = [
     "Dataset", "GroupPredicate", "GroupingSpec", "load_csv", "split_masks",
     "standardize_columns",
     "ExperimentConfig", "ModelEntry", "load_config",
-    "load_model", "model_from_dict", "model_to_dict",
+    "load_model", "model_from_dict",
     "run_analysis", "population_payload", "render_json", "render_csv",
     "__version__",
 ]

@@ -1,9 +1,8 @@
 """Command-line front end.
 
 Subcommands:
-  analyze    run the experiment pipeline from a config file
-  check      write the payload an `analyze` entry holds for one model file
-  synthetic  write the two-axis disparity construction as a model file
+  analyze  run the experiment pipeline from a config file
+  check    write the payload an `analyze` entry holds for one model file
 
 Exit codes: 0 success, 2 config/usage error, 3 ingest error, 4 numerical
 degeneracy (no rule can help anyone), 5 partial failure (some `analyze`
@@ -19,7 +18,6 @@ import sys
 from typing import Dict, Optional, TextIO
 
 from .errors import ConfigError, IngestError, ScoregapError
-from .conditions import disparity_example
 from .config import load_config
 from .experiment import (
     DEGENERATE_ERRORS,
@@ -30,7 +28,7 @@ from .experiment import (
     render_json,
     run_analysis,
 )
-from .modelio import load_model, model_to_dict
+from .modelio import load_model
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -109,11 +107,6 @@ def cmd_check(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_synthetic(args: argparse.Namespace) -> int:
-    _emit(render_json(model_to_dict(disparity_example(args.epsilon))), args.out)
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scoregap",
@@ -137,11 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("model", help="model file (JSON)")
     check.add_argument("--out", help="output path (default: stdout)")
     check.set_defaults(func=cmd_check)
-
-    synthetic = sub.add_parser("synthetic", help="write the disparity-example model")
-    synthetic.add_argument("epsilon", type=float, help="strictly between 0 and 1")
-    synthetic.add_argument("--out", help="model file path (default: stdout)")
-    synthetic.set_defaults(func=cmd_synthetic)
 
     return parser
 

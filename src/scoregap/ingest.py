@@ -218,39 +218,41 @@ def load_csv(path: str, manifest: Optional[ManifestSpec] = None,
     """
     norm = normalize_manifest(manifest)
     try:
-        handle = open(path, newline="", encoding="utf-8")
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise IngestError(f"{path} is empty; a header row is required") from None
+            names = tuple(h.strip() for h in header)
+            if not names:
+                raise IngestError(f"{path} has a blank header row")
+            if len(set(names)) != len(names):
+                raise IngestError(f"{path} has duplicate column names")
+            for name in norm:
+                if name not in names:
+                    raise MissingColumnError(f"manifest names column {name!r} not present in {path}")
+
+            mappings = [norm.get(n) for n in names]
+            wanted = set(text_columns)
+            texts: Dict[str, list] = {n: [] for n in names if n in wanted}
+            blocks = []
+            n_read = 0
+            while True:
+                records = list(itertools.islice(reader, _BLOCK_ROWS))
+                if not records:
+                    break
+                values, columns = _encode_block(records, names, mappings, n_read + 2)
+                blocks.append(values)
+                for name, cells in zip(names, columns):
+                    if name in texts:
+                        texts[name].extend(cells)
+                n_read += len(records)
     except OSError as exc:
         raise IngestError(f"cannot open {path}: {exc}") from None
-    with handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError(f"{path} is empty; a header row is required") from None
-        names = tuple(h.strip() for h in header)
-        if not names:
-            raise IngestError(f"{path} has a blank header row")
-        if len(set(names)) != len(names):
-            raise IngestError(f"{path} has duplicate column names")
-        for name in norm:
-            if name not in names:
-                raise MissingColumnError(f"manifest names column {name!r} not present in {path}")
-
-        mappings = [norm.get(n) for n in names]
-        wanted = set(text_columns)
-        texts: Dict[str, list] = {n: [] for n in names if n in wanted}
-        blocks = []
-        n_read = 0
-        while True:
-            records = list(itertools.islice(reader, _BLOCK_ROWS))
-            if not records:
-                break
-            values, columns = _encode_block(records, names, mappings, n_read + 2)
-            blocks.append(values)
-            for name, cells in zip(names, columns):
-                if name in texts:
-                    texts[name].extend(cells)
-            n_read += len(records)
+    except UnicodeDecodeError as exc:  # raised as the header or a record block is read
+        raise IngestError(f"{path} is not UTF-8 text: byte 0x{exc.object[exc.start]:02x} "
+                          "cannot be decoded") from None
 
     n_kept = sum(map(len, blocks))
     if not n_kept:

@@ -84,8 +84,9 @@ class ProjectionMatrix:
 
     `basis` V is d x r (r = 0 for the zero projection), accepted when
     max |V^T V - I| <= REL_TOL. P x is V (V^T x). `matrix` is the dense,
-    symmetrized V V^T, formed on first use (model files and `from_matrix`
-    read it; `alignment` does not). See subspace_projection for `tie_warning`.
+    symmetrized V V^T, formed on first use (`from_matrix` checks a model
+    file's projection against it; nothing else in the pipeline reads it).
+    See subspace_projection for `tie_warning`.
     """
 
     basis: np.ndarray

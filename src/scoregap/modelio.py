@@ -1,10 +1,11 @@
-"""Reading and writing population model files.
+"""Reading population model files.
 
-A model file is a JSON document carrying the true-quality direction, both
+A model file is a JSON object carrying the true-quality direction, both
 cost matrices, and both projections as dense arrays. Projections may
 instead be derived from raw sample matrices. A dense projection becomes
-an orthonormal basis once, on load. Validation errors name the offending
-field so malformed files are diagnosable.
+an orthonormal basis once, on load. The reader is strict: a key outside
+MODEL_KEYS or a `schema_version` other than MODEL_SCHEMA_VERSION is an
+error, and every validation error names the offending field.
 """
 
 from __future__ import annotations
@@ -20,6 +21,10 @@ from .linalg import ProjectionMatrix, as_matrix, as_vector, subspace_projection
 from .principal import PopulationModel
 
 MODEL_SCHEMA_VERSION = 1
+MODEL_KEYS = frozenset({
+    "schema_version", "names", "w_star", "cost1", "cost2",
+    "projection1", "projection2", "data1", "data2", "rank",
+})
 
 
 def _field_array(doc: dict, field: str, read=as_matrix) -> Optional[np.ndarray]:
@@ -70,6 +75,12 @@ def model_from_dict(doc: dict) -> PopulationModel:
     """Build a PopulationModel from a parsed model document."""
     if not isinstance(doc, dict):
         raise ConfigError("model file must contain a JSON object")
+    unknown = set(doc) - MODEL_KEYS
+    if unknown:
+        raise ConfigError(f"unknown model keys: {sorted(unknown)}")
+    version = doc.get("schema_version", MODEL_SCHEMA_VERSION)
+    if type(version) is not int or version != MODEL_SCHEMA_VERSION:
+        raise ConfigError(f"schema_version: expected {MODEL_SCHEMA_VERSION}, got {version!r}")
     w_star = _field_array(doc, "w_star", as_vector)
     if w_star is None:
         raise ConfigError("w_star: missing")
@@ -94,19 +105,6 @@ def model_from_dict(doc: dict) -> PopulationModel:
         cost = cost_from_matrix(_field_array(doc, field), dim, field, "w_star dimension")
         groups.append(Subgroup(name=names[gid - 1], cost=cost, projection=proj))
     return PopulationModel(group1=groups[0], group2=groups[1], w_star=w_star)
-
-
-def model_to_dict(model: PopulationModel) -> dict:
-    """Serialize a PopulationModel to the model-file document shape."""
-    return {
-        "schema_version": MODEL_SCHEMA_VERSION,
-        "names": [model.group1.name, model.group2.name],
-        "w_star": model.w_star.tolist(),
-        "cost1": model.group1.cost.matrix.tolist(),
-        "cost2": model.group2.cost.matrix.tolist(),
-        "projection1": model.group1.projection.matrix.tolist(),
-        "projection2": model.group2.projection.matrix.tolist(),
-    }
 
 
 def load_model(path: str) -> PopulationModel:

@@ -3,6 +3,7 @@
 import numpy as np
 
 from scoregap import CostMatrix, PopulationModel, ProjectionMatrix, Subgroup
+from scoregap.modelio import MODEL_SCHEMA_VERSION
 
 # populated by test_acceptance, printed at the end of the run
 ACCEPTANCE_RESULTS = []
@@ -102,3 +103,15 @@ def random_unit_rules(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     w = rng.standard_normal((n, d))
     return w / np.linalg.norm(w, axis=1, keepdims=True)
 
+
+def model_to_dict(model: PopulationModel) -> dict:
+    """A model file's document for `model`, with dense projections."""
+    return {
+        "schema_version": MODEL_SCHEMA_VERSION,
+        "names": [model.group1.name, model.group2.name],
+        "w_star": model.w_star.tolist(),
+        "cost1": model.group1.cost.matrix.tolist(),
+        "cost2": model.group2.cost.matrix.tolist(),
+        "projection1": model.group1.projection.matrix.tolist(),
+        "projection2": model.group2.projection.matrix.tolist(),
+    }

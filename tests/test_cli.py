@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import scoregap
-from scoregap import model_to_dict, render_json
+from scoregap import disparity_example, render_json
 from scoregap.cli import (
     EXIT_CONFIG,
     EXIT_DEGENERATE,
@@ -18,7 +18,7 @@ from scoregap.cli import (
     main,
 )
 
-from conftest import random_population
+from conftest import model_to_dict, random_population
 
 TOY_CSV = """age,skill,effort,label
 22,0.5,1.2,1.9
@@ -58,20 +58,14 @@ def models_yaml(tmp_path, body):
     return write(tmp_path, "models.yaml", body)
 
 
-class TestSynthetic:
-    def test_writes_model_to_stdout(self, capsys):
-        assert main(["synthetic", "0.3"]) == EXIT_OK
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["w_star"] == [0.3, pytest.approx(np.sqrt(1 - 0.09))]
-        assert doc["projection1"] == [[1.0, 0.0], [0.0, 0.0]]
+def two_axis_model(tmp_path, epsilon, name="m.json"):
+    """The two-axis disparity construction written as a model file."""
+    return write(tmp_path, name, render_json(model_to_dict(disparity_example(epsilon))))
 
-    def test_out_of_range_epsilon(self, capsys):
-        assert main(["synthetic", "1.5"]) == EXIT_CONFIG
-        assert "error:" in capsys.readouterr().err
 
+class TestCheck:
     def test_round_trip_through_check(self, tmp_path, capsys):
-        model_path = str(tmp_path / "model.json")
-        assert main(["synthetic", "0.1", "--out", model_path]) == EXIT_OK
+        model_path = two_axis_model(tmp_path, 0.1)
         assert main(["check", model_path]) == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert doc["model"] == model_path
@@ -83,8 +77,6 @@ class TestSynthetic:
         assert conditions["equal_improvement"]["value"] == pytest.approx(-0.98, abs=1e-12)
         assert conditions["per_unit_optimal"]["group1"]["verdict"] is True
 
-
-class TestCheck:
     def test_missing_model_file(self, tmp_path, capsys):
         assert main(["check", str(tmp_path / "absent.json")]) == EXIT_CONFIG
         assert "cannot open" in capsys.readouterr().err
@@ -108,8 +100,7 @@ class TestCheck:
         assert captured.err == f"error: {entry['error']['message']}\n"
 
     def test_out_file(self, tmp_path, capsys):
-        model_path = str(tmp_path / "m.json")
-        main(["synthetic", "0.5", "--out", model_path])
+        model_path = two_axis_model(tmp_path, 0.5)
         out_path = str(tmp_path / "report.json")
         assert main(["check", model_path, "--out", out_path]) == EXIT_OK
         assert capsys.readouterr().out == ""
@@ -122,8 +113,7 @@ class TestCheck:
         random_model = str(tmp_path / "random.json")
         Path(random_model).write_text(
             render_json(model_to_dict(random_population(rng, d=5))), encoding="utf-8")
-        two_axis = str(tmp_path / "two_axis.json")
-        assert main(["synthetic", "0.3", "--out", two_axis]) == EXIT_OK
+        two_axis = two_axis_model(tmp_path, 0.3, "two_axis.json")
         rank_cut = write(tmp_path, "rank_cut.json", json.dumps({
             "w_star": rng.standard_normal(6).tolist(),
             "data1": rng.standard_normal((40, 6)).tolist(),
@@ -145,8 +135,7 @@ class TestCheck:
             assert checked == {k: v for k, v in entries[name].items() if k not in skipped}
 
     def test_orthogonal_model_alignment_is_zero(self, tmp_path, capsys):
-        model_path = str(tmp_path / "m.json")
-        main(["synthetic", "0.4", "--out", model_path])
+        model_path = two_axis_model(tmp_path, 0.4)
         assert main(["check", model_path]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["alignment"] == 0.0
 
@@ -163,15 +152,16 @@ class TestCheck:
 
 class TestUnwritableOut:
     @pytest.mark.parametrize("command", [
-        ["synthetic", "0.3"],
+        ["analyze", "--config", "{models}"],
         ["check", "{model}"],
         ["analyze", "--config", "{config}"],
         ["analyze", "--config", "{config}", "--format", "csv"],
     ])
     def test_missing_directory_is_a_usage_error(self, tmp_path, capsys, command):
-        model_path = str(tmp_path / "m.json")
-        main(["synthetic", "0.4", "--out", model_path])
-        args = [a.format(model=model_path, config=toy_config(tmp_path)) for a in command]
+        model_path = two_axis_model(tmp_path, 0.4)
+        models = models_yaml(tmp_path, "models:\n  - name: m\n    epsilon: 0.3\n")
+        args = [a.format(model=model_path, config=toy_config(tmp_path), models=models)
+                for a in command]
         out = str(tmp_path / "absent" / "out.json")
         assert main([*args, "--out", out]) == EXIT_CONFIG
         captured = capsys.readouterr()
@@ -187,8 +177,7 @@ class TestUnwritableOut:
         assert not out.exists()
 
     def test_directory_is_a_usage_error(self, tmp_path, capsys):
-        model_path = str(tmp_path / "m.json")
-        main(["synthetic", "0.4", "--out", model_path])
+        model_path = two_axis_model(tmp_path, 0.4)
         assert main(["check", model_path, "--out", str(tmp_path)]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: cannot write {tmp_path}: Is a directory\n"
 
@@ -269,6 +258,27 @@ class TestAnalyze:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {key}: applies only to a dataset config, not to models\n"
+
+    def test_out_of_range_epsilon(self, tmp_path, capsys):
+        cfg = models_yaml(tmp_path, "models:\n  - name: wide\n    epsilon: 1.5\n")
+        assert main(["analyze", "--config", cfg]) == EXIT_PARTIAL
+        captured = capsys.readouterr()
+        (entry,) = json.loads(captured.out)["groupings"]
+        assert entry["error"]["type"] == "EpsilonOutOfRangeError"
+        assert captured.err.startswith("grouping wide: EpsilonOutOfRangeError: ")
+
+    @pytest.mark.parametrize("old, new", [
+        pytest.param("22,0.5,", "22,0\xff5,", id="data-cell"),
+        pytest.param("skill", "sk\xffill", id="header"),
+    ])
+    def test_non_utf8_csv_is_an_ingest_error(self, tmp_path, capsys, old, new):
+        cfg = toy_config(tmp_path)
+        csv_path = tmp_path / "toy.csv"
+        csv_path.write_bytes(TOY_CSV.replace(old, new).encode("latin-1"))
+        assert main(["analyze", "--config", cfg]) == EXIT_INGEST
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {csv_path} is not UTF-8 text: byte 0xff cannot be decoded\n"
 
     def test_missing_config(self, tmp_path, capsys):
         assert main(["analyze", "--config", str(tmp_path / "no.yaml")]) == EXIT_CONFIG
@@ -434,6 +444,75 @@ class TestRejectedValues:
         assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
+def _two_axis_doc(**changes):
+    """The epsilon = 0.3 model file's document with `changes` applied (None deletes a key)."""
+    doc = model_to_dict(disparity_example(0.3))
+    for key, value in changes.items():
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+    return doc
+
+
+def _benchmark_doc():
+    """A small model file with the key set the benchmark's model workload writes."""
+    rng = np.random.default_rng(16)
+    return {"schema_version": 1, "names": ["a", "b"], "rank": 2,
+            "w_star": rng.standard_normal(4).tolist(),
+            "cost1": (np.eye(4) * 2.0).tolist(), "cost2": np.eye(4).tolist(),
+            "data1": rng.standard_normal((9, 4)).tolist(),
+            "data2": rng.standard_normal((7, 4)).tolist()}
+
+
+class TestModelKeys:
+    """The model-file reader takes only MODEL_KEYS and only schema_version 1,
+    and check and an analyze entry report a file the same way."""
+
+    @staticmethod
+    def check_and_analyze(tmp_path, capsys, doc):
+        """(check's exit code, its output, analyze's exit code, its one entry) for `doc`."""
+        path = write(tmp_path, "model.json", json.dumps(doc))
+        checked = main(["check", path]), capsys.readouterr()
+        cfg = models_yaml(tmp_path, f"models:\n  - name: m\n    path: {path}\n")
+        analyzed = main(["analyze", "--config", cfg])
+        (entry,) = json.loads(capsys.readouterr().out)["groupings"]
+        return (*checked, analyzed, entry)
+
+    @pytest.mark.parametrize("doc, message", [
+        pytest.param(_two_axis_doc(cost1=None, cots1=np.eye(2).tolist()),
+                     "unknown model keys: ['cots1']", id="misspelled-cost1"),
+        pytest.param({"zeta": 1, "alpha": 2}, "unknown model keys: ['alpha', 'zeta']",
+                     id="checked-before-fields"),
+        pytest.param(_two_axis_doc(schema_version=2), "schema_version: expected 1, got 2",
+                     id="version-2"),
+        pytest.param(_two_axis_doc(schema_version=True), "schema_version: expected 1, got True",
+                     id="version-true"),
+        pytest.param(_two_axis_doc(schema_version="1"), "schema_version: expected 1, got '1'",
+                     id="version-string"),
+        pytest.param(_two_axis_doc(schema_version=1.0), "schema_version: expected 1, got 1.0",
+                     id="version-float"),
+    ])
+    def test_rejected_with_one_message(self, tmp_path, capsys, doc, message):
+        code, checked, analyzed, entry = self.check_and_analyze(tmp_path, capsys, doc)
+        assert code == EXIT_CONFIG
+        assert (checked.out, checked.err) == ("", f"error: {message}\n")
+        assert analyzed == EXIT_PARTIAL
+        assert entry["error"] == {"type": "ConfigError", "message": message}
+
+    @pytest.mark.parametrize("doc", [
+        pytest.param(_two_axis_doc(schema_version=None), id="no-version"),
+        pytest.param(_benchmark_doc(), id="benchmark-keys"),
+    ])
+    def test_accepted_with_one_payload(self, tmp_path, capsys, doc):
+        code, checked, analyzed, entry = self.check_and_analyze(tmp_path, capsys, doc)
+        assert (code, checked.err, analyzed) == (EXIT_OK, "", EXIT_OK)
+        payload = json.loads(checked.out)
+        del payload["schema_version"], payload["model"]
+        skipped = ("name", "source", "group_sizes", "n_excluded")
+        assert payload == {k: v for k, v in entry.items() if k not in skipped}
+
+
 # An integer literal longer than Python's int-conversion limit (4,300
 # digits by default). Where the reader's own error text follows, it varies
 # by Python version, so only the message prefix is pinned.
@@ -548,3 +627,10 @@ class TestParser:
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])
         assert info.value.code == 2
+
+    def test_synthetic_is_an_unknown_command(self, capsys):
+        # a one-entry models config with `epsilon: E` analyses the same population
+        with pytest.raises(SystemExit) as info:
+            main(["synthetic", "0.3"])
+        assert info.value.code == 2
+        assert "invalid choice: 'synthetic'" in capsys.readouterr().err

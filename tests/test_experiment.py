@@ -15,7 +15,6 @@ from scoregap import (
     ProjectionMatrix,
     Subgroup,
     load_config,
-    model_to_dict,
 )
 from scoregap.experiment import (
     CSV_COLUMNS,
@@ -25,6 +24,8 @@ from scoregap.experiment import (
     run_analysis,
 )
 from scoregap.ingest import GroupPredicate, GroupingSpec
+
+from conftest import model_to_dict
 
 
 def models_config(**kwargs) -> ExperimentConfig:

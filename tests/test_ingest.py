@@ -114,6 +114,19 @@ class TestLoadCsv:
         with pytest.raises(IngestError):
             load_csv(str(tmp_path / "absent.csv"))
 
+    @pytest.mark.parametrize("text", [
+        pytest.param("a,b\n1,\xff\n", id="data-cell"),
+        pytest.param("a,\xff\n1,2\n", id="header"),
+        # past the text layer's first read, so the byte is decoded with a record block
+        pytest.param("a,b\n" + "1,2\n" * 5000 + "3,\xff\n", id="later-block"),
+    ])
+    def test_non_utf8_byte_names_the_file(self, tmp_path, text):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(text.encode("latin-1"))  # one byte per character, so \xff is not UTF-8
+        with pytest.raises(IngestError) as info:
+            load_csv(str(path))
+        assert str(info.value) == f"{path} is not UTF-8 text: byte 0xff cannot be decoded"
+
     def test_encoding_is_idempotent(self, tmp_path):
         # a file whose cells already hold the encoded values loads unchanged
         manifest = {"grade": ["bad", "good", "great"]}

@@ -1,0 +1,129 @@
+"""End-to-end invariance: a result entry depends on the population, not on
+how its model file writes it down.
+
+Each relation writes a seeded model file (w*, both costs, data1/data2
+and a rank cut), transforms it, and compares the two `analyze` entries
+leaf by leaf. Floats agree to within 1e-9 * max(1, |x|); verdicts agree
+exactly unless either side flags the check as `boundary`.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from scoregap import ExperimentConfig, ModelEntry, run_analysis
+
+from conftest import random_orthonormal, random_spd
+
+REL = 1e-9
+D = 5
+# generic: full-rank samples cut to rank 3; orthogonal: the groups sample
+# orthogonal planes; shared: both sample one plane, with proportional costs
+CASES = [(shape, seed) for shape in ("generic", "orthogonal", "shared") for seed in (0, 1)]
+
+
+def seeded_doc(shape: str, seed: int) -> dict:
+    """A d = 5 model file whose projections come from sample matrices and a rank cut."""
+    rng = np.random.default_rng(seed)
+    basis = random_orthonormal(rng, D, D)
+    planes = {"generic": (np.eye(D), np.eye(D)),
+              "orthogonal": (basis[:, :2], basis[:, 2:4]),
+              "shared": (basis[:, :2], basis[:, :2])}[shape]
+    cost1 = random_spd(rng, D)
+    return {
+        "w_star": rng.standard_normal(D),
+        "cost1": cost1,
+        "cost2": 2.0 * cost1 if shape == "shared" else random_spd(rng, D),
+        "data1": rng.standard_normal((30, planes[0].shape[1])) @ planes[0].T,
+        "data2": rng.standard_normal((25, planes[1].shape[1])) @ planes[1].T,
+        "rank": 3,
+    }
+
+
+def entry_of(tmp_path, doc: dict, name: str) -> dict:
+    """The `analyze` entry for `doc` written as a model file."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({k: v.tolist() if isinstance(v, np.ndarray) else v
+                                for k, v in doc.items()}), encoding="utf-8")
+    config = ExperimentConfig(models=(ModelEntry(name="m", path=str(path)),))
+    (entry,) = run_analysis(config)["groupings"]
+    assert "error" not in entry, entry
+    del entry["source"]
+    return entry
+
+
+def leaves(node, path=()):
+    """(path, value) for every leaf of a nested dict/list document."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from leaves(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from leaves(value, path + (i,))
+    else:
+        yield path, node
+
+
+def close(a: float, b: float) -> bool:
+    return abs(a - b) <= REL * max(1.0, abs(a), abs(b))
+
+
+def assert_same_verdicts(before: dict, after: dict) -> None:
+    """Every non-float leaf is equal, and every verdict unless a side is at its boundary."""
+    b_leaves, a_leaves = dict(leaves(before)), dict(leaves(after))
+    assert b_leaves.keys() == a_leaves.keys()
+    for path, old in b_leaves.items():
+        new = a_leaves[path]
+        if path[-1] == "boundary":
+            continue
+        if path[-1] == "verdict":
+            at_boundary = b_leaves[path[:-1] + ("boundary",)] or a_leaves[path[:-1] + ("boundary",)]
+            assert at_boundary or new == old, path
+        elif not isinstance(old, float):
+            assert new == old, path
+
+
+def assert_floats(before: dict, after: dict, expected) -> None:
+    """Each float leaf of `after` is close to expected(path, before's leaf); None skips it."""
+    b_leaves = dict(leaves(before))
+    for path, new in leaves(after):
+        old = b_leaves[path]
+        if isinstance(old, float) and path[-1] not in ("verdict", "boundary"):
+            want = expected(path, old)
+            if want is not None:
+                assert close(new, want), (path, old, new, want)
+
+
+@pytest.mark.parametrize("shape, seed", CASES)
+def test_common_rotation_rotates_only_the_welfare_rule(tmp_path, shape, seed):
+    doc = seeded_doc(shape, seed)
+    q = random_orthonormal(np.random.default_rng(100 + seed), D, D)
+    turned = dict(doc, w_star=q @ doc["w_star"],
+                  cost1=q @ doc["cost1"] @ q.T, cost2=q @ doc["cost2"] @ q.T,
+                  data1=doc["data1"] @ q.T, data2=doc["data2"] @ q.T)
+    before, after = entry_of(tmp_path, doc, "a"), entry_of(tmp_path, turned, "b")
+    rule = q @ np.array(before["welfare_rule"])
+    assert all(close(x, y) for x, y in zip(after["welfare_rule"], rule)), (after["welfare_rule"], rule)
+    assert_floats(before, after, lambda path, old: None if path[0] == "welfare_rule" else old)
+    assert_same_verdicts(before, after)
+
+
+SCALED = {"I1", "I2", "welfare", "difference", "uI1", "uI2", "uI1_star", "uI2_star"}
+
+
+@pytest.mark.parametrize("shape, seed", CASES)
+@pytest.mark.parametrize("c", [0.03, 7.5])
+def test_scaling_w_star_scales_the_improvements(tmp_path, shape, seed, c):
+    doc = seeded_doc(shape, seed)
+    before = entry_of(tmp_path, doc, "a")
+    after = entry_of(tmp_path, dict(doc, w_star=c * doc["w_star"]), "b")
+    assert set(before["metrics"]) == SCALED
+
+    def expected(path, old):
+        if path[0] == "metrics":
+            return c * old
+        return old if path[0] in ("welfare_rule", "alignment") or "sufficient_c" in path else None
+
+    assert_floats(before, after, expected)
+    assert_same_verdicts(before, after)

@@ -9,11 +9,10 @@ from scoregap import (
     disparity_example,
     load_model,
     model_from_dict,
-    model_to_dict,
     render_json,
 )
 
-from conftest import random_population
+from conftest import model_to_dict, random_population
 
 
 def base_doc():

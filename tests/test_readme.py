@@ -12,6 +12,7 @@ import yaml
 import scoregap
 from scoregap.cli import build_parser
 from scoregap.config import config_from_dict
+from scoregap.modelio import MODEL_KEYS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -50,6 +51,13 @@ def test_config_format_examples_load():
     assert len(blocks) == 2
     for block in blocks:
         config_from_dict(yaml.safe_load(block))
+
+
+def test_model_file_keys_are_documented():
+    # every backticked span in the model file section is an accepted key, and every key is there
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Model file format"):text.index("## Dataset preparation")]
+    assert set(re.findall(r"`([^`]+)`", section)) == MODEL_KEYS
 
 
 def test_box_references_resolve():
