@@ -10,10 +10,11 @@ reproducible from the config file alone.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -102,17 +103,18 @@ def _encode_column(cells: Tuple[str, ...], mapping: Optional[Dict[str, float]]
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Encoded table plus the raw text that grouping predicates test.
+    """Encoded table plus what grouping predicates test.
 
-    `raw_columns` holds the stripped cell text of the kept rows for the
-    columns it names, which need not be all of them: `load_csv` keeps
-    text only for the columns its caller asks for.
+    `raw_columns` holds the stripped text of the kept rows of the columns
+    it names (`load_csv` keeps it only for mapped ones). Predicates on a
+    `passthrough` column, whose values are float() of its text, read the numbers.
     """
 
     column_names: Tuple[str, ...]
     rows: np.ndarray
     raw_columns: Dict[str, Tuple[str, ...]]
     n_dropped: int = 0
+    passthrough: FrozenSet[str] = frozenset()
 
     def __post_init__(self):
         object.__setattr__(self, "rows", frozen(as_matrix(self.rows, "rows")))
@@ -145,7 +147,7 @@ class Dataset:
             return self.raw_columns[name]
         except KeyError:
             raise IngestError(
-                f"text of column {name!r} was not kept; name it in load_csv's text_columns"
+                f"text of column {name!r} was not kept; load_csv keeps mapped text_columns only"
             ) from None
 
     def feature_names(self, drop: Sequence[str] = ()) -> Tuple[str, ...]:
@@ -199,6 +201,16 @@ def _encode_block(records: Sequence[Sequence[str]], names: Tuple[str, ...],
     return np.column_stack([values for values, _ in encoded]), columns
 
 
+def _numeric_body(body: str, width: int) -> Optional[np.ndarray]:
+    """np.loadtxt's table of the body if it has every line and column and is finite, else None."""
+    try:
+        rows = np.loadtxt(body.split("\n"), delimiter=",", dtype=float, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    full = rows.shape == (body.count("\n") + (not body.endswith("\n")), width)
+    return rows if full and np.isfinite(rows).all() else None
+
+
 def load_csv(path: str, manifest: Optional[ManifestSpec] = None,
              text_columns: Iterable[str] = ()) -> Dataset:
     """Load a header-row CSV, encoding columns per the manifest.
@@ -209,12 +221,14 @@ def load_csv(path: str, manifest: Optional[ManifestSpec] = None,
     unless a quoted cell spans lines. A file with several bad cells or
     ragged rows raises the error of the first in file order.
 
-    The file is read and encoded in blocks of records, so only one
-    block's cell text is held at a time. The stripped text of kept rows
-    is kept only for the columns named in `text_columns`, the ones
-    grouping predicates read; a named column the file lacks is skipped.
-    `Dataset.raw_column` raises IngestError for a column whose text was
-    not kept.
+    When no column is mapped, numpy's C `loadtxt` parses the body first,
+    and its table is taken if it has one row per body line, one column
+    per name and only finite values. Any other body goes to the block
+    reader, which holds one block of records' cell text at a time (and
+    the body's UTF-8 bytes). The stripped text of kept rows is kept only
+    for the mapped columns named in `text_columns`, the ones grouping
+    predicates read; a named column the file lacks is skipped.
+    `Dataset.raw_column` raises IngestError for a column whose text was not kept.
     """
     norm = normalize_manifest(manifest)
     try:
@@ -234,7 +248,16 @@ def load_csv(path: str, manifest: Optional[ManifestSpec] = None,
                     raise MissingColumnError(f"manifest names column {name!r} not present in {path}")
 
             mappings = [norm.get(n) for n in names]
-            wanted = set(text_columns)
+            passthrough = frozenset(n for n, m in zip(names, mappings) if m is None)
+            if len(passthrough) == len(names):
+                body = handle.read()
+                rows = _numeric_body(body, len(names)) if body.strip() else None  # loadtxt warns on blank
+                if rows is not None:
+                    return Dataset(names, rows, raw_columns={}, passthrough=passthrough)
+                # the file's own text layer over a bytes copy; io.StringIO takes 4 bytes a character
+                reader = csv.reader(io.TextIOWrapper(io.BytesIO(body.encode()), "utf-8", newline=""))
+                del body
+            wanted = set(text_columns) - passthrough
             texts: Dict[str, list] = {n: [] for n in names if n in wanted}
             blocks = []
             n_read = 0
@@ -250,7 +273,7 @@ def load_csv(path: str, manifest: Optional[ManifestSpec] = None,
                 n_read += len(records)
     except OSError as exc:
         raise IngestError(f"cannot open {path}: {exc}") from None
-    except UnicodeDecodeError as exc:  # raised as the header or a record block is read
+    except UnicodeDecodeError as exc:  # raised as the header, the body or a record block is read
         raise IngestError(f"{path} is not UTF-8 text: byte 0x{exc.object[exc.start]:02x} "
                           "cannot be decoded") from None
 
@@ -259,12 +282,8 @@ def load_csv(path: str, manifest: Optional[ManifestSpec] = None,
         raise IngestError(f"{path} contains no usable data rows")
     rows = np.concatenate(blocks)
     del blocks  # freed before Dataset copies the table
-    return Dataset(
-        column_names=names,
-        rows=rows,
-        raw_columns={name: tuple(cells) for name, cells in texts.items()},
-        n_dropped=n_read - n_kept,
-    )
+    raw_columns = {name: tuple(cells) for name, cells in texts.items()}
+    return Dataset(names, rows, raw_columns, n_dropped=n_read - n_kept, passthrough=passthrough)
 
 
 @dataclass(frozen=True)
@@ -337,23 +356,29 @@ class GroupingSpec:
     group2: Optional[GroupPredicate] = None
 
 
-def _predicate_mask(pred: GroupPredicate, raw: Sequence[str]) -> np.ndarray:
-    """pred.matches over a raw column, called once per distinct value.
+def _predicate_mask(pred: GroupPredicate, ds: Dataset) -> np.ndarray:
+    """pred.matches over a column, called once per distinct value.
 
-    Distinct values are visited in first-occurrence order, so a numeric
-    comparator still fails on the first non-numeric cell in row order.
+    A passthrough column is tested on repr(float) of its numbers, which
+    every predicate answers as it does the text. Kept text is visited in
+    first-occurrence order, so a numeric comparator still fails on the
+    first non-numeric cell in row order.
     """
+    if pred.column in ds.passthrough:
+        values, inverse = np.unique(ds.column(pred.column), return_inverse=True)
+        return np.array([pred.matches(repr(v)) for v in values.tolist()], dtype=bool)[inverse]
+    raw = ds.raw_column(pred.column)
     answers = {value: pred.matches(value) for value in dict.fromkeys(raw)}
     return np.fromiter(map(answers.__getitem__, raw), dtype=bool, count=len(raw))
 
 
 def split_masks(ds: Dataset, spec: GroupingSpec) -> Tuple[np.ndarray, np.ndarray]:
-    """Boolean row masks for the two groups; disjoint by construction or error."""
-    mask1 = _predicate_mask(spec.group1, ds.raw_column(spec.group1.column))
+    """Row masks for the two groups, disjoint or an error; passthrough columns are tested as numbers."""
+    mask1 = _predicate_mask(spec.group1, ds)
     if spec.group2 is None:
         mask2 = ~mask1
     else:
-        mask2 = _predicate_mask(spec.group2, ds.raw_column(spec.group2.column))
+        mask2 = _predicate_mask(spec.group2, ds)
         overlap = int(np.sum(mask1 & mask2))
         if overlap:
             raise IngestError(

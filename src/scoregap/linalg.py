@@ -164,7 +164,7 @@ def subspace_projection(data, k: int) -> ProjectionMatrix:
     if k > min(n, d):
         raise RankTooLargeError(f"rank k={k} exceeds min(n, d)={min(n, d)}")
 
-    _, s, vt = np.linalg.svd(x, full_matrices=False)
+    _, s, vt = np.linalg.svd(np.linalg.qr(x, mode="r"), full_matrices=False)  # R-SVD: no n x d U
     r = min(k, effective_rank(s))
     tie = bool(k < s.size and s[k - 1] > 0 and s[k - 1] - s[k] <= RANK_TOL * s[0])
     return ProjectionMatrix(vt[:r].T, tie_warning=tie)

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from scoregap import (
     CsvParseError,
@@ -223,8 +223,9 @@ class TestErrorPrecedence:
         ds = load_csv(write_csv(tmp_path, text.rsplit('"5,0"', 1)[0]),
                       manifest={"grade": ["bad", "good"]}, text_columns=["grade", "a"])
         np.testing.assert_array_equal(ds.rows, [[1.0, 2.0, 2.0], [3.0, 1.0, 4.5]])
-        assert ds.raw_column("grade") == ("good", "bad")
-        assert ds.raw_column("a") == ("1", "3")
+        # only the mapped column keeps its text; passthrough "a" is read as numbers
+        assert ds.raw_columns == {"grade": ("good", "bad")}
+        assert ds.passthrough == {"a", "c"}
 
     def test_quoted_cell_spanning_lines_counts_as_one_row(self, tmp_path):
         # the bad cell sits on physical line 4 but in the third record
@@ -288,9 +289,10 @@ def _reference_load(path, manifest, text_columns):
     if not encoded:
         raise IngestError(f"{path} contains no usable data rows")
     return Dataset(column_names=names, rows=np.array(encoded, dtype=float),
-                   raw_columns={n: tuple(r[j] for r in raw_rows)
-                                for j, n in enumerate(names) if n in text_columns},
-                   n_dropped=dropped)
+                   raw_columns={n: tuple(r[j] for r in raw_rows) for j, n in enumerate(names)
+                                if n in text_columns and norm.get(n) is not None},
+                   n_dropped=dropped,
+                   passthrough=frozenset(n for n in names if norm.get(n) is None))
 
 
 def _outcome(load, path, manifest, text_columns):
@@ -300,7 +302,8 @@ def _outcome(load, path, manifest, text_columns):
         return type(exc).__name__, str(exc)
     except NonFiniteError as exc:
         return type(exc).__name__, str(exc)
-    return ds.rows.tobytes(), ds.rows.shape, ds.raw_columns, ds.n_dropped, ds.column_names
+    return (ds.rows.tobytes(), ds.rows.shape, ds.raw_columns, ds.n_dropped, ds.column_names,
+            ds.passthrough)
 
 
 # Cell text as it appears in the file: numbers, padding, quoting, missing
@@ -345,6 +348,74 @@ class TestLoadCsvMatchesRowByRow:
             _assert_matches_reference(rows, text_columns)
 
 
+# Cells and line ends for an all-passthrough file, which load_csv first
+# hands to np.loadtxt: numbers, plus every form the C parser reads
+# differently from float() or the block reader.
+_NUMERIC_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["1", " 2 ", "-3.5", "1e3", "-0", "+7", ".5", "2.", "1E-3", "007", "1e400"]),
+)
+_HOSTILE_CELLS = st.sampled_from([
+    "", "?", "NA", "N/A", "nan", "NaN", "NAN", " nan", "inf", "-Infinity", "1_000", "١",
+    '"7"', '"4,5"', "#1", "# note", "2#3", "0x10", "x", "\ufeff1", "1 2", "\r",
+])
+_LINE_ENDS = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"])
+_NUMERIC_ROWS = st.one_of(
+    st.lists(_NUMERIC_CELLS, min_size=3, max_size=3),
+    st.lists(_NUMERIC_CELLS, min_size=3, max_size=3).flatmap(
+        lambda row: st.tuples(st.integers(0, 2), _HOSTILE_CELLS).map(
+            lambda t: row[:t[0]] + [t[1]] + row[t[0] + 1:])),
+    st.lists(st.one_of(_NUMERIC_CELLS, _HOSTILE_CELLS), max_size=4),  # blank, ragged, trailing comma
+)
+
+
+@st.composite
+def _numeric_files(draw):
+    """A header-row CSV text whose manifest maps no column."""
+    header = draw(st.sampled_from(["a,b,c", "\ufeffa,b,c", "a, b ,c"]))
+    lines = [header] + [",".join(cells) for cells in draw(st.lists(_NUMERIC_ROWS, max_size=8))]
+    text = "".join(line + draw(_LINE_ENDS) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no final newline
+    return text
+
+
+class TestNumericFastPath:
+    """With no mapped column np.loadtxt parses the body, and load_csv gives
+    what the row-by-row reference gives: the same values, names, dropped
+    count and kept text, or the same error."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(text=_numeric_files(), text_columns=st.lists(st.sampled_from(["a", "b", "c"]), unique=True))
+    # a comment, a NaN and a blank line, which loadtxt alone would read,
+    # and a CRLF file without a final newline, which both read
+    @example(text="a,b,c\n1,2,2#3\n", text_columns=[])
+    @example(text="a,b,c\n1,2,nan\n4,5,6\n", text_columns=[])
+    @example(text="a,b,c\n1,2,3\n\n", text_columns=[])
+    @example(text="a,b,c\r\n1,2,3\r\n4,5,6", text_columns=["a"])
+    def test_same_result_or_same_error(self, text, text_columns):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "data.csv")
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+            assert (_outcome(load_csv, path, {}, text_columns)
+                    == _outcome(_reference_load, path, {}, text_columns))
+
+    def test_numeric_body_takes_the_fast_path(self, tmp_path):
+        with mock.patch.object(ingest, "_encode_block", side_effect=AssertionError("block reader")):
+            ds = load_csv(write_csv(tmp_path, NUMERIC_CSV), text_columns=["age"])
+        np.testing.assert_array_equal(ds.column("income"), [50000, 42000, 61000])
+        assert (ds.raw_columns, ds.passthrough) == ({}, {"age", "income", "score"})
+
+    def test_a_mapped_column_never_calls_loadtxt(self, tmp_path):
+        with mock.patch.object(np, "loadtxt", side_effect=AssertionError("loadtxt called")):
+            ds = load_csv(write_csv(tmp_path, MIXED_CSV), {"grade": ["bad", "good", "great"]})
+            assert ds.size == 4
+            with pytest.raises(UnmappedCategoryError):  # an empty mapping still maps its column
+                load_csv(write_csv(tmp_path, NUMERIC_CSV, name="numeric.csv"), {"score": {}})
+
+
 class TestBlocks:
     """Faults past the first block of records name their own CSV record number."""
 
@@ -365,7 +436,9 @@ class TestBlocks:
 
     def test_block_of_missing_rows(self, tmp_path):
         text = "a,b\n1,2\n3,4\n?,6\n7,NA\n9,10\n"
-        ds = load_csv(write_csv(tmp_path, text), text_columns=["a"])
+        # a mapped "a" keeps its text, so the kept text crosses the blocks too
+        codes = {"1": 1, "3": 3, "7": 7, "9": 9}
+        ds = load_csv(write_csv(tmp_path, text), manifest={"a": codes}, text_columns=["a"])
         assert (ds.size, ds.n_dropped) == (3, 2)
         np.testing.assert_array_equal(ds.rows, [[1, 2], [3, 4], [9, 10]])
         assert ds.raw_column("a") == ("1", "3", "9")
@@ -379,8 +452,12 @@ class TestBlocks:
 
 
 def test_load_csv_peak_memory_is_a_small_multiple_of_the_table(tmp_path):
-    # 30,000 x 25 numbers in the shape of the credit data, text kept for
-    # four code columns as the credit config's predicates ask.
+    # 30,000 x 25 numbers in the shape of the credit data, with text asked
+    # for four code columns as the credit config's predicates ask. Left
+    # passthrough they take the loadtxt path and keep no text; mapped to
+    # themselves they take the block reader, which keeps their text. One
+    # more row with a missing cell sends the numeric file to the block
+    # reader only after loadtxt has parsed the rest.
     rng = np.random.default_rng(7)
     n = 30_000
     columns = [np.arange(1, n + 1), rng.integers(1, 100, n) * 10_000, rng.integers(1, 3, n),
@@ -392,14 +469,20 @@ def test_load_csv_peak_memory_is_a_small_multiple_of_the_table(tmp_path):
     path = tmp_path / "wide.csv"
     np.savetxt(path, np.column_stack(columns), fmt="%d", delimiter=",",
                header=",".join(names), comments="")
-    tracemalloc.start()
-    try:
-        ds = load_csv(str(path), text_columns=names[2:6])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert ds.rows.shape == (n, 25)
-    assert peak < 5 * ds.rows.nbytes
+    missing = tmp_path / "missing.csv"
+    missing.write_text(path.read_text() + "?" + ",0" * 24 + "\n")
+    codes = {str(v): v for v in range(80)}
+    for source, manifest in ((path, None), (path, {name: codes for name in names[2:6]}),
+                             (missing, None)):
+        tracemalloc.start()
+        try:
+            ds = load_csv(str(source), manifest, text_columns=names[2:6])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.rows.shape == (n, 25)
+        assert len(ds.raw_columns) == (0 if manifest is None else 4)
+        assert peak < 5 * ds.rows.nbytes, (source.name, manifest is None, peak / ds.rows.nbytes)
 
 
 class TestManifest:
@@ -436,7 +519,8 @@ class TestDatasetAccess:
 
     def test_text_kept_only_for_requested_columns(self, tmp_path):
         ds = load_csv(write_csv(tmp_path, MIXED_CSV), manifest={"grade": ["bad", "good", "great"]},
-                      text_columns=["grade", "absent"])
+                      text_columns=["grade", "age", "absent"])
+        # passthrough "age" keeps no text even when asked: predicates read its numbers
         assert ds.raw_columns == {"grade": ("good", "bad", "great", "good")}
         with pytest.raises(IngestError, match="'age' was not kept") as info:
             ds.raw_column("age")
@@ -488,7 +572,8 @@ def _sizes(mask1, mask2):
 
 class TestSplit:
     def test_threshold_with_complement(self, tmp_path):
-        ds = load_csv(write_csv(tmp_path, NUMERIC_CSV), text_columns=["age"])
+        ds = load_csv(write_csv(tmp_path, NUMERIC_CSV))
+        assert ds.raw_columns == {}  # passthrough predicates read the numbers
         spec = GroupingSpec(name="age", group1=GroupPredicate("age", "le", 25))
         mask1, mask2 = split_masks(ds, spec)
         assert _sizes(mask1, mask2) == (1, 2, 0)
@@ -497,7 +582,7 @@ class TestSplit:
 
     def test_two_predicates_can_exclude(self, tmp_path):
         text = "edu,x\n1,10\n2,20\n3,30\n4,40\n"
-        ds = load_csv(write_csv(tmp_path, text), text_columns=["edu"])
+        ds = load_csv(write_csv(tmp_path, text))
         spec = GroupingSpec(
             name="edu",
             group1=GroupPredicate("edu", "in", [1, 2]),
@@ -508,7 +593,7 @@ class TestSplit:
         assert n1 + n2 + n_excluded == ds.size
 
     def test_overlapping_predicates(self, tmp_path):
-        ds = load_csv(write_csv(tmp_path, NUMERIC_CSV), text_columns=["age"])
+        ds = load_csv(write_csv(tmp_path, NUMERIC_CSV))
         spec = GroupingSpec(
             name="bad",
             group1=GroupPredicate("age", "le", 30),
@@ -534,7 +619,7 @@ class TestSplit:
         assert analysed["group_sizes"] == [2, 1]
 
     def test_split_respects_drop(self, tmp_path):
-        ds = load_csv(write_csv(tmp_path, NUMERIC_CSV), text_columns=["age"])
+        ds = load_csv(write_csv(tmp_path, NUMERIC_CSV))
         spec = GroupingSpec(name="age", group1=GroupPredicate("age", "le", 30))
         mask1, _ = split_masks(ds, spec)
         assert ds.feature_matrix(drop=["score"])[mask1].shape == (2, 2)
@@ -544,6 +629,13 @@ class TestSplit:
                       manifest={"grade": ["bad", "good", "great"]}, text_columns=["grade"])
         spec = GroupingSpec(name="grade", group1=GroupPredicate("grade", "eq", "good"))
         assert _sizes(*split_masks(ds, spec)) == (2, 2, 0)
+
+    @pytest.mark.parametrize("value", ["good", 1])
+    def test_mapped_column_without_text_is_never_tested_on_its_codes(self, tmp_path, value):
+        ds = load_csv(write_csv(tmp_path, MIXED_CSV), manifest={"grade": ["bad", "good", "great"]})
+        spec = GroupingSpec(name="grade", group1=GroupPredicate("grade", "eq", value))
+        with pytest.raises(IngestError, match="'grade' was not kept"):
+            split_masks(ds, spec)
 
 
 _RAW_CELLS = st.one_of(
@@ -597,6 +689,56 @@ class TestSplitProperty:
         mask1, mask2 = split_masks(ds, spec)
         np.testing.assert_array_equal(mask1, want1)
         np.testing.assert_array_equal(mask2, want2)
+
+
+# Finite cells float() accepts, in the forms a file may write them.
+_FINITE_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e3, 1e3).map(lambda x: f"{x:.3g}"),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["-0", "0", "01", "2.5e1", "1_000", "0.10000000000000001", "0.1", "+3",
+                     "1e3", "1000", "-.5", "2.", "١", "1E-3", "25", "25.0", "1"]),
+)
+# Near the values _predicates draws, so that masks have both answers.
+_SMALL_NUMBER_CELLS = st.one_of(
+    st.integers(-4, 4).map(str),
+    st.integers(-4, 4).map(lambda i: f" {i}.0 "),
+    st.sampled_from(["-0", "0.0", "1e0", "2.5", "-4e0"]),
+)
+_PREDICATE_VALUES = st.one_of(
+    st.integers(-30, 30), st.floats(allow_nan=False), st.booleans(),
+    st.sampled_from(["1", "1.0", "25", "2.5e1", "-0", "0.0", "1_000", "1000", "0.1",
+                     "good", "", " 1", "True", "nan"]),
+)
+
+
+class TestPredicatesReadNumbers:
+    """On a passthrough column every kept cell is float() of its text, and
+    each predicate answers repr(float(cell)) as it answers the text itself."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(raw=_FINITE_CELLS, op=st.sampled_from(["le", "lt", "ge", "gt", "eq", "ne", "in"]),
+           value=st.one_of(_PREDICATE_VALUES, st.lists(_PREDICATE_VALUES, max_size=3)))
+    def test_text_and_number_give_the_same_answer(self, raw, op, value):
+        try:
+            pred = GroupPredicate("a", op, value)
+        except IngestError:
+            assume(False)
+        assert pred.matches(raw) == pred.matches(repr(float(raw)))
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(cells=st.lists(st.one_of(_FINITE_CELLS, _SMALL_NUMBER_CELLS), min_size=1, max_size=20),
+           pred=_predicates("a"))
+    def test_split_masks_equals_matches_on_the_file_text(self, cells, pred):
+        text = "a,b\n" + "".join(f"{c},{i}\n" for i, c in enumerate(cells))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "data.csv")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            ds = load_csv(path, text_columns=["a"])
+        assert ds.raw_columns == {}
+        mask, _ = split_masks(ds, GroupingSpec(name="g", group1=pred))
+        np.testing.assert_array_equal(mask, [pred.matches(c.strip()) for c in cells])
 
 
 class TestGroundTruth:

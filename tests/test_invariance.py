@@ -1,18 +1,19 @@
 """End-to-end invariance: a result entry depends on the population, not on
-how its model file writes it down.
+how its model file or CSV writes it down.
 
 Each relation writes a seeded model file (w*, both costs, data1/data2
-and a rank cut), transforms it, and compares the two `analyze` entries
-leaf by leaf. Floats agree to within 1e-9 * max(1, |x|); verdicts agree
-exactly unless either side flags the check as `boundary`.
+and a rank cut) or CSV, transforms it, and compares the two `analyze`
+entries leaf by leaf. Floats agree to within 1e-9 * max(1, |x|); verdicts
+agree exactly unless either side flags the check as `boundary`.
 """
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from scoregap import ExperimentConfig, ModelEntry, run_analysis
+from scoregap import ExperimentConfig, GroupingSpec, GroupPredicate, ModelEntry, run_analysis
 
 from conftest import random_orthonormal, random_spd
 
@@ -127,3 +128,88 @@ def test_scaling_w_star_scales_the_improvements(tmp_path, shape, seed, c):
 
     assert_floats(before, after, expected)
     assert_same_verdicts(before, after)
+
+
+# CSV relations, on one all-numeric file (np.loadtxt parses it) and one with
+# categorical columns and dropped rows (the block reader parses it). Every
+# grouping has two predicates, so that swapping them is a relation too.
+CSV_KINDS = {
+    "numeric": (None, (("age", ("age", "le", 35), ("age", "gt", 35)),
+                       ("edu", ("edu", "in", [1, 2]), ("edu", "eq", 3)),
+                       ("sex", ("sex", "eq", 1), ("sex", "eq", 2)))),
+    "categorical": ({"grade": ["lo", "mid", "hi"], "sex": ["F", "M"]},
+                    (("age", ("age", "le", 35), ("age", "gt", 35)),
+                     ("grade", ("grade", "in", ["lo", "mid"]), ("grade", "eq", "hi")),
+                     ("sex", ("sex", "eq", "F"), ("sex", "eq", "M")))),
+}
+
+
+def seeded_rows(kind: str, seed: int) -> list:
+    """240 CSV lines after the header: three grouping columns and three more features."""
+    rng = np.random.default_rng(seed)
+    n = 240
+    age = rng.integers(21, 70, n)
+    feats = rng.standard_normal((n, 3)) * [1.0, 30.0, 0.01] + age[:, None] * [0.05, 1.0, 0.0]
+    if kind == "numeric":
+        codes = zip(rng.integers(1, 5, n), rng.integers(1, 3, n))
+    else:
+        codes = zip(rng.choice(["lo", " mid", "hi ", "?"], n, p=[0.3, 0.3, 0.35, 0.05]),
+                    rng.choice(["F", "M"], n))
+    return [f"{a},{c},{s}," + ",".join(map(repr, f.tolist()))
+            for a, (c, s), f in zip(age, codes, feats)]
+
+
+def csv_doc(tmp_path, kind: str, lines: list, name: str, swap: bool = False) -> dict:
+    """The `analyze` document of a CSV of `lines`, less its dataset path."""
+    manifest, specs = CSV_KINDS[kind]
+    code = "edu" if kind == "numeric" else "grade"
+    path = tmp_path / f"{name}.csv"
+    path.write_text(f"age,{code},sex,x1,x2,x3\n" + "\n".join(lines) + "\n", encoding="utf-8")
+    groupings = tuple(
+        GroupingSpec(grouping, *(GroupPredicate(*p) for p in (preds[::-1] if swap else preds)))
+        for grouping, *preds in specs)
+    config = ExperimentConfig(dataset=str(path), encoding=manifest or {}, groupings=groupings, rank=3)
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as parser:
+        doc = run_analysis(config)
+    assert parser.called == (manifest is None)
+    assert doc["n_failed"] == 0, doc
+    del doc["dataset"]
+    return doc
+
+
+def mirrored(entry: dict) -> dict:
+    """The entry with its two groups' roles exchanged."""
+    out = json.loads(json.dumps(entry))
+    for key in ("effective_ranks", "group_sizes", "tie_warnings"):
+        out[key].reverse()
+    for key in ("do_no_harm", "per_unit_optimal", "sufficient_c"):
+        checks = out["conditions"][key]
+        checks["group1"], checks["group2"] = checks["group2"], checks["group1"]
+    metrics = out["metrics"]
+    for one, two in (("I1", "I2"), ("uI1", "uI2"), ("uI1_star", "uI2_star")):
+        metrics[one], metrics[two] = metrics[two], metrics[one]
+    metrics["difference"] = -metrics["difference"]
+    out["conditions"]["equal_improvement"]["value"] *= -1
+    return out
+
+
+@pytest.mark.parametrize("kind", sorted(CSV_KINDS))
+@pytest.mark.parametrize("seed", [0, 1])
+def test_permuting_csv_rows_changes_nothing(tmp_path, kind, seed):
+    lines = seeded_rows(kind, seed)
+    before = csv_doc(tmp_path, kind, lines, "a")
+    order = np.random.default_rng(100 + seed).permutation(len(lines))
+    after = csv_doc(tmp_path, kind, [lines[i] for i in order], "b")
+    assert_floats(before, after, lambda path, old: old)
+    assert_same_verdicts(before, after)
+
+
+@pytest.mark.parametrize("kind", sorted(CSV_KINDS))
+@pytest.mark.parametrize("seed", [0, 1])
+def test_swapping_a_groupings_predicates_swaps_its_groups(tmp_path, kind, seed):
+    lines = seeded_rows(kind, seed)
+    before = csv_doc(tmp_path, kind, lines, "a")
+    after = csv_doc(tmp_path, kind, lines, "b", swap=True)
+    expected = dict(before, groupings=[mirrored(entry) for entry in before["groupings"]])
+    assert_floats(expected, after, lambda path, old: old)
+    assert_same_verdicts(expected, after)

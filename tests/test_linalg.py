@@ -15,6 +15,8 @@ from scoregap import (
     subspace_projection,
 )
 
+from scoregap.linalg import RANK_TOL
+
 from conftest import random_orthonormal, random_projection
 
 
@@ -167,6 +169,31 @@ class TestSubspaceProjection:
         p1 = subspace_projection(x, 4)
         p2 = subspace_projection(x, 4)
         assert np.array_equal(p1.matrix, p2.matrix)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), d=st.integers(1, 12),
+           data=st.data())
+    def test_matches_the_svd_of_the_data_itself(self, seed, n, d, data):
+        # tall, square and wide draws; rank-deficient ones; and ones whose
+        # singular values are all equal, so a cut below the full rank is a tie
+        rng = np.random.default_rng(seed)
+        m = min(n, d)
+        true_rank = data.draw(st.integers(0, m), label="true_rank")
+        k = data.draw(st.integers(1, m), label="k")
+        if data.draw(st.booleans(), label="tied"):
+            x = random_orthonormal(rng, n, true_rank) @ random_orthonormal(rng, d, true_rank).T
+        else:
+            x = rng.standard_normal((n, true_rank)) @ rng.standard_normal((true_rank, d))
+        x *= 10.0 ** rng.uniform(-3, 3)
+        p = subspace_projection(x, k)
+
+        _, s, vt = np.linalg.svd(x, full_matrices=False)
+        rank = min(k, effective_rank(s))
+        tie = bool(k < s.size and s[k - 1] > 0 and s[k - 1] - s[k] <= RANK_TOL * s[0])
+        assert (p.rank, p.tie_warning) == (rank, tie)
+        if not tie:  # a tied cut has no unique projection to compare
+            # P has 2-norm 1, so this bound is relative
+            np.testing.assert_allclose(p.matrix, vt[:rank].T @ vt[:rank], rtol=0, atol=1e-12)
 
     def test_effective_rank(self):
         assert effective_rank(np.array([3.0, 1.0, 1e-14])) == 2
