@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import os
 import sys
 from typing import Dict, Optional, TextIO
@@ -82,6 +83,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         wstar=args.wstar,
         standardize=args.standardize,
     )
+    outputs = [] if config.out is None else [config.out] + [config.out + ".json"] * (config.format == "csv")
+    for path in outputs:  # a missing directory or a directory fails before the run, creating nothing
+        try:
+            os.stat(os.path.join(os.path.dirname(path) or ".", ""))  # the final "/" wants a directory
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+        if os.path.isdir(path):
+            raise ConfigError(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
     result = run_analysis(config)
     if config.format == "json":
         _emit(render_json(result), config.out)

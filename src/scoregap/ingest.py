@@ -13,6 +13,7 @@ import csv
 import io
 import itertools
 import operator
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
@@ -201,14 +202,41 @@ def _encode_block(records: Sequence[Sequence[str]], names: Tuple[str, ...],
     return np.column_stack([values for values, _ in encoded]), columns
 
 
-def _numeric_body(body: str, width: int) -> Optional[np.ndarray]:
-    """np.loadtxt's table of the body if it has every line and column and is finite, else None."""
+def _loadtxt_table(body: str, names: Tuple[str, ...], mappings: Sequence[Optional[Dict[str, float]]],
+                   wanted: FrozenSet[str]) -> Optional[Tuple[np.ndarray, Dict[str, Tuple[str, ...]], int]]:
+    """np.loadtxt's reading of the body: (kept rows, kept text of `wanted`, rows read), or None.
+
+    A mapped cell is read as the index of its text among its column's
+    distinct texts in first-seen order, each then stripped, tested for a
+    missing token and encoded once (to nan if it maps to nothing). None,
+    for the block reader, unless the body has no '"', the table has one
+    row per line and one column per name, and the kept rows are finite.
+    """
+    if '"' in body or not body.strip():  # quoting is csv's job; loadtxt warns on a blank body
+        return None
+    seen = {j: defaultdict(itertools.count().__next__) for j, m in enumerate(mappings) if m is not None}
     try:
-        rows = np.loadtxt(body.split("\n"), delimiter=",", dtype=float, comments=None, ndmin=2)
+        rows = np.loadtxt(body.split("\n"), delimiter=",", dtype=float, comments=None, ndmin=2,
+                          converters={j: ids.__getitem__ for j, ids in seen.items()})
     except ValueError:
         return None
-    full = rows.shape == (body.count("\n") + (not body.endswith("\n")), width)
-    return rows if full and np.isfinite(rows).all() else None
+    n_read = body.count("\n") + (not body.endswith("\n"))
+    if rows.shape != (n_read, len(names)):
+        return None
+    keep, texts = np.ones(n_read, dtype=bool), {}
+    for j, ids in seen.items():
+        stripped = [raw.strip() for raw in ids]
+        missing = np.fromiter(map(MISSING_TOKENS.__contains__, stripped), dtype=bool, count=len(ids))
+        codes = np.array([_encode_category(text, mappings[j]) for text in stripped], dtype=float)
+        index = rows[:, j].astype(np.intp)
+        keep &= ~missing[index]
+        rows[:, j] = np.take(codes, index)
+        if names[j] in wanted:
+            texts[names[j]] = np.array(stripped, dtype=object)[index]
+    rows = rows if keep.all() else rows[keep]
+    if not np.isfinite(rows).all():
+        return None
+    return rows, {name: tuple(cells[keep]) for name, cells in texts.items()}, n_read
 
 
 def load_csv(path: str, manifest: Optional[ManifestSpec] = None,
@@ -221,23 +249,19 @@ def load_csv(path: str, manifest: Optional[ManifestSpec] = None,
     unless a quoted cell spans lines. A file with several bad cells or
     ragged rows raises the error of the first in file order.
 
-    When no column is mapped, numpy's C `loadtxt` parses the body first,
-    and its table is taken if it has one row per body line, one column
-    per name and only finite values. Any other body goes to the block
-    reader, which holds one block of records' cell text at a time (and
-    the body's UTF-8 bytes). The stripped text of kept rows is kept only
-    for the mapped columns named in `text_columns`, the ones grouping
-    predicates read; a named column the file lacks is skipped.
-    `Dataset.raw_column` raises IngestError for a column whose text was not kept.
+    numpy's C `loadtxt` reads the body first (`_loadtxt_table`); the block
+    reader, which raises every error, reads a body loadtxt cannot take whole.
+    The stripped text of kept rows is kept only for the mapped columns named
+    in `text_columns`, the ones grouping predicates read; a named column the
+    file lacks is skipped. `Dataset.raw_column` raises IngestError for a
+    column whose text was not kept.
     """
     norm = normalize_manifest(manifest)
     try:
         with open(path, newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise IngestError(f"{path} is empty; a header row is required") from None
+            header = next(csv.reader(handle), None)
+            if header is None:
+                raise IngestError(f"{path} is empty; a header row is required")
             names = tuple(h.strip() for h in header)
             if not names:
                 raise IngestError(f"{path} has a blank header row")
@@ -249,41 +273,33 @@ def load_csv(path: str, manifest: Optional[ManifestSpec] = None,
 
             mappings = [norm.get(n) for n in names]
             passthrough = frozenset(n for n, m in zip(names, mappings) if m is None)
-            if len(passthrough) == len(names):
-                body = handle.read()
-                rows = _numeric_body(body, len(names)) if body.strip() else None  # loadtxt warns on blank
-                if rows is not None:
-                    return Dataset(names, rows, raw_columns={}, passthrough=passthrough)
-                # the file's own text layer over a bytes copy; io.StringIO takes 4 bytes a character
-                reader = csv.reader(io.TextIOWrapper(io.BytesIO(body.encode()), "utf-8", newline=""))
-                del body
-            wanted = set(text_columns) - passthrough
-            texts: Dict[str, list] = {n: [] for n in names if n in wanted}
-            blocks = []
-            n_read = 0
-            while True:
-                records = list(itertools.islice(reader, _BLOCK_ROWS))
-                if not records:
-                    break
-                values, columns = _encode_block(records, names, mappings, n_read + 2)
-                blocks.append(values)
-                for name, cells in zip(names, columns):
-                    if name in texts:
-                        texts[name].extend(cells)
-                n_read += len(records)
+            wanted = frozenset(text_columns) - passthrough
+            body = handle.read()
     except OSError as exc:
         raise IngestError(f"cannot open {path}: {exc}") from None
-    except UnicodeDecodeError as exc:  # raised as the header, the body or a record block is read
+    except UnicodeDecodeError as exc:  # raised as the header or the body is read
         raise IngestError(f"{path} is not UTF-8 text: byte 0x{exc.object[exc.start]:02x} "
                           "cannot be decoded") from None
 
-    n_kept = sum(map(len, blocks))
-    if not n_kept:
+    table = _loadtxt_table(body, names, mappings, wanted)
+    if table is None:
+        # the file's own text layer over a bytes copy; io.StringIO takes 4 bytes a character
+        reader = csv.reader(io.TextIOWrapper(io.BytesIO(body.encode()), "utf-8", newline=""))
+        del body
+        texts: Dict[str, list] = {n: [] for n in names if n in wanted}
+        blocks, n_read = [np.empty((0, len(names)))], 0
+        for records in iter(lambda: list(itertools.islice(reader, _BLOCK_ROWS)), []):
+            values, columns = _encode_block(records, names, mappings, n_read + 2)
+            blocks.append(values)
+            for name in texts:
+                texts[name].extend(columns[names.index(name)])
+            n_read += len(records)
+        table = np.concatenate(blocks), {name: tuple(cells) for name, cells in texts.items()}, n_read
+        del blocks  # freed before Dataset copies the table
+    rows, raw_columns, n_read = table
+    if not len(rows):
         raise IngestError(f"{path} contains no usable data rows")
-    rows = np.concatenate(blocks)
-    del blocks  # freed before Dataset copies the table
-    raw_columns = {name: tuple(cells) for name, cells in texts.items()}
-    return Dataset(names, rows, raw_columns, n_dropped=n_read - n_kept, passthrough=passthrough)
+    return Dataset(names, rows, raw_columns, n_dropped=n_read - len(rows), passthrough=passthrough)
 
 
 @dataclass(frozen=True)

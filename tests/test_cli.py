@@ -3,11 +3,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import scoregap
+import scoregap.cli
 from scoregap import disparity_example, render_json
 from scoregap.cli import (
     EXIT_CONFIG,
@@ -151,13 +153,20 @@ class TestCheck:
 
 
 class TestUnwritableOut:
+    """An unwritable --out is reported before `analyze` runs anything, and nothing is written."""
+
+    @pytest.fixture(autouse=True)
+    def runs(self):
+        with mock.patch.object(scoregap.cli, "run_analysis", wraps=scoregap.cli.run_analysis) as runs:
+            yield runs
+
     @pytest.mark.parametrize("command", [
         ["analyze", "--config", "{models}"],
         ["check", "{model}"],
         ["analyze", "--config", "{config}"],
         ["analyze", "--config", "{config}", "--format", "csv"],
     ])
-    def test_missing_directory_is_a_usage_error(self, tmp_path, capsys, command):
+    def test_missing_directory_is_a_usage_error(self, tmp_path, capsys, runs, command):
         model_path = two_axis_model(tmp_path, 0.4)
         models = models_yaml(tmp_path, "models:\n  - name: m\n    epsilon: 0.3\n")
         args = [a.format(model=model_path, config=toy_config(tmp_path), models=models)
@@ -167,19 +176,44 @@ class TestUnwritableOut:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: cannot write {out}: No such file or directory\n"
+        assert not runs.called
 
-    def test_csv_and_side_json_are_written_all_or_nothing(self, tmp_path, capsys):
+    def test_csv_and_side_json_are_written_all_or_nothing(self, tmp_path, capsys, runs):
         out = tmp_path / "table.csv"
         Path(f"{out}.json").mkdir()
         assert main(["analyze", "--config", toy_config(tmp_path), "--format", "csv",
                      "--out", str(out)]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: cannot write {out}.json: Is a directory\n"
         assert not out.exists()
+        assert not runs.called
 
-    def test_directory_is_a_usage_error(self, tmp_path, capsys):
+    def test_directory_is_a_usage_error(self, tmp_path, capsys, runs):
         model_path = two_axis_model(tmp_path, 0.4)
         assert main(["check", model_path, "--out", str(tmp_path)]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: cannot write {tmp_path}: Is a directory\n"
+        assert main(["analyze", "--config", toy_config(tmp_path), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: cannot write {tmp_path}: Is a directory\n"
+        assert not runs.called
+
+    def test_a_file_in_place_of_a_directory_gets_the_error_open_gives(self, tmp_path, capsys, runs):
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        out = str(tmp_path / "file" / "out.json")
+        assert main(["analyze", "--config", toy_config(tmp_path), "--out", out]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: cannot write {out}: Not a directory\n"
+        assert not runs.called
+
+    def test_an_existing_file_is_checked_without_truncating_it(self, tmp_path, capsys, runs):
+        out = tmp_path / "table.csv"
+        out.write_text("old", encoding="utf-8")
+        Path(f"{out}.json").mkdir()
+        assert main(["analyze", "--config", toy_config(tmp_path), "--format", "csv",
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert out.read_text(encoding="utf-8") == "old"
+        assert not runs.called
+        Path(f"{out}.json").rmdir()
+        assert main(["analyze", "--config", toy_config(tmp_path), "--format", "csv",
+                     "--out", str(out)]) == EXIT_OK
+        assert runs.call_count == 1 and out.read_text(encoding="utf-8").startswith("name,")
 
 
 class TestAnalyze:

@@ -323,15 +323,18 @@ _FILE_ROWS = st.one_of(
 _TEXT_COLUMNS = st.lists(st.sampled_from(["a", "b", "g", "absent"]), unique=True)
 
 
-def _assert_matches_reference(rows, text_columns):
-    text = "a,b,g\n" + "".join(",".join(cells) + "\n" for cells in rows)
-    manifest = {"g": ["lo", "hi"]}
+def _assert_text_matches_reference(text, manifest, text_columns):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "data.csv")
-        with open(path, "w", encoding="utf-8") as handle:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
         assert (_outcome(load_csv, path, manifest, text_columns)
                 == _outcome(_reference_load, path, manifest, text_columns))
+
+
+def _assert_matches_reference(rows, text_columns):
+    text = "a,b,g\n" + "".join(",".join(cells) + "\n" for cells in rows)
+    _assert_text_matches_reference(text, {"g": ["lo", "hi"]}, text_columns)
 
 
 class TestLoadCsvMatchesRowByRow:
@@ -408,12 +411,100 @@ class TestNumericFastPath:
         np.testing.assert_array_equal(ds.column("income"), [50000, 42000, 61000])
         assert (ds.raw_columns, ds.passthrough) == ({}, {"age", "income", "score"})
 
-    def test_a_mapped_column_never_calls_loadtxt(self, tmp_path):
-        with mock.patch.object(np, "loadtxt", side_effect=AssertionError("loadtxt called")):
-            ds = load_csv(write_csv(tmp_path, MIXED_CSV), {"grade": ["bad", "good", "great"]})
-            assert ds.size == 4
-            with pytest.raises(UnmappedCategoryError):  # an empty mapping still maps its column
-                load_csv(write_csv(tmp_path, NUMERIC_CSV, name="numeric.csv"), {"score": {}})
+    def test_a_mapped_body_takes_loadtxt(self, tmp_path):
+        with mock.patch.object(ingest, "_encode_block", side_effect=AssertionError("block reader")), \
+                mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as parser:
+            ds = load_csv(write_csv(tmp_path, MIXED_CSV), {"grade": ["bad", "good", "great"]},
+                          text_columns=["grade"])
+        assert parser.call_count == 1
+        np.testing.assert_array_equal(ds.column("grade"), [2, 1, 3, 2])
+        assert ds.raw_columns == {"grade": ("good", "bad", "great", "good")}
+        with pytest.raises(UnmappedCategoryError):  # an empty mapping still maps its column
+            load_csv(write_csv(tmp_path, NUMERIC_CSV, name="numeric.csv"), {"score": {}})
+
+
+# Files whose mapped columns g and h (h last) np.loadtxt reads as
+# distinct-text indices. Most rows are ones loadtxt takes: keys of the
+# manifest, padded with whitespace that str.strip removes, missing tokens,
+# numeric text, and characters (NUL, '#', a BOM, '"', U+001C) that csv,
+# str.strip and loadtxt might each read differently. At most one row is
+# one that loadtxt cannot take: ragged, blank, whitespace only, quoted, or
+# with a missing token in the passthrough column.
+_MANIFESTS = st.sampled_from([
+    {"g": ["lo", "hi", "mid", "top", 'q"t'], "h": {"x": 1, "y": 1, "z": 2.5}},  # h: two keys, one number
+    {"g": {"lo": 2, "hi": 2, "#": 3, "lo#": 4, '"hi"': 5}, "h": ["z", "y", "x", "\x00"]},  # csv reads "hi" as hi
+    {"h": {"x": 1.0, "z": 1_000.0, "lo": -1.0}},  # g passthrough
+])
+_PADDING = st.sampled_from(["{}", " {} ", "{}\x0b", "\x0c{}", "\x85{}", "\xa0{}", "{}\u2003", "\x1c{}\t"])
+_MISSING_CELLS = st.sampled_from(["", " ", "?", " NA\t", "nan", "\x1c"])
+_ODD_MAPPED_CELLS = st.sampled_from(["zz", "\ufefflo", "\x00", "#", "lo#", "1", "2.0", "1_000", "2.5"])
+_HOSTILE_ROWS = st.one_of(
+    st.lists(st.one_of(_NUMERIC_CELLS, _MISSING_CELLS, _ODD_MAPPED_CELLS), max_size=4),  # blank, ragged
+    st.tuples(st.sampled_from(["?", "NA", "nan", "", "x", "inf", '"1"']), st.just("lo"), st.just("x")).map(list),
+)
+
+
+def _mapped_cells(mapping):
+    if mapping is None:
+        return _NUMERIC_CELLS
+    keys = st.sampled_from(list(mapping)).flatmap(lambda key: _PADDING.map(lambda pad: pad.format(key)))
+    return st.one_of(*[keys] * 12, _MISSING_CELLS, _ODD_MAPPED_CELLS)
+
+
+@st.composite
+def _mapped_files(draw):
+    """(text, manifest): a header-row CSV for the columns a, g and h, and a manifest mapping h."""
+    manifest = draw(_MANIFESTS)
+    row = st.tuples(_NUMERIC_CELLS, _mapped_cells(manifest.get("g")), _mapped_cells(manifest["h"]))
+    rows = [list(cells) for cells in draw(st.lists(row, max_size=8))]
+    if draw(st.integers(0, 3)) == 0:
+        rows.insert(draw(st.integers(0, len(rows))), draw(_HOSTILE_ROWS))
+    end = draw(st.sampled_from(["\n"] * 4 + ["\r\n"] * 2 + ["\r"]))
+    text = "".join(line + end for line in ["a,g,h"] + [",".join(cells) for cells in rows])
+    return (text.rstrip("\r\n") if draw(st.booleans()) else text), manifest  # maybe no final newline
+
+
+class TestMappedFastPath:
+    """With mapped columns np.loadtxt parses the body into distinct-text
+    indices, and load_csv still gives what the row-by-row reference gives."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(file=_mapped_files(),
+           text_columns=st.lists(st.sampled_from(["a", "g", "h", "absent"]), unique=True))
+    # CRLF and a lone CR with a mapped last column; an empty mapped cell; a
+    # missing token in a passthrough column; a key holding '"'
+    @example(file=("a,g,h\r\n1,lo,x\r\n2, hi ,y", {"g": ["lo", "hi"], "h": ["x", "y"]}),
+             text_columns=["h", "g"])
+    @example(file=("a,g,h\r1,lo,x\r2,hi,y\r", {"g": ["lo", "hi"], "h": ["x", "y"]}),
+             text_columns=["h"])
+    @example(file=("a,g,h\n1,lo,\n2,hi,y\n", {"g": ["lo", "hi"], "h": ["x", "y"]}),
+             text_columns=["g", "h"])
+    @example(file=("a,g,h\n?,lo,x\n2,hi,y\n", {"g": ["lo", "hi"], "h": ["x", "y"]}),
+             text_columns=["g"])
+    @example(file=('a,g,h\n1,q"t,x\n2,lo,y\n', {"g": ["lo", 'q"t'], "h": ["x", "y"]}),
+             text_columns=["g"])
+    def test_same_result_or_same_error(self, file, text_columns):
+        _assert_text_matches_reference(*file, text_columns)
+
+    def test_indices_give_each_row_its_code_and_text(self, tmp_path):
+        # "x" and "y" map to one number, so the kept text is not rebuilt from the codes;
+        # "2.5" is already encoded, and the row with "?" is dropped, so its unmapped "zz"
+        # is never encoded, as in the block reader
+        text = "a,g,h\n1,lo, x\n2,hi,y \n3,zz,?\n4,lo,2.5\n5,hi,x\n"
+        manifest = {"g": ["lo", "hi"], "h": {"x": 1, "y": 1, "z": 2.5}}
+        with mock.patch.object(ingest, "_encode_block", side_effect=AssertionError("block reader")):
+            ds = load_csv(write_csv(tmp_path, text), manifest, ["h"])
+        np.testing.assert_array_equal(ds.rows, [[1, 1, 1], [2, 2, 1], [4, 1, 2.5], [5, 2, 1]])
+        assert (ds.raw_columns, ds.n_dropped) == ({"h": ("x", "y", "2.5", "x")}, 1)
+
+    @pytest.mark.parametrize("text", ['a,g\n1,"lo"\n', "a,g\n1,lo\n2,mid\n", "a,g\n1,lo\n2,hi,\n",
+                                      "a,g\nx,lo\n", "a,g\nnan,lo\n", "a,g\n1,lo\n\n2,hi\n"])
+    def test_what_loadtxt_cannot_take_goes_to_the_block_reader(self, tmp_path, text):
+        path = write_csv(tmp_path, text)
+        with mock.patch.object(ingest, "_encode_block", wraps=ingest._encode_block) as reader:
+            outcome = _outcome(load_csv, path, {"g": ["lo", "hi"]}, ["g"])
+        assert reader.called
+        assert outcome == _outcome(_reference_load, path, {"g": ["lo", "hi"]}, ["g"])
 
 
 class TestBlocks:
@@ -454,10 +545,10 @@ class TestBlocks:
 def test_load_csv_peak_memory_is_a_small_multiple_of_the_table(tmp_path):
     # 30,000 x 25 numbers in the shape of the credit data, with text asked
     # for four code columns as the credit config's predicates ask. Left
-    # passthrough they take the loadtxt path and keep no text; mapped to
-    # themselves they take the block reader, which keeps their text. One
-    # more row with a missing cell sends the numeric file to the block
-    # reader only after loadtxt has parsed the rest.
+    # passthrough they keep no text; mapped to themselves they keep it,
+    # and loadtxt reads them as distinct-text indices. One more row with
+    # a missing cell sends the numeric file to the block reader only
+    # after loadtxt has parsed the rest.
     rng = np.random.default_rng(7)
     n = 30_000
     columns = [np.arange(1, n + 1), rng.integers(1, 100, n) * 10_000, rng.integers(1, 3, n),

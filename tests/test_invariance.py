@@ -13,7 +13,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from scoregap import ExperimentConfig, GroupingSpec, GroupPredicate, ModelEntry, run_analysis
+from scoregap import ExperimentConfig, GroupingSpec, GroupPredicate, ModelEntry, ingest, run_analysis
 
 from conftest import random_orthonormal, random_spd
 
@@ -130,48 +130,64 @@ def test_scaling_w_star_scales_the_improvements(tmp_path, shape, seed, c):
     assert_same_verdicts(before, after)
 
 
-# CSV relations, on one all-numeric file (np.loadtxt parses it) and one with
-# categorical columns and dropped rows (the block reader parses it). Every
-# grouping has two predicates, so that swapping them is a relation too.
+# CSV relations, on an all-numeric file and one with categorical columns
+# and dropped rows (np.loadtxt parses both, the second into distinct-text
+# indices), and on the categorical file with its sex cells quoted (the
+# block reader parses it). Every grouping has two predicates, so that
+# swapping them is a relation too.
+CATEGORICAL = ({"grade": ["lo", "mid", "hi"], "sex": ["F", "M"]},
+               (("age", ("age", "le", 35), ("age", "gt", 35)),
+                ("grade", ("grade", "in", ["lo", "mid"]), ("grade", "eq", "hi")),
+                ("sex", ("sex", "eq", "F"), ("sex", "eq", "M"))))
 CSV_KINDS = {
     "numeric": (None, (("age", ("age", "le", 35), ("age", "gt", 35)),
                        ("edu", ("edu", "in", [1, 2]), ("edu", "eq", 3)),
-                       ("sex", ("sex", "eq", 1), ("sex", "eq", 2)))),
-    "categorical": ({"grade": ["lo", "mid", "hi"], "sex": ["F", "M"]},
-                    (("age", ("age", "le", 35), ("age", "gt", 35)),
-                     ("grade", ("grade", "in", ["lo", "mid"]), ("grade", "eq", "hi")),
-                     ("sex", ("sex", "eq", "F"), ("sex", "eq", "M")))),
+                       ("sex", ("sex", "eq", 1), ("sex", "eq", 2))), "loadtxt"),
+    "categorical": (*CATEGORICAL, "loadtxt"),
+    "quoted": (*CATEGORICAL, "block reader"),
 }
+FEATURES = ("x1", "x2", "x3")
 
 
-def seeded_rows(kind: str, seed: int) -> list:
-    """240 CSV lines after the header: three grouping columns and three more features."""
+def seeded_rows(kind: str, seed: int, scale=(1.0, 1.0, 1.0), shift=(0.0, 0.0, 0.0)) -> list:
+    """240 CSV lines after the header: three grouping columns and the FEATURES, each x * scale + shift."""
     rng = np.random.default_rng(seed)
     n = 240
     age = rng.integers(21, 70, n)
     feats = rng.standard_normal((n, 3)) * [1.0, 30.0, 0.01] + age[:, None] * [0.05, 1.0, 0.0]
+    feats = feats * scale + shift
     if kind == "numeric":
         codes = zip(rng.integers(1, 5, n), rng.integers(1, 3, n))
     else:
         codes = zip(rng.choice(["lo", " mid", "hi ", "?"], n, p=[0.3, 0.3, 0.35, 0.05]),
                     rng.choice(["F", "M"], n))
+    if kind == "quoted":
+        codes = ((c, f'"{s}"') for c, s in codes)
     return [f"{a},{c},{s}," + ",".join(map(repr, f.tolist()))
             for a, (c, s), f in zip(age, codes, feats)]
 
 
-def csv_doc(tmp_path, kind: str, lines: list, name: str, swap: bool = False) -> dict:
-    """The `analyze` document of a CSV of `lines`, less its dataset path."""
-    manifest, specs = CSV_KINDS[kind]
-    code = "edu" if kind == "numeric" else "grade"
+def header(kind: str) -> list:
+    return ["age", "edu" if kind == "numeric" else "grade", "sex", *FEATURES]
+
+
+def csv_doc(tmp_path, kind: str, lines: list, name: str, swap: bool = False,
+            columns: list = None, **settings) -> dict:
+    """The `analyze` document of a CSV of `lines` under `columns` (default: header(kind)),
+    less its dataset path; `settings` are more ExperimentConfig fields."""
+    manifest, specs, reader = CSV_KINDS[kind]
     path = tmp_path / f"{name}.csv"
-    path.write_text(f"age,{code},sex,x1,x2,x3\n" + "\n".join(lines) + "\n", encoding="utf-8")
+    path.write_text(",".join(columns or header(kind)) + "\n" + "\n".join(lines) + "\n", encoding="utf-8")
     groupings = tuple(
         GroupingSpec(grouping, *(GroupPredicate(*p) for p in (preds[::-1] if swap else preds)))
         for grouping, *preds in specs)
-    config = ExperimentConfig(dataset=str(path), encoding=manifest or {}, groupings=groupings, rank=3)
-    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as parser:
+    config = ExperimentConfig(dataset=str(path), encoding=manifest or {}, groupings=groupings, rank=3,
+                              **settings)
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as parser, \
+            mock.patch.object(ingest, "_encode_block", wraps=ingest._encode_block) as blocks:
         doc = run_analysis(config)
-    assert parser.called == (manifest is None)
+    # a quoted body never reaches loadtxt, and the others never reach the block reader
+    assert (parser.called, blocks.called) == ((True, False) if reader == "loadtxt" else (False, True))
     assert doc["n_failed"] == 0, doc
     del doc["dataset"]
     return doc
@@ -211,5 +227,39 @@ def test_swapping_a_groupings_predicates_swaps_its_groups(tmp_path, kind, seed):
     before = csv_doc(tmp_path, kind, lines, "a")
     after = csv_doc(tmp_path, kind, lines, "b", swap=True)
     expected = dict(before, groupings=[mirrored(entry) for entry in before["groupings"]])
+    assert_floats(expected, after, lambda path, old: old)
+    assert_same_verdicts(expected, after)
+
+
+@pytest.mark.parametrize("kind", sorted(CSV_KINDS))
+@pytest.mark.parametrize("seed", [0, 1])
+def test_standardized_features_ignore_their_units(tmp_path, kind, seed):
+    rng = np.random.default_rng(200 + seed)
+    scale, shift = np.exp(rng.uniform(-4, 4, 3)), rng.uniform(-1e3, 1e3, 3)
+    before = csv_doc(tmp_path, kind, seeded_rows(kind, seed), "a", standardize=True)
+    after = csv_doc(tmp_path, kind, seeded_rows(kind, seed, scale, shift), "b", standardize=True)
+    assert_floats(before, after, lambda path, old: old)
+    assert_same_verdicts(before, after)
+
+
+@pytest.mark.parametrize("kind", sorted(CSV_KINDS))
+@pytest.mark.parametrize("seed", [0, 1])
+def test_permuting_feature_columns_permutes_the_welfare_rule(tmp_path, kind, seed):
+    rng = np.random.default_rng(300 + seed)
+    order = rng.permutation(len(header(kind)))
+    w_star = rng.uniform(0.5, 2.0, len(order))
+    docs = []
+    for name, perm in (("a", np.arange(len(order))), ("b", order)):
+        vector = tmp_path / f"w_{name}.json"
+        vector.write_text(json.dumps(w_star[perm].tolist()), encoding="utf-8")
+        lines = [",".join(np.array(line.split(","))[perm]) for line in seeded_rows(kind, seed)]
+        doc = csv_doc(tmp_path, kind, lines, name, columns=[header(kind)[j] for j in perm],
+                      wstar=f"vector:{vector}")
+        assert doc.pop("wstar") == f"vector:{vector}"
+        docs.append(doc)
+    before, after = docs
+    expected = dict(before, feature_names=[before["feature_names"][j] for j in order],
+                    groupings=[dict(entry, welfare_rule=[entry["welfare_rule"][j] for j in order])
+                               for entry in before["groupings"]])
     assert_floats(expected, after, lambda path, old: old)
     assert_same_verdicts(expected, after)
