@@ -75,6 +75,17 @@ def _write_files(texts: Dict[str, str]) -> None:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
+def _check_writable(out: Optional[str], side_json: bool = False) -> None:
+    """Raise `_write_files`'s error for a missing directory or a directory at `out` (and OUT.json)."""
+    for path in [] if out is None else [out] + [out + ".json"] * side_json:
+        try:
+            os.stat(os.path.join(os.path.dirname(path) or ".", ""))  # the final "/" wants a directory
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+        if os.path.isdir(path):
+            raise ConfigError(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     config = load_config(args.config).override(
         out=args.out,
@@ -83,21 +94,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         wstar=args.wstar,
         standardize=args.standardize,
     )
-    outputs = [] if config.out is None else [config.out] + [config.out + ".json"] * (config.format == "csv")
-    for path in outputs:  # a missing directory or a directory fails before the run, creating nothing
-        try:
-            os.stat(os.path.join(os.path.dirname(path) or ".", ""))  # the final "/" wants a directory
-        except OSError as exc:
-            raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
-        if os.path.isdir(path):
-            raise ConfigError(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
+    _check_writable(config.out, side_json=config.format == "csv")  # before the run, creating nothing
     result = run_analysis(config)
-    if config.format == "json":
-        _emit(render_json(result), config.out)
-    elif config.out is None:
-        _emit(render_csv(result), None)
-    else:
+    if config.format == "csv" and config.out is not None:
         _write_files({config.out: render_csv(result), config.out + ".json": render_json(result)})
+    else:
+        _emit((render_csv if config.format == "csv" else render_json)(result), config.out)
 
     status = classify_failures(result)
     if status is None:
@@ -110,6 +112,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    _check_writable(args.out)
     payload = population_payload(load_model(args.model))
     doc = {"schema_version": RESULT_SCHEMA_VERSION, "model": args.model, **payload}
     _emit(render_json(doc), args.out)

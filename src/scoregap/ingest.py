@@ -206,18 +206,17 @@ def _loadtxt_table(body: str, names: Tuple[str, ...], mappings: Sequence[Optiona
                    wanted: FrozenSet[str]) -> Optional[Tuple[np.ndarray, Dict[str, Tuple[str, ...]], int]]:
     """np.loadtxt's reading of the body: (kept rows, kept text of `wanted`, rows read), or None.
 
-    A mapped cell is read as the index of its text among its column's
-    distinct texts in first-seen order, each then stripped, tested for a
-    missing token and encoded once (to nan if it maps to nothing). None,
-    for the block reader, unless the body has no '"', the table has one
-    row per line and one column per name, and the kept rows are finite.
+    A mapped cell reads as the index of its raw text among its column's distinct
+    texts, each then stripped, tested for a missing token and encoded once (nan if
+    it maps to nothing). None, for the block reader, unless the body has no '"' and
+    the table has one row per line, one column per name and finite kept rows.
     """
     if '"' in body or not body.strip():  # quoting is csv's job; loadtxt warns on a blank body
         return None
     seen = {j: defaultdict(itertools.count().__next__) for j, m in enumerate(mappings) if m is not None}
     try:
         rows = np.loadtxt(body.split("\n"), delimiter=",", dtype=float, comments=None, ndmin=2,
-                          converters={j: ids.__getitem__ for j, ids in seen.items()})
+                          encoding=None, converters={j: ids.__getitem__ for j, ids in seen.items()})
     except ValueError:
         return None
     n_read = body.count("\n") + (not body.endswith("\n"))
@@ -226,17 +225,15 @@ def _loadtxt_table(body: str, names: Tuple[str, ...], mappings: Sequence[Optiona
     keep, texts = np.ones(n_read, dtype=bool), {}
     for j, ids in seen.items():
         stripped = [raw.strip() for raw in ids]
-        missing = np.fromiter(map(MISSING_TOKENS.__contains__, stripped), dtype=bool, count=len(ids))
         codes = np.array([_encode_category(text, mappings[j]) for text in stripped], dtype=float)
         index = rows[:, j].astype(np.intp)
-        keep &= ~missing[index]
+        keep &= ~np.fromiter(map(MISSING_TOKENS.__contains__, stripped), dtype=bool, count=len(ids))[index]
         rows[:, j] = np.take(codes, index)
         if names[j] in wanted:
             texts[names[j]] = np.array(stripped, dtype=object)[index]
     rows = rows if keep.all() else rows[keep]
-    if not np.isfinite(rows).all():
-        return None
-    return rows, {name: tuple(cells[keep]) for name, cells in texts.items()}, n_read
+    kept_text = {name: tuple(cells[keep]) for name, cells in texts.items()}
+    return (rows, kept_text, n_read) if np.isfinite(rows).all() else None
 
 
 def load_csv(path: str, manifest: Optional[ManifestSpec] = None,

@@ -10,7 +10,7 @@ import pytest
 
 import scoregap
 import scoregap.cli
-from scoregap import disparity_example, render_json
+from scoregap import ConfigError, disparity_example, render_json
 from scoregap.cli import (
     EXIT_CONFIG,
     EXIT_DEGENERATE,
@@ -160,13 +160,18 @@ class TestUnwritableOut:
         with mock.patch.object(scoregap.cli, "run_analysis", wraps=scoregap.cli.run_analysis) as runs:
             yield runs
 
+    @pytest.fixture(autouse=True)
+    def loads(self):
+        with mock.patch.object(scoregap.cli, "load_model", wraps=scoregap.cli.load_model) as loads:
+            yield loads
+
     @pytest.mark.parametrize("command", [
         ["analyze", "--config", "{models}"],
         ["check", "{model}"],
         ["analyze", "--config", "{config}"],
         ["analyze", "--config", "{config}", "--format", "csv"],
     ])
-    def test_missing_directory_is_a_usage_error(self, tmp_path, capsys, runs, command):
+    def test_missing_directory_is_a_usage_error(self, tmp_path, capsys, runs, loads, command):
         model_path = two_axis_model(tmp_path, 0.4)
         models = models_yaml(tmp_path, "models:\n  - name: m\n    epsilon: 0.3\n")
         args = [a.format(model=model_path, config=toy_config(tmp_path), models=models)
@@ -176,7 +181,7 @@ class TestUnwritableOut:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: cannot write {out}: No such file or directory\n"
-        assert not runs.called
+        assert not runs.called and not loads.called
 
     def test_csv_and_side_json_are_written_all_or_nothing(self, tmp_path, capsys, runs):
         out = tmp_path / "table.csv"
@@ -187,10 +192,21 @@ class TestUnwritableOut:
         assert not out.exists()
         assert not runs.called
 
-    def test_directory_is_a_usage_error(self, tmp_path, capsys, runs):
+    def test_write_files_removes_the_files_it_opened_when_a_later_open_fails(self, tmp_path):
+        # the pre-check stops this case in `analyze`; an open it does not foresee
+        # (permission denied, a full disk) fails the same way
+        first, second = tmp_path / "table.csv", tmp_path / "table.csv.json"
+        second.mkdir()
+        with pytest.raises(ConfigError) as info:
+            scoregap.cli._write_files({str(first): "a,b\n", str(second): "{}"})
+        assert str(info.value) == f"cannot write {second}: Is a directory"
+        assert not first.exists()
+
+    def test_directory_is_a_usage_error(self, tmp_path, capsys, runs, loads):
         model_path = two_axis_model(tmp_path, 0.4)
         assert main(["check", model_path, "--out", str(tmp_path)]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: cannot write {tmp_path}: Is a directory\n"
+        assert not loads.called
         assert main(["analyze", "--config", toy_config(tmp_path), "--out", str(tmp_path)]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: cannot write {tmp_path}: Is a directory\n"
         assert not runs.called

@@ -472,7 +472,8 @@ class TestMappedFastPath:
     @given(file=_mapped_files(),
            text_columns=st.lists(st.sampled_from(["a", "g", "h", "absent"]), unique=True))
     # CRLF and a lone CR with a mapped last column; an empty mapped cell; a
-    # missing token in a passthrough column; a key holding '"'
+    # missing token in a passthrough column; numeric keys that swap two
+    # numbers; a key holding '"'
     @example(file=("a,g,h\r\n1,lo,x\r\n2, hi ,y", {"g": ["lo", "hi"], "h": ["x", "y"]}),
              text_columns=["h", "g"])
     @example(file=("a,g,h\r1,lo,x\r2,hi,y\r", {"g": ["lo", "hi"], "h": ["x", "y"]}),
@@ -480,6 +481,8 @@ class TestMappedFastPath:
     @example(file=("a,g,h\n1,lo,\n2,hi,y\n", {"g": ["lo", "hi"], "h": ["x", "y"]}),
              text_columns=["g", "h"])
     @example(file=("a,g,h\n?,lo,x\n2,hi,y\n", {"g": ["lo", "hi"], "h": ["x", "y"]}),
+             text_columns=["g"])
+    @example(file=("a,g,h\n1,1,x\n2,2,y\n", {"g": {"1": 2, "2": 1}, "h": ["x", "y"]}),
              text_columns=["g"])
     @example(file=('a,g,h\n1,q"t,x\n2,lo,y\n', {"g": ["lo", 'q"t'], "h": ["x", "y"]}),
              text_columns=["g"])
@@ -496,6 +499,24 @@ class TestMappedFastPath:
             ds = load_csv(write_csv(tmp_path, text), manifest, ["h"])
         np.testing.assert_array_equal(ds.rows, [[1, 1, 1], [2, 2, 1], [4, 1, 2.5], [5, 2, 1]])
         assert (ds.raw_columns, ds.n_dropped) == ({"h": ("x", "y", "2.5", "x")}, 1)
+
+    def test_converters_get_text_where_loadtxt_defaults_to_bytes(self, tmp_path):
+        # numpy < 2 defaults loadtxt to encoding="bytes" and hands converters bytes,
+        # which match no key and go through float(): this mapping would read 1 as 1.0
+        path = write_csv(tmp_path, "a,g\n1,1\n2, 2\n3,?\n4,1\n")
+        manifest = {"g": {"1": 2, "2": 1}}
+        loadtxt = np.loadtxt
+
+        def bytes_by_default(*args, **kwargs):
+            return loadtxt(*args, **{"encoding": "bytes", **kwargs})
+
+        with mock.patch.object(ingest, "_encode_block", side_effect=AssertionError("block reader")), \
+                mock.patch.object(np, "loadtxt", bytes_by_default):
+            ds = load_csv(path, manifest, ["g"])
+        np.testing.assert_array_equal(ds.column("g"), [2, 1, 2])
+        assert (ds.raw_columns, ds.n_dropped) == ({"g": ("1", "2", "1")}, 1)
+        assert (_outcome(load_csv, path, manifest, ["g"])
+                == _outcome(_reference_load, path, manifest, ["g"]))
 
     @pytest.mark.parametrize("text", ['a,g\n1,"lo"\n', "a,g\n1,lo\n2,mid\n", "a,g\n1,lo\n2,hi,\n",
                                       "a,g\nx,lo\n", "a,g\nnan,lo\n", "a,g\n1,lo\n\n2,hi\n"])
