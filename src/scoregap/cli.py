@@ -15,8 +15,10 @@ import argparse
 import contextlib
 import errno
 import os
+import stat
 import sys
-from typing import Dict, Optional, TextIO
+import tempfile
+from typing import Dict, List, Optional, Tuple
 
 from .errors import ConfigError, IngestError, ScoregapError
 from .config import load_config
@@ -56,22 +58,36 @@ def _emit(text: str, out: Optional[str]) -> None:
 def _write_files(texts: Dict[str, str]) -> None:
     """Write each path's text, all or nothing.
 
-    Every path is opened before any is written. If one cannot be opened
-    or written, the files already opened are removed, so a failed
-    command leaves no output behind that looks finished.
+    Each text goes to a temporary file beside its target, and only when
+    every one is written are they moved over their targets, so a failed
+    command leaves every target as it was and no temporary file behind. A
+    target keeps its permission bits, and a new one gets those `open`
+    gives. A symlink is written through; a target that exists but is not a
+    regular file (a directory, /dev/stdout) is opened in place, since
+    moving a file over it would replace it.
     """
-    handles: Dict[str, TextIO] = {}
+    umask = os.umask(0o022)
+    os.umask(umask)
+    moves: List[Tuple[str, str, str]] = []
     try:
-        for path in texts:
-            handles[path] = open(path, "w", encoding="utf-8")
-        for path, handle in handles.items():
-            with handle:
-                handle.write(texts[path])
+        for path, text in texts.items():
+            if os.path.exists(path) and not os.path.isfile(path):
+                with open(path, "w", encoding="utf-8") as handle:
+                    handle.write(text)
+                continue
+            target = os.path.realpath(path)
+            mode = stat.S_IMODE(os.stat(target).st_mode) if os.path.exists(target) else 0o666 & ~umask
+            fd, temp = tempfile.mkstemp(prefix=f".{os.path.basename(target)}.", dir=os.path.dirname(target))
+            moves.append((temp, target, path))
+            with open(fd, "w", encoding="utf-8") as handle:
+                os.chmod(temp, mode)
+                handle.write(text)
+        for temp, target, path in moves:
+            os.replace(temp, target)
     except OSError as exc:
-        for opened, handle in handles.items():
-            handle.close()
+        for temp, _, _ in moves:
             with contextlib.suppress(OSError):
-                os.remove(opened)
+                os.remove(temp)
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 

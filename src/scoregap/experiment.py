@@ -1,13 +1,19 @@
 """The analyze pipeline: datasets or prebuilt models in, metric reports out.
 
-`run_analysis` makes one pass per grouping or model entry: it splits the
-rows and builds each subgroup's perceived subspace from its own rows (or
-it loads the listed model), deploys the welfare-maximizing rule and
-reports the six headline quantities (total and per-unit improvements,
-per-unit optima for both groups) plus subspace alignment and the full
-guarantee report. Each entry is built and analysed under one error
-boundary: a failing grouping becomes an error entry instead of aborting
-the run.
+`run_analysis` makes one pass per grouping or model entry: it builds each
+subgroup's perceived subspace from its own rows (or it loads the listed
+model), deploys the welfare-maximizing rule and reports the six headline
+quantities (total and per-unit improvements, per-unit optima for both
+groups) plus subspace alignment and the full guarantee report. Each entry
+is built and analysed under one error boundary: a failing grouping
+becomes an error entry instead of aborting the run.
+
+On a dataset, every grouping's rows are split first. The rows that fall
+in the same groups across all groupings form a cell, and each cell of at
+least d rows takes one QR, whose d x d R stands in for its rows in every
+group that holds it (`_cell_stacker`). So the rows are factored about
+once in all, not once per group, and a group's subspace equals the one
+taken from its own rows up to roundoff.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -38,7 +44,7 @@ from .metrics import improvement_report
 from .modelio import cost_from_matrix, load_model
 from .principal import PopulationModel, welfare_maximizing_rule
 
-RESULT_SCHEMA_VERSION = 4
+RESULT_SCHEMA_VERSION = 5
 
 # Error types that mean the instance violates the model's standing
 # assumptions (no gain possible anywhere) rather than being malformed.
@@ -120,23 +126,70 @@ def prepare_features(config: ExperimentConfig) -> Tuple[Dataset, Tuple[str, ...]
     return ds, drop, features, w_star
 
 
-def _grouping_model(spec: GroupingSpec, ds: Dataset, features: np.ndarray,
+def _split(ds: Dataset, spec: GroupingSpec) -> Union[Tuple[np.ndarray, np.ndarray], ScoregapError]:
+    """The grouping's two row masks, or the error that becomes its entry."""
+    try:
+        return split_masks(ds, spec)
+    except ScoregapError as exc:
+        return exc
+
+
+def _cell_stacker(features: np.ndarray, masks: Sequence[np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    """`stack(mask)`: a matrix with the singular values and right singular vectors of features[mask].
+
+    The rows that fall in the same masks form a cell, so each mask is a
+    union of cells. Each cell of n_c >= d rows that some mask holds is
+    factored once, X_c = Q_c R_c, and a mask's stack is the d x d R_c of
+    its large cells over the rows of its small ones. Up to row order
+    X_g = diag(Q_c) S_g with diag(Q_c) orthonormal, so S_g has the same
+    singular values and right singular vectors as X_g, and min(rows, d) is
+    min(n_g, d) (TSQR: Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci.
+    Comput. 34(1), 2012). Only large cells cost a Python step, so there
+    are at most n/d of them.
+    """
+    n, d = features.shape
+    labels, span = np.zeros(n, dtype=np.int64), 1  # labels < span
+    covered = np.zeros(n, dtype=bool)
+    for mask in masks:
+        if span > 2 ** 62:  # re-densify before 2 * labels + 1 overflows int64
+            labels, span = np.unique(labels, return_inverse=True)[1], n
+        labels, span = 2 * labels + mask, 2 * span
+        covered |= mask
+    _, cell, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    order = np.argsort(cell, kind="stable")
+    starts = np.cumsum(counts) - counts
+    firsts = order[starts]  # one row of each cell
+    large = np.flatnonzero((counts >= d) & covered[firsts])
+    first_rows = firsts[large]
+    factors = [np.linalg.qr(features[order[start:start + size]], mode="r")
+               for start, size in zip(starts[large], counts[large])]
+    small_rows = (counts < d)[cell]
+
+    def stack(mask: np.ndarray) -> np.ndarray:
+        held = [factors[i] for i in np.flatnonzero(mask[first_rows])]
+        return np.vstack(held + [features[mask & small_rows]])
+
+    return stack
+
+
+def _grouping_model(spec: GroupingSpec, split, stack: Callable[[np.ndarray], np.ndarray],
                     w_star: np.ndarray, config: ExperimentConfig) -> Tuple[dict, PopulationModel]:
-    masks = split_masks(ds, spec)
-    for side, mask in enumerate(masks, start=1):
+    if isinstance(split, ScoregapError):
+        raise split
+    for side, mask in enumerate(split, start=1):
         if not mask.any():
             raise EmptyGroupError(f"grouping {spec.name!r}: group {side} received zero rows")
-    dim = features.shape[1]
+    dim = w_star.shape[0]
     groups = [
         Subgroup(
             name=f"{spec.name}:{side}",
             cost=_build_cost(cost, dim, f"costs.group{side}"),
-            projection=subspace_projection(features[mask], config.rank),
+            projection=subspace_projection(stack(mask), config.rank),
         )
-        for side, (mask, cost) in enumerate(zip(masks, (config.cost1, config.cost2)), start=1)
+        for side, (mask, cost) in enumerate(zip(split, (config.cost1, config.cost2)), start=1)
     ]
-    sizes = [int(mask.sum()) for mask in masks]
-    accounting = {"group_sizes": sizes, "n_excluded": int(masks[0].shape[0] - sum(sizes))}
+    sizes = [int(mask.sum()) for mask in split]
+    accounting = {"group_sizes": sizes, "n_excluded": int(split[0].shape[0] - sum(sizes))}
     return accounting, PopulationModel(group1=groups[0], group2=groups[1], w_star=w_star)
 
 
@@ -182,8 +235,11 @@ def run_analysis(config: ExperimentConfig) -> dict:
     if config.dataset is not None:
         ds, drop, features, w_star = prepare_features(config)
         result.update(n_rows=ds.size, n_dropped=ds.n_dropped, feature_names=list(ds.feature_names(drop)))
-        entries = [_entry(spec.name, _grouping_model, spec, ds, features, w_star, config)
-                   for spec in config.groupings]
+        splits = [_split(ds, spec) for spec in config.groupings]
+        stack = _cell_stacker(features, [m for split in splits if not isinstance(split, ScoregapError)
+                                         for m in split])
+        entries = [_entry(spec.name, _grouping_model, spec, split, stack, w_star, config)
+                   for spec, split in zip(config.groupings, splits)]
     else:
         entries = [_entry(entry.name, _listed_model, entry) for entry in config.models]
     entries.sort(key=lambda e: e["name"])

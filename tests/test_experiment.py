@@ -2,9 +2,11 @@ import csv
 import io
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from scoregap import (
     ConfigError,
@@ -13,11 +15,14 @@ from scoregap import (
     ModelEntry,
     PopulationModel,
     ProjectionMatrix,
+    RankTooLargeError,
     Subgroup,
     load_config,
+    subspace_projection,
 )
 from scoregap.experiment import (
     CSV_COLUMNS,
+    _cell_stacker,
     classify_failures,
     render_csv,
     render_json,
@@ -79,7 +84,7 @@ def dataset_config(tmp_path, **kwargs) -> ExperimentConfig:
 class TestModelMode:
     def test_two_axis_entry_values(self):
         result = run_analysis(models_config())
-        assert result["schema_version"] == 4
+        assert result["schema_version"] == 5
         assert result["n_failed"] == 0
         assert result["dataset"] is None
         (entry,) = result["groupings"]
@@ -223,6 +228,48 @@ class TestDatasetMode:
         assert entry["error"]["type"] == "EmptyGroupError"
 
 
+def _projection_or_message(rows: np.ndarray, k: int):
+    try:
+        return subspace_projection(rows, k)
+    except RankTooLargeError as exc:
+        return str(exc)
+
+
+class TestCellStacker:
+    """Each mask's stack gives the subspace of the mask's own rows, up to roundoff."""
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 10**6), n=st.integers(1, 80), d=st.integers(1, 6),
+           kinds=st.integers(1, 10), n_masks=st.integers(1, 8), noisy=st.integers(0, 2),
+           repeats=st.sampled_from([0, 70]))
+    @example(seed=1, n=60, d=3, kinds=3, n_masks=3, noisy=0, repeats=70)
+    def test_stacks_match_the_rows(self, seed, n, d, kinds, n_masks, noisy, repeats):
+        # rows of one kind share every mask but the `noisy` row-wise random
+        # ones, so cells run from single rows to most of the table; the first
+        # mask is one kind, so with noisy = 0 it is a group inside one cell,
+        # and `repeats` uniform masks after it push its bit past 62 places
+        rng = np.random.default_rng(seed)
+        features = rng.standard_normal((n, d)) * np.exp(rng.uniform(-3, 3, d))
+        kind = rng.integers(0, kinds, n)
+        masks = [kind == 0] + [np.ones(n, dtype=bool)] * repeats
+        masks += [np.isin(kind, rng.choice(kinds, rng.integers(0, kinds + 1), replace=False))
+                  for _ in range(n_masks)]
+        masks += [rng.random(n) < 0.5 for _ in range(noisy)]
+        with mock.patch.object(np.linalg, "qr", wraps=np.linalg.qr) as qr:
+            stack = _cell_stacker(features, masks)
+        assert qr.call_count <= n // d  # only cells of at least d rows are factored
+        for mask in {m.tobytes(): m for m in masks if m.any()}.values():
+            rows = stack(mask)
+            assert rows.shape[0] <= mask.sum() and min(rows.shape[0], d) == min(mask.sum(), d)
+            for k in range(1, d + 2):
+                got, want = _projection_or_message(rows, k), _projection_or_message(features[mask], k)
+                if isinstance(want, str):
+                    assert got == want
+                else:
+                    assert (got.rank, got.tie_warning) == (want.rank, want.tie_warning)
+                    assert np.max(np.abs(got.matrix - want.matrix), initial=0.0) <= 1e-10
+
+
 class TestClassifyFailures:
     def test_clean_run(self):
         assert classify_failures(run_analysis(models_config())) is None
@@ -281,7 +328,7 @@ class TestRendering:
         assert text1 == text2
         assert text1.endswith("\n")
         doc = json.loads(text1)
-        assert doc["schema_version"] == 4
+        assert doc["schema_version"] == 5
 
     def test_json_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -364,6 +411,32 @@ class TestBenchmarkTrace:
         assert tracer.counts["linalg.alignment_samples"] == 0
         assert tracer.counts["linalg.alignment_flops"] == 0
         assert tracer.counts["linalg.subspace_projection_calls"] > 0
+
+
+    def test_traced_dataset_run_reaches_the_wrapped_names(self, tmp_path, monkeypatch):
+        # the cell factoring still splits and projects through the names
+        # experiment imports, once per grouping and once per group
+        monkeypatch.syspath_prepend(str(BENCHMARKS))
+        import run
+        from tracer import Tracer
+        from scoregap import experiment, modelio
+
+        config = dataset_config(tmp_path, groupings=(
+            GroupingSpec(name="age", group1=GroupPredicate("age", "le", 35)),
+            GroupingSpec(name="skill", group1=GroupPredicate("skill", "le", 0.0)),
+            GroupingSpec(name="none", group1=GroupPredicate("age", "gt", 100)),
+        ))
+        plain = render_json(run_analysis(config))
+        tracer = Tracer()
+        run._install(tracer, experiment, modelio)
+        try:
+            traced = render_json(experiment.run_analysis(config))
+        finally:
+            tracer.remove()
+        assert traced == plain
+        assert json.loads(plain)["n_failed"] == 1
+        assert tracer.counts["ingest.split_masks_calls"] == 3
+        assert tracer.counts["linalg.subspace_projection_calls"] == 4
 
 
 class TestBenchmarkWorkloads:

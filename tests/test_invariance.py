@@ -113,6 +113,16 @@ def test_common_rotation_rotates_only_the_welfare_rule(tmp_path, shape, seed):
 SCALED = {"I1", "I2", "welfare", "difference", "uI1", "uI2", "uI1_star", "uI2_star"}
 
 
+def scaled_by(c: float):
+    """assert_floats' expectation for w* scaled by c: the metrics scale by c, the
+    welfare rule, alignment and sufficient_c stay, and the other values go unchecked."""
+    def expected(path, old):
+        if "metrics" in path:
+            return c * old
+        return old if {"welfare_rule", "alignment", "sufficient_c"} & set(path) else None
+    return expected
+
+
 @pytest.mark.parametrize("shape, seed", CASES)
 @pytest.mark.parametrize("c", [0.03, 7.5])
 def test_scaling_w_star_scales_the_improvements(tmp_path, shape, seed, c):
@@ -120,13 +130,7 @@ def test_scaling_w_star_scales_the_improvements(tmp_path, shape, seed, c):
     before = entry_of(tmp_path, doc, "a")
     after = entry_of(tmp_path, dict(doc, w_star=c * doc["w_star"]), "b")
     assert set(before["metrics"]) == SCALED
-
-    def expected(path, old):
-        if path[0] == "metrics":
-            return c * old
-        return old if path[0] in ("welfare_rule", "alignment") or "sufficient_c" in path else None
-
-    assert_floats(before, after, expected)
+    assert_floats(before, after, scaled_by(c))
     assert_same_verdicts(before, after)
 
 
@@ -171,17 +175,26 @@ def header(kind: str) -> list:
     return ["age", "edu" if kind == "numeric" else "grade", "sex", *FEATURES]
 
 
+def write_csv(tmp_path, kind: str, lines: list, name: str, columns: list = None) -> str:
+    """The path of a CSV of `lines` under `columns` (default: header(kind))."""
+    path = tmp_path / f"{name}.csv"
+    path.write_text(",".join(columns or header(kind)) + "\n" + "\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def groupings_of(kind: str, swap: bool = False) -> tuple:
+    return tuple(GroupingSpec(grouping, *(GroupPredicate(*p) for p in (preds[::-1] if swap else preds)))
+                 for grouping, *preds in CSV_KINDS[kind][1])
+
+
 def csv_doc(tmp_path, kind: str, lines: list, name: str, swap: bool = False,
             columns: list = None, **settings) -> dict:
     """The `analyze` document of a CSV of `lines` under `columns` (default: header(kind)),
     less its dataset path; `settings` are more ExperimentConfig fields."""
-    manifest, specs, reader = CSV_KINDS[kind]
-    path = tmp_path / f"{name}.csv"
-    path.write_text(",".join(columns or header(kind)) + "\n" + "\n".join(lines) + "\n", encoding="utf-8")
-    groupings = tuple(
-        GroupingSpec(grouping, *(GroupPredicate(*p) for p in (preds[::-1] if swap else preds)))
-        for grouping, *preds in specs)
-    config = ExperimentConfig(dataset=str(path), encoding=manifest or {}, groupings=groupings, rank=3,
+    manifest, _, reader = CSV_KINDS[kind]
+    path = write_csv(tmp_path, kind, lines, name, columns)
+    groupings = groupings_of(kind, swap)
+    config = ExperimentConfig(dataset=path, encoding=manifest or {}, groupings=groupings, rank=3,
                               **settings)
     with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as parser, \
             mock.patch.object(ingest, "_encode_block", wraps=ingest._encode_block) as blocks:
@@ -263,3 +276,37 @@ def test_permuting_feature_columns_permutes_the_welfare_rule(tmp_path, kind, see
                                for entry in before["groupings"]])
     assert_floats(expected, after, lambda path, old: old)
     assert_same_verdicts(expected, after)
+
+
+@pytest.mark.parametrize("kind", sorted(CSV_KINDS))
+@pytest.mark.parametrize("c", [0.03, 7.5])
+def test_scaling_a_vector_w_star_scales_the_improvements(tmp_path, kind, c):
+    w_star = np.random.default_rng(400).uniform(0.5, 2.0, len(header(kind)))
+    docs = []
+    for name, scale in (("a", 1.0), ("b", c)):
+        vector = tmp_path / f"w_{name}.json"
+        vector.write_text(json.dumps((scale * w_star).tolist()), encoding="utf-8")
+        doc = csv_doc(tmp_path, kind, seeded_rows(kind, 0), name, wstar=f"vector:{vector}")
+        assert doc.pop("wstar") == f"vector:{vector}"
+        docs.append(doc)
+    before, after = docs
+    assert_floats(before, after, scaled_by(c))
+    assert_same_verdicts(before, after)
+
+
+def test_failing_groupings_leave_the_other_entries_alone(tmp_path):
+    # every grouping is split before any group is factored, and the masks of
+    # the failing "empty" grouping still cut the rows into cells, so the good
+    # entries move by roundoff only
+    path = write_csv(tmp_path, "numeric", seeded_rows("numeric", 0), "rows")
+    bad = (GroupingSpec("overlap", GroupPredicate("age", "le", 40), GroupPredicate("age", "ge", 30)),
+           GroupingSpec("empty", GroupPredicate("age", "gt", 100), GroupPredicate("x1", "gt", 0.0)))
+    mixed, alone = (run_analysis(ExperimentConfig(dataset=path, groupings=groupings, rank=3))
+                    for groupings in (groupings_of("numeric") + bad, groupings_of("numeric")))
+    assert {e["name"]: e["error"] for e in mixed["groupings"] if "error" in e} == {
+        "empty": {"type": "EmptyGroupError", "message": "grouping 'empty': group 1 received zero rows"},
+        "overlap": {"type": "IngestError", "message": "grouping 'overlap': predicates overlap on 46 rows"},
+    }
+    kept = dict(mixed, n_failed=0, groupings=[e for e in mixed["groupings"] if "error" not in e])
+    assert_floats(alone, kept, lambda path, old: old)
+    assert_same_verdicts(alone, kept)
