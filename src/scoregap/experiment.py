@@ -103,8 +103,9 @@ def prepare_features(config: ExperimentConfig) -> Tuple[Dataset, Tuple[str, ...]
 
     Returns (dataset, dropped column names, feature matrix, w*). The
     dataset keeps the text of the columns the groupings' predicates read.
-    A `fit:` outcome column is dropped along with `drop_columns`, and
-    `standardize` is applied before w* is fitted.
+    A `fit:` outcome column is dropped along with `drop_columns` (a
+    ConfigError if no column is left), and `standardize` is applied
+    before w* is fitted.
     """
     predicates = [p for spec in config.groupings for p in (spec.group1, spec.group2) if p is not None]
     ds = load_csv(config.dataset, config.encoding, {p.column for p in predicates})
@@ -115,6 +116,8 @@ def prepare_features(config: ExperimentConfig) -> Tuple[Dataset, Tuple[str, ...]
         if argument not in drop:
             drop += (argument,)
     features = ds.feature_matrix(drop)
+    if not features.shape[1]:
+        raise ConfigError(f"drop_columns: dropping {', '.join(drop)} leaves no feature column")
     if config.standardize:
         features, _, _ = standardize_columns(features)
     if source == "fit":

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import operator
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple, Union
@@ -69,37 +69,6 @@ def _encode_category(raw: str, mapping: Dict[str, float]) -> Optional[float]:
     except ValueError:
         return None
     return num if num in mapping.values() else None
-
-
-def _cell_error(raw: str, mapping: Optional[Dict[str, float]], row: int, column: str) -> IngestError:
-    if mapping is None:
-        return CsvParseError(row, column, f"not numeric: {raw!r}")
-    return UnmappedCategoryError(column, raw)
-
-
-def _encode_column(cells: Tuple[str, ...], mapping: Optional[Dict[str, float]]
-                   ) -> Tuple[Optional[np.ndarray], Optional[int]]:
-    """Encode one column of kept cells: (values, None), or (None, index of its first bad cell).
-
-    Passthrough cells go through float() as one pass over the column.
-    Categorical cells map through a table built once per distinct value;
-    distinct values come in first-occurrence order, so the first one that
-    maps to nothing is also the column's first bad cell.
-    """
-    if mapping is None:
-        rest = iter(cells)
-        try:
-            return np.fromiter(map(float, rest), dtype=float, count=len(cells)), None
-        except ValueError:
-            # the cell float() rejected is the last one taken from `rest`
-            return None, len(cells) - operator.length_hint(rest) - 1
-    table = {}
-    for raw in dict.fromkeys(cells):
-        value = _encode_category(raw, mapping)
-        if value is None:
-            return None, cells.index(raw)
-        table[raw] = value
-    return np.fromiter(map(table.__getitem__, cells), dtype=float, count=len(cells)), None
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,43 +132,36 @@ class Dataset:
         return self.rows[:, keep]
 
 
-# CSV records parsed and encoded at a time. Only one block's text is held
-# at once, so the block bounds the text load_csv holds; it is large enough
-# that the per-block numpy calls cost little.
-_BLOCK_ROWS = 4096
+def _read_rows(reader: Iterable[Sequence[str]], names: Tuple[str, ...],
+               mappings: Sequence[Optional[Dict[str, float]]], wanted: FrozenSet[str]
+               ) -> Tuple[np.ndarray, Dict[str, Tuple[str, ...]], int]:
+    """Read csv records one at a time: (kept rows, kept text of `wanted`, rows read).
 
-
-def _encode_block(records: Sequence[Sequence[str]], names: Tuple[str, ...],
-                  mappings: Sequence[Optional[Dict[str, float]]], first_row: int
-                  ) -> Tuple[np.ndarray, Sequence[Tuple[str, ...]]]:
-    """Encode one block of records: (values of its kept rows, their stripped text per column).
-
-    `first_row` is the CSV record number of records[0]. Raises the error of
-    the block's first bad cell or ragged row in row-major order. Nothing
-    after a ragged row is read, so a bad cell wins only if it comes first.
+    A record is checked for its length, stripped, dropped if a cell is a
+    missing token, and else encoded cell by cell, so the first ragged row
+    or bad cell in file order is the error raised.
     """
-    lengths = np.fromiter(map(len, records), dtype=np.intp, count=len(records))
-    ragged = np.flatnonzero(lengths != len(names))
-    stop = int(ragged[0]) if ragged.size else len(records)
-    columns = [tuple(map(str.strip, cells)) for cells in zip(*records[:stop])]
-
-    keep = np.ones(stop, dtype=bool)
-    for cells in columns:
+    values, row = array("d"), 1  # the header is row 1
+    texts = {j: [] for j, name in enumerate(names) if name in wanted}
+    for row, record in enumerate(reader, start=2):
+        if len(record) != len(names):
+            raise CsvParseError(row, "<row>", f"expected {len(names)} cells, got {len(record)}")
+        cells = [cell.strip() for cell in record]
         if not MISSING_TOKENS.isdisjoint(cells):
-            keep &= ~np.fromiter(map(MISSING_TOKENS.__contains__, cells), dtype=bool, count=stop)
-    if not keep.all():
-        columns = [tuple(itertools.compress(cells, keep)) for cells in columns]
-    row_numbers = np.flatnonzero(keep) + first_row
-
-    encoded = [_encode_column(cells, mapping) for cells, mapping in zip(columns, mappings)]
-    bad = [(first, j) for j, (_, first) in enumerate(encoded) if first is not None]
-    if bad:
-        i, j = min(bad)  # row-major: earliest row, then leftmost column
-        raise _cell_error(columns[j][i], mappings[j], int(row_numbers[i]), names[j])
-    if ragged.size:
-        raise CsvParseError(first_row + stop, "<row>",
-                            f"expected {len(names)} cells, got {lengths[stop]}")
-    return np.column_stack([values for values, _ in encoded]), columns
+            continue
+        for raw, name, mapping in zip(cells, names, mappings):
+            try:
+                value = float(raw) if mapping is None else _encode_category(raw, mapping)
+            except ValueError:
+                value = None
+            if value is None:
+                raise (CsvParseError(row, name, f"not numeric: {raw!r}") if mapping is None
+                       else UnmappedCategoryError(name, raw))
+            values.append(value)
+        for j, kept in texts.items():
+            kept.append(cells[j])
+    rows = np.frombuffer(values, dtype=float).reshape(-1, len(names))
+    return rows, {names[j]: tuple(kept) for j, kept in texts.items()}, row - 1
 
 
 def _loadtxt_table(body: str, names: Tuple[str, ...], mappings: Sequence[Optional[Dict[str, float]]],
@@ -208,7 +170,7 @@ def _loadtxt_table(body: str, names: Tuple[str, ...], mappings: Sequence[Optiona
 
     A mapped cell reads as the index of its raw text among its column's distinct
     texts, each then stripped, tested for a missing token and encoded once (nan if
-    it maps to nothing). None, for the block reader, unless the body has no '"' and
+    it maps to nothing). None, for the row reader, unless the body has no '"' and
     the table has one row per line, one column per name and finite kept rows.
     """
     if '"' in body or not body.strip():  # quoting is csv's job; loadtxt warns on a blank body
@@ -246,8 +208,10 @@ def load_csv(path: str, manifest: Optional[ManifestSpec] = None,
     unless a quoted cell spans lines. A file with several bad cells or
     ragged rows raises the error of the first in file order.
 
-    numpy's C `loadtxt` reads the body first (`_loadtxt_table`); the block
-    reader, which raises every error, reads a body loadtxt cannot take whole.
+    numpy's C `loadtxt` reads the body first (`_loadtxt_table`). A body it
+    cannot take whole is read one csv record at a time (`_read_rows`, which
+    raises every error) from a UTF-8 bytes copy of the body, since an
+    `io.StringIO` takes 4 bytes a character.
     The stripped text of kept rows is kept only for the mapped columns named
     in `text_columns`, the ones grouping predicates read; a named column the
     file lacks is skipped. `Dataset.raw_column` raises IngestError for a
@@ -280,19 +244,9 @@ def load_csv(path: str, manifest: Optional[ManifestSpec] = None,
 
     table = _loadtxt_table(body, names, mappings, wanted)
     if table is None:
-        # the file's own text layer over a bytes copy; io.StringIO takes 4 bytes a character
         reader = csv.reader(io.TextIOWrapper(io.BytesIO(body.encode()), "utf-8", newline=""))
         del body
-        texts: Dict[str, list] = {n: [] for n in names if n in wanted}
-        blocks, n_read = [np.empty((0, len(names)))], 0
-        for records in iter(lambda: list(itertools.islice(reader, _BLOCK_ROWS)), []):
-            values, columns = _encode_block(records, names, mappings, n_read + 2)
-            blocks.append(values)
-            for name in texts:
-                texts[name].extend(columns[names.index(name)])
-            n_read += len(records)
-        table = np.concatenate(blocks), {name: tuple(cells) for name, cells in texts.items()}, n_read
-        del blocks  # freed before Dataset copies the table
+        table = _read_rows(reader, names, mappings, wanted)
     rows, raw_columns, n_read = table
     if not len(rows):
         raise IngestError(f"{path} contains no usable data rows")
@@ -325,7 +279,7 @@ class GroupPredicate:
             try:
                 float(self.value)  # type: ignore[arg-type]
                 numeric = not isinstance(self.value, bool)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 numeric = False
             if not numeric:
                 raise IngestError(f"comparator {self.op!r} needs a numeric value, got {self.value!r}")
@@ -351,7 +305,7 @@ def _text_equal(raw: str, value: object) -> bool:
         return True
     try:
         return float(raw) == float(value)  # type: ignore[arg-type]
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # an int past the float range matches no number
         return False
 
 

@@ -619,6 +619,15 @@ class TestHugeIntegers:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {cfg} is not valid YAML")
 
+    def test_threshold_past_the_float_range(self, tmp_path, capsys):
+        csv_path = write(tmp_path, "toy.csv", TOY_CSV)
+        huge = str(10 ** 400)  # a YAML int that float() cannot convert
+        text = TOY_CONFIG.format(csv=csv_path).replace("value: 35", f"value: {huge}")
+        assert main(["analyze", "--config", write(tmp_path, "config.yaml", text)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"error: groupings[0].group1: comparator 'le' needs a numeric value, got {huge}\n")
+
     def test_model_file(self, tmp_path, capsys):
         model = write(tmp_path, "model.json", json.dumps(REJECTED_MODEL).replace("1.0", HUGE_INT, 1))
         assert main(["check", model]) == EXIT_CONFIG

@@ -174,6 +174,14 @@ class TestDatasetMode:
         assert result["feature_names"] == ["age", "skill", "effort"]
         assert result["n_failed"] == 0
 
+    @pytest.mark.parametrize("settings", [
+        dict(drop_columns=("age", "skill", "effort", "label")),
+        dict(drop_columns=("age", "skill", "effort"), wstar="fit:label"),  # fit drops the last one
+    ])
+    def test_dropping_every_column_is_a_config_error(self, tmp_path, settings):
+        with pytest.raises(ConfigError, match="^drop_columns: dropping .* leaves no feature column$"):
+            run_analysis(dataset_config(tmp_path, **settings))
+
     def test_vector_wstar(self, tmp_path):
         wpath = tmp_path / "w.txt"
         wpath.write_text("0.0 1.0 0.5\n")

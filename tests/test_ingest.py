@@ -117,7 +117,7 @@ class TestLoadCsv:
     @pytest.mark.parametrize("text", [
         pytest.param("a,b\n1,\xff\n", id="data-cell"),
         pytest.param("a,\xff\n1,2\n", id="header"),
-        # past the text layer's first read, so the byte is decoded with a record block
+        # past the text layer's first read of the file
         pytest.param("a,b\n" + "1,2\n" * 5000 + "3,\xff\n", id="later-block"),
     ])
     def test_non_utf8_byte_names_the_file(self, tmp_path, text):
@@ -343,17 +343,10 @@ class TestLoadCsvMatchesRowByRow:
     def test_same_result_or_same_error(self, rows, text_columns):
         _assert_matches_reference(rows, text_columns)
 
-    @pytest.mark.parametrize("block_rows", [1, 3])
-    @settings(derandomize=True, max_examples=300, deadline=None)
-    @given(rows=st.lists(_FILE_ROWS, max_size=8), text_columns=_TEXT_COLUMNS)
-    def test_block_boundaries_change_nothing(self, block_rows, rows, text_columns):
-        with mock.patch.object(ingest, "_BLOCK_ROWS", block_rows):
-            _assert_matches_reference(rows, text_columns)
-
 
 # Cells and line ends for an all-passthrough file, which load_csv first
 # hands to np.loadtxt: numbers, plus every form the C parser reads
-# differently from float() or the block reader.
+# differently from float() or the row reader.
 _NUMERIC_CELLS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.integers(-10**20, 10**20).map(str),
@@ -406,13 +399,13 @@ class TestNumericFastPath:
                     == _outcome(_reference_load, path, {}, text_columns))
 
     def test_numeric_body_takes_the_fast_path(self, tmp_path):
-        with mock.patch.object(ingest, "_encode_block", side_effect=AssertionError("block reader")):
+        with mock.patch.object(ingest, "_read_rows", side_effect=AssertionError("row reader")):
             ds = load_csv(write_csv(tmp_path, NUMERIC_CSV), text_columns=["age"])
         np.testing.assert_array_equal(ds.column("income"), [50000, 42000, 61000])
         assert (ds.raw_columns, ds.passthrough) == ({}, {"age", "income", "score"})
 
     def test_a_mapped_body_takes_loadtxt(self, tmp_path):
-        with mock.patch.object(ingest, "_encode_block", side_effect=AssertionError("block reader")), \
+        with mock.patch.object(ingest, "_read_rows", side_effect=AssertionError("row reader")), \
                 mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as parser:
             ds = load_csv(write_csv(tmp_path, MIXED_CSV), {"grade": ["bad", "good", "great"]},
                           text_columns=["grade"])
@@ -473,7 +466,8 @@ class TestMappedFastPath:
            text_columns=st.lists(st.sampled_from(["a", "g", "h", "absent"]), unique=True))
     # CRLF and a lone CR with a mapped last column; an empty mapped cell; a
     # missing token in a passthrough column; numeric keys that swap two
-    # numbers; a key holding '"'
+    # numbers; a key holding '"'; a quoted cell and lone CRs, which only the
+    # row reader takes
     @example(file=("a,g,h\r\n1,lo,x\r\n2, hi ,y", {"g": ["lo", "hi"], "h": ["x", "y"]}),
              text_columns=["h", "g"])
     @example(file=("a,g,h\r1,lo,x\r2,hi,y\r", {"g": ["lo", "hi"], "h": ["x", "y"]}),
@@ -486,16 +480,18 @@ class TestMappedFastPath:
              text_columns=["g"])
     @example(file=('a,g,h\n1,q"t,x\n2,lo,y\n', {"g": ["lo", 'q"t'], "h": ["x", "y"]}),
              text_columns=["g"])
+    @example(file=('a,g,h\r1,"lo",x\r2,hi,y', {"g": ["lo", "hi"], "h": ["x", "y"]}),
+             text_columns=["g"])
     def test_same_result_or_same_error(self, file, text_columns):
         _assert_text_matches_reference(*file, text_columns)
 
     def test_indices_give_each_row_its_code_and_text(self, tmp_path):
         # "x" and "y" map to one number, so the kept text is not rebuilt from the codes;
         # "2.5" is already encoded, and the row with "?" is dropped, so its unmapped "zz"
-        # is never encoded, as in the block reader
+        # is never encoded, as in the row reader
         text = "a,g,h\n1,lo, x\n2,hi,y \n3,zz,?\n4,lo,2.5\n5,hi,x\n"
         manifest = {"g": ["lo", "hi"], "h": {"x": 1, "y": 1, "z": 2.5}}
-        with mock.patch.object(ingest, "_encode_block", side_effect=AssertionError("block reader")):
+        with mock.patch.object(ingest, "_read_rows", side_effect=AssertionError("row reader")):
             ds = load_csv(write_csv(tmp_path, text), manifest, ["h"])
         np.testing.assert_array_equal(ds.rows, [[1, 1, 1], [2, 2, 1], [4, 1, 2.5], [5, 2, 1]])
         assert (ds.raw_columns, ds.n_dropped) == ({"h": ("x", "y", "2.5", "x")}, 1)
@@ -510,7 +506,7 @@ class TestMappedFastPath:
         def bytes_by_default(*args, **kwargs):
             return loadtxt(*args, **{"encoding": "bytes", **kwargs})
 
-        with mock.patch.object(ingest, "_encode_block", side_effect=AssertionError("block reader")), \
+        with mock.patch.object(ingest, "_read_rows", side_effect=AssertionError("row reader")), \
                 mock.patch.object(np, "loadtxt", bytes_by_default):
             ds = load_csv(path, manifest, ["g"])
         np.testing.assert_array_equal(ds.column("g"), [2, 1, 2])
@@ -522,33 +518,28 @@ class TestMappedFastPath:
                                       "a,g\nx,lo\n", "a,g\nnan,lo\n", "a,g\n1,lo\n\n2,hi\n"])
     def test_what_loadtxt_cannot_take_goes_to_the_block_reader(self, tmp_path, text):
         path = write_csv(tmp_path, text)
-        with mock.patch.object(ingest, "_encode_block", wraps=ingest._encode_block) as reader:
+        with mock.patch.object(ingest, "_read_rows", wraps=ingest._read_rows) as reader:
             outcome = _outcome(load_csv, path, {"g": ["lo", "hi"]}, ["g"])
         assert reader.called
         assert outcome == _outcome(_reference_load, path, {"g": ["lo", "hi"]}, ["g"])
 
 
-class TestBlocks:
-    """Faults past the first block of records name their own CSV record number."""
+class TestRowReader:
+    """Bodies loadtxt cannot take: faults after good rows name their own CSV record number."""
 
-    @pytest.fixture(autouse=True)
-    def two_row_blocks(self):
-        with mock.patch.object(ingest, "_BLOCK_ROWS", 2):
-            yield
-
-    def test_bad_cell_in_later_block(self, tmp_path):
+    def test_bad_cell_after_good_rows(self, tmp_path):
         with pytest.raises(CsvParseError) as info:
             load_csv(write_csv(tmp_path, "a,b\n1,2\n3,4\n5,6\n7,x\n"))
         assert (info.value.row, info.value.column) == (5, "b")
 
-    def test_ragged_row_in_later_block(self, tmp_path):
+    def test_ragged_row_after_good_rows(self, tmp_path):
         with pytest.raises(CsvParseError) as info:
             load_csv(write_csv(tmp_path, "a,b\n1,2\n3,4\n5,6\n7\n8,x\n"))
         assert (info.value.row, info.value.column) == (5, "<row>")
 
-    def test_block_of_missing_rows(self, tmp_path):
+    def test_missing_rows_between_kept_rows(self, tmp_path):
         text = "a,b\n1,2\n3,4\n?,6\n7,NA\n9,10\n"
-        # a mapped "a" keeps its text, so the kept text crosses the blocks too
+        # a mapped "a" keeps its text, which skips the dropped rows too
         codes = {"1": 1, "3": 3, "7": 7, "9": 9}
         ds = load_csv(write_csv(tmp_path, text), manifest={"a": codes}, text_columns=["a"])
         assert (ds.size, ds.n_dropped) == (3, 2)
@@ -568,7 +559,7 @@ def test_load_csv_peak_memory_is_a_small_multiple_of_the_table(tmp_path):
     # for four code columns as the credit config's predicates ask. Left
     # passthrough they keep no text; mapped to themselves they keep it,
     # and loadtxt reads them as distinct-text indices. One more row with
-    # a missing cell sends the numeric file to the block reader only
+    # a missing cell sends the numeric file to the row reader only
     # after loadtxt has parsed the rest.
     rng = np.random.default_rng(7)
     n = 30_000
@@ -674,6 +665,19 @@ class TestPredicates:
     def test_unknown_comparator(self):
         with pytest.raises(IngestError):
             GroupPredicate("a", "between", 1)
+
+    @pytest.mark.parametrize("op", ["le", "lt", "ge", "gt"])
+    def test_threshold_past_the_float_range_is_rejected(self, op):
+        with pytest.raises(IngestError, match=f"comparator '{op}' needs a numeric value"):
+            GroupPredicate("a", op, 10 ** 400)
+
+    def test_value_past_the_float_range_matches_no_number(self):
+        huge = 10 ** 400
+        eq = GroupPredicate("a", "eq", huge)
+        assert eq.matches(str(huge)) and not eq.matches("1e400") and not eq.matches("inf")
+        assert GroupPredicate("a", "ne", huge).matches("inf")
+        member = GroupPredicate("a", "in", [huge, 2])
+        assert member.matches("2.0") and not member.matches("1e400")
 
 
 def _sizes(mask1, mask2):

@@ -137,7 +137,7 @@ def test_scaling_w_star_scales_the_improvements(tmp_path, shape, seed, c):
 # CSV relations, on an all-numeric file and one with categorical columns
 # and dropped rows (np.loadtxt parses both, the second into distinct-text
 # indices), and on the categorical file with its sex cells quoted (the
-# block reader parses it). Every grouping has two predicates, so that
+# row reader parses it). Every grouping has two predicates, so that
 # swapping them is a relation too.
 CATEGORICAL = ({"grade": ["lo", "mid", "hi"], "sex": ["F", "M"]},
                (("age", ("age", "le", 35), ("age", "gt", 35)),
@@ -148,7 +148,7 @@ CSV_KINDS = {
                        ("edu", ("edu", "in", [1, 2]), ("edu", "eq", 3)),
                        ("sex", ("sex", "eq", 1), ("sex", "eq", 2))), "loadtxt"),
     "categorical": (*CATEGORICAL, "loadtxt"),
-    "quoted": (*CATEGORICAL, "block reader"),
+    "quoted": (*CATEGORICAL, "row reader"),
 }
 FEATURES = ("x1", "x2", "x3")
 
@@ -197,10 +197,10 @@ def csv_doc(tmp_path, kind: str, lines: list, name: str, swap: bool = False,
     config = ExperimentConfig(dataset=path, encoding=manifest or {}, groupings=groupings, rank=3,
                               **settings)
     with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as parser, \
-            mock.patch.object(ingest, "_encode_block", wraps=ingest._encode_block) as blocks:
+            mock.patch.object(ingest, "_read_rows", wraps=ingest._read_rows) as row_reader:
         doc = run_analysis(config)
-    # a quoted body never reaches loadtxt, and the others never reach the block reader
-    assert (parser.called, blocks.called) == ((True, False) if reader == "loadtxt" else (False, True))
+    # a quoted body never reaches loadtxt, and the others never reach the row reader
+    assert (parser.called, row_reader.called) == ((True, False) if reader == "loadtxt" else (False, True))
     assert doc["n_failed"] == 0, doc
     del doc["dataset"]
     return doc
