@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -29,6 +30,7 @@ from .errors import (
     ConfigError,
     DegenerateObjectiveError,
     EmptyGroupError,
+    NonFiniteError,
     ScoregapError,
     ZeroProjectedRuleError,
 )
@@ -83,12 +85,23 @@ def _load_wstar_vector(path: str, dim: int) -> np.ndarray:
         raise ConfigError(str(exc)) from None
 
 
+def _non_finite_keys(value, key: str = ""):
+    """Key paths of the non-finite floats in `value`, in sorted-key order."""
+    if isinstance(value, (dict, list)):
+        for k, v in sorted(value.items()) if isinstance(value, dict) else enumerate(value):
+            yield from _non_finite_keys(v, f"{key}.{k}" if key else k)
+    elif isinstance(value, float) and not math.isfinite(value):
+        yield key
+
+
 def population_payload(model: PopulationModel) -> dict:
-    """Metrics, guarantees, and alignment for one population."""
-    rule = welfare_maximizing_rule(model)
-    metrics = improvement_report(model, rule)
-    conditions = condition_report(model)
-    return {
+    """Metrics, guarantees, and alignment for one population; NonFiniteError
+    names the first key that overflowed, since a JSON document holds no inf."""
+    with np.errstate(over="ignore"):  # an overflow shows as a non-finite value, named below
+        rule = welfare_maximizing_rule(model)
+        metrics = improvement_report(model, rule)
+        conditions = condition_report(model)
+    payload = {
         "alignment": model.alignment,
         "welfare_rule": rule.tolist(),
         "effective_ranks": [g.projection.rank for g in model.groups],
@@ -96,6 +109,9 @@ def population_payload(model: PopulationModel) -> dict:
         "metrics": metrics,
         "conditions": conditions,
     }
+    for key in _non_finite_keys(payload):
+        raise NonFiniteError(f"{key}: overflows to a non-finite value")
+    return payload
 
 
 def prepare_features(config: ExperimentConfig) -> Tuple[Dataset, Tuple[str, ...], np.ndarray, np.ndarray]:

@@ -10,8 +10,11 @@ reproducible from the config file alone.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
+import operator
+import warnings
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
@@ -58,16 +61,21 @@ def normalize_manifest(manifest: Optional[ManifestSpec]) -> Dict[str, Optional[D
     return out
 
 
+def _number(value: object) -> Optional[float]:
+    """float(value), or None where float() refuses it (an int past the float range matches no number)."""
+    try:
+        return float(value)  # type: ignore[arg-type]
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
 def _encode_category(raw: str, mapping: Dict[str, float]) -> Optional[float]:
     """The number a categorical cell maps to, or None when it maps to nothing."""
     if raw in mapping:
         return mapping[raw]
     # Already-encoded values pass through, so applying a manifest twice is
     # a no-op.
-    try:
-        num = float(raw)
-    except ValueError:
-        return None
+    num = _number(raw)
     return num if num in mapping.values() else None
 
 
@@ -77,7 +85,7 @@ class Dataset:
 
     `raw_columns` holds the stripped text of the kept rows of the columns
     it names (`load_csv` keeps it only for mapped ones). Predicates on a
-    `passthrough` column, whose values are float() of its text, read the numbers.
+    `passthrough` column, whose values are float() of its text, compare numbers.
     """
 
     column_names: Tuple[str, ...]
@@ -168,20 +176,34 @@ def _loadtxt_table(body: str, names: Tuple[str, ...], mappings: Sequence[Optiona
                    wanted: FrozenSet[str]) -> Optional[Tuple[np.ndarray, Dict[str, Tuple[str, ...]], int]]:
     """np.loadtxt's reading of the body: (kept rows, kept text of `wanted`, rows read), or None.
 
-    A mapped cell reads as the index of its raw text among its column's distinct
-    texts, each then stripped, tested for a missing token and encoded once (nan if
-    it maps to nothing). None, for the row reader, unless the body has no '"' and
-    the table has one row per line, one column per name and finite kept rows.
+    A body with no '.' is read as int64 and cast, unless a "-0" (a '-' in no
+    negative int or mapped text) needs the float parse. A mapped cell reads as
+    the index of its raw text among its column's distinct texts, each then
+    stripped, tested for a missing token and encoded once (nan if it maps to
+    nothing). None, for the row reader, unless the body has no '"' and the
+    table has one row per line, one column per name and finite kept rows.
     """
     if '"' in body or not body.strip():  # quoting is csv's job; loadtxt warns on a blank body
         return None
+    lines = body.split("\n")
     seen = {j: defaultdict(itertools.count().__next__) for j, m in enumerate(mappings) if m is not None}
+    parse = functools.partial(np.loadtxt, lines, delimiter=",", comments=None, ndmin=2, encoding=None,
+                              converters={j: ids.__getitem__ for j, ids in seen.items()})
     try:
-        rows = np.loadtxt(body.split("\n"), delimiter=",", dtype=float, comments=None, ndmin=2,
-                          encoding=None, converters={j: ids.__getitem__ for j, ids in seen.items()})
+        with warnings.catch_warnings():  # numpy 1.x parses "1e-5" as an int through a float, warning
+            warnings.simplefilter("error", DeprecationWarning)
+            rows = None if "." in body else parse(dtype=np.int64)
+    except (ValueError, OverflowError, DeprecationWarning):
+        rows = None
+    if rows is not None and np.count_nonzero(rows < 0) + sum(  # mapped columns hold indices >= 0
+            np.bincount(rows[:, j], minlength=len(ids)) @ [t.count("-") for t in ids]
+            for j, ids in seen.items()) != body.count("-"):
+        rows = None  # a "-0", which int64 reads as 0
+    try:
+        rows = parse(dtype=float) if rows is None else rows.astype(float)
     except ValueError:
         return None
-    n_read = body.count("\n") + (not body.endswith("\n"))
+    n_read = len(lines) - (not lines[-1])
     if rows.shape != (n_read, len(names)):
         return None
     keep, texts = np.ones(n_read, dtype=bool), {}
@@ -208,10 +230,10 @@ def load_csv(path: str, manifest: Optional[ManifestSpec] = None,
     unless a quoted cell spans lines. A file with several bad cells or
     ragged rows raises the error of the first in file order.
 
-    numpy's C `loadtxt` reads the body first (`_loadtxt_table`). A body it
-    cannot take whole is read one csv record at a time (`_read_rows`, which
-    raises every error) from a UTF-8 bytes copy of the body, since an
-    `io.StringIO` takes 4 bytes a character.
+    numpy's C `loadtxt` reads the body first (`_loadtxt_table`), as int64 if
+    it can. A body it cannot take whole is read one csv record at a time
+    (`_read_rows`, which raises every error) from a UTF-8 bytes copy of the
+    body, since an `io.StringIO` takes 4 bytes a character.
     The stripped text of kept rows is kept only for the mapped columns named
     in `text_columns`, the ones grouping predicates read; a named column the
     file lacks is skipped. `Dataset.raw_column` raises IngestError for a
@@ -275,38 +297,21 @@ class GroupPredicate:
             raise IngestError(f"unknown comparator {self.op!r}")
         if self.op == "in" and not isinstance(self.value, (list, tuple, set, frozenset)):
             raise IngestError(f"'in' comparator needs a value list, got {self.value!r}")
-        if self.op in self._NUMERIC_OPS:
-            try:
-                float(self.value)  # type: ignore[arg-type]
-                numeric = not isinstance(self.value, bool)
-            except (TypeError, ValueError, OverflowError):
-                numeric = False
-            if not numeric:
-                raise IngestError(f"comparator {self.op!r} needs a numeric value, got {self.value!r}")
+        if self.op in self._NUMERIC_OPS and (isinstance(self.value, bool) or _number(self.value) is None):
+            raise IngestError(f"comparator {self.op!r} needs a numeric value, got {self.value!r}")
 
     def matches(self, raw: str) -> bool:
+        x = _number(raw)
         if self.op in self._NUMERIC_OPS:
-            try:
-                x = float(raw)
-            except ValueError:
+            if x is None:
                 raise IngestError(
                     f"comparator {self.op!r} on column {self.column!r} needs numeric "
                     f"values, got cell {raw!r} vs {self.value!r}"
-                ) from None
-            threshold = float(self.value)  # type: ignore[arg-type]
-            return {"le": x <= threshold, "lt": x < threshold, "ge": x >= threshold, "gt": x > threshold}[self.op]
+                )
+            return getattr(operator, self.op)(x, float(self.value))  # type: ignore[arg-type]
         values = self.value if self.op == "in" else (self.value,)
-        hit = any(_text_equal(raw, v) for v in values)
+        hit = any(raw == str(v) or (x is not None and x == _number(v)) for v in values)
         return not hit if self.op == "ne" else hit
-
-
-def _text_equal(raw: str, value: object) -> bool:
-    if raw == str(value):
-        return True
-    try:
-        return float(raw) == float(value)  # type: ignore[arg-type]
-    except (TypeError, ValueError, OverflowError):  # an int past the float range matches no number
-        return False
 
 
 @dataclass(frozen=True)
@@ -324,16 +329,20 @@ class GroupingSpec:
 
 
 def _predicate_mask(pred: GroupPredicate, ds: Dataset) -> np.ndarray:
-    """pred.matches over a column, called once per distinct value.
+    """pred.matches over a column.
 
-    A passthrough column is tested on repr(float) of its numbers, which
-    every predicate answers as it does the text. Kept text is visited in
-    first-occurrence order, so a numeric comparator still fails on the
+    A passthrough column compares numbers, as `matches` does the repr of a
+    finite float: le/lt/ge/gt with float(value), eq/ne/in by np.isin with each
+    value float() accepts, but nan. Mapped text is tested once per distinct
+    value, in first-occurrence order, so a numeric comparator fails on the
     first non-numeric cell in row order.
     """
     if pred.column in ds.passthrough:
-        values, inverse = np.unique(ds.column(pred.column), return_inverse=True)
-        return np.array([pred.matches(repr(v)) for v in values.tolist()], dtype=bool)[inverse]
+        if pred.op in pred._NUMERIC_OPS:
+            return getattr(operator, pred.op)(ds.column(pred.column), float(pred.value))  # type: ignore[arg-type]
+        values = pred.value if pred.op == "in" else (pred.value,)
+        numbers = [x for x in map(_number, values) if x is not None and x == x]
+        return np.isin(ds.column(pred.column), numbers, invert=pred.op == "ne")
     raw = ds.raw_column(pred.column)
     answers = {value: pred.matches(value) for value in dict.fromkeys(raw)}
     return np.fromiter(map(answers.__getitem__, raw), dtype=bool, count=len(raw))

@@ -611,6 +611,33 @@ class TestWstarFile:
         assert captured.err.startswith("error: " + message.format(path=path))
 
 
+class TestPayloadOverflow:
+    """A finite model whose payload overflows: no inf is written, and the key is named."""
+
+    MODEL = {"schema_version": 1, "rank": 1, "w_star": [5e-324, 1e154, 1e154],
+             "data1": [[1e154, 5e-324, 1e154]], "data2": [[0.0, 9.44, 5e-324]]}
+    MESSAGE = "conditions.do_no_harm.group1.tolerance: overflows to a non-finite value"
+
+    def test_check_is_a_usage_error(self, tmp_path, capsys):
+        model = write(tmp_path, "model.json", json.dumps(self.MODEL))
+        out = tmp_path / "report.json"
+        assert main(["check", model, "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {self.MESSAGE}\n"
+        assert not out.exists()
+
+    def test_analyze_records_an_error_entry(self, tmp_path, capsys):
+        model = write(tmp_path, "model.json", json.dumps(self.MODEL))
+        cfg = models_yaml(tmp_path, f"models:\n  - name: big\n    path: {model}\n"
+                                    "  - name: fine\n    epsilon: 0.5\n")
+        assert main(["analyze", "--config", cfg]) == EXIT_PARTIAL
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out, parse_constant=lambda token: pytest.fail(f"{token} written"))
+        entries = {e["name"]: e for e in doc["groupings"]}
+        assert entries["big"] == {"name": "big", "error": {"type": "NonFiniteError", "message": self.MESSAGE}}
+        assert "error" not in entries["fine"]
+        assert captured.err == f"grouping big: NonFiniteError: {self.MESSAGE}\n"
+
+
 class TestHugeIntegers:
     def test_config(self, tmp_path, capsys):
         cfg = models_yaml(tmp_path, f"models:\n  - name: m\n    epsilon: 0.5\nrank: {HUGE_INT}\n")
