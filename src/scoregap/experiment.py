@@ -38,12 +38,11 @@ from .agents import CostMatrix, Subgroup
 from .conditions import condition_report, disparity_example
 from .config import ExperimentConfig, ModelEntry
 from .ingest import Dataset, GroupingSpec, load_csv, split_masks, standardize_columns
-# `alignment` is imported but not called: benchmarks/run.py wraps this name
-# and reads a sample count from its arguments. ROADMAP item 1 replaces that
-# counter, and this import goes with it.
-from .linalg import alignment, as_vector, min_norm_least_squares, subspace_projection
+# `alignment` and `load_model` are imported but not called: benchmarks/run.py
+# wraps these names, until ROADMAP item 1 replaces those counters.
+from .linalg import alignment, as_vector, min_norm_least_squares, subspace_projection, unit_scaled
 from .metrics import improvement_report
-from .modelio import cost_from_matrix, load_model
+from .modelio import cost_from_matrix, load_model, model_from_dict, read_model_files
 from .principal import PopulationModel, welfare_maximizing_rule
 
 RESULT_SCHEMA_VERSION = 5
@@ -166,6 +165,7 @@ def _cell_stacker(features: np.ndarray, masks: Sequence[np.ndarray]) -> Callable
     Comput. 34(1), 2012). Only large cells cost a Python step, so there
     are at most n/d of them.
     """
+    features = unit_scaled(features)  # so that no cell's QR overflows
     n, d = features.shape
     labels, span = np.zeros(n, dtype=np.int64), 1  # labels < span
     covered = np.zeros(n, dtype=bool)
@@ -212,12 +212,15 @@ def _grouping_model(spec: GroupingSpec, split, stack: Callable[[np.ndarray], np.
     return accounting, PopulationModel(group1=groups[0], group2=groups[1], w_star=w_star)
 
 
-def _listed_model(entry: ModelEntry) -> Tuple[dict, PopulationModel]:
+def _listed_model(entry: ModelEntry, docs: list) -> Tuple[dict, PopulationModel]:
     if entry.epsilon is not None:
         model = disparity_example(entry.epsilon)
         source: Dict[str, object] = {"epsilon": entry.epsilon}
     else:
-        model = load_model(entry.path)
+        doc = docs.pop(0)  # the file entries take their docs in config order, and drop them
+        if isinstance(doc, ConfigError):
+            raise doc
+        model = model_from_dict(doc)
         source = {"path": entry.path}
     return {"source": source, "group_sizes": None, "n_excluded": None}, model
 
@@ -260,7 +263,8 @@ def run_analysis(config: ExperimentConfig) -> dict:
         entries = [_entry(spec.name, _grouping_model, spec, split, stack, w_star, config)
                    for spec, split in zip(config.groupings, splits)]
     else:
-        entries = [_entry(entry.name, _listed_model, entry) for entry in config.models]
+        docs = read_model_files([entry.path for entry in config.models if entry.epsilon is None])
+        entries = [_entry(entry.name, _listed_model, entry, docs) for entry in config.models]
     entries.sort(key=lambda e: e["name"])
     result["groupings"] = entries
     result["n_failed"] = sum("error" in e for e in entries)

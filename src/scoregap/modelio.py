@@ -11,7 +11,9 @@ error, and every validation error names the offending field.
 from __future__ import annotations
 
 import json
-from typing import Optional
+import os
+import pickle  # numpy imports it already, so it costs no start-up time
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -25,6 +27,7 @@ MODEL_KEYS = frozenset({
     "schema_version", "names", "w_star", "cost1", "cost2",
     "projection1", "projection2", "data1", "data2", "rank",
 })
+ARRAY_KEYS = ("w_star", "cost1", "cost2", "projection1", "projection2", "data1", "data2")
 
 
 def _field_array(doc: dict, field: str, read=as_matrix) -> Optional[np.ndarray]:
@@ -107,13 +110,61 @@ def model_from_dict(doc: dict) -> PopulationModel:
     return PopulationModel(group1=groups[0], group2=groups[1], w_star=w_star)
 
 
-def load_model(path: str) -> PopulationModel:
+def read_model_file(path: str):
+    """The JSON document at `path`, each list under ARRAY_KEYS a float array where np.asarray takes it."""
     try:
         with open(path, encoding="utf-8") as handle:
             doc = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot open model file {path}: {exc}") from None
-    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+    except (ValueError, RecursionError) as exc:  # bad JSON, an integer too long to convert, deep nesting
         raise ConfigError(f"{path} is not valid JSON: {exc}") from None
-    return model_from_dict(doc)
+    for key in ARRAY_KEYS if isinstance(doc, dict) else ():
+        if isinstance(doc.get(key), list):
+            try:
+                doc[key] = np.asarray(doc[key], dtype=float)
+            except (TypeError, ValueError, OverflowError):
+                pass  # as_vector/as_matrix make the same call first, so the list fails there as before
+    return doc
 
+
+def load_model(path: str) -> PopulationModel:
+    return model_from_dict(read_model_file(path))
+
+
+def _doc_or_error(path: str):
+    try:
+        return read_model_file(path)
+    except ConfigError as exc:
+        return exc
+
+
+def read_model_files(paths: List[str]) -> List[Union[dict, ConfigError]]:
+    """`read_model_file` of each path, or its ConfigError. With n = min(len(paths), usable CPUs) >= 2,
+    forked child w parses paths[w::n], then pickles its list in one write; it runs no BLAS call."""
+    n = min(len(paths), len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+    if n < 2 or not hasattr(os, "fork"):
+        return [_doc_or_error(path) for path in paths]
+    pids, pipes = [], []
+    try:
+        for w in range(n):
+            read_fd, write_fd = os.pipe()
+            pipes.append(open(read_fd, "rb"))
+            with open(write_fd, "wb") as sink:  # the parent's copy closes at once
+                pids.append(os.fork())
+                if pids[-1] == 0:
+                    try:
+                        sink.write(pickle.dumps([_doc_or_error(p) for p in paths[w::n]], pickle.HIGHEST_PROTOCOL))
+                        sink.flush()
+                    finally:
+                        os._exit(0)  # the parent learns of a failure from what the pipe lacks
+        try:
+            parts = [pickle.load(pipe) for pipe in pipes]
+        except (EOFError, pickle.UnpicklingError):
+            raise RuntimeError("a model-file reader exited before it sent its documents") from None
+    finally:
+        for pipe in pipes:
+            pipe.close()  # first, so that no child blocks on a full pipe
+        for pid in pids:
+            os.waitpid(pid, 0)
+    return [parts[i % n][i // n] for i in range(len(paths))]

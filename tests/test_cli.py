@@ -19,6 +19,7 @@ from scoregap.cli import (
     EXIT_PARTIAL,
     main,
 )
+from scoregap.experiment import RESULT_SCHEMA_VERSION
 
 from conftest import model_to_dict, random_population
 
@@ -636,6 +637,82 @@ class TestPayloadOverflow:
         assert entries["big"] == {"name": "big", "error": {"type": "NonFiniteError", "message": self.MESSAGE}}
         assert "error" not in entries["fine"]
         assert captured.err == f"grouping big: NonFiniteError: {self.MESSAGE}\n"
+
+
+# A finite model whose data2 QR overflows unless it is factored at a power-of-two scale.
+NEAR_LIMIT_MODEL = {"schema_version": 1, "rank": 1, "w_star": [1.0, 1.0, 1.0], "data1": [[1.0, 0.0, 0.0]],
+                    "data2": [[1.0, 1.0, -1e308], [0.5, 2.0, 2.0], [0.5, 0.5, 0.5]]}
+
+
+class TestNearFloatLimit:
+    """Finite inputs with entries near the float limit factor without overflow."""
+
+    def test_check(self, tmp_path, capsys):
+        model = write(tmp_path, "model.json", json.dumps(NEAR_LIMIT_MODEL))
+        assert main(["check", model]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["effective_ranks"] == [1, 1]
+        assert doc["alignment"] == pytest.approx(0.0, abs=1e-12)  # data2's top direction is nearly e3
+
+    def test_analyze_on_a_models_config(self, tmp_path, capsys):
+        model = write(tmp_path, "model.json", json.dumps(NEAR_LIMIT_MODEL))
+        cfg = models_yaml(tmp_path, f"models:\n  - name: near\n    path: {model}\n"
+                                    f"  - name: again\n    path: {model}\n")
+        assert main(["analyze", "--config", cfg]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["n_failed"] == 0
+
+    @pytest.mark.parametrize("group1, group2", [
+        pytest.param(["1.0,1e308,2.0", "0.5,1e308,1.0"], ["1.0,2.0,3.0", "0.5,1.5,-2.0", "2.0,0.1,0.3"],
+                     id="group-of-fewer-than-d-rows"),
+        pytest.param(["1.0,2.0,3.0", "0.5,1.5,-2.0"], ["1e308,1.0,2.0", "1e308,0.5,1.0", "-1e308,2.0,3.0"],
+                     id="cell-of-d-rows"),
+    ])
+    def test_analyze_on_a_csv(self, tmp_path, capsys, group1, group2):
+        rows = [row + ",0" for row in group1] + [row + ",1" for row in group2]
+        csv_path = write(tmp_path, "near.csv", "x,y,z,g\n" + "\n".join(rows) + "\n")
+        cfg = write(tmp_path, "config.yaml", f"dataset: {csv_path}\ndrop_columns: [g]\ngroupings:\n"
+                                             "  - name: g\n    group1: {column: g, op: le, value: 0}\nrank: 1\n")
+        assert main(["analyze", "--config", cfg]) == EXIT_OK
+        (entry,) = json.loads(capsys.readouterr().out)["groupings"]
+        assert entry["effective_ranks"] == [1, 1]
+
+
+def _entry_part(doc):
+    return {k: v for k, v in doc.items() if k not in ("name", "source", "group_sizes", "n_excluded")}
+
+
+class TestCheckMatchesAnalyze:
+    """`check MODEL` reports what the `analyze` entry for MODEL reports."""
+
+    def test_documents_agree(self, tmp_path, capsys):
+        rng = np.random.default_rng(22)
+        docs = {"two_axis": model_to_dict(disparity_example(0.1)),
+                "random": model_to_dict(random_population(rng, d=5)),
+                "benchmark": _benchmark_doc(),
+                "near_limit": NEAR_LIMIT_MODEL,
+                "flat": {"w_star": [0.0, 1.0], "projection1": [[1.0, 0.0], [0.0, 0.0]],
+                         "projection2": [[1.0, 0.0], [0.0, 0.0]]},
+                "bad_array": dict(REJECTED_MODEL, projection2=[[0.0, "x"], [0.0, 1.0]])}
+        paths = {name: write(tmp_path, f"{name}.json", json.dumps(doc)) for name, doc in docs.items()}
+        cfg = models_yaml(tmp_path, "models:\n" + "".join(
+            f"  - name: {name}\n    path: {path}\n" for name, path in paths.items()))
+        assert main(["analyze", "--config", cfg]) == EXIT_PARTIAL
+        entries = {e["name"]: e for e in json.loads(capsys.readouterr().out)["groupings"]}
+        codes = {}
+        for name, path in paths.items():
+            codes[name] = main(["check", path])
+            captured = capsys.readouterr()
+            if "error" in entries[name]:
+                err = entries[name]["error"]
+                assert (captured.out, captured.err) == ("", f"error: {err['message']}\n")
+            else:
+                check = json.loads(captured.out)
+                assert check.pop("model") == path
+                assert check.pop("schema_version") == RESULT_SCHEMA_VERSION
+                assert check == _entry_part(entries[name])
+        assert codes == {"two_axis": EXIT_OK, "random": EXIT_OK, "benchmark": EXIT_OK,
+                         "near_limit": EXIT_OK, "flat": EXIT_DEGENERATE, "bad_array": EXIT_CONFIG}
+        assert entries["bad_array"]["error"]["message"] == "projection2: expected a list of numbers"
 
 
 class TestHugeIntegers:

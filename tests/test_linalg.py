@@ -195,6 +195,22 @@ class TestSubspaceProjection:
             # P has 2-norm 1, so this bound is relative
             np.testing.assert_allclose(p.matrix, vt[:rank].T @ vt[:rank], rtol=0, atol=1e-12)
 
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 20), d=st.integers(1, 8),
+           exponent=st.integers(-900, 900))
+    def test_power_of_two_scaling_changes_no_bit(self, seed, n, d, exponent):
+        # the QR and SVD run on the data scaled to max |x| < 1, so any
+        # power-of-two rescaling that stays normal gives the same projection
+        x = np.random.default_rng(seed).standard_normal((n, d))
+        k = min(n, d)
+        p, q = subspace_projection(x, k), subspace_projection(np.ldexp(x, exponent), k)
+        assert np.array_equal(p.basis, q.basis) and p.tie_warning == q.tie_warning
+
+    def test_entries_near_the_float_limit(self):
+        x = np.array([[1.0, 1.0, -1e308], [0.5, 2.0, 2.0], [0.5, 0.5, 0.5]])
+        p = subspace_projection(x, 1)
+        np.testing.assert_allclose(np.abs(p.basis[:, 0]), [0.0, 0.0, 1.0], atol=1e-12)
+
     def test_effective_rank(self):
         assert effective_rank(np.array([3.0, 1.0, 1e-14])) == 2
         assert effective_rank(np.array([0.0, 0.0])) == 0

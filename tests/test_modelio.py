@@ -1,16 +1,25 @@
 import json
+import os
+import signal
+from contextlib import contextmanager
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from scoregap import (
     ConfigError,
+    ExperimentConfig,
+    ModelEntry,
     disparity_example,
     load_model,
     model_from_dict,
     render_json,
+    run_analysis,
 )
+from scoregap import modelio
 
 from conftest import model_to_dict, random_population
 
@@ -179,3 +188,109 @@ class TestLoadErrors:
         path.write_text(json.dumps(base_doc()))
         model = load_model(str(path))
         assert model.group1.projection.rank == 1
+
+    def test_nesting_past_the_recursion_limit(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            load_model(str(path))
+
+
+# Stand-ins for a model file that is not a readable JSON file.
+ABSENT, DIRECTORY = "<absent>", "<directory>"
+
+_number = st.one_of(st.floats(-4, 4), st.integers(-3, 3))
+_row = st.lists(_number, min_size=2, max_size=2)
+_model_text = st.fixed_dictionaries(
+    {"w_star": _row, "data1": st.lists(_row, min_size=1, max_size=3),
+     "data2": st.lists(_row, min_size=1, max_size=3)},
+    optional={"rank": st.integers(1, 2), "cost1": st.just([[2.0, 0.0], [0.0, 1.0]])},
+).map(json.dumps)
+_file = st.one_of(_model_text, st.sampled_from([ABSENT, DIRECTORY, "{not json"]))
+
+GOOD = json.dumps({"w_star": [1, 2], "data1": [[1, 0]], "data2": [[0, 1], [1, 1]]})
+
+
+def write_models(tmp_path, texts, repeat_first):
+    """Model entries for `texts` with an epsilon entry in between, and the
+    first path listed once more at the end when `repeat_first` is set."""
+    paths = []
+    for i, text in enumerate(texts):
+        path = tmp_path / f"m{i}.json"
+        if text == DIRECTORY:
+            path.mkdir(exist_ok=True)
+        elif text != ABSENT:
+            path.write_text(text)
+        paths.append(str(path))
+    paths += paths[:1] if repeat_first else []
+    entries = [ModelEntry(name=f"m{i}", path=path) for i, path in enumerate(paths)]
+    entries.insert(1, ModelEntry(name="eps", epsilon=0.25))
+    return ExperimentConfig(models=tuple(entries))
+
+
+@contextmanager
+def deadline(seconds):
+    """Turn a wait longer than `seconds` into a test failure instead of a hang."""
+    def expire(*_):
+        pytest.fail(f"still waiting after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def analyzed(config, workers):
+    with mock.patch.object(os, "sched_getaffinity", return_value=set(range(workers)), create=True), deadline(30):
+        return render_json(run_analysis(config))
+
+
+class TestForkedParse:
+    """`read_model_files` forks a child per usable CPU; the result must not depend on it."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(texts=st.lists(_file, min_size=2, max_size=4), repeat_first=st.booleans())
+    @example(texts=[GOOD, GOOD.replace("[[1, 0]]", "[[1, 0], [1]]")], repeat_first=False)  # ragged
+    @example(texts=[GOOD.replace("[1, 2]", '["1.5", "2"]'), GOOD], repeat_first=False)
+    @example(texts=[GOOD.replace("[1, 2]", "[true, false]"), GOOD], repeat_first=False)
+    @example(texts=[GOOD.replace("[1, 2]", "[1, " + "9" * 400 + "]"), GOOD], repeat_first=False)
+    @example(texts=[GOOD.replace("[1, 2]", "[NaN, Infinity]"), GOOD], repeat_first=False)
+    @example(texts=["[1, 2]", GOOD], repeat_first=False)
+    @example(texts=[ABSENT, DIRECTORY, "{not json", GOOD], repeat_first=False)
+    @example(texts=[GOOD, GOOD.replace("[1, 2]", "[3, 1]")], repeat_first=True)
+    def test_forked_and_in_process_parses_agree(self, tmp_path_factory, texts, repeat_first):
+        config = write_models(tmp_path_factory.mktemp("models"), texts, repeat_first)
+        assert analyzed(config, 2) == analyzed(config, 1)
+
+    def test_docs_hold_float_arrays(self, tmp_path):
+        config = write_models(tmp_path, [GOOD, "[1, 2]", ABSENT], repeat_first=False)
+        with mock.patch.object(os, "sched_getaffinity", return_value={0, 1}, create=True), deadline(30):
+            good, listed, absent = modelio.read_model_files([e.path for e in config.models if e.path])
+        assert good["data2"].dtype == float and good["data2"].shape == (2, 2)
+        assert listed == [1, 2]
+        assert isinstance(absent, ConfigError) and "cannot open" in str(absent)
+        assert_no_child_left()
+
+    def test_no_child_outlives_a_run(self, tmp_path):
+        assert_no_child_left()
+        (tmp_path / "clean").mkdir()
+        clean = write_models(tmp_path / "clean", [GOOD, GOOD], False)
+        broken = write_models(tmp_path, [GOOD, "{not json"], False)
+        assert json.loads(analyzed(clean, 2))["n_failed"] == 0
+        assert_no_child_left()
+        assert json.loads(analyzed(broken, 2))["n_failed"] == 1
+        assert_no_child_left()
+
+    def test_a_child_that_dies_before_it_writes_is_an_error(self, tmp_path):
+        config = write_models(tmp_path, [GOOD, GOOD, GOOD], False)
+        with mock.patch.object(modelio, "read_model_file", lambda path: os._exit(3)):
+            with pytest.raises(RuntimeError, match="exited before it sent its documents"):
+                analyzed(config, 2)
+        assert_no_child_left()
