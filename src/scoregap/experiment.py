@@ -38,9 +38,8 @@ from .agents import CostMatrix, Subgroup
 from .conditions import condition_report, disparity_example
 from .config import ExperimentConfig, ModelEntry
 from .ingest import Dataset, GroupingSpec, load_csv, split_masks, standardize_columns
-# `alignment` and `load_model` are imported but not called: benchmarks/run.py
-# wraps these names, until ROADMAP item 1 replaces those counters.
-from .linalg import alignment, as_vector, min_norm_least_squares, subspace_projection, unit_scaled
+# benchmarks/run.py wraps `alignment` and `load_model`, unused here, until ROADMAP item 1 replaces its counters.
+from .linalg import alignment, as_vector, min_norm_least_squares, subspace_projection, unit_exponent
 from .metrics import improvement_report
 from .modelio import cost_from_matrix, load_model, model_from_dict, read_model_files
 from .principal import PopulationModel, welfare_maximizing_rule
@@ -165,8 +164,8 @@ def _cell_stacker(features: np.ndarray, masks: Sequence[np.ndarray]) -> Callable
     Comput. 34(1), 2012). Only large cells cost a Python step, so there
     are at most n/d of them.
     """
-    features = unit_scaled(features)  # so that no cell's QR overflows
     n, d = features.shape
+    e = unit_exponent(features)  # each gathered block is scaled by 2**-e in place, so that no cell's QR overflows
     labels, span = np.zeros(n, dtype=np.int64), 1  # labels < span
     covered = np.zeros(n, dtype=bool)
     for mask in masks:
@@ -180,13 +179,14 @@ def _cell_stacker(features: np.ndarray, masks: Sequence[np.ndarray]) -> Callable
     firsts = order[starts]  # one row of each cell
     large = np.flatnonzero((counts >= d) & covered[firsts])
     first_rows = firsts[large]
-    factors = [np.linalg.qr(features[order[start:start + size]], mode="r")
-               for start, size in zip(starts[large], counts[large])]
+    blocks = (features[order[start:start + size]] for start, size in zip(starts[large], counts[large]))
+    factors = [np.linalg.qr(np.ldexp(block, -e, out=block), mode="r") for block in blocks]
     small_rows = (counts < d)[cell]
 
     def stack(mask: np.ndarray) -> np.ndarray:
         held = [factors[i] for i in np.flatnonzero(mask[first_rows])]
-        return np.vstack(held + [features[mask & small_rows]])
+        small = features[mask & small_rows]
+        return np.vstack(held + [np.ldexp(small, -e, out=small)])
 
     return stack
 
@@ -212,12 +212,11 @@ def _grouping_model(spec: GroupingSpec, split, stack: Callable[[np.ndarray], np.
     return accounting, PopulationModel(group1=groups[0], group2=groups[1], w_star=w_star)
 
 
-def _listed_model(entry: ModelEntry, docs: list) -> Tuple[dict, PopulationModel]:
+def _listed_model(entry: ModelEntry, doc) -> Tuple[dict, PopulationModel]:
     if entry.epsilon is not None:
         model = disparity_example(entry.epsilon)
         source: Dict[str, object] = {"epsilon": entry.epsilon}
     else:
-        doc = docs.pop(0)  # the file entries take their docs in config order, and drop them
         if isinstance(doc, ConfigError):
             raise doc
         model = model_from_dict(doc)
@@ -263,8 +262,9 @@ def run_analysis(config: ExperimentConfig) -> dict:
         entries = [_entry(spec.name, _grouping_model, spec, split, stack, w_star, config)
                    for spec, split in zip(config.groupings, splits)]
     else:
-        docs = read_model_files([entry.path for entry in config.models if entry.epsilon is None])
-        entries = [_entry(entry.name, _listed_model, entry, docs) for entry in config.models]
+        docs = read_model_files([entry.path for entry in config.models if entry.epsilon is None])[::-1]
+        entries = [_entry(entry.name, _listed_model, entry, None if entry.epsilon is not None else docs.pop())
+                   for entry in config.models]  # popped in config order, so each doc is dropped once it is built
     entries.sort(key=lambda e: e["name"])
     result["groupings"] = entries
     result["n_failed"] = sum("error" in e for e in entries)

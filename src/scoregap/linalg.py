@@ -142,9 +142,9 @@ def effective_rank(singular_values: np.ndarray) -> int:
     return int(np.sum(s > RANK_TOL * s[0]))
 
 
-def unit_scaled(x: np.ndarray) -> np.ndarray:
-    """x * 2**-e, e the frexp exponent of max |x|: its QR and SVD cannot overflow and give x's V bit for bit."""
-    return np.ldexp(x, -np.frexp(np.max(np.abs(x), initial=0.0))[1])
+def unit_exponent(x: np.ndarray) -> int:
+    """e, the frexp exponent of max |x|: the QR and SVD of x * 2**-e cannot overflow and give x's V bit for bit."""
+    return int(np.frexp(max(x.max(initial=0.0), -x.min(initial=0.0)))[1])
 
 
 def subspace_projection(data, k: int) -> ProjectionMatrix:
@@ -169,7 +169,8 @@ def subspace_projection(data, k: int) -> ProjectionMatrix:
     if k > min(n, d):
         raise RankTooLargeError(f"rank k={k} exceeds min(n, d)={min(n, d)}")
 
-    _, s, vt = np.linalg.svd(np.linalg.qr(unit_scaled(x), mode="r"), full_matrices=False)  # R-SVD: no n x d U
+    x = np.ldexp(x, -unit_exponent(x))  # so that the QR cannot overflow; V does not change
+    _, s, vt = np.linalg.svd(np.linalg.qr(x, mode="r"), full_matrices=False)  # R-SVD: no n x d U
     r = min(k, effective_rank(s))
     tie = bool(k < s.size and s[k - 1] > 0 and s[k - 1] - s[k] <= RANK_TOL * s[0])
     return ProjectionMatrix(vt[:r].T, tie_warning=tie)

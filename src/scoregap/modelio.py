@@ -154,6 +154,8 @@ def read_model_files(paths: List[str]) -> List[Union[dict, ConfigError]]:
                 pids.append(os.fork())
                 if pids[-1] == 0:
                     try:
+                        for pipe in pipes:  # then a write to a pipe the parent has closed fails at once
+                            pipe.close()
                         sink.write(pickle.dumps([_doc_or_error(p) for p in paths[w::n]], pickle.HIGHEST_PROTOCOL))
                         sink.flush()
                     finally:
@@ -164,7 +166,7 @@ def read_model_files(paths: List[str]) -> List[Union[dict, ConfigError]]:
             raise RuntimeError("a model-file reader exited before it sent its documents") from None
     finally:
         for pipe in pipes:
-            pipe.close()  # first, so that no child blocks on a full pipe
+            pipe.close()  # first: no child holds a read end, so a child blocked on a full pipe gets EPIPE
         for pid in pids:
             os.waitpid(pid, 0)
     return [parts[i % n][i // n] for i in range(len(paths))]

@@ -294,3 +294,29 @@ class TestForkedParse:
             with pytest.raises(RuntimeError, match="exited before it sent its documents"):
                 analyzed(config, 2)
         assert_no_child_left()
+
+    def test_a_sibling_blocked_on_a_full_pipe_exits_when_child_0_dies(self, tmp_path):
+        """Child 1's list pickles to more than a pipe holds; once the parent stops reading, it must not block."""
+        config = write_models(tmp_path, [GOOD, GOOD], False)
+        big = {"data1": np.zeros(1 << 14)}  # 128 KiB of floats, twice the 64 KiB pipe buffer
+        read = lambda path: os._exit(3) if path.endswith("m0.json") else big
+        with mock.patch.object(modelio, "read_model_file", read):
+            with pytest.raises(RuntimeError, match="exited before it sent its documents"):
+                analyzed(config, 2)
+        assert_no_child_left()
+
+    def test_a_failed_fork_leaves_no_child_blocked(self, tmp_path):
+        config = write_models(tmp_path, [GOOD, GOOD], False)
+        real_fork, forks = os.fork, []
+
+        def fork():
+            forks.append(None)
+            if len(forks) > 1:
+                raise BlockingIOError("fork: resource temporarily unavailable")
+            return real_fork()
+
+        big = {"data1": np.zeros(1 << 14)}
+        with mock.patch.object(modelio, "read_model_file", lambda path: big), mock.patch.object(os, "fork", fork):
+            with pytest.raises(BlockingIOError):
+                analyzed(config, 2)
+        assert_no_child_left()
