@@ -262,6 +262,6 @@ def load_config(path: str) -> ExperimentConfig:
             doc = yaml.safe_load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot open config {path}: {exc}") from None
-    except (yaml.YAMLError, ValueError) as exc:  # ValueError: an integer too long to convert
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:  # an integer too long to convert, deep nesting
         raise ConfigError(f"{path} is not valid YAML: {exc}") from None
     return config_from_dict(doc)

@@ -50,12 +50,21 @@ RESULT_SCHEMA_VERSION = 5
 # assumptions (no gain possible anywhere) rather than being malformed.
 DEGENERATE_ERRORS = (DegenerateObjectiveError, ZeroProjectedRuleError)
 
-CSV_COLUMNS = (
-    "name", "error", "n1", "n2", "n_excluded", "rank1", "rank2", "alignment",
-    "I1", "I2", "uI1", "uI2", "uI1_star", "uI2_star", "welfare", "difference",
-    "do_no_harm1", "do_no_harm2", "equal_improvement",
-    "per_unit_optimal1", "per_unit_optimal2", "fast_path",
+# The CSV table: one (column, key path) pair per column, each path as `_leaves` names it.
+CSV_FIELDS = (
+    ("name", "name"), ("error", "error"), ("n1", "group_sizes.0"), ("n2", "group_sizes.1"),
+    ("n_excluded", "n_excluded"), ("rank1", "effective_ranks.0"), ("rank2", "effective_ranks.1"),
+    ("alignment", "alignment"),
+    *((key, f"metrics.{key}")
+      for key in ("I1", "I2", "uI1", "uI2", "uI1_star", "uI2_star", "welfare", "difference")),
+    ("do_no_harm1", "conditions.do_no_harm.group1.verdict"),
+    ("do_no_harm2", "conditions.do_no_harm.group2.verdict"),
+    ("equal_improvement", "conditions.equal_improvement.verdict"),
+    ("per_unit_optimal1", "conditions.per_unit_optimal.group1.verdict"),
+    ("per_unit_optimal2", "conditions.per_unit_optimal.group2.verdict"),
+    ("fast_path", "conditions.fast_path"),
 )
+CSV_COLUMNS = tuple(column for column, _ in CSV_FIELDS)
 
 
 def _build_cost(spec: Union[None, float, np.ndarray], dim: int, where: str) -> CostMatrix:
@@ -72,7 +81,7 @@ def _load_wstar_vector(path: str, dim: int) -> np.ndarray:
         raise ConfigError(f"cannot open w* file {path}: {exc}") from None
     try:
         values = json.loads(text)
-    except ValueError:  # JSONDecodeError, or an integer too long to convert
+    except (ValueError, RecursionError):  # JSONDecodeError, an integer too long to convert, deep nesting
         try:
             values = [float(tok) for tok in text.split()]
         except ValueError:
@@ -83,13 +92,13 @@ def _load_wstar_vector(path: str, dim: int) -> np.ndarray:
         raise ConfigError(str(exc)) from None
 
 
-def _non_finite_keys(value, key: str = ""):
-    """Key paths of the non-finite floats in `value`, in sorted-key order."""
+def _leaves(value, key: str = ""):
+    """(dotted key path, leaf) for every leaf of a document, in sorted-key order; list items are keyed by index."""
     if isinstance(value, (dict, list)):
         for k, v in sorted(value.items()) if isinstance(value, dict) else enumerate(value):
-            yield from _non_finite_keys(v, f"{key}.{k}" if key else k)
-    elif isinstance(value, float) and not math.isfinite(value):
-        yield key
+            yield from _leaves(v, f"{key}.{k}" if key else str(k))
+    else:
+        yield key, value
 
 
 def population_payload(model: PopulationModel) -> dict:
@@ -107,8 +116,9 @@ def population_payload(model: PopulationModel) -> dict:
         "metrics": metrics,
         "conditions": conditions,
     }
-    for key in _non_finite_keys(payload):
-        raise NonFiniteError(f"{key}: overflows to a non-finite value")
+    for key, leaf in _leaves(payload):
+        if isinstance(leaf, float) and not math.isfinite(leaf):
+            raise NonFiniteError(f"{key}: overflows to a non-finite value")
     return payload
 
 
@@ -300,37 +310,14 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _flatten_entry(entry: dict) -> Dict[str, object]:
-    row: Dict[str, object] = {c: None for c in CSV_COLUMNS}
-    row["name"] = entry["name"]
-    if "error" in entry:
-        err = entry["error"]
-        row["error"] = f"{err['type']}: {err['message']}"
-        return row
-    sizes = entry.get("group_sizes")
-    if sizes is not None:
-        row["n1"], row["n2"] = sizes
-        row["n_excluded"] = entry.get("n_excluded")
-    row["rank1"], row["rank2"] = entry["effective_ranks"]
-    row["alignment"] = entry["alignment"]
-    metrics = entry["metrics"]
-    for key in ("I1", "I2", "uI1", "uI2", "uI1_star", "uI2_star", "welfare", "difference"):
-        row[key] = metrics[key]
-    conditions = entry["conditions"]
-    for gid in (1, 2):
-        for key in ("do_no_harm", "per_unit_optimal"):
-            row[f"{key}{gid}"] = conditions[key][f"group{gid}"]["verdict"]
-    row["equal_improvement"] = conditions["equal_improvement"]["verdict"]
-    row["fast_path"] = conditions["fast_path"]
-    return row
-
-
 def render_csv(result: dict) -> str:
-    """Flat one-row-per-grouping table for plotting."""
+    """Flat one-row-per-grouping table for plotting; a path the entry lacks gives an empty cell."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for entry in result["groupings"]:
-        flat = _flatten_entry(entry)
-        writer.writerow([_csv_cell(flat[c]) for c in CSV_COLUMNS])
+        leaves = dict(_leaves(entry))
+        if "error" in entry:
+            leaves["error"] = "{type}: {message}".format(**entry["error"])
+        writer.writerow([_csv_cell(leaves.get(path)) for _, path in CSV_FIELDS])
     return buffer.getvalue()

@@ -600,6 +600,8 @@ class TestWstarFile:
                      id="not-numbers"),
         pytest.param(f"[{HUGE_INT}, 0, 0]", "{path}: neither JSON nor whitespace-separated numbers\n",
                      id="huge-int"),
+        pytest.param("[" * 100_000, "{path}: neither JSON nor whitespace-separated numbers\n",
+                     id="deep-nesting"),
     ])
     def test_is_a_usage_error_naming_the_file(self, tmp_path, capsys, text, message):
         path = tmp_path / "wstar.txt"
@@ -713,6 +715,15 @@ class TestCheckMatchesAnalyze:
         assert codes == {"two_axis": EXIT_OK, "random": EXIT_OK, "benchmark": EXIT_OK,
                          "near_limit": EXIT_OK, "flat": EXIT_DEGENERATE, "bad_array": EXIT_CONFIG}
         assert entries["bad_array"]["error"]["message"] == "projection2: expected a list of numbers"
+
+
+class TestDeepNesting:
+    def test_config(self, tmp_path, capsys):
+        cfg = models_yaml(tmp_path, "a: " + "[" * 5000 + "\n")
+        assert main(["analyze", "--config", cfg]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {cfg} is not valid YAML")
 
 
 class TestHugeIntegers:

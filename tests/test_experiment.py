@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 from pathlib import Path
 from unittest import mock
 
@@ -20,9 +21,13 @@ from scoregap import (
     load_config,
     subspace_projection,
 )
+from scoregap.cli import EXIT_OK, main
 from scoregap.experiment import (
     CSV_COLUMNS,
+    CSV_FIELDS,
+    RESULT_SCHEMA_VERSION,
     _cell_stacker,
+    _leaves,
     classify_failures,
     render_csv,
     render_json,
@@ -349,7 +354,12 @@ class TestRendering:
         ))
         text = render_csv(run_analysis(cfg))
         rows = list(csv.reader(io.StringIO(text)))
-        assert tuple(rows[0]) == CSV_COLUMNS
+        assert tuple(rows[0]) == CSV_COLUMNS == (
+            "name", "error", "n1", "n2", "n_excluded", "rank1", "rank2", "alignment",
+            "I1", "I2", "uI1", "uI2", "uI1_star", "uI2_star", "welfare", "difference",
+            "do_no_harm1", "do_no_harm2", "equal_improvement",
+            "per_unit_optimal1", "per_unit_optimal2", "fast_path",
+        )
         assert len(rows) == 3
         row = dict(zip(rows[0], rows[1]))
         assert row["name"] == "a"
@@ -385,6 +395,87 @@ class TestRendering:
         assert int(row["n1"]) + int(row["n2"]) == 30
         assert row["n_excluded"] == "0"
         assert row["rank1"] == "2"
+
+
+# The key paths of every document the program writes, each list index as `*`.
+# Any change to these sets changes the documents, so it bumps RESULT_SCHEMA_VERSION
+# (and adds its keys to README's "Result document" section).
+PAYLOAD = {
+    "alignment", "welfare_rule.*", "effective_ranks.*", "tie_warnings.*",
+    "metrics.I1", "metrics.I2", "metrics.uI1", "metrics.uI2", "metrics.uI1_star", "metrics.uI2_star",
+    "metrics.welfare", "metrics.difference",
+    "conditions.do_no_harm.group1.verdict", "conditions.do_no_harm.group1.value",
+    "conditions.do_no_harm.group1.tolerance", "conditions.do_no_harm.group1.boundary",
+    "conditions.do_no_harm.group2.verdict", "conditions.do_no_harm.group2.value",
+    "conditions.do_no_harm.group2.tolerance", "conditions.do_no_harm.group2.boundary",
+    "conditions.equal_improvement.verdict", "conditions.equal_improvement.value",
+    "conditions.equal_improvement.tolerance", "conditions.equal_improvement.boundary",
+    "conditions.per_unit_optimal.group1.verdict", "conditions.per_unit_optimal.group1.value",
+    "conditions.per_unit_optimal.group1.tolerance", "conditions.per_unit_optimal.group1.boundary",
+    "conditions.per_unit_optimal.group2.verdict", "conditions.per_unit_optimal.group2.value",
+    "conditions.per_unit_optimal.group2.tolerance", "conditions.per_unit_optimal.group2.boundary",
+    "conditions.fast_path", "conditions.sufficient_c.group1", "conditions.sufficient_c.group2",
+}
+ANALYZE_TOP = {"schema_version", "rank", "wstar", "standardize", "dataset", "n_rows", "n_dropped", "n_failed"}
+DATASET_TOP = ANALYZE_TOP | {"feature_names.*"}
+DATASET_ENTRY = PAYLOAD | {"name", "group_sizes.*", "n_excluded"}
+MODEL_FILE_ENTRY = PAYLOAD | {"name", "group_sizes", "n_excluded", "source.path"}
+EPSILON_ENTRY = PAYLOAD | {"name", "group_sizes", "n_excluded", "source.epsilon"}
+ERROR_ENTRY = {"name", "error.type", "error.message"}
+CHECK_DOCUMENT = PAYLOAD | {"schema_version", "model"}
+
+
+def in_groupings(entry_paths: set) -> set:
+    return {f"groupings.*.{path}" for path in entry_paths}
+
+
+# Every key path a document can hold, for the README check.
+RESULT_PATHS = (DATASET_TOP | in_groupings(DATASET_ENTRY | MODEL_FILE_ENTRY | EPSILON_ENTRY | ERROR_ENTRY)
+                | CHECK_DOCUMENT)
+
+
+def starred(path: str) -> str:
+    """`path` with each list index as `*`."""
+    return re.sub(r"\.\d+(?=\.|$)", ".*", path)
+
+
+def key_paths(doc) -> set:
+    return {starred(path) for path, _ in _leaves(doc)}
+
+
+class TestResultSchema:
+    def test_version(self):
+        assert RESULT_SCHEMA_VERSION == 5  # any change to the sets above bumps it
+
+    def test_dataset_document(self, tmp_path):
+        doc = run_analysis(dataset_config(tmp_path, groupings=(
+            GroupingSpec(name="age", group1=GroupPredicate("age", "le", 35)),
+            GroupingSpec(name="none", group1=GroupPredicate("age", "gt", 99)),
+        )))
+        entries = {e["name"]: key_paths(e) for e in doc["groupings"]}
+        assert entries == {"age": DATASET_ENTRY, "none": ERROR_ENTRY}
+        assert len(DATASET_ENTRY) == 38
+        assert key_paths(doc) == DATASET_TOP | in_groupings(DATASET_ENTRY | ERROR_ENTRY)
+
+    def test_models_document(self, tmp_path):
+        doc = run_analysis(models_config(models=(
+            ModelEntry(name="file", path=write_random_model(tmp_path)),
+            ModelEntry(name="eps", epsilon=0.3),
+            ModelEntry(name="bad", path=str(tmp_path / "absent.json")),
+        )))
+        entries = {e["name"]: key_paths(e) for e in doc["groupings"]}
+        assert entries == {"file": MODEL_FILE_ENTRY, "eps": EPSILON_ENTRY, "bad": ERROR_ENTRY}
+        assert len(MODEL_FILE_ENTRY) == len(EPSILON_ENTRY) == 39
+        assert key_paths(doc) == ANALYZE_TOP | in_groupings(MODEL_FILE_ENTRY | EPSILON_ENTRY | ERROR_ENTRY)
+
+    def test_check_document(self, tmp_path, capsys):
+        assert main(["check", write_random_model(tmp_path)]) == EXIT_OK
+        assert key_paths(json.loads(capsys.readouterr().out)) == CHECK_DOCUMENT
+
+    def test_every_csv_path_is_pinned(self):
+        # a mistyped path would read as an always-empty column; the `error`
+        # cell alone is formatted from an error entry's `error` object
+        assert {starred(path) for _, path in CSV_FIELDS} - DATASET_ENTRY == {"error"}
 
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"

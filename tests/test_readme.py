@@ -12,7 +12,10 @@ import yaml
 import scoregap
 from scoregap.cli import build_parser
 from scoregap.config import config_from_dict
+from scoregap.experiment import CSV_COLUMNS
 from scoregap.modelio import MODEL_KEYS
+
+from test_experiment import RESULT_PATHS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -58,6 +61,14 @@ def test_model_file_keys_are_documented():
     text = README.read_text(encoding="utf-8")
     section = text[text.index("## Model file format"):text.index("## Dataset preparation")]
     assert set(re.findall(r"`([^`]+)`", section)) == MODEL_KEYS
+
+
+def test_result_keys_are_documented():
+    # every backticked span in the result document section is a pinned key or a CSV column, and each is there
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Result document"):text.index("## Experiment config format")]
+    keys = {key for path in RESULT_PATHS for key in path.split(".") if key != "*"}
+    assert set(re.findall(r"`([^`]+)`", section)) == keys | set(CSV_COLUMNS)
 
 
 def test_box_references_resolve():
