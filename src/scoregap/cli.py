@@ -7,6 +7,11 @@ Subcommands:
 Exit codes: 0 success, 2 config/usage error, 3 ingest error, 4 numerical
 degeneracy (no rule can help anyone), 5 partial failure (some `analyze`
 entries failed but the run completed; they are written as error objects).
+
+`run` is the process entry (the `scoregap` script, `python -m scoregap`):
+`main`, then it flushes both streams and leaves with os._exit, skipping
+the interpreter's teardown. `main` has written, closed and moved every
+output and reaped every child by the time it returns.
 """
 
 from __future__ import annotations
@@ -49,10 +54,16 @@ _EXIT_CODES = (
 
 
 def _emit(text: str, out: Optional[str]) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
+    if out is not None:
         _write_files({out: text})
+    elif sys.stdout is None:  # fd 1 was closed when the interpreter started
+        raise ConfigError(f"cannot write standard output: {os.strerror(errno.EBADF)}")
+    else:
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:  # a closed pipe: Python ignores SIGPIPE, so the write fails with EPIPE
+            raise ConfigError(f"cannot write standard output: {exc.strerror or exc}") from None
 
 
 def _write_files(texts: Dict[str, str]) -> None:
@@ -171,5 +182,21 @@ def main(argv=None) -> int:
         return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 
 
+def run() -> None:
+    """Exit with `main()`'s code once both streams are flushed, without interpreter teardown.
+
+    A stream that cannot be flushed turns a success into a usage error.
+    Usage errors and --help leave through argparse's SystemExit as before.
+    """
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None:
+                stream.flush()
+        except (OSError, ValueError):  # ValueError: the stream was closed
+            code = code or EXIT_CONFIG
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -6,8 +6,11 @@ numbers the PopulationModel caches: the Gram matrix G = T T^T of the
 pull directions t_g = P_g A_g^{-1} w_star, and n_g = ||P_g s|| with
 s = t_1 + t_2. Each scalar is judged against REL_TOL times its own
 scale, so no verdict depends on the units of w_star or of the costs, or
-on the basis. ||s|| is taken from s itself, since sqrt(G_11 + 2 G_12 + G_22)
-cancels where degeneracy is decided:
+on the basis. The model takes G and n_g from the pulls times 2**-e, so
+neither a scalar nor its scale underflows or overflows whatever the size
+of w_star, and a check reports both in the units of w_star by an exact
+power-of-two rescaling. ||s|| is taken from s itself, since
+sqrt(G_11 + 2 G_12 + G_22) cancels where degeneracy is decided:
 
     quantity              value                             scale
     do_no_harm g          G_gg + G_12                       (||t_1|| + ||t_2||) ||s||
@@ -58,19 +61,22 @@ class ConditionCheck:
     boundary: bool = False
 
 
-def _inequality_check(value: float, scale: float) -> ConditionCheck:
+def _inequality_check(pop: PopulationModel, power: int, value: float, scale: float) -> ConditionCheck:
+    """Judges `value` against REL_TOL * `scale`, both in units of 2**(power * e); reports them in w_star's units."""
     tol = REL_TOL * float(scale)
     return ConditionCheck(
         verdict=bool(value >= -tol),
-        value=float(value),
-        tolerance=tol,
+        value=pop.in_units(value, power),
+        tolerance=pop.in_units(tol, power),
         boundary=bool(abs(value) < tol),
     )
 
 
-def _equality_check(value: float, scale: float) -> ConditionCheck:
+def _equality_check(pop: PopulationModel, power: int, value: float, scale: float) -> ConditionCheck:
+    """As _inequality_check, for a scalar that should vanish."""
     tol = REL_TOL * float(scale)
-    return ConditionCheck(verdict=bool(abs(value) <= tol), value=float(value), tolerance=tol)
+    return ConditionCheck(verdict=bool(abs(value) <= tol), value=pop.in_units(value, power),
+                          tolerance=pop.in_units(tol, power))
 
 
 def _require_nondegenerate(pop: PopulationModel) -> None:
@@ -89,7 +95,7 @@ def check_do_no_harm(pop: PopulationModel, gid: int) -> ConditionCheck:
     _require_nondegenerate(pop)
     g = pop.gram
     value = g[gid - 1, gid - 1] + g[0, 1]
-    return _inequality_check(value, pop.pull_scale * np.linalg.norm(pop.gain_direction))
+    return _inequality_check(pop, 2, value, pop.pull_scale * pop.gain_norm)
 
 
 def check_equal_improvement(pop: PopulationModel) -> ConditionCheck:
@@ -100,7 +106,7 @@ def check_equal_improvement(pop: PopulationModel) -> ConditionCheck:
     """
     _require_nondegenerate(pop)
     g = pop.gram
-    return _equality_check(g[0, 0] - g[1, 1], g[0, 0] + g[1, 1])
+    return _equality_check(pop, 2, g[0, 0] - g[1, 1], g[0, 0] + g[1, 1])
 
 
 def check_per_unit_optimality(pop: PopulationModel, gid: int) -> ConditionCheck:
@@ -118,11 +124,11 @@ def check_per_unit_optimality(pop: PopulationModel, gid: int) -> ConditionCheck:
         raise ZeroProjectedRuleError(
             f"subgroup {gid}'s pull direction is zero; per-unit optimum undefined"
         )
-    if n <= REL_TOL * np.linalg.norm(pop.gain_direction):
+    if n <= REL_TOL * pop.gain_norm:
         raise ZeroProjectedRuleError(
             f"subgroup {gid} perceives a zero welfare rule; per-unit gain undefined"
         )
-    return _equality_check(t_norm - (gg + pop.gram[0, 1]) / n, t_norm)
+    return _equality_check(pop, 1, t_norm - (gg + pop.gram[0, 1]) / n, t_norm)
 
 
 def check_sufficient_per_unit(pop: PopulationModel, gid: int) -> Optional[float]:

@@ -62,7 +62,7 @@ def improvement_difference(model: PopulationModel, w) -> float:
 def _optimal_per_unit(model: PopulationModel, gid: int) -> Optional[float]:
     if model.group(gid).projection.rank == 0:
         return None
-    return float(np.linalg.norm(model.pull_direction(gid)))
+    return model.in_units(np.linalg.norm(model.unit_pulls[gid - 1]))
 
 
 def _per_unit(model: PopulationModel, gid: int, w: np.ndarray) -> Optional[float]:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DegenerateObjectiveError, DimensionMismatchError
 from .agents import Subgroup
-from .linalg import REL_TOL, alignment, as_vector, frozen
+from .linalg import REL_TOL, alignment, as_vector, frozen, unit_exponent
 
 
 @dataclass(frozen=True, eq=False)
@@ -26,8 +26,12 @@ class PopulationModel:
     gradient of each subgroup's improvement in the deployed rule) as the
     rows of `pulls`, and their sum s, which is the gradient of total
     welfare. Every guarantee is a closed form in five more cached numbers:
-    the 2x2 Gram matrix `gram` = T T^T of the pulls and `perceived` =
-    (n_1, n_2) with n_g = ||P_g s|| = ||V_g^T s|| for the basis V_g.
+    the 2x2 Gram matrix `gram` = U U^T of the pulls and `perceived` =
+    (n_1, n_2) with n_g = ||V_g^T u|| for the basis V_g; `gain_norm` is
+    ||u||. U = `unit_pulls` = T 2**-e and u = s 2**-e are the pulls and
+    their sum times 2**-e, where e = `exponent` is linalg.unit_exponent(T),
+    so no square of a pull can underflow or overflow; `in_units` scales a
+    value back exactly.
     `alignment` is the overlap tr(P_1 P_2)/d of the two perceived subspaces.
     """
 
@@ -43,11 +47,16 @@ class PopulationModel:
         w = as_vector(self.w_star, "w_star", self.group1.dim)
         object.__setattr__(self, "w_star", frozen(w))
         pulls = frozen([g.projection.apply(g.cost.solve(w)) for g in self.groups])
-        gain = frozen(pulls[0] + pulls[1])
+        exponent = unit_exponent(pulls)
+        units = frozen(np.ldexp(pulls, -exponent))
+        unit_gain = units[0] + units[1]
         object.__setattr__(self, "pulls", pulls)
-        object.__setattr__(self, "_gain_direction", gain)
-        object.__setattr__(self, "gram", frozen(pulls @ pulls.T))
-        perceived = tuple(float(np.linalg.norm(g.projection.basis.T @ gain)) for g in self.groups)
+        object.__setattr__(self, "_gain_direction", frozen(pulls[0] + pulls[1]))
+        object.__setattr__(self, "exponent", exponent)
+        object.__setattr__(self, "unit_pulls", units)
+        object.__setattr__(self, "gram", frozen(units @ units.T))
+        object.__setattr__(self, "gain_norm", float(np.linalg.norm(unit_gain)))
+        perceived = tuple(float(np.linalg.norm(g.projection.basis.T @ unit_gain)) for g in self.groups)
         object.__setattr__(self, "perceived", perceived)
         object.__setattr__(self, "alignment", alignment(*(g.projection for g in self.groups)))
 
@@ -77,13 +86,17 @@ class PopulationModel:
 
     @property
     def pull_scale(self) -> float:
-        """||t_1|| + ||t_2||, the scale against which s or one pull counts as zero."""
+        """(||t_1|| + ||t_2||) 2**-e, the scale against which s or one pull counts as zero."""
         return float(np.sqrt(self.gram[0, 0]) + np.sqrt(self.gram[1, 1]))
 
     @property
     def degenerate(self) -> bool:
         """True when no unit rule produces any welfare gain."""
-        return bool(np.linalg.norm(self._gain_direction) <= REL_TOL * self.pull_scale)
+        return bool(self.gain_norm <= REL_TOL * self.pull_scale)
+
+    def in_units(self, value: float, power: int = 1) -> float:
+        """A value taken from U (or u) in the units of w_star: value * 2**(power * e), exact within the float range."""
+        return float(np.ldexp(value, power * self.exponent))
 
     def as_rule(self, w) -> np.ndarray:
         """w as a finite vector of the model's dimension; raises otherwise."""
@@ -96,10 +109,11 @@ def welfare_gain(model: PopulationModel, w) -> float:
 
 
 def _unit_rule(model: PopulationModel, direction: np.ndarray, message: str) -> np.ndarray:
-    """The unit rule w maximizing <direction, w>: direction / ||direction||."""
-    if np.linalg.norm(direction) <= REL_TOL * model.pull_scale:
+    """The unit rule w maximizing <direction, w>: direction / ||direction||, taken at 2**-e."""
+    unit = np.ldexp(direction, -model.exponent)
+    if np.linalg.norm(unit) <= REL_TOL * model.pull_scale:
         raise DegenerateObjectiveError(message)
-    return np.sqrt(1.0 / float(direction @ direction)) * direction
+    return np.sqrt(1.0 / float(unit @ unit)) * unit
 
 
 def welfare_maximizing_rule(model: PopulationModel) -> np.ndarray:

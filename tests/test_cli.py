@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,7 @@ import pytest
 
 import scoregap
 import scoregap.cli
-from scoregap import ConfigError, disparity_example, render_json
+from scoregap import ConfigError, disparity_example, load_config, render_json, run_analysis
 from scoregap.cli import (
     EXIT_CONFIG,
     EXIT_DEGENERATE,
@@ -19,7 +21,7 @@ from scoregap.cli import (
     EXIT_PARTIAL,
     main,
 )
-from scoregap.experiment import RESULT_SCHEMA_VERSION
+from scoregap.experiment import RESULT_SCHEMA_VERSION, _leaves
 
 from conftest import model_to_dict, random_population
 
@@ -617,9 +619,9 @@ class TestWstarFile:
 class TestPayloadOverflow:
     """A finite model whose payload overflows: no inf is written, and the key is named."""
 
-    MODEL = {"schema_version": 1, "rank": 1, "w_star": [5e-324, 1e154, 1e154],
+    MODEL = {"schema_version": 1, "rank": 1, "w_star": [5e-324, 1e155, 1e155],
              "data1": [[1e154, 5e-324, 1e154]], "data2": [[0.0, 9.44, 5e-324]]}
-    MESSAGE = "conditions.do_no_harm.group1.tolerance: overflows to a non-finite value"
+    MESSAGE = "conditions.do_no_harm.group1.value: overflows to a non-finite value"
 
     def test_check_is_a_usage_error(self, tmp_path, capsys):
         model = write(tmp_path, "model.json", json.dumps(self.MODEL))
@@ -677,6 +679,33 @@ class TestNearFloatLimit:
         assert main(["analyze", "--config", cfg]) == EXIT_OK
         (entry,) = json.loads(capsys.readouterr().out)["groupings"]
         assert entry["effective_ranks"] == [1, 1]
+
+    @staticmethod
+    def scaled_check(tmp_path, capsys, w):
+        """`check`'s exit code and output for a fixed population whose w* is (w, w)."""
+        model = write(tmp_path, f"w{w}.json", json.dumps(
+            {"schema_version": 1, "w_star": [w, w], "data1": [[1.0, 0.5]], "data2": [[0.3, 1.0]]}))
+        return main(["check", model]), capsys.readouterr()
+
+    @pytest.mark.parametrize("w", [1e-160, 1e-200])
+    def test_a_tiny_w_star_keeps_the_verdicts(self, tmp_path, capsys, w):
+        # every square of a pull underflows at this size, unless taken at a power-of-two scale
+        docs = []
+        for value in (1.0, w):
+            code, captured = self.scaled_check(tmp_path, capsys, value)
+            assert (code, captured.err) == (EXIT_OK, "")
+            docs.append(json.loads(captured.out))
+        verdicts = [{path: leaf for path, leaf in _leaves(doc["conditions"]) if not isinstance(leaf, float)}
+                    for doc in docs]
+        assert verdicts[0] == verdicts[1]
+        assert verdicts[0]["equal_improvement.verdict"] is False
+        assert docs[0]["metrics"]["welfare"] == pytest.approx(2.3749456777949)
+        assert docs[1]["metrics"]["welfare"] == pytest.approx(2.3749456777949 * w)
+
+    def test_a_huge_w_star_names_the_value_past_the_float_range(self, tmp_path, capsys):
+        code, captured = self.scaled_check(tmp_path, capsys, 1e155)
+        assert (code, captured.out) == (EXIT_CONFIG, "")
+        assert captured.err == "error: conditions.do_no_harm.group1.value: overflows to a non-finite value\n"
 
 
 def _entry_part(doc):
@@ -795,11 +824,83 @@ class TestAlignment:
         assert "error: unrecognized arguments: --seed -1" in captured.err
 
 
+def src_env(**changes):
+    """os.environ with this checkout's src/ first on PYTHONPATH; a None value removes the variable."""
+    src = str(Path(scoregap.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.update(changes)
+    return {key: value for key, value in env.items() if value is not None}
+
+
+class TestProcessEntry:
+    """`python -m scoregap` goes through `cli.run`, which leaves with os._exit after flushing."""
+
+    @staticmethod
+    def scoregap(*args, prefix=(), stdout=subprocess.PIPE, unbuffered=None):
+        """Run `python -m scoregap ARGS`, buffered unless `unbuffered` sets PYTHONUNBUFFERED."""
+        return subprocess.run([*prefix, sys.executable, "-m", "scoregap", *args],
+                              env=src_env(PYTHONUNBUFFERED=unbuffered), stdin=subprocess.DEVNULL,
+                              stdout=stdout, stderr=subprocess.PIPE, text=True)
+
+    def test_stdout_is_flushed_before_exit(self, tmp_path):
+        cfg = toy_config(tmp_path)
+        proc = self.scoregap("analyze", "--config", cfg)
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        assert proc.stdout == render_json(run_analysis(load_config(cfg)))
+
+    def test_partial_failure_reports_on_stderr(self, tmp_path):
+        absent = str(tmp_path / "absent.json")
+        cfg = models_yaml(tmp_path, f"models:\n  - name: gone\n    path: {absent}\n"
+                                    "  - name: fine\n    epsilon: 0.5\n")
+        proc = self.scoregap("analyze", "--config", cfg)
+        assert proc.returncode == EXIT_PARTIAL
+        assert proc.stderr.startswith(f"grouping gone: ConfigError: cannot open model file {absent}")
+        assert json.loads(proc.stdout)["n_failed"] == 1
+
+    def test_missing_config(self, tmp_path):
+        proc = self.scoregap("analyze", "--config", str(tmp_path / "absent.yaml"))
+        assert (proc.returncode, proc.stdout) == (EXIT_CONFIG, "")
+        assert proc.stderr.startswith(f"error: cannot open config {tmp_path / 'absent.yaml'}")
+
+    def test_argparse_usage_error(self):
+        proc = self.scoregap("analyze")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "the following arguments are required: --config" in proc.stderr
+
+    def test_closed_stdout(self, tmp_path):
+        # the shell closes fd 1 before it runs Python, so sys.stdout is None
+        model = two_axis_model(tmp_path, 0.3)
+        out = tmp_path / "report.json"
+        closing = ("sh", "-c", 'exec "$@" >&-', "sh")
+        proc = self.scoregap("check", model, "--out", str(out), prefix=closing)
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        assert json.loads(out.read_text())["model"] == model
+        proc = self.scoregap("check", model, prefix=closing)
+        assert (proc.returncode, proc.stderr) == (EXIT_CONFIG, "error: cannot write standard output: Bad file descriptor\n")
+
+    @pytest.mark.parametrize("unbuffered", ["1", None])
+    def test_closed_pipe_is_a_usage_error(self, tmp_path, unbuffered):
+        model = two_axis_model(tmp_path, 0.3)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = self.scoregap("check", model, stdout=write_end, unbuffered=unbuffered)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (EXIT_CONFIG, "error: cannot write standard output: Broken pipe\n")
+
+    def test_console_script_is_run(self):
+        pyproject = Path(scoregap.__file__).resolve().parents[2] / "pyproject.toml"
+        (target,) = re.findall(r'^scoregap\s*=\s*"([^"]+)"', pyproject.read_text(), re.MULTILINE)
+        assert target == "scoregap.cli:run"
+        module, _, name = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), name))
+
+
 class TestImports:
     def test_cli_imports_no_package_but_numpy_and_yaml(self):
         # a fresh interpreter, so modules other tests loaded do not count
-        src = str(Path(scoregap.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        env = src_env()
         code = (
             "import sys, importlib.metadata as md\n"
             "before = {m.split('.')[0] for m in sys.modules}\n"

@@ -124,7 +124,7 @@ def scaled_by(c: float):
 
 
 @pytest.mark.parametrize("shape, seed", CASES)
-@pytest.mark.parametrize("c", [0.03, 7.5])
+@pytest.mark.parametrize("c", [0.03, 7.5, 2.0 ** -530])
 def test_scaling_w_star_scales_the_improvements(tmp_path, shape, seed, c):
     doc = seeded_doc(shape, seed)
     before = entry_of(tmp_path, doc, "a")
@@ -279,7 +279,7 @@ def test_permuting_feature_columns_permutes_the_welfare_rule(tmp_path, kind, see
 
 
 @pytest.mark.parametrize("kind", sorted(CSV_KINDS))
-@pytest.mark.parametrize("c", [0.03, 7.5])
+@pytest.mark.parametrize("c", [0.03, 7.5, 2.0 ** -530])
 def test_scaling_a_vector_w_star_scales_the_improvements(tmp_path, kind, c):
     w_star = np.random.default_rng(400).uniform(0.5, 2.0, len(header(kind)))
     docs = []
