@@ -6,10 +6,10 @@ numbers the PopulationModel caches: the Gram matrix G = T T^T of the
 pull directions t_g = P_g A_g^{-1} w_star, and n_g = ||P_g s|| with
 s = t_1 + t_2. Each scalar is judged against REL_TOL times its own
 scale, so no verdict depends on the units of w_star or of the costs, or
-on the basis. The model takes G and n_g from the pulls times 2**-e, so
-neither a scalar nor its scale underflows or overflows whatever the size
-of w_star, and a check reports both in the units of w_star by an exact
-power-of-two rescaling. ||s|| is taken from s itself, since
+on the basis. G and n_g come from the pulls U = T 2**-e, solved at a
+power-of-two scale of w_star and of each cost, so no scalar or scale
+underflows or overflows whatever their size; a check reports both in
+the units of w_star by an exact power-of-two rescaling. ||s|| is taken from s itself, since
 sqrt(G_11 + 2 G_12 + G_22) cancels where degeneracy is decided:
 
     quantity              value                             scale

@@ -14,6 +14,7 @@ through them, and each error they raise starts with the name it was given.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -143,8 +144,11 @@ def effective_rank(singular_values: np.ndarray) -> int:
 
 
 def unit_exponent(x: np.ndarray) -> int:
-    """e, the frexp exponent of max |x|: the QR and SVD of x * 2**-e cannot overflow and give x's V bit for bit."""
-    return int(np.frexp(max(x.max(initial=0.0), -x.min(initial=0.0)))[1])
+    """e, the frexp exponent of max |x| (NonFiniteError on inf/nan): x * 2**-e factors without overflow, to x's V."""
+    top = float(max(x.max(initial=0.0), -x.min(initial=0.0)))
+    if not math.isfinite(top):
+        raise NonFiniteError("contains non-finite values")
+    return math.frexp(top)[1]
 
 
 def subspace_projection(data, k: int) -> ProjectionMatrix:

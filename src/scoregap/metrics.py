@@ -13,13 +13,13 @@ from typing import Optional
 import numpy as np
 
 from .errors import ZeroProjectedRuleError
-from .linalg import REL_TOL
+from .linalg import REL_TOL, unit_exponent
 from .principal import PopulationModel, welfare_gain
 
 
 def total_improvement(model: PopulationModel, gid: int, w) -> float:
     """True-quality gain of subgroup gid's movement under rule w: <w, t_gid>."""
-    return float(model.as_rule(w) @ model.pull_direction(gid))
+    return model.in_units(model.as_rule(w) @ model.unit_pull(gid))
 
 
 def per_unit_improvement(model: PopulationModel, gid: int, w) -> float:
@@ -66,7 +66,8 @@ def _optimal_per_unit(model: PopulationModel, gid: int) -> Optional[float]:
 
 
 def _per_unit(model: PopulationModel, gid: int, w: np.ndarray) -> Optional[float]:
-    """I_g(w) / ||P_g w||, or None when ||P_g w|| <= REL_TOL * ||w||."""
+    """I_g(w) / ||P_g w||, or None when ||P_g w|| <= REL_TOL * ||w||; taken at w 2**-e_w, as the ratio has no scale."""
+    w = np.ldexp(w, -unit_exponent(w))
     norm = float(np.linalg.norm(model.group(gid).projection.basis.T @ w))
     if norm <= REL_TOL * float(np.linalg.norm(w)):
         return None

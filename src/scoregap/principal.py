@@ -13,7 +13,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import DegenerateObjectiveError, DimensionMismatchError
+from .errors import DegenerateObjectiveError, DimensionMismatchError, NonFiniteError
 from .agents import Subgroup
 from .linalg import REL_TOL, alignment, as_vector, frozen, unit_exponent
 
@@ -22,17 +22,16 @@ from .linalg import REL_TOL, alignment, as_vector, frozen, unit_exponent
 class PopulationModel:
     """Two subgroups plus the true quality direction the principal cares about.
 
-    Caches the subgroups' pull directions t_g = P_g A_g^{-1} w_star (the
-    gradient of each subgroup's improvement in the deployed rule) as the
-    rows of `pulls`, and their sum s, which is the gradient of total
-    welfare. Every guarantee is a closed form in five more cached numbers:
-    the 2x2 Gram matrix `gram` = U U^T of the pulls and `perceived` =
-    (n_1, n_2) with n_g = ||V_g^T u|| for the basis V_g; `gain_norm` is
-    ||u||. U = `unit_pulls` = T 2**-e and u = s 2**-e are the pulls and
-    their sum times 2**-e, where e = `exponent` is linalg.unit_exponent(T),
-    so no square of a pull can underflow or overflow; `in_units` scales a
-    value back exactly.
-    `alignment` is the overlap tr(P_1 P_2)/d of the two perceived subspaces.
+    Holds the pull directions t_g = P_g A_g^{-1} w_star (the gradient of
+    subgroup g's improvement in the deployed rule) once, at one power of
+    two: `unit_pulls` U has rows U_g = t_g 2**-e and `unit_gain` is
+    u = U_1 + U_2 = s 2**-e, s being the gradient of total welfare. Each
+    t_g is solved as P_g (A_g 2**-a_g)^{-1} (w_star 2**-e_w) 2**(e_w - a_g),
+    with linalg.unit_exponent's a_g and e_w; e = `exponent` is that of the
+    largest pull, so nothing underflows or overflows unless a pull does.
+    Every guarantee is a closed form in `gram` = U U^T, `perceived` =
+    (n_1, n_2) with n_g = ||V_g^T u|| for the basis V_g, and `gain_norm` =
+    ||u||; `in_units` scales a value back exactly. `alignment` is tr(P_1 P_2)/d.
     """
 
     group1: Subgroup
@@ -46,17 +45,23 @@ class PopulationModel:
             )
         w = as_vector(self.w_star, "w_star", self.group1.dim)
         object.__setattr__(self, "w_star", frozen(w))
-        pulls = frozen([g.projection.apply(g.cost.solve(w)) for g in self.groups])
-        exponent = unit_exponent(pulls)
-        units = frozen(np.ldexp(pulls, -exponent))
-        unit_gain = units[0] + units[1]
-        object.__setattr__(self, "pulls", pulls)
-        object.__setattr__(self, "_gain_direction", frozen(pulls[0] + pulls[1]))
+        e_w = unit_exponent(w)
+        shifted = []  # (shift, y, unit_exponent(y)) per group, with t_g = y 2**shift
+        for g in self.groups:
+            e_a = unit_exponent(g.cost.matrix)
+            y = g.projection.apply(np.linalg.solve(np.ldexp(g.cost.matrix, -e_a), np.ldexp(w, -e_w)))
+            try:
+                shifted.append((e_w - e_a, y, unit_exponent(y)))
+            except NonFiniteError:
+                raise NonFiniteError(f"{g.name}: pull direction overflows to a non-finite value") from None
+        exponent = max((shift + e for shift, y, e in shifted if y.any()), default=0)  # a zero pull has no say
+        units = frozen([np.ldexp(y, shift - exponent) for shift, y, _ in shifted])
         object.__setattr__(self, "exponent", exponent)
         object.__setattr__(self, "unit_pulls", units)
+        object.__setattr__(self, "unit_gain", frozen(units[0] + units[1]))
         object.__setattr__(self, "gram", frozen(units @ units.T))
-        object.__setattr__(self, "gain_norm", float(np.linalg.norm(unit_gain)))
-        perceived = tuple(float(np.linalg.norm(g.projection.basis.T @ unit_gain)) for g in self.groups)
+        object.__setattr__(self, "gain_norm", float(np.linalg.norm(self.unit_gain)))
+        perceived = tuple(float(np.linalg.norm(g.projection.basis.T @ self.unit_gain)) for g in self.groups)
         object.__setattr__(self, "perceived", perceived)
         object.__setattr__(self, "alignment", alignment(*(g.projection for g in self.groups)))
 
@@ -73,16 +78,19 @@ class PopulationModel:
             raise ValueError(f"group id must be 1 or 2, got {gid}")
         return self.group1 if gid == 1 else self.group2
 
+    def unit_pull(self, gid: int) -> np.ndarray:
+        """U_g = t_g 2**-e; <w, U_g> 2**e is subgroup g's gain under w."""
+        self.group(gid)  # checks gid
+        return self.unit_pulls[gid - 1]
+
     def pull_direction(self, gid: int) -> np.ndarray:
-        """t_g = P_g A_g^{-1} w_star; <w, t_g> is subgroup g's gain under w."""
-        if gid not in (1, 2):
-            raise ValueError(f"group id must be 1 or 2, got {gid}")
-        return self.pulls[gid - 1]
+        """t_g = P_g A_g^{-1} w_star, exactly U_g 2**e within the float range."""
+        return np.ldexp(self.unit_pull(gid), self.exponent)
 
     @property
     def gain_direction(self) -> np.ndarray:
-        """t_1 + t_2; <w, .> gives total welfare gain of deploying w."""
-        return self._gain_direction
+        """s = t_1 + t_2, exactly u 2**e within the float range; <w, s> is the welfare gain of w."""
+        return np.ldexp(self.unit_gain, self.exponent)
 
     @property
     def pull_scale(self) -> float:
@@ -105,12 +113,11 @@ class PopulationModel:
 
 def welfare_gain(model: PopulationModel, w) -> float:
     """Total true-quality improvement both subgroups gain under rule w: <w, t_1 + t_2>."""
-    return float(model.as_rule(w) @ model.gain_direction)
+    return model.in_units(model.as_rule(w) @ model.unit_gain)
 
 
-def _unit_rule(model: PopulationModel, direction: np.ndarray, message: str) -> np.ndarray:
-    """The unit rule w maximizing <direction, w>: direction / ||direction||, taken at 2**-e."""
-    unit = np.ldexp(direction, -model.exponent)
+def _unit_rule(model: PopulationModel, unit: np.ndarray, message: str) -> np.ndarray:
+    """The unit rule w maximizing <unit, w> for a direction taken at 2**-e: unit / ||unit||."""
     if np.linalg.norm(unit) <= REL_TOL * model.pull_scale:
         raise DegenerateObjectiveError(message)
     return np.sqrt(1.0 / float(unit @ unit)) * unit
@@ -119,16 +126,11 @@ def _unit_rule(model: PopulationModel, direction: np.ndarray, message: str) -> n
 def welfare_maximizing_rule(model: PopulationModel) -> np.ndarray:
     """Unit rule maximizing total welfare gain: (t_1 + t_2) / ||t_1 + t_2||.
 
-    Raises DegenerateObjectiveError when the welfare gain is zero for
-    every rule.
+    Raises DegenerateObjectiveError when the welfare gain is zero for every rule.
     """
-    return _unit_rule(model, model.gain_direction, "welfare gain is zero for every rule; no maximizer exists")
+    return _unit_rule(model, model.unit_gain, "welfare gain is zero for every rule; no maximizer exists")
 
 
 def group_optimal_rule(model: PopulationModel, gid: int) -> np.ndarray:
     """Unit rule maximizing subgroup gid's own improvement."""
-    return _unit_rule(
-        model,
-        model.pull_direction(gid),
-        f"subgroup {gid} cannot gain under any rule; no maximizer exists",
-    )
+    return _unit_rule(model, model.unit_pull(gid), f"subgroup {gid} cannot gain under any rule; no maximizer exists")

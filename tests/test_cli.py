@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -647,6 +648,38 @@ class TestPayloadOverflow:
 NEAR_LIMIT_MODEL = {"schema_version": 1, "rank": 1, "w_star": [1.0, 1.0, 1.0], "data1": [[1.0, 0.0, 0.0]],
                     "data2": [[1.0, 1.0, -1e308], [0.5, 2.0, 2.0], [0.5, 0.5, 0.5]]}
 
+# Model files whose pulls are solved near the float limit: each name maps to
+# (its fields, check's exit code, the error line after "error: "). A "twin"
+# is the same file with w* scaled down far enough that nothing overflows.
+_ZERO_PULL_1 = "subgroup 1's pull direction is zero; per-unit optimum undefined"
+_ZERO_PULL_2 = "subgroup 2's pull direction is zero; per-unit optimum undefined"
+_TOLERANCE = "conditions.do_no_harm.group1.tolerance: overflows to a non-finite value"
+_TINY_COST = {"cost1": [[1e-300, 0.0], [0.0, 1e-310]], "data1": [[1.0, 1.0]], "data2": [[1.0, 0.0], [0.0, 1.0]]}
+FLOAT_LIMIT_MODELS = {
+    # unscaled, A_1^{-1} w* = (2e308, 1) would overflow before P_1 projects that axis away
+    "a": ({"w_star": [1e308, 1.0], "cost1": [[0.5, 0.0], [0.0, 1.0]], "data1": [[0.0, 1.0]],
+           "data2": [[0.0, 1.0], [1.0, 1.0]]}, EXIT_DEGENERATE, _ZERO_PULL_1),
+    "a_twin": ({"w_star": [1e300, 1.0], "cost1": [[0.5, 0.0], [0.0, 1.0]], "data1": [[0.0, 1.0]],
+                "data2": [[0.0, 1.0], [1.0, 1.0]]}, EXIT_DEGENERATE, _ZERO_PULL_1),
+    # t_1 + t_2 overflows, and so does ||s||^2 in the do-no-harm tolerance
+    "sum": ({"w_star": [1e200, 1e308], "data1": [[1.0, 0.0], [0.0, 1.0]], "data2": [[1.0, 0.0], [0.0, 1.0]]},
+            EXIT_CONFIG, _TOLERANCE),
+    "inf_solve": ({"w_star": [1e308, 1e308], "cost1": [[0.5, 0.0], [0.0, 1.0]], "data1": [[0.0, 1.0]],
+                   "data2": [[1.0, 1.0]]}, EXIT_CONFIG, _TOLERANCE),
+    "inf_solve_twin": ({"w_star": [1e300, 1e300], "cost1": [[0.5, 0.0], [0.0, 1.0]], "data1": [[0.0, 1.0]],
+                        "data2": [[1.0, 1.0]]}, EXIT_CONFIG, _TOLERANCE),
+    # A_1^{-1} w* would overflow unless the cost is scaled too; t_1 then dwarfs t_2
+    "tiny_cost": ({"w_star": [1.0, 1.0], **_TINY_COST}, EXIT_DEGENERATE, _ZERO_PULL_2),
+    "tiny_cost_tiny_w": ({"w_star": [1e-300, 1e-300], **_TINY_COST}, EXIT_DEGENERATE, _ZERO_PULL_2),
+    # the zero pull of a rank-0 projection takes no part in choosing the exponent
+    "zero_vote": ({"w_star": [1.0, 1.0], "cost1": [[1e159, 0.0], [0.0, 1e159]], "data1": [[1.0, 0.0]],
+                   "projection2": [[0.0, 0.0], [0.0, 0.0]]}, EXIT_DEGENERATE, _ZERO_PULL_2),
+    # A_1 has condition 1e320, so t_1 itself leaves the float range
+    "cond_overflow": ({"w_star": [1.0, 1.0], "cost1": [[1.0, 0.0], [0.0, 1e-320]], "data1": [[1.0, 1.0]],
+                       "data2": [[1.0, 0.0], [0.0, 1.0]]},
+                      EXIT_CONFIG, "group1: pull direction overflows to a non-finite value"),
+}
+
 
 class TestNearFloatLimit:
     """Finite inputs with entries near the float limit factor without overflow."""
@@ -701,6 +734,16 @@ class TestNearFloatLimit:
         assert verdicts[0]["equal_improvement.verdict"] is False
         assert docs[0]["metrics"]["welfare"] == pytest.approx(2.3749456777949)
         assert docs[1]["metrics"]["welfare"] == pytest.approx(2.3749456777949 * w)
+
+    @pytest.mark.parametrize("name", sorted(FLOAT_LIMIT_MODELS))
+    def test_pulls_solved_near_the_float_limit(self, tmp_path, capsys, name):
+        fields, code, message = FLOAT_LIMIT_MODELS[name]
+        model = write(tmp_path, f"{name}.json", json.dumps({"schema_version": 1, **fields}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["check", model]) == code
+        assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_a_huge_w_star_names_the_value_past_the_float_range(self, tmp_path, capsys):
         code, captured = self.scaled_check(tmp_path, capsys, 1e155)

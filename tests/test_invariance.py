@@ -134,6 +134,38 @@ def test_scaling_w_star_scales_the_improvements(tmp_path, shape, seed, c):
     assert_same_verdicts(before, after)
 
 
+# The power of two each float of an entry carries in the scale of w*: a
+# rule, an alignment and a ratio of norms carry none, an improvement one,
+# and a guarantee scalar in the Gram matrix of the pulls two.
+POWERS = {"welfare_rule": 0, "alignment": 0, "sufficient_c": 0, "metrics": 1, "per_unit_optimal": 1,
+          "do_no_harm": 2, "equal_improvement": 2}
+
+
+@pytest.mark.parametrize("shape, seed", CASES)
+@pytest.mark.parametrize("k", [-900, -300, 37, 900])
+def test_scaling_the_data_by_a_power_of_two_changes_no_bit(tmp_path, shape, seed, k):
+    doc = seeded_doc(shape, seed)
+    scaled = dict(doc, data1=np.ldexp(doc["data1"], k), data2=np.ldexp(doc["data2"], k))
+    assert json.dumps(entry_of(tmp_path, scaled, "b")) == json.dumps(entry_of(tmp_path, doc, "a"))
+
+
+@pytest.mark.parametrize("shape, seed", CASES)
+@pytest.mark.parametrize("keys, sign", [(("w_star",), 1), (("cost1", "cost2"), -1)])
+@pytest.mark.parametrize("k", [-300, 37, 300])
+def test_scaling_w_star_or_the_costs_by_a_power_of_two_is_exact(tmp_path, shape, seed, keys, sign, k):
+    # t_g = P_g A_g^{-1} w* scales by 2**(sign * k), and a float of power p by 2**(sign * p * k), exactly
+    doc = seeded_doc(shape, seed)
+    before = dict(leaves(entry_of(tmp_path, doc, "a")))
+    after = dict(leaves(entry_of(tmp_path, dict(doc, **{key: np.ldexp(doc[key], k) for key in keys}), "b")))
+    assert after.keys() == before.keys()
+    for path, old in before.items():
+        if isinstance(old, float):
+            (power,) = {POWERS[key] for key in path if key in POWERS}
+            assert after[path] == np.ldexp(old, sign * power * k), path
+        else:
+            assert after[path] == old, path
+
+
 # CSV relations, on an all-numeric file and one with categorical columns
 # and dropped rows (np.loadtxt parses both, the second into distinct-text
 # indices), and on the categorical file with its sex cells quoted (the

@@ -15,7 +15,7 @@ from scoregap import (
     subspace_projection,
 )
 
-from scoregap.linalg import RANK_TOL
+from scoregap.linalg import RANK_TOL, unit_exponent
 
 from conftest import random_orthonormal, random_projection
 
@@ -210,6 +210,13 @@ class TestSubspaceProjection:
         x = np.array([[1.0, 1.0, -1e308], [0.5, 2.0, 2.0], [0.5, 0.5, 0.5]])
         p = subspace_projection(x, 1)
         np.testing.assert_allclose(np.abs(p.basis[:, 0]), [0.0, 0.0, 1.0], atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_unit_exponent_of_a_non_finite_array_raises(self, bad):
+        # np.frexp of inf or nan has exponent 0, which would pass for unit scale
+        assert unit_exponent(np.array([[0.0, 3.0], [-5e-324, 0.75]])) == 2
+        with pytest.raises(NonFiniteError):
+            unit_exponent(np.array([1.0, bad, 0.5]))
 
     def test_effective_rank(self):
         assert effective_rank(np.array([3.0, 1.0, 1e-14])) == 2

@@ -65,6 +65,11 @@ class TestPerUnitImprovement:
                 per_unit_improvement(pop, 1, scale * w), abs=1e-9
             )
 
+    @pytest.mark.parametrize("w", [[1e-170, 1e-170], [1e160, 1e160], [1.0, 1.0]])
+    def test_a_rule_of_any_scale(self, w):
+        # the norms are taken at a power-of-two scale of w, so no square underflows or overflows
+        assert per_unit_improvement(disparity_example(0.5), 1, np.array(w)) == pytest.approx(0.5, rel=1e-15)
+
     def test_zero_perceived_rule_raises(self):
         pop = disparity_example(0.3)
         # group 1 sees only the first axis; a rule along the second is invisible

@@ -72,13 +72,18 @@ def test_result_keys_are_documented():
 
 
 def test_box_references_resolve():
-    # every backticked `module.name` in the module tour names something that exists
+    # every backticked `module.name` in the module tour names something that exists, and so does
+    # every `Class.attr` of an exported class; a PopulationModel caches its values on the instance
     text = README.read_text(encoding="utf-8")
     section = text[text.index("## What is in the box"):text.index("## Install")]
+    spans = re.findall(r"`([^`]+)`", section)
     submodules = {info.name for info in pkgutil.iter_modules(scoregap.__path__)}
-    references = [ref for span in re.findall(r"`([^`]+)`", section)
-                  for ref in re.findall(r"^(\w+)\.(\w+)", span) if ref[0] in submodules]
-    assert references
+    references = [ref for span in spans for ref in re.findall(r"^(\w+)\.(\w+)", span) if ref[0] in submodules]
+    attributes = [ref for span in spans for ref in re.findall(r"^([A-Z]\w*)\.(\w+)", span)]
+    assert references and attributes
+    owners = {"PopulationModel": scoregap.disparity_example(0.5)}
     missing = [f"{module}.{name}" for module, name in references
                if not hasattr(importlib.import_module(f"scoregap.{module}"), name)]
+    missing += [f"{cls}.{name}" for cls, name in attributes
+                if not hasattr(owners.get(cls) or getattr(scoregap, cls), name)]
     assert missing == []
