@@ -18,7 +18,9 @@ from .errors import (
     NotPositiveDefiniteError,
     ShapeMismatchError,
 )
-from .linalg import REL_TOL, SYMMETRY_TOL, ProjectionMatrix, as_matrix, as_vector, frozen, min_norm_least_squares
+from .linalg import (
+    REL_TOL, SYMMETRY_TOL, ProjectionMatrix, as_matrix, as_vector, frozen, min_norm_least_squares, unit_exponent,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -29,7 +31,9 @@ class CostMatrix:
     checks symmetry against SYMMETRY_TOL times the largest entry, so the
     verdict does not depend on the cost's units, and positive
     definiteness with a Cholesky factorization; inverse applications are
-    linear solves, so A^{-1} is never formed explicitly.
+    linear solves, so A^{-1} is never formed explicitly. `scaled_solve` uses
+    B = D A D 2**-m, D = diag(2**-h), its powers of two set by the diagonal
+    so that every entry of B lies below 2 and scaling A by 2**k changes only m.
     """
 
     matrix: np.ndarray
@@ -45,6 +49,10 @@ class CostMatrix:
                 "Cholesky failed; cost matrix is not positive definite"
             ) from exc
         object.__setattr__(self, "matrix", frozen(a))
+        e = np.frexp(np.diag(a))[1]
+        m = int(e.max() + e.min()) // 2
+        h = (e - m) // 2
+        object.__setattr__(self, "_balanced", (frozen(np.ldexp(a, -np.add.outer(h, h) - m)), h, m))
 
     @property
     def dim(self) -> int:
@@ -53,6 +61,18 @@ class CostMatrix:
     def solve(self, v: np.ndarray) -> np.ndarray:
         """A^{-1} v for a vector or a matrix right-hand side."""
         return np.linalg.solve(self.matrix, v)
+
+    def scaled_solve(self, v: np.ndarray) -> tuple[np.ndarray, int]:
+        """(y, k) with A^{-1} v = y 2**k and max |y| in [1/2, 1), or y = 0, for a vector v.
+
+        A^{-1} v = D z 2**(e_v - m) for B z = D v 2**-e_v, e_v = unit_exponent(v): z overflows only
+        if ||B^{-1}|| passes about 2**500, as max |D v 2**-e_v| < 2**524."""
+        balanced, h, m = self._balanced
+        e_v = unit_exponent(v)
+        z = np.linalg.solve(balanced, np.ldexp(v, -h - e_v))
+        exps = (np.frexp(z)[1] - h)[z != 0]  # the frexp exponents of D z
+        k = int(exps.max()) if exps.size else 0
+        return np.ldexp(z, -h - k), k + e_v - m
 
     def quad(self, delta: np.ndarray) -> float:
         """delta^T A delta."""

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import DegenerateObjectiveError, EpsilonOutOfRangeError, ZeroProjectedRuleError
 from .agents import CostMatrix, Subgroup
-from .linalg import REL_TOL, ProjectionMatrix
+from .linalg import REL_TOL, ProjectionMatrix, unit_exponent
 from .principal import PopulationModel
 
 
@@ -157,7 +157,7 @@ def _scaled_equal(pop: PopulationModel) -> bool:
     v1, v2 = pop.group1.projection.basis, pop.group2.projection.basis
     if v1.shape != v2.shape or np.linalg.norm(v2 - v1 @ (v1.T @ v2)) > REL_TOL:
         return False
-    a1, a2 = pop.group1.cost.matrix, pop.group2.cost.matrix
+    a1, a2 = (np.ldexp(g.cost.matrix, -unit_exponent(g.cost.matrix)) for g in pop.groups)  # c stays finite
     ratio = np.trace(a2) / np.trace(a1)
     return bool(np.max(np.abs(a2 - ratio * a1)) <= REL_TOL * np.max(np.abs(a2)))
 

@@ -26,9 +26,9 @@ class PopulationModel:
     subgroup g's improvement in the deployed rule) once, at one power of
     two: `unit_pulls` U has rows U_g = t_g 2**-e and `unit_gain` is
     u = U_1 + U_2 = s 2**-e, s being the gradient of total welfare. Each
-    t_g is solved as P_g (A_g 2**-a_g)^{-1} (w_star 2**-e_w) 2**(e_w - a_g),
-    with linalg.unit_exponent's a_g and e_w; e = `exponent` is that of the
-    largest pull, so nothing underflows or overflows unless a pull does.
+    t_g is P_g y 2**k for CostMatrix.scaled_solve's (y, k) of w_star, and
+    e = `exponent` is the largest pull's, so no step overflows; a pull
+    past the float range is a NonFiniteError naming its subgroup.
     Every guarantee is a closed form in `gram` = U U^T, `perceived` =
     (n_1, n_2) with n_g = ||V_g^T u|| for the basis V_g, and `gain_norm` =
     ||u||; `in_units` scales a value back exactly. `alignment` is tr(P_1 P_2)/d.
@@ -45,17 +45,18 @@ class PopulationModel:
             )
         w = as_vector(self.w_star, "w_star", self.group1.dim)
         object.__setattr__(self, "w_star", frozen(w))
-        e_w = unit_exponent(w)
-        shifted = []  # (shift, y, unit_exponent(y)) per group, with t_g = y 2**shift
+        pulls = []  # (y, shift, top) per group: t_g = y 2**shift, max |t_g| < 2**top
         for g in self.groups:
-            e_a = unit_exponent(g.cost.matrix)
-            y = g.projection.apply(np.linalg.solve(np.ldexp(g.cost.matrix, -e_a), np.ldexp(w, -e_w)))
-            try:
-                shifted.append((e_w - e_a, y, unit_exponent(y)))
-            except NonFiniteError:
-                raise NonFiniteError(f"{g.name}: pull direction overflows to a non-finite value") from None
-        exponent = max((shift + e for shift, y, e in shifted if y.any()), default=0)  # a zero pull has no say
-        units = frozen([np.ldexp(y, shift - exponent) for shift, y, _ in shifted])
+            z, shift = g.cost.scaled_solve(w)
+            if not np.isfinite(z).all():  # B all but singular; see CostMatrix.scaled_solve
+                raise NonFiniteError(f"{g.name}: cost solve overflows to a non-finite value")
+            y = g.projection.apply(z)
+            top = shift + unit_exponent(y)
+            if y.any() and top > 1024:  # max |t_g| >= 2**(top - 1), past the largest float
+                raise NonFiniteError(f"{g.name}: pull direction overflows to a non-finite value")
+            pulls.append((y, shift, top))
+        exponent = max((top for y, _, top in pulls if y.any()), default=0)  # a zero pull has no say
+        units = frozen([np.ldexp(y, shift - exponent) for y, shift, _ in pulls])
         object.__setattr__(self, "exponent", exponent)
         object.__setattr__(self, "unit_pulls", units)
         object.__setattr__(self, "unit_gain", frozen(units[0] + units[1]))

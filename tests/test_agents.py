@@ -35,6 +35,28 @@ class TestCostMatrix:
         m = rng.standard_normal((4, 4))
         np.testing.assert_allclose(CostMatrix(a).solve(m), np.linalg.solve(a, m), atol=1e-10)
 
+    def test_scaled_solve_matches_dense_solve(self):
+        rng = np.random.default_rng(0)
+        a = random_spd(rng, 6)
+        v = rng.standard_normal(6)
+        y, k = CostMatrix(a).scaled_solve(v)
+        assert 0.5 <= np.max(np.abs(y)) < 1.0
+        np.testing.assert_allclose(np.ldexp(y, k), np.linalg.solve(a, v), rtol=1e-10)
+
+    def test_scaled_solve_of_a_cost_wider_than_the_float_range(self):
+        # the diagonal spans 1e310, yet A^{-1} v = (1e-300, 1e10); y holds the first entry as a subnormal
+        y, k = CostMatrix(np.diag([1e300, 1e-10])).scaled_solve(np.array([1.0, 1.0]))
+        np.testing.assert_allclose(np.ldexp(y, k), [1e-300, 1e10], rtol=1e-12)
+
+    @pytest.mark.parametrize("j", [-300, -1, 37, 300])
+    def test_scaling_the_cost_by_a_power_of_two_changes_only_the_exponent(self, j):
+        rng = np.random.default_rng(2)
+        a = random_spd(rng, 4) * np.outer([1e-5, 1.0, 3.0, 1e4], [1e-5, 1.0, 3.0, 1e4])
+        v = rng.standard_normal(4)
+        y, k = CostMatrix(a).scaled_solve(v)
+        y_scaled, k_scaled = CostMatrix(np.ldexp(a, j)).scaled_solve(v)
+        assert (y_scaled == y).all() and k_scaled == k - j
+
     def test_quad(self):
         cost = CostMatrix(np.diag([2.0, 3.0]))
         assert cost.quad(np.array([1.0, 1.0])) == pytest.approx(5.0)

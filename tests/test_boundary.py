@@ -2,7 +2,8 @@
 
 Hypothesis writes well-formed model files whose entries span the
 whole finite float range (0, the smallest subnormal, up to 1.7e308), with
-SPD costs scaled by 10**k for |k| <= 300 and projections given as data
+SPD costs scaled by 10**k for |k| <= 300 or, ill-conditioned, taken as D S D
+for a diagonal D of powers of 10 up to 1e+-150, and projections given as data
 rows or as dense V V^T of any rank. Whatever the file, `check` returns
 0, 2, 3, 4 or 5 and raises nothing, emits no RuntimeWarning, writes a
 document of finite floats when it succeeds, and never blames an internal
@@ -50,7 +51,11 @@ def model_docs(draw) -> dict:
         if draw(st.booleans()):
             m = rng.standard_normal((d, d))
             spd = m @ m.T + 0.1 * np.eye(d)
-            doc[f"cost{gid}"] = ((spd + spd.T) / 2.0 * cost_scale).tolist()
+            scale = cost_scale
+            if draw(st.booleans()):  # D spd D for a diagonal D of 10**j, |j| <= 150
+                diagonal = 10.0 ** np.array(draw(st.lists(st.integers(-150, 150), min_size=d, max_size=d)))
+                scale = np.outer(diagonal, diagonal)
+            doc[f"cost{gid}"] = ((spd + spd.T) / 2.0 * scale).tolist()
         if draw(st.booleans()):
             doc[f"data{gid}"] = draw(arrays(draw(st.integers(1, d + 1)), d))
             with_data = True

@@ -1,5 +1,6 @@
 import importlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -654,6 +655,7 @@ NEAR_LIMIT_MODEL = {"schema_version": 1, "rank": 1, "w_star": [1.0, 1.0, 1.0], "
 _ZERO_PULL_1 = "subgroup 1's pull direction is zero; per-unit optimum undefined"
 _ZERO_PULL_2 = "subgroup 2's pull direction is zero; per-unit optimum undefined"
 _TOLERANCE = "conditions.do_no_harm.group1.tolerance: overflows to a non-finite value"
+_PULL_OVERFLOW = "group1: pull direction overflows to a non-finite value"
 _TINY_COST = {"cost1": [[1e-300, 0.0], [0.0, 1e-310]], "data1": [[1.0, 1.0]], "data2": [[1.0, 0.0], [0.0, 1.0]]}
 FLOAT_LIMIT_MODELS = {
     # unscaled, A_1^{-1} w* = (2e308, 1) would overflow before P_1 projects that axis away
@@ -668,8 +670,8 @@ FLOAT_LIMIT_MODELS = {
                    "data2": [[1.0, 1.0]]}, EXIT_CONFIG, _TOLERANCE),
     "inf_solve_twin": ({"w_star": [1e300, 1e300], "cost1": [[0.5, 0.0], [0.0, 1.0]], "data1": [[0.0, 1.0]],
                         "data2": [[1.0, 1.0]]}, EXIT_CONFIG, _TOLERANCE),
-    # A_1^{-1} w* would overflow unless the cost is scaled too; t_1 then dwarfs t_2
-    "tiny_cost": ({"w_star": [1.0, 1.0], **_TINY_COST}, EXIT_DEGENERATE, _ZERO_PULL_2),
+    # t_1 = 5e309 (1, 1) leaves the float range; with w* = 1e-300 it is finite and dwarfs t_2
+    "tiny_cost": ({"w_star": [1.0, 1.0], **_TINY_COST}, EXIT_CONFIG, _PULL_OVERFLOW),
     "tiny_cost_tiny_w": ({"w_star": [1e-300, 1e-300], **_TINY_COST}, EXIT_DEGENERATE, _ZERO_PULL_2),
     # the zero pull of a rank-0 projection takes no part in choosing the exponent
     "zero_vote": ({"w_star": [1.0, 1.0], "cost1": [[1e159, 0.0], [0.0, 1e159]], "data1": [[1.0, 0.0]],
@@ -677,7 +679,18 @@ FLOAT_LIMIT_MODELS = {
     # A_1 has condition 1e320, so t_1 itself leaves the float range
     "cond_overflow": ({"w_star": [1.0, 1.0], "cost1": [[1.0, 0.0], [0.0, 1e-320]], "data1": [[1.0, 1.0]],
                        "data2": [[1.0, 0.0], [0.0, 1.0]]},
-                      EXIT_CONFIG, "group1: pull direction overflows to a non-finite value"),
+                      EXIT_CONFIG, _PULL_OVERFLOW),
+    # A_g's diagonal spans 1e310, yet t_g = (1e-300, 1e10) is finite: the solve balances rows and columns
+    "cond_finite": ({"w_star": [1.0, 1.0], "cost1": [[1e300, 0.0], [0.0, 1e-10]], "cost2": [[1e300, 0.0], [0.0, 1e-10]],
+                     "data1": [[1.0, 0.0], [0.0, 1.0]], "data2": [[1.0, 0.0], [0.0, 1.0]]}, 0, None),
+    # tr A_2 / tr A_1 = 1e350, the proportional-cost test's c, is taken at a power-of-two scale of each cost
+    "wide_cost_ratio": ({"w_star": [1.0, 1.0], "cost1": [[1e-150, 0.0], [0.0, 1e-100]],
+                         "cost2": [[1e250, 0.0], [0.0, 1e-150]], "projection1": [[1.0, 0.0], [0.0, 1.0]],
+                         "projection2": [[1.0, 0.0], [0.0, 1.0]]}, 0, None),
+    # t_1 = 1e600 (1, 1) leaves the float range through the scales of w* and A_1 alone
+    "shift_overflow": ({"w_star": [1e300, 1e300], "cost1": [[1e-300, 0.0], [0.0, 1e-300]],
+                        "data1": [[1.0, 0.0], [0.0, 1.0]], "data2": [[1.0, 0.0], [0.0, 1.0]]},
+                       EXIT_CONFIG, _PULL_OVERFLOW),
 }
 
 
@@ -743,7 +756,11 @@ class TestNearFloatLimit:
             warnings.simplefilter("always")
             assert main(["check", model]) == code
         assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
-        assert capsys.readouterr() == ("", f"error: {message}\n")
+        out, err = capsys.readouterr()
+        if code:
+            assert (out, err) == ("", f"error: {message}\n")
+        else:
+            assert err == "" and all(math.isfinite(x) for _, x in _leaves(json.loads(out)) if isinstance(x, float))
 
     def test_a_huge_w_star_names_the_value_past_the_float_range(self, tmp_path, capsys):
         code, captured = self.scaled_check(tmp_path, capsys, 1e155)

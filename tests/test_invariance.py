@@ -8,6 +8,7 @@ agree exactly unless either side flags the check as `boundary`.
 """
 
 import json
+import math
 from unittest import mock
 
 import numpy as np
@@ -112,33 +113,44 @@ def test_common_rotation_rotates_only_the_welfare_rule(tmp_path, shape, seed):
 
 SCALED = {"I1", "I2", "welfare", "difference", "uI1", "uI2", "uI1_star", "uI2_star"}
 
+# The power of w*'s scale each float of an entry carries: a rule, an
+# alignment and a ratio of norms carry none, an improvement one, and a
+# guarantee scalar in the Gram matrix of the pulls two.
+POWERS = {"welfare_rule": 0, "alignment": 0, "sufficient_c": 0, "metrics": 1, "per_unit_optimal": 1,
+          "do_no_harm": 2, "equal_improvement": 2}
+
+
+def power_of(path) -> int:
+    (power,) = {POWERS[key] for key in path if key in POWERS}
+    return power
+
 
 def scaled_by(c: float):
-    """assert_floats' expectation for w* scaled by c: the metrics scale by c, the
-    welfare rule, alignment and sufficient_c stay, and the other values go unchecked."""
-    def expected(path, old):
-        if "metrics" in path:
-            return c * old
-        return old if {"welfare_rule", "alignment", "sufficient_c"} & set(path) else None
-    return expected
+    """assert_floats' expectation for w* scaled by c: a float of power p scales by c**p."""
+    return lambda path, old: old * c ** power_of(path) if POWERS.keys() & set(path) else None
+
+
+def assert_exactly_scaled(before: dict, after: dict, k: int) -> None:
+    """Each float of `after` is before's times 2**(p k), p its power, bit for bit; every other leaf is equal."""
+    b_leaves, a_leaves = dict(leaves(before)), dict(leaves(after))
+    assert a_leaves.keys() == b_leaves.keys()
+    for path, old in b_leaves.items():
+        assert a_leaves[path] == (np.ldexp(old, power_of(path) * k) if isinstance(old, float) else old), path
 
 
 @pytest.mark.parametrize("shape, seed", CASES)
-@pytest.mark.parametrize("c", [0.03, 7.5, 2.0 ** -530])
+@pytest.mark.parametrize("c", [0.03, 7.5, 2.0 ** -530, 2.0 ** -300, 2.0 ** 37, 2.0 ** 300])
 def test_scaling_w_star_scales_the_improvements(tmp_path, shape, seed, c):
     doc = seeded_doc(shape, seed)
     before = entry_of(tmp_path, doc, "a")
     after = entry_of(tmp_path, dict(doc, w_star=c * doc["w_star"]), "b")
     assert set(before["metrics"]) == SCALED
-    assert_floats(before, after, scaled_by(c))
-    assert_same_verdicts(before, after)
-
-
-# The power of two each float of an entry carries in the scale of w*: a
-# rule, an alignment and a ratio of norms carry none, an improvement one,
-# and a guarantee scalar in the Gram matrix of the pulls two.
-POWERS = {"welfare_rule": 0, "alignment": 0, "sufficient_c": 0, "metrics": 1, "per_unit_optimal": 1,
-          "do_no_harm": 2, "equal_improvement": 2}
+    mantissa, exponent = math.frexp(c)
+    if mantissa == 0.5:  # c = 2**(exponent - 1) scales every pull exactly
+        assert_exactly_scaled(before, after, exponent - 1)
+    else:
+        assert_floats(before, after, scaled_by(c))
+        assert_same_verdicts(before, after)
 
 
 @pytest.mark.parametrize("shape, seed", CASES)
@@ -150,20 +162,12 @@ def test_scaling_the_data_by_a_power_of_two_changes_no_bit(tmp_path, shape, seed
 
 
 @pytest.mark.parametrize("shape, seed", CASES)
-@pytest.mark.parametrize("keys, sign", [(("w_star",), 1), (("cost1", "cost2"), -1)])
 @pytest.mark.parametrize("k", [-300, 37, 300])
-def test_scaling_w_star_or_the_costs_by_a_power_of_two_is_exact(tmp_path, shape, seed, keys, sign, k):
-    # t_g = P_g A_g^{-1} w* scales by 2**(sign * k), and a float of power p by 2**(sign * p * k), exactly
+def test_scaling_the_costs_by_a_power_of_two_is_exact(tmp_path, shape, seed, k):
+    # A_g 2**k scales t_g = P_g A_g^{-1} w* by 2**-k, as w* 2**-k does
     doc = seeded_doc(shape, seed)
-    before = dict(leaves(entry_of(tmp_path, doc, "a")))
-    after = dict(leaves(entry_of(tmp_path, dict(doc, **{key: np.ldexp(doc[key], k) for key in keys}), "b")))
-    assert after.keys() == before.keys()
-    for path, old in before.items():
-        if isinstance(old, float):
-            (power,) = {POWERS[key] for key in path if key in POWERS}
-            assert after[path] == np.ldexp(old, sign * power * k), path
-        else:
-            assert after[path] == old, path
+    scaled = dict(doc, cost1=np.ldexp(doc["cost1"], k), cost2=np.ldexp(doc["cost2"], k))
+    assert_exactly_scaled(entry_of(tmp_path, doc, "a"), entry_of(tmp_path, scaled, "b"), -k)
 
 
 # CSV relations, on an all-numeric file and one with categorical columns

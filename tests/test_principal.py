@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from scoregap import (
     CostMatrix,
     DegenerateObjectiveError,
     DimensionMismatchError,
+    NonFiniteError,
     PopulationModel,
     ProjectionMatrix,
     Subgroup,
@@ -56,6 +59,13 @@ class TestPopulationModel:
         assert pop.group(2) is pop.group2
         with pytest.raises(ValueError):
             pop.group(3)
+
+    def test_a_cost_solve_past_the_float_range_names_its_subgroup(self):
+        # a stand-in for a balanced cost so nearly singular that its solve overflows
+        g = Subgroup(name="a", cost=CostMatrix.identity(2), projection=ProjectionMatrix.identity(2))
+        with mock.patch("numpy.linalg.solve", return_value=np.array([np.inf, 1.0])):
+            with pytest.raises(NonFiniteError, match="^a: cost solve overflows to a non-finite value$"):
+                PopulationModel(group1=g, group2=g, w_star=np.ones(2))
 
     def test_dim_mismatch(self):
         g3 = Subgroup(name="a", cost=CostMatrix.identity(3),
