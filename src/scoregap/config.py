@@ -20,8 +20,6 @@ from .errors import ConfigError, IngestError, ScoregapError
 from .ingest import GroupPredicate, GroupingSpec, normalize_manifest
 from .linalg import as_matrix
 
-CONFIG_SCHEMA_VERSION = 1
-
 DEFAULT_RANK = 5
 
 WSTAR_ONES = "ones"

@@ -125,14 +125,11 @@ def population_payload(model: PopulationModel) -> dict:
 def prepare_features(config: ExperimentConfig) -> Tuple[Dataset, Tuple[str, ...], np.ndarray, np.ndarray]:
     """Load the config's dataset and build the features and w* the pipeline uses.
 
-    Returns (dataset, dropped column names, feature matrix, w*). The
-    dataset keeps the text of the columns the groupings' predicates read.
-    A `fit:` outcome column is dropped along with `drop_columns` (a
-    ConfigError if no column is left), and `standardize` is applied
-    before w* is fitted.
+    Returns (dataset, dropped column names, feature matrix, w*). A `fit:`
+    outcome column is dropped along with `drop_columns` (a ConfigError if
+    no column is left), and `standardize` is applied before w* is fitted.
     """
-    predicates = [p for spec in config.groupings for p in (spec.group1, spec.group2) if p is not None]
-    ds = load_csv(config.dataset, config.encoding, {p.column for p in predicates})
+    ds = load_csv(config.dataset, config.encoding)
     drop = tuple(config.drop_columns)
     source, _, argument = config.wstar.partition(":")
     if source == "fit":

@@ -14,6 +14,7 @@ import functools
 import io
 import itertools
 import operator
+import re
 import warnings
 from array import array
 from collections import defaultdict
@@ -26,6 +27,7 @@ from .errors import (
     CsvParseError,
     IngestError,
     MissingColumnError,
+    NonFiniteError,
     ShapeMismatchError,
     UnmappedCategoryError,
 )
@@ -40,6 +42,9 @@ PASSTHROUGH = "passthrough"
 # name -> PASSTHROUGH, ordered category list (mapped to 1..n), or explicit
 # category -> number mapping
 ManifestSpec = Mapping[str, Union[str, Sequence[str], Mapping[str, float]]]
+
+# mapped column -> (texts, codes); see Dataset
+RawColumns = Dict[str, Tuple[Tuple[str, ...], np.ndarray]]
 
 
 def normalize_manifest(manifest: Optional[ManifestSpec]) -> Dict[str, Optional[Dict[str, float]]]:
@@ -83,14 +88,14 @@ def _encode_category(raw: str, mapping: Dict[str, float]) -> Optional[float]:
 class Dataset:
     """Encoded table plus what grouping predicates test.
 
-    `raw_columns` holds the stripped text of the kept rows of the columns
-    it names (`load_csv` keeps it only for mapped ones). Predicates on a
-    `passthrough` column, whose values are float() of its text, compare numbers.
+    `raw_columns` holds each mapped column as (texts, codes): kept row i's
+    stripped text is texts[codes[i]]. Predicates on a `passthrough` column,
+    whose values are float() of its text, compare numbers.
     """
 
     column_names: Tuple[str, ...]
     rows: np.ndarray
-    raw_columns: Dict[str, Tuple[str, ...]]
+    raw_columns: RawColumns
     n_dropped: int = 0
     passthrough: FrozenSet[str] = frozenset()
 
@@ -115,18 +120,19 @@ class Dataset:
         return self.rows[:, self.column_index(name)]
 
     def raw_column(self, name: str) -> Tuple[str, ...]:
-        """Stripped text of a column's kept cells.
+        """Stripped text of a mapped column's kept cells.
 
         Raises MissingColumnError for a column the table lacks, and
-        IngestError for a column whose text was not kept.
+        IngestError for a passthrough column, which keeps numbers only.
         """
+        texts, codes = self._text(name)
+        return tuple(map(texts.__getitem__, codes.tolist()))
+
+    def _text(self, name: str) -> Tuple[Tuple[str, ...], np.ndarray]:
         self.column_index(name)
-        try:
+        if name in self.raw_columns:
             return self.raw_columns[name]
-        except KeyError:
-            raise IngestError(
-                f"text of column {name!r} was not kept; load_csv keeps mapped text_columns only"
-            ) from None
+        raise IngestError(f"column {name!r} has no text; a passthrough column keeps numbers only")
 
     def feature_names(self, drop: Sequence[str] = ()) -> Tuple[str, ...]:
         for name in drop:
@@ -141,16 +147,15 @@ class Dataset:
 
 
 def _read_rows(reader: Iterable[Sequence[str]], names: Tuple[str, ...],
-               mappings: Sequence[Optional[Dict[str, float]]], wanted: FrozenSet[str]
-               ) -> Tuple[np.ndarray, Dict[str, Tuple[str, ...]], int]:
-    """Read csv records one at a time: (kept rows, kept text of `wanted`, rows read).
+               mappings: Sequence[Optional[Dict[str, float]]]) -> Tuple[np.ndarray, RawColumns, int]:
+    """Read csv records one at a time: (kept rows, (texts, codes) per mapped column, rows read).
 
     A record is checked for its length, stripped, dropped if a cell is a
     missing token, and else encoded cell by cell, so the first ragged row
     or bad cell in file order is the error raised.
     """
     values, row = array("d"), 1  # the header is row 1
-    texts = {j: [] for j, name in enumerate(names) if name in wanted}
+    seen = {j: (defaultdict(itertools.count().__next__), array("q")) for j, m in enumerate(mappings) if m is not None}
     for row, record in enumerate(reader, start=2):
         if len(record) != len(names):
             raise CsvParseError(row, "<row>", f"expected {len(names)} cells, got {len(record)}")
@@ -166,22 +171,23 @@ def _read_rows(reader: Iterable[Sequence[str]], names: Tuple[str, ...],
                 raise (CsvParseError(row, name, f"not numeric: {raw!r}") if mapping is None
                        else UnmappedCategoryError(name, raw))
             values.append(value)
-        for j, kept in texts.items():
-            kept.append(cells[j])
+        for j, (ids, codes) in seen.items():
+            codes.append(ids[cells[j]])
     rows = np.frombuffer(values, dtype=float).reshape(-1, len(names))
-    return rows, {names[j]: tuple(kept) for j, kept in texts.items()}, row - 1
+    return rows, {names[j]: (tuple(ids), np.array(codes, dtype=np.min_scalar_type(len(ids))))
+                  for j, (ids, codes) in seen.items()}, row - 1
 
 
-def _loadtxt_table(body: str, names: Tuple[str, ...], mappings: Sequence[Optional[Dict[str, float]]],
-                   wanted: FrozenSet[str]) -> Optional[Tuple[np.ndarray, Dict[str, Tuple[str, ...]], int]]:
-    """np.loadtxt's reading of the body: (kept rows, kept text of `wanted`, rows read), or None.
+def _loadtxt_table(body: str, names: Tuple[str, ...], mappings: Sequence[Optional[Dict[str, float]]]
+                   ) -> Optional[Tuple[np.ndarray, RawColumns, int]]:
+    """np.loadtxt's reading of the body: (kept rows, (texts, codes) per mapped column, rows read), or None.
 
-    A body with no '.' is read as int64 and cast, unless a "-0" (a '-' in no
-    negative int or mapped text) needs the float parse. A mapped cell reads as
-    the index of its raw text among its column's distinct texts, each then
-    stripped, tested for a missing token and encoded once (nan if it maps to
-    nothing). None, for the row reader, unless the body has no '"' and the
-    table has one row per line, one column per name and finite kept rows.
+    A body with no '.' and no "-0" (which int64 reads as 0; `re` finds it
+    faster than `in`) is read as int64 and cast. A mapped cell reads as the
+    index (its code) of its raw text among its column's distinct texts, each
+    then stripped, tested for a missing token and encoded once (nan if it
+    maps to nothing). None, for the row reader, unless the body has no '"'
+    and the table has one row per line, one column per name and finite kept rows.
     """
     if '"' in body or not body.strip():  # quoting is csv's job; loadtxt warns on a blank body
         return None
@@ -192,13 +198,9 @@ def _loadtxt_table(body: str, names: Tuple[str, ...], mappings: Sequence[Optiona
     try:
         with warnings.catch_warnings():  # numpy 1.x parses "1e-5" as an int through a float, warning
             warnings.simplefilter("error", DeprecationWarning)
-            rows = None if "." in body else parse(dtype=np.int64)
+            rows = None if "." in body or re.search("-0", body) else parse(dtype=np.int64)
     except (ValueError, OverflowError, DeprecationWarning):
         rows = None
-    if rows is not None and np.count_nonzero(rows < 0) + sum(  # mapped columns hold indices >= 0
-            np.bincount(rows[:, j], minlength=len(ids)) @ [t.count("-") for t in ids]
-            for j, ids in seen.items()) != body.count("-"):
-        rows = None  # a "-0", which int64 reads as 0
     try:
         rows = parse(dtype=float) if rows is None else rows.astype(float)
     except ValueError:
@@ -206,22 +208,21 @@ def _loadtxt_table(body: str, names: Tuple[str, ...], mappings: Sequence[Optiona
     n_read = len(lines) - (not lines[-1])
     if rows.shape != (n_read, len(names)):
         return None
-    keep, texts = np.ones(n_read, dtype=bool), {}
+    keep, text = np.ones(n_read, dtype=bool), {}
     for j, ids in seen.items():
-        stripped = [raw.strip() for raw in ids]
-        codes = np.array([_encode_category(text, mappings[j]) for text in stripped], dtype=float)
-        index = rows[:, j].astype(np.intp)
-        keep &= ~np.fromiter(map(MISSING_TOKENS.__contains__, stripped), dtype=bool, count=len(ids))[index]
-        rows[:, j] = np.take(codes, index)
-        if names[j] in wanted:
-            texts[names[j]] = np.array(stripped, dtype=object)[index]
-    rows = rows if keep.all() else rows[keep]
-    kept_text = {name: tuple(cells[keep]) for name, cells in texts.items()}
-    return (rows, kept_text, n_read) if np.isfinite(rows).all() else None
+        stripped = tuple(raw.strip() for raw in ids)
+        values = np.array([_encode_category(t, mappings[j]) for t in stripped], dtype=float)
+        codes = rows[:, j].astype(np.min_scalar_type(len(ids)))
+        keep &= ~np.fromiter(map(MISSING_TOKENS.__contains__, stripped), dtype=bool, count=len(ids))[codes]
+        rows[:, j] = np.take(values, codes)
+        text[names[j]] = (stripped, codes)
+    if not keep.all():
+        rows = rows[keep]
+        text = {name: (stripped, codes[keep]) for name, (stripped, codes) in text.items()}
+    return (rows, text, n_read) if np.isfinite(rows).all() else None
 
 
-def load_csv(path: str, manifest: Optional[ManifestSpec] = None,
-             text_columns: Iterable[str] = ()) -> Dataset:
+def load_csv(path: str, manifest: Optional[ManifestSpec] = None) -> Dataset:
     """Load a header-row CSV, encoding columns per the manifest.
 
     Unlisted columns pass through as numbers. Rows with a missing cell in
@@ -232,12 +233,9 @@ def load_csv(path: str, manifest: Optional[ManifestSpec] = None,
 
     numpy's C `loadtxt` reads the body first (`_loadtxt_table`), as int64 if
     it can. A body it cannot take whole is read one csv record at a time
-    (`_read_rows`, which raises every error) from a UTF-8 bytes copy of the
+    (`_read_rows`, which raises every parse error) from a UTF-8 bytes copy of the
     body, since an `io.StringIO` takes 4 bytes a character.
-    The stripped text of kept rows is kept only for the mapped columns named
-    in `text_columns`, the ones grouping predicates read; a named column the
-    file lacks is skipped. `Dataset.raw_column` raises IngestError for a
-    column whose text was not kept.
+    Every mapped column keeps its text as codes (`Dataset.raw_columns`).
     """
     norm = normalize_manifest(manifest)
     try:
@@ -256,7 +254,6 @@ def load_csv(path: str, manifest: Optional[ManifestSpec] = None,
 
             mappings = [norm.get(n) for n in names]
             passthrough = frozenset(n for n, m in zip(names, mappings) if m is None)
-            wanted = frozenset(text_columns) - passthrough
             body = handle.read()
     except OSError as exc:
         raise IngestError(f"cannot open {path}: {exc}") from None
@@ -264,14 +261,17 @@ def load_csv(path: str, manifest: Optional[ManifestSpec] = None,
         raise IngestError(f"{path} is not UTF-8 text: byte 0x{exc.object[exc.start]:02x} "
                           "cannot be decoded") from None
 
-    table = _loadtxt_table(body, names, mappings, wanted)
+    table = _loadtxt_table(body, names, mappings)
     if table is None:
         reader = csv.reader(io.TextIOWrapper(io.BytesIO(body.encode()), "utf-8", newline=""))
         del body
-        table = _read_rows(reader, names, mappings, wanted)
+        table = _read_rows(reader, names, mappings)
     rows, raw_columns, n_read = table
     if not len(rows):
         raise IngestError(f"{path} contains no usable data rows")
+    if not np.isfinite(rows).all():  # inf, 1e400 or NAN, after every parse error; "nan" is a missing token
+        column = names[np.argwhere(~np.isfinite(rows))[0, 1]]
+        raise NonFiniteError(f"{path}: column {column!r} holds a non-finite value")
     return Dataset(names, rows, raw_columns, n_dropped=n_read - len(rows), passthrough=passthrough)
 
 
@@ -333,9 +333,9 @@ def _predicate_mask(pred: GroupPredicate, ds: Dataset) -> np.ndarray:
 
     A passthrough column compares numbers, as `matches` does the repr of a
     finite float: le/lt/ge/gt with float(value), eq/ne/in by np.isin with each
-    value float() accepts, but nan. Mapped text is tested once per distinct
-    value, in first-occurrence order, so a numeric comparator fails on the
-    first non-numeric cell in row order.
+    value float() accepts, but nan. Mapped text is tested once per code in
+    the kept rows, in first-occurrence order: a numeric comparator fails on
+    the first non-numeric kept cell in row order, and never on dropped text.
     """
     if pred.column in ds.passthrough:
         if pred.op in pred._NUMERIC_OPS:
@@ -343,9 +343,11 @@ def _predicate_mask(pred: GroupPredicate, ds: Dataset) -> np.ndarray:
         values = pred.value if pred.op == "in" else (pred.value,)
         numbers = [x for x in map(_number, values) if x is not None and x == x]
         return np.isin(ds.column(pred.column), numbers, invert=pred.op == "ne")
-    raw = ds.raw_column(pred.column)
-    answers = {value: pred.matches(value) for value in dict.fromkeys(raw)}
-    return np.fromiter(map(answers.__getitem__, raw), dtype=bool, count=len(raw))
+    texts, codes = ds._text(pred.column)
+    answers = np.zeros(len(texts), dtype=bool)
+    for code in codes[np.sort(np.unique(codes, return_index=True)[1])].tolist():  # in first-kept-row order
+        answers[code] = pred.matches(texts[code])
+    return answers[codes]
 
 
 def split_masks(ds: Dataset, spec: GroupingSpec) -> Tuple[np.ndarray, np.ndarray]:

@@ -90,7 +90,9 @@ class PopulationModel:
 
     @property
     def gain_direction(self) -> np.ndarray:
-        """s = t_1 + t_2, exactly u 2**e within the float range; <w, s> is the welfare gain of w."""
+        """s = t_1 + t_2, exactly u 2**e; <w, s> is the welfare gain of w. NonFiniteError past the float range."""
+        if self.exponent + unit_exponent(self.unit_gain) > 1024:  # max |s| >= 2**1024, past the largest float
+            raise NonFiniteError("gain direction overflows to a non-finite value")
         return np.ldexp(self.unit_gain, self.exponent)
 
     @property

@@ -208,8 +208,10 @@ class TestErrorPrecedence:
 
     @pytest.mark.parametrize("cell", ["NAN", "inf", "-Infinity"])
     def test_non_finite_cells(self, tmp_path, cell):
-        with pytest.raises(NonFiniteError):
-            load_csv(write_csv(tmp_path, f"a,b\n1,2\n3,{cell}\n"))
+        path = write_csv(tmp_path, f"a,b\n1,2\n3,{cell}\n")
+        with pytest.raises(NonFiniteError) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}: column 'b' holds a non-finite value"
 
     def test_parse_error_wins_over_later_non_finite_cell(self, tmp_path):
         with pytest.raises(CsvParseError) as info:
@@ -221,11 +223,10 @@ class TestErrorPrecedence:
         with pytest.raises(CsvParseError) as info:
             load_csv(write_csv(tmp_path, text), manifest={"grade": ["bad", "good"]})
         assert (info.value.row, info.value.column) == (4, "a")
-        ds = load_csv(write_csv(tmp_path, text.rsplit('"5,0"', 1)[0]),
-                      manifest={"grade": ["bad", "good"]}, text_columns=["grade", "a"])
+        ds = load_csv(write_csv(tmp_path, text.rsplit('"5,0"', 1)[0]), manifest={"grade": ["bad", "good"]})
         np.testing.assert_array_equal(ds.rows, [[1.0, 2.0, 2.0], [3.0, 1.0, 4.5]])
         # only the mapped column keeps its text; passthrough "a" is read as numbers
-        assert ds.raw_columns == {"grade": ("good", "bad")}
+        assert (set(ds.raw_columns), ds.raw_column("grade")) == ({"grade"}, ("good", "bad"))
         assert ds.passthrough == {"a", "c"}
 
     def test_quoted_cell_spanning_lines_counts_as_one_row(self, tmp_path):
@@ -271,7 +272,13 @@ def _reference_cell(raw, mapping, row, column):
     raise UnmappedCategoryError(column, raw)
 
 
-def _reference_load(path, manifest, text_columns):
+def _coded(column, extra=()):
+    """(texts, codes) of a column of kept cells: texts sorted, with the `extra` texts no kept cell holds."""
+    texts = tuple(sorted(set(column).union(extra)))
+    return texts, np.array([texts.index(c) for c in column], dtype=np.min_scalar_type(len(texts)))
+
+
+def _reference_load(path, manifest):
     """Row-at-a-time loader, the reference load_csv must agree with."""
     norm = normalize_manifest(manifest)
     with open(path, newline="", encoding="utf-8") as handle:
@@ -289,22 +296,25 @@ def _reference_load(path, manifest, text_columns):
             raw_rows.append(cells)
     if not encoded:
         raise IngestError(f"{path} contains no usable data rows")
+    infinite = [n for r in encoded for n, v in zip(names, r) if not np.isfinite(v)]
+    if infinite:
+        raise NonFiniteError(f"{path}: column {infinite[0]!r} holds a non-finite value")
     return Dataset(column_names=names, rows=np.array(encoded, dtype=float),
-                   raw_columns={n: tuple(r[j] for r in raw_rows) for j, n in enumerate(names)
-                                if n in text_columns and norm.get(n) is not None},
+                   raw_columns={n: _coded([r[j] for r in raw_rows]) for j, n in enumerate(names)
+                                if norm.get(n) is not None},
                    n_dropped=dropped,
                    passthrough=frozenset(n for n in names if norm.get(n) is None))
 
 
-def _outcome(load, path, manifest, text_columns):
+def _outcome(load, path, manifest):
     try:
-        ds = load(path, manifest, text_columns)
+        ds = load(path, manifest)
     except IngestError as exc:
         return type(exc).__name__, str(exc)
     except NonFiniteError as exc:
         return type(exc).__name__, str(exc)
-    return (ds.rows.tobytes(), ds.rows.shape, ds.raw_columns, ds.n_dropped, ds.column_names,
-            ds.passthrough)
+    return (ds.rows.tobytes(), ds.rows.shape, {n: ds.raw_column(n) for n in ds.raw_columns}, ds.n_dropped,
+            ds.column_names, ds.passthrough)
 
 
 # Cell text as it appears in the file: numbers, padding, quoting, missing
@@ -321,28 +331,20 @@ _FILE_ROWS = st.one_of(
 )
 
 
-_TEXT_COLUMNS = st.lists(st.sampled_from(["a", "b", "g", "absent"]), unique=True)
-
-
-def _assert_text_matches_reference(text, manifest, text_columns):
+def _assert_text_matches_reference(text, manifest):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "data.csv")
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
-        assert (_outcome(load_csv, path, manifest, text_columns)
-                == _outcome(_reference_load, path, manifest, text_columns))
-
-
-def _assert_matches_reference(rows, text_columns):
-    text = "a,b,g\n" + "".join(",".join(cells) + "\n" for cells in rows)
-    _assert_text_matches_reference(text, {"g": ["lo", "hi"]}, text_columns)
+        assert _outcome(load_csv, path, manifest) == _outcome(_reference_load, path, manifest)
 
 
 class TestLoadCsvMatchesRowByRow:
     @settings(derandomize=True, max_examples=300, deadline=None)
-    @given(st.lists(_FILE_ROWS, max_size=8), _TEXT_COLUMNS)
-    def test_same_result_or_same_error(self, rows, text_columns):
-        _assert_matches_reference(rows, text_columns)
+    @given(st.lists(_FILE_ROWS, max_size=8))
+    def test_same_result_or_same_error(self, rows):
+        text = "a,b,g\n" + "".join(",".join(cells) + "\n" for cells in rows)
+        _assert_text_matches_reference(text, {"g": ["lo", "hi"]})
 
 
 # Cells and line ends for an all-passthrough file, which load_csv first
@@ -384,35 +386,29 @@ class TestNumericFastPath:
     count and kept text, or the same error."""
 
     @settings(derandomize=True, max_examples=400, deadline=None)
-    @given(text=_numeric_files(), text_columns=st.lists(st.sampled_from(["a", "b", "c"]), unique=True))
+    @given(text=_numeric_files())
     # a comment, a NaN and a blank line, which loadtxt alone would read,
     # and a CRLF file without a final newline, which both read
-    @example(text="a,b,c\n1,2,2#3\n", text_columns=[])
-    @example(text="a,b,c\n1,2,nan\n4,5,6\n", text_columns=[])
-    @example(text="a,b,c\n1,2,3\n\n", text_columns=[])
-    @example(text="a,b,c\r\n1,2,3\r\n4,5,6", text_columns=["a"])
-    def test_same_result_or_same_error(self, text, text_columns):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "data.csv")
-            with open(path, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
-            assert (_outcome(load_csv, path, {}, text_columns)
-                    == _outcome(_reference_load, path, {}, text_columns))
+    @example(text="a,b,c\n1,2,2#3\n")
+    @example(text="a,b,c\n1,2,nan\n4,5,6\n")
+    @example(text="a,b,c\n1,2,3\n\n")
+    @example(text="a,b,c\r\n1,2,3\r\n4,5,6")
+    def test_same_result_or_same_error(self, text):
+        _assert_text_matches_reference(text, {})
 
     def test_numeric_body_takes_the_fast_path(self, tmp_path):
         with mock.patch.object(ingest, "_read_rows", side_effect=AssertionError("row reader")):
-            ds = load_csv(write_csv(tmp_path, NUMERIC_CSV), text_columns=["age"])
+            ds = load_csv(write_csv(tmp_path, NUMERIC_CSV))
         np.testing.assert_array_equal(ds.column("income"), [50000, 42000, 61000])
         assert (ds.raw_columns, ds.passthrough) == ({}, {"age", "income", "score"})
 
     def test_a_mapped_body_takes_loadtxt(self, tmp_path):
         with mock.patch.object(ingest, "_read_rows", side_effect=AssertionError("row reader")), \
                 mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as parser:
-            ds = load_csv(write_csv(tmp_path, MIXED_CSV), {"grade": ["bad", "good", "great"]},
-                          text_columns=["grade"])
+            ds = load_csv(write_csv(tmp_path, MIXED_CSV), {"grade": ["bad", "good", "great"]})
         assert parser.call_count == 1
         np.testing.assert_array_equal(ds.column("grade"), [2, 1, 3, 2])
-        assert ds.raw_columns == {"grade": ("good", "bad", "great", "good")}
+        assert ds.raw_column("grade") == ("good", "bad", "great", "good")
         with pytest.raises(UnmappedCategoryError):  # an empty mapping still maps its column
             load_csv(write_csv(tmp_path, NUMERIC_CSV, name="numeric.csv"), {"score": {}})
 
@@ -463,28 +459,20 @@ class TestMappedFastPath:
     indices, and load_csv still gives what the row-by-row reference gives."""
 
     @settings(derandomize=True, max_examples=300, deadline=None)
-    @given(file=_mapped_files(),
-           text_columns=st.lists(st.sampled_from(["a", "g", "h", "absent"]), unique=True))
+    @given(file=_mapped_files())
     # CRLF and a lone CR with a mapped last column; an empty mapped cell; a
     # missing token in a passthrough column; numeric keys that swap two
     # numbers; a key holding '"'; a quoted cell and lone CRs, which only the
     # row reader takes
-    @example(file=("a,g,h\r\n1,lo,x\r\n2, hi ,y", {"g": ["lo", "hi"], "h": ["x", "y"]}),
-             text_columns=["h", "g"])
-    @example(file=("a,g,h\r1,lo,x\r2,hi,y\r", {"g": ["lo", "hi"], "h": ["x", "y"]}),
-             text_columns=["h"])
-    @example(file=("a,g,h\n1,lo,\n2,hi,y\n", {"g": ["lo", "hi"], "h": ["x", "y"]}),
-             text_columns=["g", "h"])
-    @example(file=("a,g,h\n?,lo,x\n2,hi,y\n", {"g": ["lo", "hi"], "h": ["x", "y"]}),
-             text_columns=["g"])
-    @example(file=("a,g,h\n1,1,x\n2,2,y\n", {"g": {"1": 2, "2": 1}, "h": ["x", "y"]}),
-             text_columns=["g"])
-    @example(file=('a,g,h\n1,q"t,x\n2,lo,y\n', {"g": ["lo", 'q"t'], "h": ["x", "y"]}),
-             text_columns=["g"])
-    @example(file=('a,g,h\r1,"lo",x\r2,hi,y', {"g": ["lo", "hi"], "h": ["x", "y"]}),
-             text_columns=["g"])
-    def test_same_result_or_same_error(self, file, text_columns):
-        _assert_text_matches_reference(*file, text_columns)
+    @example(file=("a,g,h\r\n1,lo,x\r\n2, hi ,y", {"g": ["lo", "hi"], "h": ["x", "y"]}))
+    @example(file=("a,g,h\r1,lo,x\r2,hi,y\r", {"g": ["lo", "hi"], "h": ["x", "y"]}))
+    @example(file=("a,g,h\n1,lo,\n2,hi,y\n", {"g": ["lo", "hi"], "h": ["x", "y"]}))
+    @example(file=("a,g,h\n?,lo,x\n2,hi,y\n", {"g": ["lo", "hi"], "h": ["x", "y"]}))
+    @example(file=("a,g,h\n1,1,x\n2,2,y\n", {"g": {"1": 2, "2": 1}, "h": ["x", "y"]}))
+    @example(file=('a,g,h\n1,q"t,x\n2,lo,y\n', {"g": ["lo", 'q"t'], "h": ["x", "y"]}))
+    @example(file=('a,g,h\r1,"lo",x\r2,hi,y', {"g": ["lo", "hi"], "h": ["x", "y"]}))
+    def test_same_result_or_same_error(self, file):
+        _assert_text_matches_reference(*file)
 
     def test_indices_give_each_row_its_code_and_text(self, tmp_path):
         # "x" and "y" map to one number, so the kept text is not rebuilt from the codes;
@@ -493,9 +481,13 @@ class TestMappedFastPath:
         text = "a,g,h\n1,lo, x\n2,hi,y \n3,zz,?\n4,lo,2.5\n5,hi,x\n"
         manifest = {"g": ["lo", "hi"], "h": {"x": 1, "y": 1, "z": 2.5}}
         with mock.patch.object(ingest, "_read_rows", side_effect=AssertionError("row reader")):
-            ds = load_csv(write_csv(tmp_path, text), manifest, ["h"])
+            ds = load_csv(write_csv(tmp_path, text), manifest)
         np.testing.assert_array_equal(ds.rows, [[1, 1, 1], [2, 2, 1], [4, 1, 2.5], [5, 2, 1]])
-        assert (ds.raw_columns, ds.n_dropped) == ({"h": ("x", "y", "2.5", "x")}, 1)
+        assert (ds.raw_column("h"), ds.raw_column("g"), ds.n_dropped) == (("x", "y", "2.5", "x"),
+                                                                         ("lo", "hi", "lo", "hi"), 1)
+        # the code is the index among the distinct raw texts, " x" and "x" apart
+        texts, codes = ds.raw_columns["h"]
+        assert (texts, codes.dtype, codes.tolist()) == (("x", "y", "?", "2.5", "x"), np.uint8, [0, 1, 3, 4])
 
     def test_converters_get_text_where_loadtxt_defaults_to_bytes(self, tmp_path):
         # numpy < 2 defaults loadtxt to encoding="bytes" and hands converters bytes,
@@ -509,20 +501,19 @@ class TestMappedFastPath:
 
         with mock.patch.object(ingest, "_read_rows", side_effect=AssertionError("row reader")), \
                 mock.patch.object(np, "loadtxt", bytes_by_default):
-            ds = load_csv(path, manifest, ["g"])
+            ds = load_csv(path, manifest)
         np.testing.assert_array_equal(ds.column("g"), [2, 1, 2])
-        assert (ds.raw_columns, ds.n_dropped) == ({"g": ("1", "2", "1")}, 1)
-        assert (_outcome(load_csv, path, manifest, ["g"])
-                == _outcome(_reference_load, path, manifest, ["g"]))
+        assert (ds.raw_column("g"), ds.n_dropped) == (("1", "2", "1"), 1)
+        assert _outcome(load_csv, path, manifest) == _outcome(_reference_load, path, manifest)
 
     @pytest.mark.parametrize("text", ['a,g\n1,"lo"\n', "a,g\n1,lo\n2,mid\n", "a,g\n1,lo\n2,hi,\n",
                                       "a,g\nx,lo\n", "a,g\nnan,lo\n", "a,g\n1,lo\n\n2,hi\n"])
     def test_what_loadtxt_cannot_take_goes_to_the_block_reader(self, tmp_path, text):
         path = write_csv(tmp_path, text)
         with mock.patch.object(ingest, "_read_rows", wraps=ingest._read_rows) as reader:
-            outcome = _outcome(load_csv, path, {"g": ["lo", "hi"]}, ["g"])
+            outcome = _outcome(load_csv, path, {"g": ["lo", "hi"]})
         assert reader.called
-        assert outcome == _outcome(_reference_load, path, {"g": ["lo", "hi"]}, ["g"])
+        assert outcome == _outcome(_reference_load, path, {"g": ["lo", "hi"]})
 
 
 # Cells of a body with no '.', which loadtxt first reads as int64: integers
@@ -559,33 +550,33 @@ def _loadtxt_without_the_int_attempt(*args, **kwargs):
 
 
 class TestIntFastPath:
-    """A body with no '.' is read as int64 first, and gives what the float parse gives:
+    """A body with no '.' or "-0" is read as int64 first, and gives what the float parse gives:
     the same bytes (so the sign of a zero counts), kept text and dropped count, or the same error."""
 
     @settings(derandomize=True, max_examples=200, deadline=None)
-    @given(text=_int_files(), text_columns=st.lists(st.sampled_from(["a", "g", "b"]), unique=True))
-    @example(text="a,g,b\n-0,x,1\n-000,x,+0\n 7 ,x,007\n", text_columns=[])
-    @example(text=f"a,g,b\n{2 ** 53 + 1},x,{-2 ** 53 - 1}\n{2 ** 53 - 1},x,{1 - 2 ** 53}\n", text_columns=[])
-    @example(text=f"a,g,b\n{2 ** 63 - 1},x,{-2 ** 63}\n{2 ** 63},x,1\n", text_columns=[])
-    @example(text=f"a,g,b\n{-2 ** 63 - 1},x,1\n{10 ** 19 + 7},x,2\n", text_columns=[])
-    @example(text="a,g,b\n1,x,2\n3,x,4\n5,x,1e-5\n", text_columns=[])
-    @example(text="a,g,b\n1,x,2\n3,x,4\n1.5,x,6\n", text_columns=[])
-    @example(text="a,g,b\n-3,Self-emp,-4\n-0,Never-married,5\n", text_columns=["g"])
-    @example(text="a,g,b\n-3,Self-emp,-4\n0,Never-married,-1\n7,-,-8\n", text_columns=["g"])
-    def test_same_result_or_same_error_as_the_float_parse(self, text, text_columns):
+    @given(text=_int_files())
+    @example(text="a,g,b\n-0,x,1\n-000,x,+0\n 7 ,x,007\n")
+    @example(text=f"a,g,b\n{2 ** 53 + 1},x,{-2 ** 53 - 1}\n{2 ** 53 - 1},x,{1 - 2 ** 53}\n")
+    @example(text=f"a,g,b\n{2 ** 63 - 1},x,{-2 ** 63}\n{2 ** 63},x,1\n")
+    @example(text=f"a,g,b\n{-2 ** 63 - 1},x,1\n{10 ** 19 + 7},x,2\n")
+    @example(text="a,g,b\n1,x,2\n3,x,4\n5,x,1e-5\n")
+    @example(text="a,g,b\n1,x,2\n3,x,4\n1.5,x,6\n")
+    @example(text="a,g,b\n-3,Self-emp,-4\n-0,Never-married,5\n")
+    @example(text="a,g,b\n-3,Self-emp,-4\n0,Never-married,-1\n7,-,-8\n")
+    def test_same_result_or_same_error_as_the_float_parse(self, text):
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "data.csv")
             with open(path, "w", encoding="utf-8", newline="") as handle:
                 handle.write(text)
             with mock.patch.object(np, "loadtxt", _loadtxt_without_the_int_attempt):
-                want = _outcome(load_csv, path, _DASH_MANIFEST, text_columns)
-            assert _outcome(load_csv, path, _DASH_MANIFEST, text_columns) == want
+                want = _outcome(load_csv, path, _DASH_MANIFEST)
+            assert _outcome(load_csv, path, _DASH_MANIFEST) == want
 
     def test_an_integer_body_takes_the_int_parse_once(self, tmp_path):
         path = write_csv(tmp_path, "a,g,b\n-3,Self-emp,4\n0,-,-5\n")
         with mock.patch.object(ingest, "_read_rows", side_effect=AssertionError("row reader")), \
                 mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as parser:
-            ds = load_csv(path, _DASH_MANIFEST, ["g"])
+            ds = load_csv(path, _DASH_MANIFEST)
         assert [call.kwargs["dtype"] for call in parser.call_args_list] == [np.int64]
         np.testing.assert_array_equal(ds.rows, [[-3, 1, 4], [0, 2, -5]])
 
@@ -603,7 +594,7 @@ class TestIntFastPath:
         assert ds.rows.tobytes() == np.array([[1, 3, 2], [3, 3, 1e-5]]).tobytes()
 
     @pytest.mark.parametrize("text, dtypes, last", [
-        ("a,g,b\n1,x,2\n-0,x,4\n", [np.int64, float], [-0.0, 3, 4]),  # a negative zero
+        ("a,g,b\n1,x,2\n-0,x,4\n", [float], [-0.0, 3, 4]),  # a "-0" skips the int parse
         ("a,g,b\n1,x,2\n3,x,1e-5\n", [np.int64, float], [3, 3, 1e-5]),  # not an integer
         ("a,g,b\n1,x,2\n3,x,4.0\n", [float], [3, 3, 4]),  # a '.' skips the int parse
     ])
@@ -631,7 +622,7 @@ class TestRowReader:
         text = "a,b\n1,2\n3,4\n?,6\n7,NA\n9,10\n"
         # a mapped "a" keeps its text, which skips the dropped rows too
         codes = {"1": 1, "3": 3, "7": 7, "9": 9}
-        ds = load_csv(write_csv(tmp_path, text), manifest={"a": codes}, text_columns=["a"])
+        ds = load_csv(write_csv(tmp_path, text), manifest={"a": codes})
         assert (ds.size, ds.n_dropped) == (3, 2)
         np.testing.assert_array_equal(ds.rows, [[1, 2], [3, 4], [9, 10]])
         assert ds.raw_column("a") == ("1", "3", "9")
@@ -645,10 +636,10 @@ class TestRowReader:
 
 
 def test_load_csv_peak_memory_is_a_small_multiple_of_the_table(tmp_path):
-    # 30,000 x 25 numbers in the shape of the credit data, with text asked
-    # for four code columns as the credit config's predicates ask. Left
-    # passthrough they keep no text; mapped to themselves they keep it,
-    # and loadtxt reads them as distinct-text indices. One more row with
+    # 30,000 x 25 numbers in the shape of the credit data, with four code
+    # columns like those the credit config's predicates read. Left
+    # passthrough they keep no text; mapped to themselves they keep it as
+    # codes, which loadtxt reads as distinct-text indices. One more row with
     # a missing cell sends the numeric file to the row reader only
     # after loadtxt has parsed the rest.
     rng = np.random.default_rng(7)
@@ -669,7 +660,7 @@ def test_load_csv_peak_memory_is_a_small_multiple_of_the_table(tmp_path):
                              (missing, None)):
         tracemalloc.start()
         try:
-            ds = load_csv(str(source), manifest, text_columns=names[2:6])
+            ds = load_csv(str(source), manifest)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -710,12 +701,15 @@ class TestDatasetAccess:
         with pytest.raises(MissingColumnError):
             ds.column("absent")
 
-    def test_text_kept_only_for_requested_columns(self, tmp_path):
-        ds = load_csv(write_csv(tmp_path, MIXED_CSV), manifest={"grade": ["bad", "good", "great"]},
-                      text_columns=["grade", "age", "absent"])
-        # passthrough "age" keeps no text even when asked: predicates read its numbers
-        assert ds.raw_columns == {"grade": ("good", "bad", "great", "good")}
-        with pytest.raises(IngestError, match="'age' was not kept") as info:
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["loadtxt", "row-reader"])
+    def test_every_mapped_column_keeps_its_text_as_codes(self, tmp_path, quote):
+        text = MIXED_CSV.replace("30,", f"{quote}30{quote},")
+        ds = load_csv(write_csv(tmp_path, text), manifest={"grade": ["bad", "good", "great"]})
+        assert ds.raw_column("grade") == ("good", "bad", "great", "good")
+        texts, codes = ds.raw_columns["grade"]
+        assert (texts, codes.dtype, codes.tolist()) == (("good", "bad", "great"), np.uint8, [0, 1, 2, 0])
+        # passthrough "age" keeps no text: predicates read its numbers
+        with pytest.raises(IngestError, match="^column 'age' has no text; a passthrough column") as info:
             ds.raw_column("age")
         assert type(info.value) is IngestError
         with pytest.raises(MissingColumnError):
@@ -831,17 +825,28 @@ class TestSplit:
         assert ds.feature_matrix(drop=["score"])[mask1].shape == (2, 2)
 
     def test_grouping_on_text_column(self, tmp_path):
-        ds = load_csv(write_csv(tmp_path, MIXED_CSV),
-                      manifest={"grade": ["bad", "good", "great"]}, text_columns=["grade"])
+        ds = load_csv(write_csv(tmp_path, MIXED_CSV), manifest={"grade": ["bad", "good", "great"]})
         spec = GroupingSpec(name="grade", group1=GroupPredicate("grade", "eq", "good"))
         assert _sizes(*split_masks(ds, spec)) == (2, 2, 0)
 
-    @pytest.mark.parametrize("value", ["good", 1])
-    def test_mapped_column_without_text_is_never_tested_on_its_codes(self, tmp_path, value):
+    @pytest.mark.parametrize("value, n1", [("good", 2), (1, 0)], ids=["good", "1"])
+    def test_mapped_column_is_tested_on_its_text_not_its_codes(self, tmp_path, value, n1):
+        # "bad" is encoded as 1, yet eq 1 matches no "grade" text
         ds = load_csv(write_csv(tmp_path, MIXED_CSV), manifest={"grade": ["bad", "good", "great"]})
         spec = GroupingSpec(name="grade", group1=GroupPredicate("grade", "eq", value))
-        with pytest.raises(IngestError, match="'grade' was not kept"):
-            split_masks(ds, spec)
+        assert _sizes(*split_masks(ds, spec)) == (n1, 4 - n1, 0)
+
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["loadtxt", "row-reader"])
+    def test_a_text_only_dropped_rows_hold_is_never_tested(self, tmp_path, quote):
+        # "x" is g's only non-numeric text, and its one row is dropped for its "?"
+        text = f"a,g\n{quote}1{quote},1\n2,2\n?,x\n3,1\n"
+        manifest = {"g": {"1": 1, "2": 2, "x": 3}}
+        spec = GroupingSpec(name="g", group1=GroupPredicate("g", "le", 1))
+        mask, _ = split_masks(load_csv(write_csv(tmp_path, text), manifest), spec)
+        np.testing.assert_array_equal(mask, [True, False, True])
+        kept = load_csv(write_csv(tmp_path, text.replace("?", "4"), name="kept.csv"), manifest)
+        with pytest.raises(IngestError, match="needs numeric values, got cell 'x'"):
+            split_masks(kept, spec)
 
 
 _RAW_CELLS = st.one_of(
@@ -873,11 +878,12 @@ def _row_by_row(pred, raw):
 class TestSplitProperty:
     @settings(derandomize=True, max_examples=150)
     @given(st.lists(st.tuples(_RAW_CELLS, _RAW_CELLS), min_size=1, max_size=30),
-           _predicates("a"), st.one_of(st.none(), _predicates("b")))
-    def test_masks_equal_row_by_row_predicates(self, cells, pred1, pred2):
+           _predicates("a"), st.one_of(st.none(), _predicates("b")), st.lists(_RAW_CELLS, max_size=3))
+    def test_masks_equal_row_by_row_predicates(self, cells, pred1, pred2, dropped):
+        # texts sorted, not in row order, with `dropped` texts that no kept row holds
         raw = {"a": tuple(c[0] for c in cells), "b": tuple(c[1] for c in cells)}
         ds = Dataset(column_names=("a", "b"), rows=np.zeros((len(cells), 2)),
-                     raw_columns=raw)
+                     raw_columns={name: _coded(column, dropped) for name, column in raw.items()})
         spec = GroupingSpec(name="g", group1=pred1, group2=pred2)
         want1, err1 = _row_by_row(pred1, raw["a"])
         if err1 is None and pred2 is not None:
@@ -973,7 +979,7 @@ class TestPredicatesReadNumbers:
             path = os.path.join(tmp, "data.csv")
             with open(path, "w", encoding="utf-8") as handle:
                 handle.write(text)
-            ds = load_csv(path, text_columns=["a"])
+            ds = load_csv(path)
         assert ds.raw_columns == {}
         mask, _ = split_masks(ds, GroupingSpec(name="g", group1=pred))
         np.testing.assert_array_equal(mask, [pred.matches(c.strip()) for c in cells])

@@ -67,6 +67,16 @@ class TestPopulationModel:
             with pytest.raises(NonFiniteError, match="^a: cost solve overflows to a non-finite value$"):
                 PopulationModel(group1=g, group2=g, w_star=np.ones(2))
 
+    def test_a_gain_direction_past_the_float_range_raises(self):
+        # each pull fits (1e308 < 2**1024), but t_1 + t_2 = 2e308 does not
+        g = Subgroup(name="a", cost=CostMatrix.identity(2), projection=ProjectionMatrix.identity(2))
+        pop = PopulationModel(group1=g, group2=g, w_star=np.array([1e200, 1e308]))
+        np.testing.assert_array_equal(pop.pull_direction(1), [1e200, 1e308])
+        with pytest.raises(NonFiniteError, match="^gain direction overflows to a non-finite value$"):
+            pop.gain_direction
+        pop = PopulationModel(group1=g, group2=g, w_star=np.array([1e200, 8e307]))
+        np.testing.assert_array_equal(pop.gain_direction, [2e200, 1.6e308])
+
     def test_dim_mismatch(self):
         g3 = Subgroup(name="a", cost=CostMatrix.identity(3),
                       projection=ProjectionMatrix.identity(3))
