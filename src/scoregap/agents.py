@@ -58,10 +58,6 @@ class CostMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def solve(self, v: np.ndarray) -> np.ndarray:
-        """A^{-1} v for a vector or a matrix right-hand side."""
-        return np.linalg.solve(self.matrix, v)
-
     def scaled_solve(self, v: np.ndarray) -> tuple[np.ndarray, int]:
         """(y, k) with A^{-1} v = y 2**k and max |y| in [1/2, 1), or y = 0, for a vector v.
 
@@ -174,7 +170,7 @@ def estimate_rule_empirical(peers: PeerDataset) -> np.ndarray:
 
 def movement(group: Subgroup, w) -> np.ndarray:
     """Feature change a subgroup makes when rule w is deployed: A^{-1} P w."""
-    return group.cost.solve(group.projection.apply(as_vector(w, "w", group.dim)))
+    return np.ldexp(*group.cost.scaled_solve(group.projection.apply(as_vector(w, "w", group.dim))))
 
 
 def best_response(group: Subgroup, x, w) -> np.ndarray:

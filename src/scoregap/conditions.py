@@ -26,6 +26,7 @@ sqrt(G_11 + 2 G_12 + G_22) cancels where degeneracy is decided:
 
 V_g is group g's orthonormal basis, so the span tests are norms of the
 cosines and of the sines of the principal angles; c = tr A_2 / tr A_1.
+The orthogonal test reads PopulationModel.alignment, ||V_1^T V_2||_F^2 / d.
 
 Checkers return the raw scalar together with its tolerance, so callers
 can always re-judge.
@@ -61,22 +62,15 @@ class ConditionCheck:
     boundary: bool = False
 
 
-def _inequality_check(pop: PopulationModel, power: int, value: float, scale: float) -> ConditionCheck:
+def _check(pop: PopulationModel, power: int, value: float, scale: float, equality: bool = False) -> ConditionCheck:
     """Judges `value` against REL_TOL * `scale`, both in units of 2**(power * e); reports them in w_star's units."""
     tol = REL_TOL * float(scale)
     return ConditionCheck(
-        verdict=bool(value >= -tol),
+        verdict=bool(abs(value) <= tol if equality else value >= -tol),
         value=pop.in_units(value, power),
         tolerance=pop.in_units(tol, power),
-        boundary=bool(abs(value) < tol),
+        boundary=not equality and bool(abs(value) < tol),
     )
-
-
-def _equality_check(pop: PopulationModel, power: int, value: float, scale: float) -> ConditionCheck:
-    """As _inequality_check, for a scalar that should vanish."""
-    tol = REL_TOL * float(scale)
-    return ConditionCheck(verdict=bool(abs(value) <= tol), value=pop.in_units(value, power),
-                          tolerance=pop.in_units(tol, power))
 
 
 def _require_nondegenerate(pop: PopulationModel) -> None:
@@ -92,10 +86,11 @@ def check_do_no_harm(pop: PopulationModel, gid: int) -> ConditionCheck:
     The condition scalar is <t_g, s> = G_gg + G_12, whose sign equals the
     sign of subgroup gid's improvement under the welfare-maximizing rule.
     """
+    pop.group(gid)  # checks gid
     _require_nondegenerate(pop)
     g = pop.gram
     value = g[gid - 1, gid - 1] + g[0, 1]
-    return _inequality_check(pop, 2, value, pop.pull_scale * pop.gain_norm)
+    return _check(pop, 2, value, pop.pull_scale * pop.gain_norm)
 
 
 def check_equal_improvement(pop: PopulationModel) -> ConditionCheck:
@@ -106,7 +101,7 @@ def check_equal_improvement(pop: PopulationModel) -> ConditionCheck:
     """
     _require_nondegenerate(pop)
     g = pop.gram
-    return _equality_check(pop, 2, g[0, 0] - g[1, 1], g[0, 0] + g[1, 1])
+    return _check(pop, 2, g[0, 0] - g[1, 1], g[0, 0] + g[1, 1], equality=True)
 
 
 def check_per_unit_optimality(pop: PopulationModel, gid: int) -> ConditionCheck:
@@ -116,6 +111,7 @@ def check_per_unit_optimality(pop: PopulationModel, gid: int) -> ConditionCheck:
     the subgroup's per-unit shortfall (always >= 0 in exact arithmetic);
     it vanishes exactly when t_g is a positive multiple of P_g s.
     """
+    pop.group(gid)  # checks gid
     _require_nondegenerate(pop)
     gg = pop.gram[gid - 1, gid - 1]
     t_norm = float(np.sqrt(gg))
@@ -128,7 +124,7 @@ def check_per_unit_optimality(pop: PopulationModel, gid: int) -> ConditionCheck:
         raise ZeroProjectedRuleError(
             f"subgroup {gid} perceives a zero welfare rule; per-unit gain undefined"
         )
-    return _equality_check(pop, 1, t_norm - (gg + pop.gram[0, 1]) / n, t_norm)
+    return _check(pop, 1, t_norm - (gg + pop.gram[0, 1]) / n, t_norm, equality=True)
 
 
 def check_sufficient_per_unit(pop: PopulationModel, gid: int) -> Optional[float]:
@@ -140,17 +136,14 @@ def check_sufficient_per_unit(pop: PopulationModel, gid: int) -> Optional[float]
     fails or either vector is zero.
     """
     try:
-        check = check_per_unit_optimality(pop, gid)
+        return _multiplier(pop, gid, check_per_unit_optimality(pop, gid))
     except ZeroProjectedRuleError:
         return None
-    if not check.verdict:
-        return None
-    return float(np.sqrt(pop.gram[gid - 1, gid - 1])) / pop.perceived[gid - 1]
 
 
-def _orthogonal_subspaces(pop: PopulationModel) -> bool:
-    v1, v2 = pop.group1.projection.basis, pop.group2.projection.basis
-    return bool(np.linalg.norm(v1.T @ v2) <= REL_TOL)
+def _multiplier(pop: PopulationModel, gid: int, check: ConditionCheck) -> Optional[float]:
+    """sqrt(G_gg) / n_g where subgroup gid's per-unit `check` holds, else None."""
+    return float(np.sqrt(pop.gram[gid - 1, gid - 1])) / pop.perceived[gid - 1] if check.verdict else None
 
 
 def _scaled_equal(pop: PopulationModel) -> bool:
@@ -173,12 +166,11 @@ def condition_report(pop: PopulationModel) -> dict:
     (same span, proportional costs), or "sufficient_cg" (both pull
     directions positively collinear with the perceived welfare direction).
     """
-    _require_nondegenerate(pop)
     harm = [check_do_no_harm(pop, gid) for gid in (1, 2)]
     equal = check_equal_improvement(pop)
     per_unit = [check_per_unit_optimality(pop, gid) for gid in (1, 2)]
-    c1, c2 = (check_sufficient_per_unit(pop, gid) for gid in (1, 2))
-    if _orthogonal_subspaces(pop):
+    c1, c2 = (_multiplier(pop, gid, check) for gid, check in enumerate(per_unit, start=1))
+    if pop.alignment * pop.dim <= REL_TOL**2:  # alignment * d = ||V_1^T V_2||_F^2
         fast = "orthogonal_subspaces"
     elif _scaled_equal(pop):
         fast = "scaled_equal"

@@ -27,7 +27,6 @@ from .errors import (
     CsvParseError,
     IngestError,
     MissingColumnError,
-    NonFiniteError,
     ShapeMismatchError,
     UnmappedCategoryError,
 )
@@ -271,7 +270,7 @@ def load_csv(path: str, manifest: Optional[ManifestSpec] = None) -> Dataset:
         raise IngestError(f"{path} contains no usable data rows")
     if not np.isfinite(rows).all():  # inf, 1e400 or NAN, after every parse error; "nan" is a missing token
         column = names[np.argwhere(~np.isfinite(rows))[0, 1]]
-        raise NonFiniteError(f"{path}: column {column!r} holds a non-finite value")
+        raise IngestError(f"{path}: column {column!r} holds a non-finite value")
     return Dataset(names, rows, raw_columns, n_dropped=n_read - len(rows), passthrough=passthrough)
 
 

@@ -25,15 +25,18 @@ def total_improvement(model: PopulationModel, gid: int, w) -> float:
 def per_unit_improvement(model: PopulationModel, gid: int, w) -> float:
     """Total improvement per unit of perceived rule: I_g(w) / ||P_g w||.
 
-    Raises ZeroProjectedRuleError when the subgroup perceives a zero rule,
-    in which case the ratio has no value.
+    The ratio has no scale, so it is taken at w 2**-e_w. Raises
+    ZeroProjectedRuleError when the subgroup perceives a zero rule
+    (||P_g w|| <= REL_TOL * ||w||), in which case the ratio has no value.
     """
-    per_unit = _per_unit(model, gid, model.as_rule(w))
-    if per_unit is None:
+    wv = model.as_rule(w)
+    wv = np.ldexp(wv, -unit_exponent(wv))
+    norm = float(np.linalg.norm(model.group(gid).projection.basis.T @ wv))
+    if norm <= REL_TOL * float(np.linalg.norm(wv)):
         raise ZeroProjectedRuleError(
             f"subgroup {gid} perceives a zero rule; per-unit improvement undefined"
         )
-    return per_unit
+    return total_improvement(model, gid, wv) / norm
 
 
 def optimal_per_unit_improvement(model: PopulationModel, gid: int) -> float:
@@ -45,12 +48,11 @@ def optimal_per_unit_improvement(model: PopulationModel, gid: int) -> float:
     Raises ZeroProjectedRuleError when the subgroup perceives nothing at
     all (rank-zero projection), since every ratio is then undefined.
     """
-    optimal = _optimal_per_unit(model, gid)
-    if optimal is None:
+    if model.group(gid).projection.rank == 0:
         raise ZeroProjectedRuleError(
             f"subgroup {gid} has a rank-zero projection; per-unit improvement undefined"
         )
-    return optimal
+    return model.in_units(np.linalg.norm(model.unit_pulls[gid - 1]))
 
 
 def improvement_difference(model: PopulationModel, w) -> float:
@@ -59,19 +61,12 @@ def improvement_difference(model: PopulationModel, w) -> float:
     return total_improvement(model, 1, wv) - total_improvement(model, 2, wv)
 
 
-def _optimal_per_unit(model: PopulationModel, gid: int) -> Optional[float]:
-    if model.group(gid).projection.rank == 0:
+def _defined(ratio, *args) -> Optional[float]:
+    """ratio(*args), or None where ZeroProjectedRuleError says it has no value."""
+    try:
+        return ratio(*args)
+    except ZeroProjectedRuleError:
         return None
-    return model.in_units(np.linalg.norm(model.unit_pulls[gid - 1]))
-
-
-def _per_unit(model: PopulationModel, gid: int, w: np.ndarray) -> Optional[float]:
-    """I_g(w) / ||P_g w||, or None when ||P_g w|| <= REL_TOL * ||w||; taken at w 2**-e_w, as the ratio has no scale."""
-    w = np.ldexp(w, -unit_exponent(w))
-    norm = float(np.linalg.norm(model.group(gid).projection.basis.T @ w))
-    if norm <= REL_TOL * float(np.linalg.norm(w)):
-        return None
-    return total_improvement(model, gid, w) / norm
 
 
 def improvement_report(model: PopulationModel, w) -> dict:
@@ -86,6 +81,6 @@ def improvement_report(model: PopulationModel, w) -> dict:
     report = {"welfare": welfare_gain(model, wv), "difference": totals[0] - totals[1]}
     for gid, total in enumerate(totals, start=1):
         report[f"I{gid}"] = total
-        report[f"uI{gid}"] = _per_unit(model, gid, wv)
-        report[f"uI{gid}_star"] = _optimal_per_unit(model, gid)
+        report[f"uI{gid}"] = _defined(per_unit_improvement, model, gid, wv)
+        report[f"uI{gid}_star"] = _defined(optimal_per_unit_improvement, model, gid)
     return report

@@ -22,19 +22,6 @@ from conftest import random_orthonormal, random_projection, random_spd, random_s
 
 
 class TestCostMatrix:
-    def test_solve_matches_dense_solve(self):
-        rng = np.random.default_rng(0)
-        a = random_spd(rng, 6)
-        cost = CostMatrix(a)
-        v = rng.standard_normal(6)
-        np.testing.assert_allclose(cost.solve(v), np.linalg.solve(a, v), atol=1e-10)
-
-    def test_solve_accepts_matrix_right_hand_side(self):
-        rng = np.random.default_rng(1)
-        a = random_spd(rng, 4)
-        m = rng.standard_normal((4, 4))
-        np.testing.assert_allclose(CostMatrix(a).solve(m), np.linalg.solve(a, m), atol=1e-10)
-
     def test_scaled_solve_matches_dense_solve(self):
         rng = np.random.default_rng(0)
         a = random_spd(rng, 6)

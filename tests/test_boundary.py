@@ -1,4 +1,4 @@
-"""A boundary harness: no model file or CSV ends a run outside the exit-code contract.
+"""A boundary harness: no model file, CSV or config ends a run outside the exit-code contract.
 
 Hypothesis writes well-formed model files whose entries span the
 whole finite float range (0, the smallest subnormal, up to 1.7e308), with
@@ -14,6 +14,13 @@ It also writes CSVs of mostly well-formed rows with some hostile cells
 and LF, CRLF or lone-CR line ends, and runs `analyze` on them with
 predicates on a mapped and on a passthrough column. `analyze` keeps to
 the same contract, and every document it writes parses, with finite floats.
+
+Last, it writes small valid configs, in dataset mode on a fixed CSV of
+the same columns or in models mode on one model file and one `epsilon`
+entry, with one leaf (sometimes two) replaced by a hostile value: a bool,
+None, 0, -1, 10**400, nan, +-inf, 1e-320, 1e308, "", a list or mapping
+where a scalar goes, or a `fit:`/`vector:`/model source that names an
+absent column or file. `analyze` keeps to the same contract on each.
 """
 
 import contextlib
@@ -26,6 +33,7 @@ import tempfile
 import warnings
 
 import numpy as np
+import yaml
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from scoregap.cli import main
@@ -168,11 +176,124 @@ def test_analyze_stays_inside_the_exit_contract(text, mapped, passthrough, rank,
     assert code in EXITS
     assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert not [line for line in err.getvalue().splitlines() if line.startswith("error: rows:")]
-    if not out.getvalue():
+    _assert_finite_document(out.getvalue(), form)
+
+
+def _assert_finite_document(text: str, form: str) -> None:
+    """A written document (none when `text` is empty) parses as `form`, and each of its floats is finite."""
+    if not text:
         return
     if form == "json":
-        floats = [leaf for _, leaf in _leaves(json.loads(out.getvalue())) if isinstance(leaf, float)]
+        floats = [leaf for _, leaf in _leaves(json.loads(text)) if isinstance(leaf, float)]
     else:
-        cells = [cell for record in csv.reader(io.StringIO(out.getvalue())) for cell in record]
+        cells = [cell for record in csv.reader(io.StringIO(text)) for cell in record]
         floats = [float(cell) for cell in cells if _is_number(cell)]
     assert all(math.isfinite(leaf) for leaf in floats)
+
+
+# A valid body for the columns a, b and g; "{tmp}" in a config string stands for the run's directory.
+CONFIG_CSV = "a,b,g\n-2,1.5,lo\n3,-0.5,hi\n0,2,mid\n1,0.25,lo\n-1,-3,hi\n4,1,mid\n-3,0.5,hi\n2,-1,lo\n"
+CONFIG_MODEL = {"schema_version": 1, "w_star": [1.0, 0.5], "cost1": [[1.0, 0.0], [0.0, 2.0]],
+                "cost2": [[2.0, 0.5], [0.5, 1.0]], "data1": [[1.0, 0.2], [0.3, 1.0]], "data2": [[1.0, -0.4]]}
+HOSTILE_LEAVES = [True, False, None, 0, -1, 10**400, math.nan, math.inf, -math.inf, 1e-320, 1e308, "",
+                  [1.0, 2.0], {"k": 1}, "fit:zz", "vector:{tmp}/absent.txt", "{tmp}/absent.json"]
+
+
+@st.composite
+def dataset_configs(draw) -> dict:
+    """A valid dataset-mode config on CONFIG_CSV (`{tmp}/data.csv`); `vector:` reads `{tmp}/w.txt`, 3 entries."""
+    wstar = draw(st.sampled_from(["ones", "fit:b", "vector:{tmp}/w.txt"]))
+    dim = 2 if wstar == "fit:b" else 3
+    cut = draw(st.sampled_from([0, 1, -1.5]))
+    grouping = {"name": "split", "group1": {"column": "a", "op": "le", "value": cut}}
+    if draw(st.booleans()):
+        grouping["group2"] = {"column": "a", "op": "gt", "value": cut}
+    return {
+        "dataset": "{tmp}/data.csv",
+        "encoding": {"g": ["lo", "mid", "hi"]},
+        "drop_columns": [],
+        "groupings": [grouping],
+        "rank": draw(st.integers(1, 2)),
+        "costs": {"group1": draw(st.sampled_from(["identity", 2.0])),
+                  "group2": draw(st.sampled_from(["identity", 0.5, np.diag(np.arange(1.0, dim + 1)).tolist()]))},
+        "wstar": wstar,
+        "standardize": draw(st.booleans()),
+        "format": draw(st.sampled_from(["json", "csv"])),
+    }
+
+
+def _models_config(form: str = "json", epsilon=0.3) -> dict:
+    """A models config on CONFIG_MODEL (`{tmp}/model.json`) and one `epsilon` entry."""
+    return {"models": [{"name": "file", "path": "{tmp}/model.json"}, {"name": "eps", "epsilon": epsilon}],
+            "format": form}
+
+
+def _leaf_paths(doc, path=()) -> list:
+    """The key path to every leaf of a config, an empty list or mapping being a leaf."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    paths = [p for key, value in items for p in _leaf_paths(value, path + (key,))]
+    return paths or [path]
+
+
+@st.composite
+def hostile_configs(draw) -> dict:
+    """A dataset or models config with one leaf, sometimes two, replaced by a HOSTILE_LEAVES value."""
+    if draw(st.booleans()):
+        doc = draw(dataset_configs())
+    else:
+        doc = _models_config(draw(st.sampled_from(["json", "csv"])))
+    paths = _leaf_paths(doc)
+    pick = draw(st.randoms(use_true_random=False)).choice  # uniform, where sampled_from favours the first entries
+    for _ in range(draw(st.sampled_from([1, 1, 1, 2]))):
+        *parents, last = pick(paths)
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[last] = pick(HOSTILE_LEAVES)
+    return doc
+
+
+def _in_dir(doc, tmp: str):
+    """The config with "{tmp}" in each string replaced by the directory `tmp`."""
+    if isinstance(doc, dict):
+        return {k: _in_dir(v, tmp) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_in_dir(v, tmp) for v in doc]
+    return doc.replace("{tmp}", tmp) if isinstance(doc, str) else doc
+
+
+def _config_examples(test):
+    """Config inputs CHANGES.md records as MENDED, as hypothesis examples."""
+    dataset = {"dataset": "{tmp}/data.csv", "encoding": {"g": ["lo", "mid", "hi"]}, "format": "json",
+               "groupings": [{"name": "split", "group1": {"column": "a", "op": "le", "value": 0}}]}
+    null_column = {"name": "split", "group1": {"column": None, "op": "le", "value": 0}}
+    for doc in (_models_config(epsilon=10**400), {**dataset, "groupings": [null_column]},
+                {**dataset, "drop_columns": [None]}, {**dataset, "drop_columns": ["a", "b", "g"]}):
+        test = example(doc=doc)(test)
+    return test
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=hostile_configs())
+@_config_examples
+def test_hostile_config_stays_inside_the_exit_contract(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(os.path.join(tmp, "data.csv"), "w", encoding="utf-8") as handle:
+            handle.write(CONFIG_CSV)
+        with open(os.path.join(tmp, "w.txt"), "w", encoding="utf-8") as handle:
+            handle.write("1 0.5 -2\n")
+        with open(os.path.join(tmp, "model.json"), "w", encoding="utf-8") as handle:
+            json.dump(CONFIG_MODEL, handle)
+        config = os.path.join(tmp, "config.yaml")
+        with open(config, "w", encoding="utf-8") as handle:
+            yaml.safe_dump(_in_dir(doc, tmp), handle)
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(["analyze", "--config", config])
+    assert code in EXITS
+    assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert not [line for line in err.getvalue().splitlines() if line.startswith(("error: w:", "error: rows:"))]
+    _assert_finite_document(out.getvalue(), doc.get("format"))

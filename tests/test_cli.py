@@ -357,6 +357,15 @@ class TestAnalyze:
         assert captured.out == ""
         assert captured.err == f"error: {csv_path} is not UTF-8 text: byte 0xff cannot be decoded\n"
 
+    def test_non_finite_csv_cell_is_an_ingest_error(self, tmp_path, capsys):
+        cfg = toy_config(tmp_path)
+        csv_path = tmp_path / "toy.csv"
+        csv_path.write_text(TOY_CSV.replace("28,1.1,", "28,inf,"))
+        assert main(["analyze", "--config", cfg]) == EXIT_INGEST
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {csv_path}: column 'skill' holds a non-finite value\n"
+
     def test_missing_config(self, tmp_path, capsys):
         assert main(["analyze", "--config", str(tmp_path / "no.yaml")]) == EXIT_CONFIG
         assert "error:" in capsys.readouterr().err

@@ -16,6 +16,7 @@ from scoregap import (
     check_per_unit_optimality,
     check_sufficient_per_unit,
     condition_report,
+    conditions,
     disparity_example,
     improvement_difference,
     optimal_per_unit_improvement,
@@ -89,6 +90,14 @@ def _near_proportional_population(c):
         group2=Subgroup(name="g2", cost=CostMatrix(c * a2), projection=projection),
         w_star=np.ones(4),
     )
+
+
+@pytest.mark.parametrize("gid", [-1, 0, 3])
+@pytest.mark.parametrize("checker", [check_do_no_harm, check_per_unit_optimality, check_sufficient_per_unit])
+def test_checkers_reject_a_group_id_other_than_1_or_2(checker, gid):
+    # gid 0 must not index group 2's entries from the end, nor gid 3 fall off them
+    with pytest.raises(ValueError, match=f"^group id must be 1 or 2, got {gid}$"):
+        checker(disparity_example(0.3), gid)
 
 
 class TestDoNoHarm:
@@ -436,6 +445,24 @@ class TestConditionReport:
         for gid in (1, 2):
             assert report["per_unit_optimal"][f"group{gid}"]["verdict"]
             assert report["sufficient_c"][f"group{gid}"] is not None
+
+    def test_runs_each_per_unit_check_once(self, monkeypatch):
+        calls = []
+
+        def counted(pop, gid):
+            calls.append(gid)
+            return check_per_unit_optimality(pop, gid)
+
+        pop = _per_unit_false_population()
+        monkeypatch.setattr(conditions, "check_per_unit_optimality", counted)
+        report = condition_report(pop)
+        assert calls == [1, 2]
+        assert report["sufficient_c"] == {"group1": None, "group2": check_sufficient_per_unit(pop, 2)}
+
+    def test_degenerate_raises_the_checkers_error(self):
+        with pytest.raises(DegenerateObjectiveError,
+                           match="^welfare gain is zero for every rule; guarantee checks are vacuous$"):
+            condition_report(_degenerate_population())
 
     def test_no_fast_path_on_generic_instance(self):
         rng = np.random.default_rng(18)

@@ -17,7 +17,6 @@ from scoregap import (
     GroupingSpec,
     IngestError,
     MissingColumnError,
-    NonFiniteError,
     UnmappedCategoryError,
     load_csv,
     run_analysis,
@@ -209,8 +208,9 @@ class TestErrorPrecedence:
     @pytest.mark.parametrize("cell", ["NAN", "inf", "-Infinity"])
     def test_non_finite_cells(self, tmp_path, cell):
         path = write_csv(tmp_path, f"a,b\n1,2\n3,{cell}\n")
-        with pytest.raises(NonFiniteError) as info:
+        with pytest.raises(IngestError) as info:
             load_csv(path)
+        assert type(info.value) is IngestError  # exit 3, as every other fault of the file
         assert str(info.value) == f"{path}: column 'b' holds a non-finite value"
 
     def test_parse_error_wins_over_later_non_finite_cell(self, tmp_path):
@@ -249,7 +249,7 @@ class TestErrorPrecedence:
                 load_csv(path)
             return
         if not np.isfinite(expected):
-            with pytest.raises(NonFiniteError):
+            with pytest.raises(IngestError, match="holds a non-finite value$"):
                 load_csv(path)
             return
         assert load_csv(path).rows[0, 1] == expected
@@ -298,7 +298,7 @@ def _reference_load(path, manifest):
         raise IngestError(f"{path} contains no usable data rows")
     infinite = [n for r in encoded for n, v in zip(names, r) if not np.isfinite(v)]
     if infinite:
-        raise NonFiniteError(f"{path}: column {infinite[0]!r} holds a non-finite value")
+        raise IngestError(f"{path}: column {infinite[0]!r} holds a non-finite value")
     return Dataset(column_names=names, rows=np.array(encoded, dtype=float),
                    raw_columns={n: _coded([r[j] for r in raw_rows]) for j, n in enumerate(names)
                                 if norm.get(n) is not None},
@@ -310,8 +310,6 @@ def _outcome(load, path, manifest):
     try:
         ds = load(path, manifest)
     except IngestError as exc:
-        return type(exc).__name__, str(exc)
-    except NonFiniteError as exc:
         return type(exc).__name__, str(exc)
     return (ds.rows.tobytes(), ds.rows.shape, {n: ds.raw_column(n) for n in ds.raw_columns}, ds.n_dropped,
             ds.column_names, ds.passthrough)
