@@ -15,6 +15,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     EmptyPeerSetError,
+    NonFiniteError,
     NotPositiveDefiniteError,
     ShapeMismatchError,
 )
@@ -169,8 +170,11 @@ def estimate_rule_empirical(peers: PeerDataset) -> np.ndarray:
 
 
 def movement(group: Subgroup, w) -> np.ndarray:
-    """Feature change a subgroup makes when rule w is deployed: A^{-1} P w."""
-    return np.ldexp(*group.cost.scaled_solve(group.projection.apply(as_vector(w, "w", group.dim))))
+    """Feature change a subgroup makes when rule w is deployed: A^{-1} P w. NonFiniteError past the float range."""
+    y, k = group.cost.scaled_solve(group.projection.apply(as_vector(w, "w", group.dim)))
+    if y.any() and k + unit_exponent(y) > 1024:  # max |y 2**k| >= 2**1024, as in PopulationModel
+        raise NonFiniteError(f"{group.name}: movement overflows to a non-finite value")
+    return np.ldexp(y, k)
 
 
 def best_response(group: Subgroup, x, w) -> np.ndarray:

@@ -25,17 +25,9 @@ import sys
 import tempfile
 from typing import Dict, List, Optional, Tuple
 
-from .errors import ConfigError, IngestError, ScoregapError
+from .errors import ConfigError, DegenerateObjectiveError, IngestError, ScoregapError, ZeroProjectedRuleError
 from .config import load_config
-from .experiment import (
-    DEGENERATE_ERRORS,
-    RESULT_SCHEMA_VERSION,
-    classify_failures,
-    population_payload,
-    render_csv,
-    render_json,
-    run_analysis,
-)
+from .experiment import RESULT_SCHEMA_VERSION, population_payload, render_csv, render_json, run_analysis
 from .modelio import load_model
 
 EXIT_OK = 0
@@ -43,6 +35,10 @@ EXIT_CONFIG = 2
 EXIT_INGEST = 3
 EXIT_DEGENERATE = 4
 EXIT_PARTIAL = 5
+
+# Error types that mean the instance violates the model's standing
+# assumptions (no gain possible anywhere) rather than being malformed.
+DEGENERATE_ERRORS = (DegenerateObjectiveError, ZeroProjectedRuleError)
 
 # The first class an error is an instance of decides its exit code.
 _EXIT_CODES = (
@@ -128,14 +124,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     else:
         _emit((render_csv if config.format == "csv" else render_json)(result), config.out)
 
-    status = classify_failures(result)
-    if status is None:
-        return EXIT_OK
-    for entry in result["groupings"]:
+    entries = result["groupings"]
+    for entry in entries:
         if "error" in entry:
-            err = entry["error"]
-            print(f"grouping {entry['name']}: {err['type']}: {err['message']}", file=sys.stderr)
-    return EXIT_DEGENERATE if status == "degenerate" else EXIT_PARTIAL
+            print("grouping {name}: {error[type]}: {error[message]}".format(**entry), file=sys.stderr)
+    if not result["n_failed"]:
+        return EXIT_OK
+    # Degenerate only when every entry failed, each for a degeneracy: the run as a whole is vacuous.
+    degenerate = {cls.__name__ for cls in DEGENERATE_ERRORS}
+    return EXIT_DEGENERATE if all(e.get("error", {}).get("type") in degenerate for e in entries) else EXIT_PARTIAL
 
 
 def cmd_check(args: argparse.Namespace) -> int:

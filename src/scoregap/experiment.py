@@ -22,18 +22,11 @@ import csv
 import io
 import json
 import math
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DegenerateObjectiveError,
-    EmptyGroupError,
-    NonFiniteError,
-    ScoregapError,
-    ZeroProjectedRuleError,
-)
+from .errors import ConfigError, EmptyGroupError, NonFiniteError, ScoregapError
 from .agents import CostMatrix, Subgroup
 from .conditions import condition_report, disparity_example
 from .config import ExperimentConfig, ModelEntry
@@ -45,10 +38,6 @@ from .modelio import cost_from_matrix, load_model, model_from_dict, read_model_f
 from .principal import PopulationModel, welfare_maximizing_rule
 
 RESULT_SCHEMA_VERSION = 5
-
-# Error types that mean the instance violates the model's standing
-# assumptions (no gain possible anywhere) rather than being malformed.
-DEGENERATE_ERRORS = (DegenerateObjectiveError, ZeroProjectedRuleError)
 
 # The CSV table: one (column, key path) pair per column, each path as `_leaves` names it.
 CSV_FIELDS = (
@@ -75,7 +64,7 @@ def _build_cost(spec: Union[None, float, np.ndarray], dim: int, where: str) -> C
 
 def _load_wstar_vector(path: str, dim: int) -> np.ndarray:
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot open w* file {path}: {exc}") from None
@@ -276,20 +265,6 @@ def run_analysis(config: ExperimentConfig) -> dict:
     result["groupings"] = entries
     result["n_failed"] = sum("error" in e for e in entries)
     return result
-
-
-def classify_failures(result: dict) -> Optional[str]:
-    """None when clean; "degenerate" when every entry failed and every
-    failure is a model degeneracy (the run as a whole is vacuous);
-    "partial" otherwise."""
-    entries = result["groupings"]
-    failed = [e["error"]["type"] for e in entries if "error" in e]
-    if not failed:
-        return None
-    degenerate_names = {cls.__name__ for cls in DEGENERATE_ERRORS}
-    if len(failed) == len(entries) and all(name in degenerate_names for name in failed):
-        return "degenerate"
-    return "partial"
 
 
 def render_json(result: dict) -> str:

@@ -19,7 +19,7 @@ import warnings
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -88,15 +88,14 @@ class Dataset:
     """Encoded table plus what grouping predicates test.
 
     `raw_columns` holds each mapped column as (texts, codes): kept row i's
-    stripped text is texts[codes[i]]. Predicates on a `passthrough` column,
-    whose values are float() of its text, compare numbers.
+    stripped text is texts[codes[i]]. Every other column is passthrough:
+    its values are float() of its text, and predicates on it compare numbers.
     """
 
     column_names: Tuple[str, ...]
     rows: np.ndarray
     raw_columns: RawColumns
     n_dropped: int = 0
-    passthrough: FrozenSet[str] = frozenset()
 
     def __post_init__(self):
         object.__setattr__(self, "rows", frozen(as_matrix(self.rows, "rows")))
@@ -124,14 +123,11 @@ class Dataset:
         Raises MissingColumnError for a column the table lacks, and
         IngestError for a passthrough column, which keeps numbers only.
         """
-        texts, codes = self._text(name)
-        return tuple(map(texts.__getitem__, codes.tolist()))
-
-    def _text(self, name: str) -> Tuple[Tuple[str, ...], np.ndarray]:
         self.column_index(name)
-        if name in self.raw_columns:
-            return self.raw_columns[name]
-        raise IngestError(f"column {name!r} has no text; a passthrough column keeps numbers only")
+        if name not in self.raw_columns:
+            raise IngestError(f"column {name!r} has no text; a passthrough column keeps numbers only")
+        texts, codes = self.raw_columns[name]
+        return tuple(map(texts.__getitem__, codes.tolist()))
 
     def feature_names(self, drop: Sequence[str] = ()) -> Tuple[str, ...]:
         for name in drop:
@@ -228,7 +224,8 @@ def load_csv(path: str, manifest: Optional[ManifestSpec] = None) -> Dataset:
     any column are dropped and counted in n_dropped. Row numbers in errors
     count CSV records, the header being row 1; they are file line numbers
     unless a quoted cell spans lines. A file with several bad cells or
-    ragged rows raises the error of the first in file order.
+    ragged rows raises the error of the first in file order. A leading
+    UTF-8 byte-order mark is skipped.
 
     numpy's C `loadtxt` reads the body first (`_loadtxt_table`), as int64 if
     it can. A body it cannot take whole is read one csv record at a time
@@ -238,7 +235,7 @@ def load_csv(path: str, manifest: Optional[ManifestSpec] = None) -> Dataset:
     """
     norm = normalize_manifest(manifest)
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             header = next(csv.reader(handle), None)
             if header is None:
                 raise IngestError(f"{path} is empty; a header row is required")
@@ -252,7 +249,6 @@ def load_csv(path: str, manifest: Optional[ManifestSpec] = None) -> Dataset:
                     raise MissingColumnError(f"manifest names column {name!r} not present in {path}")
 
             mappings = [norm.get(n) for n in names]
-            passthrough = frozenset(n for n, m in zip(names, mappings) if m is None)
             body = handle.read()
     except OSError as exc:
         raise IngestError(f"cannot open {path}: {exc}") from None
@@ -271,7 +267,7 @@ def load_csv(path: str, manifest: Optional[ManifestSpec] = None) -> Dataset:
     if not np.isfinite(rows).all():  # inf, 1e400 or NAN, after every parse error; "nan" is a missing token
         column = names[np.argwhere(~np.isfinite(rows))[0, 1]]
         raise IngestError(f"{path}: column {column!r} holds a non-finite value")
-    return Dataset(names, rows, raw_columns, n_dropped=n_read - len(rows), passthrough=passthrough)
+    return Dataset(names, rows, raw_columns, n_dropped=n_read - len(rows))
 
 
 @dataclass(frozen=True)
@@ -336,13 +332,13 @@ def _predicate_mask(pred: GroupPredicate, ds: Dataset) -> np.ndarray:
     the kept rows, in first-occurrence order: a numeric comparator fails on
     the first non-numeric kept cell in row order, and never on dropped text.
     """
-    if pred.column in ds.passthrough:
+    if pred.column not in ds.raw_columns:  # a passthrough column, or one the table lacks
         if pred.op in pred._NUMERIC_OPS:
             return getattr(operator, pred.op)(ds.column(pred.column), float(pred.value))  # type: ignore[arg-type]
         values = pred.value if pred.op == "in" else (pred.value,)
         numbers = [x for x in map(_number, values) if x is not None and x == x]
         return np.isin(ds.column(pred.column), numbers, invert=pred.op == "ne")
-    texts, codes = ds._text(pred.column)
+    texts, codes = ds.raw_columns[pred.column]
     answers = np.zeros(len(texts), dtype=bool)
     for code in codes[np.sort(np.unique(codes, return_index=True)[1])].tolist():  # in first-kept-row order
         answers[code] = pred.matches(texts[code])

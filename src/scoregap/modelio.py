@@ -113,7 +113,7 @@ def model_from_dict(doc: dict) -> PopulationModel:
 def read_model_file(path: str):
     """The JSON document at `path`, each list under ARRAY_KEYS a float array where np.asarray takes it."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             doc = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot open model file {path}: {exc}") from None

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +8,7 @@ from scoregap import (
     CostMatrix,
     DimensionMismatchError,
     EmptyPeerSetError,
+    NonFiniteError,
     NotPositiveDefiniteError,
     PeerDataset,
     ProjectionMatrix,
@@ -194,6 +197,26 @@ class TestMovement:
         g = random_subgroup(rng, 3)
         with pytest.raises(DimensionMismatchError):
             movement(g, np.ones(4))
+
+    # A^{-1} w = (w_1 * 1e300, w_2) for the cost diag(1e-300, 1) and P = I.
+    TINY = Subgroup(name="tiny", cost=CostMatrix(np.diag([1e-300, 1.0])), projection=ProjectionMatrix(np.eye(2)))
+
+    def test_past_the_float_range_names_the_subgroup(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for step in (movement, lambda g, w: best_response(g, np.zeros(2), w)):
+                with pytest.raises(NonFiniteError, match="^tiny: movement overflows to a non-finite value$"):
+                    step(self.TINY, [1e300, 1.0])
+
+    def test_near_the_float_limit_stays_finite(self):
+        w = np.array([1.79e8, 1.0])  # 1.79e308, just below the largest float
+        y, k = self.TINY.cost.scaled_solve(w)
+        assert k == 1024
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = movement(self.TINY, w)
+        assert np.isfinite(got).all()
+        assert got.tobytes() == np.ldexp(y, k).tobytes()
 
 
 class TestBestResponse:

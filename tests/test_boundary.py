@@ -24,6 +24,7 @@ absent column or file. `analyze` keeps to the same contract on each.
 """
 
 import contextlib
+import copy
 import csv
 import io
 import json
@@ -33,6 +34,7 @@ import tempfile
 import warnings
 
 import numpy as np
+import pytest
 import yaml
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
@@ -245,12 +247,15 @@ def hostile_configs(draw) -> dict:
     paths = _leaf_paths(doc)
     pick = draw(st.randoms(use_true_random=False)).choice  # uniform, where sampled_from favours the first entries
     for _ in range(draw(st.sampled_from([1, 1, 1, 2]))):
-        *parents, last = pick(paths)
-        node = doc
-        for key in parents:
-            node = node[key]
-        node[last] = pick(HOSTILE_LEAVES)
+        _replace_leaf(doc, pick(paths), pick(HOSTILE_LEAVES))
     return doc
+
+
+def _replace_leaf(doc, path, value) -> None:
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    doc[last] = value
 
 
 def _in_dir(doc, tmp: str):
@@ -278,6 +283,35 @@ def _config_examples(test):
 @given(doc=hostile_configs())
 @_config_examples
 def test_hostile_config_stays_inside_the_exit_contract(doc):
+    _assert_config_inside_the_contract(doc)
+
+
+# One dataset config in which every kind of leaf appears (`vector:` w*, a
+# matrix cost), and the models config; each swap puts one HOSTILE_LEAVES
+# value at one leaf, so every (leaf, value) pair is run, where the random
+# draws above reach only some.
+SWEEP_DATASET = {
+    "dataset": "{tmp}/data.csv", "encoding": {"g": ["lo", "mid", "hi"]}, "drop_columns": [],
+    "groupings": [{"name": "split", "group1": {"column": "a", "op": "le", "value": 0},
+                   "group2": {"column": "a", "op": "gt", "value": 0}}],
+    "rank": 2, "costs": {"group1": 2.0, "group2": np.diag([1.0, 2.0, 3.0]).tolist()},
+    "wstar": "vector:{tmp}/w.txt", "standardize": True, "format": "json",
+}
+SWEEP_CONFIGS = {"dataset": SWEEP_DATASET, "models": _models_config()}
+
+
+@pytest.mark.parametrize("mode, path, j", [
+    pytest.param(mode, path, j, id=f"{mode}:{'.'.join(map(str, path))}={j}")
+    for mode, doc in SWEEP_CONFIGS.items() for path in _leaf_paths(doc) for j in range(len(HOSTILE_LEAVES))
+])
+def test_every_single_leaf_swap_stays_inside_the_exit_contract(mode, path, j):
+    doc = copy.deepcopy(SWEEP_CONFIGS[mode])
+    _replace_leaf(doc, path, HOSTILE_LEAVES[j])
+    _assert_config_inside_the_contract(doc)
+
+
+def _assert_config_inside_the_contract(doc) -> None:
+    """`analyze` on the config `doc`, with CONFIG_CSV, a 3-entry w* file and CONFIG_MODEL beside it."""
     with tempfile.TemporaryDirectory() as tmp:
         with open(os.path.join(tmp, "data.csv"), "w", encoding="utf-8") as handle:
             handle.write(CONFIG_CSV)

@@ -70,6 +70,15 @@ def two_axis_model(tmp_path, epsilon, name="m.json"):
     return write(tmp_path, name, render_json(model_to_dict(disparity_example(epsilon))))
 
 
+def runs_with_and_without_bom(capsys, path, data, argv):
+    """(exit code, captured streams) of `main(argv)` with `data` at `path`, then with a UTF-8 BOM before it."""
+    runs = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        Path(path).write_bytes(bom + data)
+        runs.append((main(argv), capsys.readouterr()))
+    return runs
+
+
 class TestCheck:
     def test_round_trip_through_check(self, tmp_path, capsys):
         model_path = two_axis_model(tmp_path, 0.1)
@@ -105,6 +114,12 @@ class TestCheck:
         (entry,) = json.loads(capsys.readouterr().out)["groupings"]
         assert entry["error"]["type"] == "DegenerateObjectiveError"
         assert captured.err == f"error: {entry['error']['message']}\n"
+
+    def test_a_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        path = two_axis_model(tmp_path, 0.1)
+        plain, bom = runs_with_and_without_bom(capsys, path, Path(path).read_bytes(), ["check", path])
+        assert plain == bom
+        assert plain[0] == EXIT_OK
 
     def test_out_file(self, tmp_path, capsys):
         model_path = two_axis_model(tmp_path, 0.5)
@@ -454,6 +469,52 @@ class TestAnalyze:
         assert captured.err.startswith("grouping old: RankTooLargeError: ")
 
 
+class TestExitStatus:
+    """`analyze`'s exit code from its entries: 0 when none failed, 4 when every
+    entry failed on a degeneracy, 5 otherwise; each failed entry is one stderr line."""
+
+    FLAT = {"w_star": [0.0, 1.0], "projection1": [[1.0, 0.0], [0.0, 0.0]],
+            "projection2": [[1.0, 0.0], [0.0, 0.0]]}  # no rule moves w*'s axis
+    DEGENERATE = "DegenerateObjectiveError: welfare gain is zero for every rule; no maximizer exists"
+
+    @staticmethod
+    def analyze(tmp_path, capsys, entries):
+        body = "".join(f"  - name: {name}\n    {key}: {value}\n" for name, key, value in entries)
+        code = main(["analyze", "--config", models_yaml(tmp_path, "models:\n" + body)])
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["n_failed"] == len(captured.err.splitlines())
+        return code, captured.err.splitlines()
+
+    @staticmethod
+    def absent(tmp_path, name):
+        path = tmp_path / f"{name}.json"
+        return (f"grouping {name}: ConfigError: cannot open model file {path}: "
+                f"[Errno 2] No such file or directory: '{path}'")
+
+    def test_clean_run(self, tmp_path, capsys):
+        assert self.analyze(tmp_path, capsys, [("eps01", "epsilon", 0.1)]) == (EXIT_OK, [])
+
+    def test_mixed_run_is_partial(self, tmp_path, capsys):
+        entries = [("good", "epsilon", 0.5), ("bad", "path", tmp_path / "bad.json")]
+        assert self.analyze(tmp_path, capsys, entries) == (EXIT_PARTIAL, [self.absent(tmp_path, "bad")])
+
+    def test_all_failed_non_degenerate_is_partial(self, tmp_path, capsys):
+        entries = [("bad1", "path", tmp_path / "bad1.json"), ("bad2", "path", tmp_path / "bad2.json")]
+        want = [self.absent(tmp_path, "bad1"), self.absent(tmp_path, "bad2")]
+        assert self.analyze(tmp_path, capsys, entries) == (EXIT_PARTIAL, want)
+
+    def test_all_degenerate(self, tmp_path, capsys):
+        flat = write(tmp_path, "flat.json", json.dumps(self.FLAT))
+        entries = [("flat", "path", flat), ("flat2", "path", flat)]
+        want = [f"grouping flat: {self.DEGENERATE}", f"grouping flat2: {self.DEGENERATE}"]
+        assert self.analyze(tmp_path, capsys, entries) == (EXIT_DEGENERATE, want)
+
+    def test_mixed_degenerate_and_success_is_partial(self, tmp_path, capsys):
+        flat = write(tmp_path, "flat.json", json.dumps(self.FLAT))
+        entries = [("flat", "path", flat), ("fine", "epsilon", 0.5)]
+        assert self.analyze(tmp_path, capsys, entries) == (EXIT_PARTIAL, [f"grouping flat: {self.DEGENERATE}"])
+
+
 # The dataset is absent, so a config that got past loading would exit 3, not 2.
 REJECTED_CONFIG = """dataset: absent.csv
 drop_columns: [label]
@@ -625,6 +686,15 @@ class TestWstarFile:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: " + message.format(path=path))
+
+
+    @pytest.mark.parametrize("text", ["1 1 1\n", "[1, 1, 1]"], ids=["numbers", "json"])
+    def test_a_byte_order_mark_is_skipped(self, tmp_path, capsys, text):
+        path = tmp_path / "wstar.txt"
+        argv = ["analyze", "--config", toy_config(tmp_path, f"wstar: vector:{path}\n")]
+        plain, bom = runs_with_and_without_bom(capsys, path, text.encode(), argv)
+        assert plain == bom
+        assert plain[0] == EXIT_OK
 
 
 class TestPayloadOverflow:

@@ -23,3 +23,41 @@ def test_modules_import_only_the_stdlib_numpy_and_yaml():
                for name in _imported_modules(ast.parse(path.read_text(encoding="utf-8")))
                if name.partition(".")[0] not in ALLOWED}
     assert not outside, sorted(outside)
+
+
+def _wrapped_names(monkeypatch) -> set:
+    """(module file name, name) for each name that benchmarks/run.py::_install wraps."""
+    monkeypatch.syspath_prepend(str(PACKAGE.parents[1] / "benchmarks"))
+    import run
+    from scoregap import experiment, modelio
+
+    class Recorder:
+        names = set()
+
+        def install(self, module, name, *_):
+            self.names.add((module.__name__.rpartition(".")[2] + ".py", name))
+
+    run._install(Recorder(), experiment, modelio)
+    return Recorder.names
+
+
+def _bound_names(tree: ast.AST):
+    """Each name an import statement binds, but for `from __future__` imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (alias.asname or alias.name for alias in node.names)
+
+
+def test_every_imported_name_is_used(monkeypatch):
+    # __init__ imports to re-export; a name the benchmark wraps is imported for it alone
+    wrapped = _wrapped_names(monkeypatch)
+    assert wrapped
+    unused = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "__init__.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            unused |= {(path.name, name) for name in _bound_names(tree) if name not in used}
+    assert not unused - wrapped, sorted(unused - wrapped)

@@ -28,7 +28,6 @@ from scoregap.experiment import (
     RESULT_SCHEMA_VERSION,
     _cell_stacker,
     _leaves,
-    classify_failures,
     render_csv,
     render_json,
     run_analysis,
@@ -281,53 +280,6 @@ class TestCellStacker:
                 else:
                     assert (got.rank, got.tie_warning) == (want.rank, want.tie_warning)
                     assert np.max(np.abs(got.matrix - want.matrix), initial=0.0) <= 1e-10
-
-
-class TestClassifyFailures:
-    def test_clean_run(self):
-        assert classify_failures(run_analysis(models_config())) is None
-
-    def test_mixed_run_is_partial(self, tmp_path):
-        cfg = models_config(models=(
-            ModelEntry(name="good", epsilon=0.5),
-            ModelEntry(name="bad", path=str(tmp_path / "absent.json")),
-        ))
-        assert classify_failures(run_analysis(cfg)) == "partial"
-
-    def test_all_failed_non_degenerate_is_partial(self, tmp_path):
-        cfg = models_config(models=(
-            ModelEntry(name="bad1", path=str(tmp_path / "a.json")),
-            ModelEntry(name="bad2", path=str(tmp_path / "b.json")),
-        ))
-        assert classify_failures(run_analysis(cfg)) == "partial"
-
-    def test_all_degenerate(self, tmp_path):
-        p = ProjectionMatrix(np.array([[1.0], [0.0]]))
-        model = PopulationModel(
-            group1=Subgroup(name="a", cost=CostMatrix.identity(2), projection=p),
-            group2=Subgroup(name="b", cost=CostMatrix.identity(2), projection=p),
-            w_star=np.array([0.0, 1.0]),
-        )
-        path = str(tmp_path / "degenerate.json")
-        Path(path).write_text(render_json(model_to_dict(model)), encoding="utf-8")
-        result = run_analysis(models_config(models=(ModelEntry(name="flat", path=path),)))
-        assert result["groupings"][0]["error"]["type"] == "DegenerateObjectiveError"
-        assert classify_failures(result) == "degenerate"
-
-    def test_mixed_degenerate_and_success_is_partial(self, tmp_path):
-        p = ProjectionMatrix(np.array([[1.0], [0.0]]))
-        model = PopulationModel(
-            group1=Subgroup(name="a", cost=CostMatrix.identity(2), projection=p),
-            group2=Subgroup(name="b", cost=CostMatrix.identity(2), projection=p),
-            w_star=np.array([0.0, 1.0]),
-        )
-        path = str(tmp_path / "degenerate.json")
-        Path(path).write_text(render_json(model_to_dict(model)), encoding="utf-8")
-        cfg = models_config(models=(
-            ModelEntry(name="flat", path=path),
-            ModelEntry(name="fine", epsilon=0.5),
-        ))
-        assert classify_failures(run_analysis(cfg)) == "partial"
 
 
 class TestRendering:

@@ -127,6 +127,16 @@ class TestLoadCsv:
             load_csv(str(path))
         assert str(info.value) == f"{path} is not UTF-8 text: byte 0xff cannot be decoded"
 
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["loadtxt", "row-reader"])
+    def test_a_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path, quote):
+        text = MIXED_CSV.replace("30,", f"{quote}30{quote},")
+        manifest = {"grade": ["bad", "good", "great"]}
+        plain = _outcome(load_csv, write_csv(tmp_path, text), manifest)
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert _outcome(load_csv, str(path), manifest) == plain
+        assert plain[-1] == ("age", "grade", "label")
+
     def test_encoding_is_idempotent(self, tmp_path):
         # a file whose cells already hold the encoded values loads unchanged
         manifest = {"grade": ["bad", "good", "great"]}
@@ -227,7 +237,6 @@ class TestErrorPrecedence:
         np.testing.assert_array_equal(ds.rows, [[1.0, 2.0, 2.0], [3.0, 1.0, 4.5]])
         # only the mapped column keeps its text; passthrough "a" is read as numbers
         assert (set(ds.raw_columns), ds.raw_column("grade")) == ({"grade"}, ("good", "bad"))
-        assert ds.passthrough == {"a", "c"}
 
     def test_quoted_cell_spanning_lines_counts_as_one_row(self, tmp_path):
         # the bad cell sits on physical line 4 but in the third record
@@ -281,7 +290,7 @@ def _coded(column, extra=()):
 def _reference_load(path, manifest):
     """Row-at-a-time loader, the reference load_csv must agree with."""
     norm = normalize_manifest(manifest)
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         names = tuple(h.strip() for h in next(reader))
         encoded, raw_rows, dropped = [], [], 0
@@ -302,8 +311,7 @@ def _reference_load(path, manifest):
     return Dataset(column_names=names, rows=np.array(encoded, dtype=float),
                    raw_columns={n: _coded([r[j] for r in raw_rows]) for j, n in enumerate(names)
                                 if norm.get(n) is not None},
-                   n_dropped=dropped,
-                   passthrough=frozenset(n for n in names if norm.get(n) is None))
+                   n_dropped=dropped)
 
 
 def _outcome(load, path, manifest):
@@ -312,7 +320,7 @@ def _outcome(load, path, manifest):
     except IngestError as exc:
         return type(exc).__name__, str(exc)
     return (ds.rows.tobytes(), ds.rows.shape, {n: ds.raw_column(n) for n in ds.raw_columns}, ds.n_dropped,
-            ds.column_names, ds.passthrough)
+            ds.column_names)
 
 
 # Cell text as it appears in the file: numbers, padding, quoting, missing
@@ -398,7 +406,7 @@ class TestNumericFastPath:
         with mock.patch.object(ingest, "_read_rows", side_effect=AssertionError("row reader")):
             ds = load_csv(write_csv(tmp_path, NUMERIC_CSV))
         np.testing.assert_array_equal(ds.column("income"), [50000, 42000, 61000])
-        assert (ds.raw_columns, ds.passthrough) == ({}, {"age", "income", "score"})
+        assert ds.raw_columns == {}
 
     def test_a_mapped_body_takes_loadtxt(self, tmp_path):
         with mock.patch.object(ingest, "_read_rows", side_effect=AssertionError("row reader")), \
@@ -960,8 +968,7 @@ class TestPredicatesReadNumbers:
             pred = GroupPredicate("a", op, value)
         except IngestError:
             assume(False)
-        ds = Dataset(column_names=("a",), rows=np.array(column)[:, None], raw_columns={},
-                     passthrough=frozenset({"a"}))
+        ds = Dataset(column_names=("a",), rows=np.array(column)[:, None], raw_columns={})
         values, inverse = np.unique(ds.column("a"), return_inverse=True)
         want = np.array([pred.matches(repr(v)) for v in values.tolist()], dtype=bool)[inverse]
         mask, _ = split_masks(ds, GroupingSpec(name="g", group1=pred))
