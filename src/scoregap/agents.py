@@ -20,7 +20,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .linalg import (
-    REL_TOL, SYMMETRY_TOL, ProjectionMatrix, as_matrix, as_vector, frozen, min_norm_least_squares, unit_exponent,
+    SYMMETRY_TOL, ProjectionMatrix, as_matrix, as_vector, frozen, min_norm_least_squares, tolerance, unit_exponent,
 )
 
 
@@ -112,14 +112,14 @@ class PeerDataset:
         return self.features.shape[0]
 
     def check_consistent(self, w: np.ndarray) -> bool:
-        """True when max |features @ w - scores| <= REL_TOL max_i sum_j |x_ij w_j|.
+        """True when max |features @ w - scores| <= tolerance(max_i sum_j |x_ij w_j|).
 
         That scale bounds each score's roundoff in any summation order, so
         the verdict does not depend on the units of the features or the rule.
         """
         wv = as_vector(w, "w", self.dim)
         scale = np.max(np.abs(self.features) @ np.abs(wv))
-        return bool(np.max(np.abs(self.features @ wv - self.scores)) <= REL_TOL * scale)
+        return bool(np.max(np.abs(self.features @ wv - self.scores)) <= tolerance(scale))
 
     @classmethod
     def from_rule(cls, features, w) -> "PeerDataset":

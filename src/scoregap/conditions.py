@@ -4,12 +4,13 @@ Each guarantee (no subgroup harmed, equal gains, per-unit-optimal gains)
 reduces to the sign or vanishing of one scalar, a closed form in five
 numbers the PopulationModel caches: the Gram matrix G = T T^T of the
 pull directions t_g = P_g A_g^{-1} w_star, and n_g = ||P_g s|| with
-s = t_1 + t_2. Each scalar is judged against REL_TOL times its own
-scale, so no verdict depends on the units of w_star or of the costs, or
-on the basis. G and n_g come from the pulls U = T 2**-e, solved at a
-power-of-two scale of w_star and of each cost, so no scalar or scale
-underflows or overflows whatever their size; a check reports both in
-the units of w_star by an exact power-of-two rescaling. ||s|| is taken from s itself, since
+s = t_1 + t_2. Each scalar is judged against linalg.tolerance of its own
+scale (REL_TOL times it, the rule's one definition), so no verdict
+depends on the units of w_star or of the costs, or on the basis. G and
+n_g come from the pulls U = T 2**-e, solved at a power-of-two scale of
+w_star and of each cost, so no scalar or scale underflows or overflows
+whatever their size; a check reports both in the units of w_star by an
+exact power-of-two rescaling. ||s|| is taken from s itself, since
 sqrt(G_11 + 2 G_12 + G_22) cancels where degeneracy is decided:
 
     quantity              value                             scale
@@ -17,16 +18,22 @@ sqrt(G_11 + 2 G_12 + G_22) cancels where degeneracy is decided:
     equal_improvement     G_11 - G_22                       G_11 + G_22
     per_unit_optimal g    sqrt(G_gg) - (G_gg + G_12) / n_g  sqrt(G_gg)
     degenerate (s ~ 0)    ||s||                             ||t_1|| + ||t_2||
+    pull solve (t_g = 0)  ||P_g z||, z ~ A_g^{-1} w_star    ||z||
     t_g ~ 0               ||t_g||                           ||t_1|| + ||t_2||
     n_g ~ 0               n_g                               ||s||
     P_g w ~ 0 (metrics)   ||P_g w||                         ||w||
     orthogonal spans      ||V_1^T V_2||_F                   1
     same span             ||V_2 - V_1 V_1^T V_2||_F         1
     proportional costs    max |A_2 - c A_1|                 max |A_2|
+    orthonormal basis     max |V^T V - I|                   1
+    from_matrix           max |m - V V^T|                   1
+    check_consistent      max |X w - y|                     max_i sum_j |x_ij w_j|
 
 V_g is group g's orthonormal basis, so the span tests are norms of the
 cosines and of the sines of the principal angles; c = tr A_2 / tr A_1.
-The orthogonal test reads PopulationModel.alignment, ||V_1^T V_2||_F^2 / d.
+The orthogonal test reads PopulationModel.alignment, ||V_1^T V_2||_F^2 / d,
+against tolerance(tolerance()). PopulationModel decides the pull solve,
+t_g ~ 0 and degeneracy once; the last three rows are input checks.
 
 Checkers return the raw scalar together with its tolerance, so callers
 can always re-judge.
@@ -41,7 +48,7 @@ import numpy as np
 
 from .errors import DegenerateObjectiveError, EpsilonOutOfRangeError, ZeroProjectedRuleError
 from .agents import CostMatrix, Subgroup
-from .linalg import REL_TOL, ProjectionMatrix, unit_exponent
+from .linalg import ProjectionMatrix, tolerance, unit_exponent
 from .principal import PopulationModel
 
 
@@ -49,7 +56,7 @@ from .principal import PopulationModel
 class ConditionCheck:
     """Verdict on one scalar condition.
 
-    `tolerance` is REL_TOL times the scalar's scale. For inequality
+    `tolerance` is linalg.tolerance of the scalar's scale. For inequality
     conditions the verdict is value >= -tolerance and `boundary` flags
     |value| < tolerance (a statistical tie with zero); for equality
     conditions the verdict is |value| <= tolerance and boundary is
@@ -63,8 +70,8 @@ class ConditionCheck:
 
 
 def _check(pop: PopulationModel, power: int, value: float, scale: float, equality: bool = False) -> ConditionCheck:
-    """Judges `value` against REL_TOL * `scale`, both in units of 2**(power * e); reports them in w_star's units."""
-    tol = REL_TOL * float(scale)
+    """Judges `value` against tolerance(`scale`), both in units of 2**(power * e); reports them in w_star's units."""
+    tol = tolerance(scale)
     return ConditionCheck(
         verdict=bool(abs(value) <= tol if equality else value >= -tol),
         value=pop.in_units(value, power),
@@ -75,9 +82,7 @@ def _check(pop: PopulationModel, power: int, value: float, scale: float, equalit
 
 def _require_nondegenerate(pop: PopulationModel) -> None:
     if pop.degenerate:
-        raise DegenerateObjectiveError(
-            "welfare gain is zero for every rule; guarantee checks are vacuous"
-        )
+        raise DegenerateObjectiveError("welfare gain is zero for every rule; guarantee checks are vacuous")
 
 
 def check_do_no_harm(pop: PopulationModel, gid: int) -> ConditionCheck:
@@ -116,14 +121,10 @@ def check_per_unit_optimality(pop: PopulationModel, gid: int) -> ConditionCheck:
     gg = pop.gram[gid - 1, gid - 1]
     t_norm = float(np.sqrt(gg))
     n = pop.perceived[gid - 1]
-    if t_norm <= REL_TOL * pop.pull_scale:
-        raise ZeroProjectedRuleError(
-            f"subgroup {gid}'s pull direction is zero; per-unit optimum undefined"
-        )
-    if n <= REL_TOL * pop.gain_norm:
-        raise ZeroProjectedRuleError(
-            f"subgroup {gid} perceives a zero welfare rule; per-unit gain undefined"
-        )
+    if pop.zero_pulls[gid - 1]:
+        raise ZeroProjectedRuleError(f"subgroup {gid}'s pull direction is zero; per-unit optimum undefined")
+    if n <= tolerance(pop.gain_norm):
+        raise ZeroProjectedRuleError(f"subgroup {gid} perceives a zero welfare rule; per-unit gain undefined")
     return _check(pop, 1, t_norm - (gg + pop.gram[0, 1]) / n, t_norm, equality=True)
 
 
@@ -148,11 +149,11 @@ def _multiplier(pop: PopulationModel, gid: int, check: ConditionCheck) -> Option
 
 def _scaled_equal(pop: PopulationModel) -> bool:
     v1, v2 = pop.group1.projection.basis, pop.group2.projection.basis
-    if v1.shape != v2.shape or np.linalg.norm(v2 - v1 @ (v1.T @ v2)) > REL_TOL:
+    if v1.shape != v2.shape or np.linalg.norm(v2 - v1 @ (v1.T @ v2)) > tolerance():
         return False
     a1, a2 = (np.ldexp(g.cost.matrix, -unit_exponent(g.cost.matrix)) for g in pop.groups)  # c stays finite
     ratio = np.trace(a2) / np.trace(a1)
-    return bool(np.max(np.abs(a2 - ratio * a1)) <= REL_TOL * np.max(np.abs(a2)))
+    return bool(np.max(np.abs(a2 - ratio * a1)) <= tolerance(np.max(np.abs(a2))))
 
 
 def condition_report(pop: PopulationModel) -> dict:
@@ -170,7 +171,7 @@ def condition_report(pop: PopulationModel) -> dict:
     equal = check_equal_improvement(pop)
     per_unit = [check_per_unit_optimality(pop, gid) for gid in (1, 2)]
     c1, c2 = (_multiplier(pop, gid, check) for gid, check in enumerate(per_unit, start=1))
-    if pop.alignment * pop.dim <= REL_TOL**2:  # alignment * d = ||V_1^T V_2||_F^2
+    if pop.alignment * pop.dim <= tolerance(tolerance()):  # alignment * d = ||V_1^T V_2||_F^2
         fast = "orthogonal_subspaces"
     elif _scaled_equal(pop):
         fast = "scaled_equal"

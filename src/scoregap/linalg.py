@@ -33,12 +33,16 @@ from .errors import (
 # effective rank and for the pseudo-inverse.
 RANK_TOL = 1e-10
 
-# A scalar counts as zero (or as equal to another) when it is at most
-# REL_TOL times its natural scale; the conditions module lists the scales.
+# See tolerance; the conditions module lists the scales.
 REL_TOL = 1e-8
 
 # Largest |M - M^T| allowed per unit of max |M| (cost matrices).
 SYMMETRY_TOL = 1e-10
+
+
+def tolerance(scale: float = 1.0) -> float:
+    """REL_TOL * scale: a scalar counts as zero (or as equal to another) when at most this, its natural scale given."""
+    return REL_TOL * float(scale)
 
 
 def _as_array(value, name: str, ndim: int) -> np.ndarray:
@@ -84,7 +88,7 @@ class ProjectionMatrix:
     """Orthogonal projection onto a subspace of R^d, stored as its basis.
 
     `basis` V is d x r (r = 0 for the zero projection), accepted when
-    max |V^T V - I| <= REL_TOL. P x is V (V^T x). `matrix` is the dense,
+    max |V^T V - I| <= tolerance(). P x is V (V^T x). `matrix` is the dense,
     symmetrized V V^T, formed on first use (`from_matrix` checks a model
     file's projection against it; nothing else in the pipeline reads it).
     See subspace_projection for `tie_warning`.
@@ -95,7 +99,7 @@ class ProjectionMatrix:
 
     def __post_init__(self):
         v = as_matrix(self.basis, "basis")
-        if np.max(np.abs(v.T @ v - np.eye(v.shape[1])), initial=0.0) > REL_TOL:
+        if np.max(np.abs(v.T @ v - np.eye(v.shape[1])), initial=0.0) > tolerance():
             raise ValueError("basis columns are not orthonormal")
         object.__setattr__(self, "basis", frozen(v))
 
@@ -123,14 +127,14 @@ class ProjectionMatrix:
     def from_matrix(cls, m) -> "ProjectionMatrix":
         """Projection onto the eigenvectors V of m with eigenvalue above 1/2.
 
-        Accepts m when max |m - V V^T| <= REL_TOL: a projection has 2-norm
+        Accepts m when max |m - V V^T| <= tolerance(): a projection has 2-norm
         1, so this one relative check covers symmetry, idempotence and trace.
         """
         p = as_matrix(m, "projection", square=True)
         eigvals, eigvecs = np.linalg.eigh(p)
         out = cls(eigvecs[:, eigvals > 0.5])
         err = np.max(np.abs(p - out.matrix), initial=0.0)
-        if err > REL_TOL:
+        if err > tolerance():
             raise ValueError(f"not a symmetric idempotent matrix: max |P - V V^T| = {err:.3g}")
         return out
 

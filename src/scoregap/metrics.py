@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ZeroProjectedRuleError
-from .linalg import REL_TOL, unit_exponent
+from .linalg import tolerance, unit_exponent
 from .principal import PopulationModel, welfare_gain
 
 
@@ -27,15 +27,13 @@ def per_unit_improvement(model: PopulationModel, gid: int, w) -> float:
 
     The ratio has no scale, so it is taken at w 2**-e_w. Raises
     ZeroProjectedRuleError when the subgroup perceives a zero rule
-    (||P_g w|| <= REL_TOL * ||w||), in which case the ratio has no value.
+    (||P_g w|| <= tolerance(||w||)), in which case the ratio has no value.
     """
     wv = model.as_rule(w)
     wv = np.ldexp(wv, -unit_exponent(wv))
     norm = float(np.linalg.norm(model.group(gid).projection.basis.T @ wv))
-    if norm <= REL_TOL * float(np.linalg.norm(wv)):
-        raise ZeroProjectedRuleError(
-            f"subgroup {gid} perceives a zero rule; per-unit improvement undefined"
-        )
+    if norm <= tolerance(np.linalg.norm(wv)):
+        raise ZeroProjectedRuleError(f"subgroup {gid} perceives a zero rule; per-unit improvement undefined")
     return total_improvement(model, gid, wv) / norm
 
 

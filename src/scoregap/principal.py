@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DegenerateObjectiveError, DimensionMismatchError, NonFiniteError
 from .agents import Subgroup
-from .linalg import REL_TOL, alignment, as_vector, frozen, unit_exponent
+from .linalg import alignment, as_vector, frozen, tolerance, unit_exponent
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,6 +32,8 @@ class PopulationModel:
     Every guarantee is a closed form in `gram` = U U^T, `perceived` =
     (n_1, n_2) with n_g = ||V_g^T u|| for the basis V_g, and `gain_norm` =
     ||u||; `in_units` scales a value back exactly. `alignment` is tr(P_1 P_2)/d.
+    Zeros are decided once: t_g = 0 where ||P_g z|| <= tolerance(||z||) for the solve's z, and
+    `zero_pulls` (t_g ~ 0) and `degenerate` (s ~ 0) judge against `pull_scale` = (||t_1|| + ||t_2||) 2**-e.
     """
 
     group1: Subgroup
@@ -40,9 +42,7 @@ class PopulationModel:
 
     def __post_init__(self):
         if self.group1.dim != self.group2.dim:
-            raise DimensionMismatchError(
-                f"subgroup dims differ: {self.group1.dim} vs {self.group2.dim}"
-            )
+            raise DimensionMismatchError(f"subgroup dims differ: {self.group1.dim} vs {self.group2.dim}")
         w = as_vector(self.w_star, "w_star", self.group1.dim)
         object.__setattr__(self, "w_star", frozen(w))
         pulls = []  # (y, shift, top) per group: t_g = y 2**shift, max |t_g| < 2**top
@@ -51,6 +51,8 @@ class PopulationModel:
             if not np.isfinite(z).all():  # B all but singular; see CostMatrix.scaled_solve
                 raise NonFiniteError(f"{g.name}: cost solve overflows to a non-finite value")
             y = g.projection.apply(z)
+            if np.linalg.norm(y) <= tolerance(np.linalg.norm(z)):  # P_g z is roundoff of the solve
+                y = np.zeros_like(y)
             top = shift + unit_exponent(y)
             if y.any() and top > 1024:  # max |t_g| >= 2**(top - 1), past the largest float
                 raise NonFiniteError(f"{g.name}: pull direction overflows to a non-finite value")
@@ -62,6 +64,10 @@ class PopulationModel:
         object.__setattr__(self, "unit_gain", frozen(units[0] + units[1]))
         object.__setattr__(self, "gram", frozen(units @ units.T))
         object.__setattr__(self, "gain_norm", float(np.linalg.norm(self.unit_gain)))
+        norms = np.sqrt(np.diag(self.gram))
+        object.__setattr__(self, "pull_scale", float(norms[0] + norms[1]))
+        object.__setattr__(self, "zero_pulls", tuple(bool(n <= tolerance(self.pull_scale)) for n in norms))
+        object.__setattr__(self, "degenerate", bool(self.gain_norm <= tolerance(self.pull_scale)))
         perceived = tuple(float(np.linalg.norm(g.projection.basis.T @ self.unit_gain)) for g in self.groups)
         object.__setattr__(self, "perceived", perceived)
         object.__setattr__(self, "alignment", alignment(*(g.projection for g in self.groups)))
@@ -95,16 +101,6 @@ class PopulationModel:
             raise NonFiniteError("gain direction overflows to a non-finite value")
         return np.ldexp(self.unit_gain, self.exponent)
 
-    @property
-    def pull_scale(self) -> float:
-        """(||t_1|| + ||t_2||) 2**-e, the scale against which s or one pull counts as zero."""
-        return float(np.sqrt(self.gram[0, 0]) + np.sqrt(self.gram[1, 1]))
-
-    @property
-    def degenerate(self) -> bool:
-        """True when no unit rule produces any welfare gain."""
-        return bool(self.gain_norm <= REL_TOL * self.pull_scale)
-
     def in_units(self, value: float, power: int = 1) -> float:
         """A value taken from U (or u) in the units of w_star: value * 2**(power * e), exact within the float range."""
         return float(np.ldexp(value, power * self.exponent))
@@ -119,9 +115,9 @@ def welfare_gain(model: PopulationModel, w) -> float:
     return model.in_units(model.as_rule(w) @ model.unit_gain)
 
 
-def _unit_rule(model: PopulationModel, unit: np.ndarray, message: str) -> np.ndarray:
-    """The unit rule w maximizing <unit, w> for a direction taken at 2**-e: unit / ||unit||."""
-    if np.linalg.norm(unit) <= REL_TOL * model.pull_scale:
+def _unit_rule(unit: np.ndarray, zero: bool, message: str) -> np.ndarray:
+    """The unit rule w maximizing <unit, w> for a direction taken at 2**-e: unit / ||unit||; raises where `zero`."""
+    if zero:
         raise DegenerateObjectiveError(message)
     return np.sqrt(1.0 / float(unit @ unit)) * unit
 
@@ -131,9 +127,10 @@ def welfare_maximizing_rule(model: PopulationModel) -> np.ndarray:
 
     Raises DegenerateObjectiveError when the welfare gain is zero for every rule.
     """
-    return _unit_rule(model, model.unit_gain, "welfare gain is zero for every rule; no maximizer exists")
+    return _unit_rule(model.unit_gain, model.degenerate, "welfare gain is zero for every rule; no maximizer exists")
 
 
 def group_optimal_rule(model: PopulationModel, gid: int) -> np.ndarray:
     """Unit rule maximizing subgroup gid's own improvement."""
-    return _unit_rule(model, model.unit_pull(gid), f"subgroup {gid} cannot gain under any rule; no maximizer exists")
+    return _unit_rule(model.unit_pull(gid), model.zero_pulls[gid - 1],
+                      f"subgroup {gid} cannot gain under any rule; no maximizer exists")
