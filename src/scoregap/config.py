@@ -215,7 +215,7 @@ def config_from_dict(doc: object) -> ExperimentConfig:
     encoding = doc.get("encoding") or {}
     try:
         normalize_manifest(encoding)
-    except Exception as exc:
+    except IngestError as exc:
         raise ConfigError(f"encoding: {exc}") from None
 
     costs = doc.get("costs") or {}

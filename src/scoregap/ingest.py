@@ -50,13 +50,19 @@ def normalize_manifest(manifest: Optional[ManifestSpec]) -> Dict[str, Optional[D
     """Resolve manifest shorthand to {column: None | category->value dict}.
 
     None means passthrough. An ordered list [a, b, c] becomes a->1, b->2,
-    c->3, preserving the stated ordering.
+    c->3, preserving the stated ordering. IngestError names what is not a
+    mapping, a spec or a number.
     """
+    if not isinstance(manifest or {}, Mapping):
+        raise IngestError(f"bad encoding manifest: expected a mapping of column names to specs, got {manifest!r}")
     out: Dict[str, Optional[Dict[str, float]]] = {}
     for name, spec in (manifest or {}).items():
         if spec == PASSTHROUGH or spec is None:
             out[name] = None
         elif isinstance(spec, Mapping):
+            for cat, code in spec.items():
+                if _number(code) is None:
+                    raise IngestError(f"bad encoding spec for column {name!r}: {cat!r} maps to {code!r}, not a number")
             out[name] = {str(k): float(v) for k, v in spec.items()}
         elif isinstance(spec, (list, tuple)):
             out[name] = {str(cat): float(i) for i, cat in enumerate(spec, start=1)}

@@ -33,7 +33,7 @@ from .errors import (
 # effective rank and for the pseudo-inverse.
 RANK_TOL = 1e-10
 
-# See tolerance; the conditions module lists the scales.
+# Read only through tolerance(); the conditions module lists the scales.
 REL_TOL = 1e-8
 
 # Largest |M - M^T| allowed per unit of max |M| (cost matrices).
@@ -41,7 +41,7 @@ SYMMETRY_TOL = 1e-10
 
 
 def tolerance(scale: float = 1.0) -> float:
-    """REL_TOL * scale: a scalar counts as zero (or as equal to another) when at most this, its natural scale given."""
+    """REL_TOL * scale: a scalar of natural size `scale` counts as zero (or two as equal) at or below this."""
     return REL_TOL * float(scale)
 
 

@@ -18,6 +18,22 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line("  " + line)
 
 
+def _outer(h):
+    return [[a * b / 4 for b in h] for a in h]
+
+
+_BLOCK = [[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 2, 1], [0, 0, 1, 2]]
+
+# Model files whose pulls are exactly zero: A_g^{-1} w* is a multiple of the
+# all-ones vector, which both projections annihilate, so no rule moves anyone.
+EXACT_ZERO_PULL_MODELS = {
+    "d2": {"w_star": [1, 1], "cost1": [[2, 1], [1, 2]], "cost2": [[2, 1], [1, 2]],
+           "projection1": [[0.5, -0.5], [-0.5, 0.5]], "projection2": [[0.5, -0.5], [-0.5, 0.5]]},
+    "d4": {"w_star": [1, 1, 1, 1], "cost1": _BLOCK, "cost2": [[3 * x for x in row] for row in _BLOCK],
+           "projection1": _outer((1, -1, 1, -1)), "projection2": _outer((1, 1, -1, -1))},
+}
+
+
 def random_orthonormal(rng: np.random.Generator, d: int, k: int) -> np.ndarray:
     """d x k matrix with orthonormal columns."""
     q, _ = np.linalg.qr(rng.standard_normal((d, max(k, 1))))

@@ -25,7 +25,7 @@ from scoregap.cli import (
 )
 from scoregap.experiment import RESULT_SCHEMA_VERSION, _leaves
 
-from conftest import model_to_dict, random_population
+from conftest import EXACT_ZERO_PULL_MODELS, model_to_dict, random_population
 
 TOY_CSV = """age,skill,effort,label
 22,0.5,1.2,1.9
@@ -114,6 +114,20 @@ class TestCheck:
         (entry,) = json.loads(capsys.readouterr().out)["groupings"]
         assert entry["error"]["type"] == "DegenerateObjectiveError"
         assert captured.err == f"error: {entry['error']['message']}\n"
+
+    @pytest.mark.parametrize("name", sorted(EXACT_ZERO_PULL_MODELS))
+    def test_exactly_zero_pulls_are_degenerate(self, tmp_path, capsys, name):
+        # each pull is P_g z for a solve z that P_g annihilates, so only roundoff is left of it
+        path = write(tmp_path, f"{name}.json", json.dumps(EXACT_ZERO_PULL_MODELS[name]))
+        message = "welfare gain is zero for every rule; no maximizer exists"
+        assert main(["check", path]) == EXIT_DEGENERATE
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        cfg = models_yaml(tmp_path, f"models:\n  - name: {name}\n    path: {path}\n")
+        assert main(["analyze", "--config", cfg]) == EXIT_DEGENERATE
+        captured = capsys.readouterr()
+        (entry,) = json.loads(captured.out)["groupings"]
+        assert entry["error"] == {"type": "DegenerateObjectiveError", "message": message}
+        assert captured.err == f"grouping {name}: DegenerateObjectiveError: {message}\n"
 
     def test_a_byte_order_mark_is_skipped(self, tmp_path, capsys):
         path = two_axis_model(tmp_path, 0.1)

@@ -78,6 +78,18 @@ def _blocked_perception_population():
     )
 
 
+def _harmful_population():
+    # group 1 sees e1 and moves by t_1 = (1, 0); group 2 sees (1, 1)/sqrt(2) and
+    # its cost sends it to t_2 = (-4.5, -4.5), so s = (-3.5, -4.5) harms group 1
+    return PopulationModel(
+        group1=Subgroup(name="axis", cost=CostMatrix.identity(2),
+                        projection=ProjectionMatrix(np.array([[1.0], [0.0]]))),
+        group2=Subgroup(name="diagonal", cost=CostMatrix(np.array([[2.0, 0.1], [0.1, 0.01]])),
+                        projection=ProjectionMatrix(np.array([[1.0], [1.0]]) / np.sqrt(2.0))),
+        w_star=np.array([1.0, 0.0]),
+    )
+
+
 def _near_proportional_population(c):
     # shared rank-2 span, A2 = 3 A1 + 1e-3 E: the unit pulls differ by
     # 3e-5, so the per-unit shortfalls are 3e-11 and 3e-10 of sqrt(G_gg)
@@ -150,6 +162,14 @@ class TestDoNoHarm:
         check = check_do_no_harm(pop2, 1)
         assert check.verdict and check.boundary
 
+    def test_clear_verdicts_are_not_boundary(self):
+        # a tie with zero is flagged only within the tolerance, held or failed
+        pop = _harmful_population()
+        harmed, helped = check_do_no_harm(pop, 1), check_do_no_harm(pop, 2)
+        assert (harmed.verdict, harmed.boundary) == (False, False)
+        assert (helped.verdict, helped.boundary) == (True, False)
+        assert (harmed.value, helped.value) == (pytest.approx(-3.5), pytest.approx(36.0))
+
     def test_degenerate_raises(self):
         with pytest.raises(DegenerateObjectiveError):
             check_do_no_harm(_degenerate_population(), 1)
@@ -161,6 +181,10 @@ class TestEqualImprovement:
         check = check_equal_improvement(_identical_population(rng))
         assert check.verdict
         assert check.value == pytest.approx(0.0, abs=1e-12)
+
+    def test_a_held_equality_is_never_boundary(self):
+        check = check_equal_improvement(_identical_population(np.random.default_rng(7)))
+        assert (check.verdict, check.boundary) == (True, False)
 
     def test_two_axis_value_frozen(self):
         check = check_equal_improvement(disparity_example(0.1))
@@ -463,6 +487,12 @@ class TestConditionReport:
         with pytest.raises(DegenerateObjectiveError,
                            match="^welfare gain is zero for every rule; guarantee checks are vacuous$"):
             condition_report(_degenerate_population())
+
+    def test_one_multiplier_is_no_fast_path(self):
+        # the spans are neither orthogonal nor the same, and only t_2 is collinear with P_2 s
+        report = condition_report(_harmful_population())
+        assert report["sufficient_c"] == {"group1": None, "group2": pytest.approx(1.125)}
+        assert report["fast_path"] is None
 
     def test_no_fast_path_on_generic_instance(self):
         rng = np.random.default_rng(18)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import yaml
 
 from scoregap import (
     ConfigError,
@@ -232,6 +233,16 @@ class TestValidation:
                 "models": [{"name": "m", "epsilon": 0.5}],
                 "encoding": {"col": 12},
             })
+
+    @pytest.mark.parametrize("text, message", [
+        ("encoding: [1, 2]", "encoding: bad encoding manifest: expected a mapping of column names to specs, got [1, 2]"),
+        ("encoding: {a: {x: abc}}", "encoding: bad encoding spec for column 'a': 'x' maps to 'abc', not a number"),
+    ])
+    def test_malformed_encoding_names_the_column(self, text, message):
+        doc = {"models": [{"name": "m", "epsilon": 0.5}], **yaml.safe_load(text)}
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(doc)
+        assert str(info.value) == message
 
     def test_drop_columns_must_be_list(self):
         with pytest.raises(ConfigError, match="drop_columns"):

@@ -61,3 +61,18 @@ def test_every_imported_name_is_used(monkeypatch):
             used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
             unused |= {(path.name, name) for name in _bound_names(tree) if name not in used}
     assert not unused - wrapped, sorted(unused - wrapped)
+
+
+def _names_rel_tol(tree: ast.AST) -> bool:
+    """Whether the module binds or reads REL_TOL: a name, an attribute or an import alias."""
+    return any(isinstance(node, ast.Name) and node.id == "REL_TOL"
+               or isinstance(node, ast.Attribute) and node.attr == "REL_TOL"
+               or isinstance(node, ast.alias) and "REL_TOL" in (node.name, node.asname)
+               for node in ast.walk(tree))
+
+
+def test_the_zero_rule_has_one_home():
+    # every other module judges a zero through linalg.tolerance, so the rule can change in one place
+    naming = [path.name for path in sorted(PACKAGE.glob("*.py"))
+              if _names_rel_tol(ast.parse(path.read_text(encoding="utf-8")))]
+    assert naming == ["linalg.py"]

@@ -688,6 +688,19 @@ class TestManifest:
         with pytest.raises(IngestError):
             normalize_manifest({"a": 7})
 
+    @pytest.mark.parametrize("manifest, message", [
+        ([1, 2], "bad encoding manifest: expected a mapping of column names to specs, got [1, 2]"),
+        ({"age": {"x": "abc"}}, "bad encoding spec for column 'age': 'x' maps to 'abc', not a number"),
+        ({"age": {"x": 1, "y": None}}, "bad encoding spec for column 'age': 'y' maps to None, not a number"),
+    ])
+    def test_a_malformed_manifest_is_an_ingest_error(self, tmp_path, manifest, message):
+        # the library's own error type, naming the column, not float()'s or dict's
+        path = write_csv(tmp_path, NUMERIC_CSV)
+        for load in (normalize_manifest, lambda m: load_csv(path, m)):
+            with pytest.raises(IngestError) as info:
+                load(manifest)
+            assert type(info.value) is IngestError and str(info.value) == message
+
 
 class TestDatasetAccess:
     def test_feature_matrix_drops_named(self, tmp_path):
