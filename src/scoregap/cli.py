@@ -110,19 +110,13 @@ def _check_writable(out: Optional[str], side_json: bool = False) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    config = load_config(args.config).override(
-        out=args.out,
-        format=args.format,
-        rank=args.rank,
-        wstar=args.wstar,
-        standardize=args.standardize,
-    )
-    _check_writable(config.out, side_json=config.format == "csv")  # before the run, creating nothing
+    config = load_config(args.config)
+    _check_writable(args.out, side_json=args.format == "csv")  # before the run, creating nothing
     result = run_analysis(config)
-    if config.format == "csv" and config.out is not None:
-        _write_files({config.out: render_csv(result), config.out + ".json": render_json(result)})
+    if args.format == "csv" and args.out is not None:
+        _write_files({args.out: render_csv(result), args.out + ".json": render_json(result)})
     else:
-        _emit((render_csv if config.format == "csv" else render_json)(result), config.out)
+        _emit((render_csv if args.format == "csv" else render_json)(result), args.out)
 
     entries = result["groupings"]
     for entry in entries:
@@ -153,13 +147,9 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="run the experiment pipeline from a config")
     analyze.add_argument("--config", required=True, help="YAML experiment config")
     analyze.add_argument("--out", help="output path (default: stdout)")
-    analyze.add_argument("--format", choices=("json", "csv"),
+    analyze.add_argument("--format", choices=("json", "csv"), default="json",
                          help="csv writes the flat table; with --out the JSON "
                               "document is also written to OUT.json")
-    analyze.add_argument("--rank", type=int, help="projection rank per subgroup")
-    analyze.add_argument("--wstar", help="ones | fit:COLUMN | vector:FILE")
-    analyze.add_argument("--standardize", action="store_const", const=True, default=None,
-                         help="standardize feature columns before projecting")
     analyze.set_defaults(func=cmd_analyze)
 
     check = sub.add_parser("check", help="metrics, guarantees and alignment of a model file")

@@ -2,13 +2,12 @@
 
 A config is a single YAML document that either points at a CSV dataset
 with grouping predicates, or lists prebuilt model entries (files or the
-built-in disparity construction). Every knob the runner honours lives
-here; command-line flags override individual fields.
+built-in disparity construction). Every setting that shapes the result
+document lives here; the command line picks only its path and format.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import sys
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple, Union
@@ -59,8 +58,6 @@ class ExperimentConfig:
     cost2: Union[None, float, np.ndarray] = None
     wstar: str = WSTAR_ONES
     standardize: bool = False
-    out: Optional[str] = None
-    format: str = "json"
 
     def __post_init__(self):
         if (self.dataset is None) == (len(self.models) == 0):
@@ -85,8 +82,6 @@ class ExperimentConfig:
                 )
         if self.rank < 1:
             raise ConfigError(f"rank must be >= 1, got {self.rank}")
-        if self.format not in ("json", "csv"):
-            raise ConfigError(f"format must be json or csv, got {self.format!r}")
         if not (
             self.wstar == WSTAR_ONES
             or self.wstar.startswith("fit:")
@@ -98,11 +93,6 @@ class ExperimentConfig:
         names = [g.name for g in self.groupings] + [m.name for m in self.models]
         if len(set(names)) != len(names):
             raise ConfigError("grouping/model names must be unique")
-
-    def override(self, **kwargs) -> "ExperimentConfig":
-        """Copy with non-None overrides applied (CLI flags)."""
-        updates = {k: v for k, v in kwargs.items() if v is not None}
-        return dataclasses.replace(self, **updates) if updates else self
 
 
 def _parse_predicate(doc: object, where: str) -> GroupPredicate:
@@ -201,7 +191,7 @@ def _list(doc: dict, key: str, items: str) -> list:
 
 _KNOWN_KEYS = {
     "dataset", "encoding", "drop_columns", "groupings", "models", "rank",
-    "costs", "wstar", "standardize", "seed", "out", "format",
+    "costs", "wstar", "standardize", "seed",
 }
 
 
@@ -249,8 +239,6 @@ def config_from_dict(doc: object) -> ExperimentConfig:
         cost2=_parse_cost(costs.get("group2"), "costs.group2"),
         wstar=_string(doc.get("wstar", WSTAR_ONES), "wstar"),
         standardize=standardize,
-        out=_string(doc.get("out"), "out", nullable=True),
-        format=_string(doc.get("format", "json"), "format"),
     )
 
 

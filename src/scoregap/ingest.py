@@ -51,7 +51,7 @@ def normalize_manifest(manifest: Optional[ManifestSpec]) -> Dict[str, Optional[D
 
     None means passthrough. An ordered list [a, b, c] becomes a->1, b->2,
     c->3, preserving the stated ordering. IngestError names what is not a
-    mapping, a spec or a number.
+    mapping, a spec or a finite number, and a category (as text) given twice.
     """
     if not isinstance(manifest or {}, Mapping):
         raise IngestError(f"bad encoding manifest: expected a mapping of column names to specs, got {manifest!r}")
@@ -59,13 +59,15 @@ def normalize_manifest(manifest: Optional[ManifestSpec]) -> Dict[str, Optional[D
     for name, spec in (manifest or {}).items():
         if spec == PASSTHROUGH or spec is None:
             out[name] = None
-        elif isinstance(spec, Mapping):
-            for cat, code in spec.items():
-                if _number(code) is None:
-                    raise IngestError(f"bad encoding spec for column {name!r}: {cat!r} maps to {code!r}, not a number")
-            out[name] = {str(k): float(v) for k, v in spec.items()}
-        elif isinstance(spec, (list, tuple)):
-            out[name] = {str(cat): float(i) for i, cat in enumerate(spec, start=1)}
+        elif isinstance(spec, (Mapping, list, tuple)):
+            codes = out[name] = {}
+            for cat, code in spec.items() if isinstance(spec, Mapping) else zip(spec, itertools.count(1)):
+                number = _number(code)
+                if number is None or not abs(number) < np.inf:  # false for nan
+                    raise IngestError(f"bad encoding spec for column {name!r}: {cat!r} maps to {code!r}, not a finite number")
+                if str(cat) in codes:
+                    raise IngestError(f"bad encoding spec for column {name!r}: category {str(cat)!r} is given twice")
+                codes[str(cat)] = number
         else:
             raise IngestError(f"bad encoding spec for column {name!r}: {spec!r}")
     return out

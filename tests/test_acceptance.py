@@ -7,6 +7,7 @@ gate can be audited at a glance. The per-module suites cover the
 fine-grained behavior; this file only asserts the contract.
 """
 
+import dataclasses
 import math
 import os
 import time
@@ -257,7 +258,7 @@ def test_criterion_7_real_dataset_reproduction():
         for name in available:
             started = time.perf_counter()
             cfg = load_config(str(root / "configs" / f"{name}.yaml"))
-            cfg = cfg.override(dataset=str(data_dir / f"{name}.csv"))
+            cfg = dataclasses.replace(cfg, dataset=str(data_dir / f"{name}.csv"))
             result = run_analysis(cfg)
             assert result["n_failed"] == 0, f"{name}: {result['groupings']}"
             for entry in result["groupings"]:

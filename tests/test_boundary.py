@@ -220,14 +220,12 @@ def dataset_configs(draw) -> dict:
                   "group2": draw(st.sampled_from(["identity", 0.5, np.diag(np.arange(1.0, dim + 1)).tolist()]))},
         "wstar": wstar,
         "standardize": draw(st.booleans()),
-        "format": draw(st.sampled_from(["json", "csv"])),
     }
 
 
-def _models_config(form: str = "json", epsilon=0.3) -> dict:
+def _models_config(epsilon=0.3) -> dict:
     """A models config on CONFIG_MODEL (`{tmp}/model.json`) and one `epsilon` entry."""
-    return {"models": [{"name": "file", "path": "{tmp}/model.json"}, {"name": "eps", "epsilon": epsilon}],
-            "format": form}
+    return {"models": [{"name": "file", "path": "{tmp}/model.json"}, {"name": "eps", "epsilon": epsilon}]}
 
 
 def _leaf_paths(doc, path=()) -> list:
@@ -240,10 +238,7 @@ def _leaf_paths(doc, path=()) -> list:
 @st.composite
 def hostile_configs(draw) -> dict:
     """A dataset or models config with one leaf, sometimes two, replaced by a HOSTILE_LEAVES value."""
-    if draw(st.booleans()):
-        doc = draw(dataset_configs())
-    else:
-        doc = _models_config(draw(st.sampled_from(["json", "csv"])))
+    doc = draw(dataset_configs()) if draw(st.booleans()) else _models_config()
     paths = _leaf_paths(doc)
     pick = draw(st.randoms(use_true_random=False)).choice  # uniform, where sampled_from favours the first entries
     for _ in range(draw(st.sampled_from([1, 1, 1, 2]))):
@@ -269,21 +264,21 @@ def _in_dir(doc, tmp: str):
 
 def _config_examples(test):
     """Config inputs CHANGES.md records as MENDED, as hypothesis examples."""
-    dataset = {"dataset": "{tmp}/data.csv", "encoding": {"g": ["lo", "mid", "hi"]}, "format": "json",
+    dataset = {"dataset": "{tmp}/data.csv", "encoding": {"g": ["lo", "mid", "hi"]},
                "groupings": [{"name": "split", "group1": {"column": "a", "op": "le", "value": 0}}]}
     null_column = {"name": "split", "group1": {"column": None, "op": "le", "value": 0}}
     for doc in (_models_config(epsilon=10**400), {**dataset, "groupings": [null_column]},
                 {**dataset, "drop_columns": [None]}, {**dataset, "drop_columns": ["a", "b", "g"]}):
-        test = example(doc=doc)(test)
+        test = example(doc=doc, form="json")(test)
     return test
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(doc=hostile_configs())
+@given(doc=hostile_configs(), form=st.sampled_from(["json", "csv"]))
 @_config_examples
-def test_hostile_config_stays_inside_the_exit_contract(doc):
-    _assert_config_inside_the_contract(doc)
+def test_hostile_config_stays_inside_the_exit_contract(doc, form):
+    _assert_config_inside_the_contract(doc, form)
 
 
 # One dataset config in which every kind of leaf appears (`vector:` w*, a
@@ -295,7 +290,7 @@ SWEEP_DATASET = {
     "groupings": [{"name": "split", "group1": {"column": "a", "op": "le", "value": 0},
                    "group2": {"column": "a", "op": "gt", "value": 0}}],
     "rank": 2, "costs": {"group1": 2.0, "group2": np.diag([1.0, 2.0, 3.0]).tolist()},
-    "wstar": "vector:{tmp}/w.txt", "standardize": True, "format": "json",
+    "wstar": "vector:{tmp}/w.txt", "standardize": True,
 }
 SWEEP_CONFIGS = {"dataset": SWEEP_DATASET, "models": _models_config()}
 
@@ -307,11 +302,29 @@ SWEEP_CONFIGS = {"dataset": SWEEP_DATASET, "models": _models_config()}
 def test_every_single_leaf_swap_stays_inside_the_exit_contract(mode, path, j):
     doc = copy.deepcopy(SWEEP_CONFIGS[mode])
     _replace_leaf(doc, path, HOSTILE_LEAVES[j])
-    _assert_config_inside_the_contract(doc)
+    _assert_config_inside_the_contract(doc, "json")
 
 
-def _assert_config_inside_the_contract(doc) -> None:
-    """`analyze` on the config `doc`, with CONFIG_CSV, a 3-entry w* file and CONFIG_MODEL beside it."""
+@pytest.mark.parametrize("form", ["json", "csv"])
+@pytest.mark.parametrize("mode", sorted(SWEEP_CONFIGS))
+def test_every_sweep_base_succeeds(mode, form):
+    # so a swap's failure is the hostile leaf's doing, never the base config's
+    assert _assert_config_inside_the_contract(copy.deepcopy(SWEEP_CONFIGS[mode]), form) == (0, "")
+
+
+@pytest.mark.parametrize("mode, key, j", [
+    pytest.param(mode, key, j, id=f"{mode}:{key}={j}")
+    for mode in sorted(SWEEP_CONFIGS) for key in ("format", "out") for j in range(len(HOSTILE_LEAVES))
+])
+def test_every_output_setting_in_a_config_is_a_config_error(mode, key, j):
+    # where the document goes and its format are the command line's, whatever value the config gives them
+    doc = {**copy.deepcopy(SWEEP_CONFIGS[mode]), key: HOSTILE_LEAVES[j]}
+    assert _assert_config_inside_the_contract(doc, "json") == (2, f"error: unknown config keys: ['{key}']\n")
+
+
+def _assert_config_inside_the_contract(doc, form: str) -> tuple:
+    """The exit code and stderr of `analyze --format form` on the config `doc`, with CONFIG_CSV, a 3-entry
+    w* file and CONFIG_MODEL beside it, once the run has kept to the contract."""
     with tempfile.TemporaryDirectory() as tmp:
         with open(os.path.join(tmp, "data.csv"), "w", encoding="utf-8") as handle:
             handle.write(CONFIG_CSV)
@@ -326,8 +339,9 @@ def _assert_config_inside_the_contract(doc) -> None:
         with warnings.catch_warnings(record=True) as caught, \
                 contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             warnings.simplefilter("always")
-            code = main(["analyze", "--config", config])
+            code = main(["analyze", "--config", config, "--format", form])
     assert code in EXITS
     assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert not [line for line in err.getvalue().splitlines() if line.startswith(("error: w:", "error: rows:"))]
-    _assert_finite_document(out.getvalue(), doc.get("format"))
+    _assert_finite_document(out.getvalue(), form)
+    return code, err.getvalue()

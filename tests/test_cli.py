@@ -23,7 +23,8 @@ from scoregap.cli import (
     EXIT_PARTIAL,
     main,
 )
-from scoregap.experiment import RESULT_SCHEMA_VERSION, _leaves
+from scoregap.experiment import RESULT_SCHEMA_VERSION, _leaves, population_payload
+from scoregap.modelio import model_from_dict
 
 from conftest import EXACT_ZERO_PULL_MODELS, model_to_dict, random_population
 
@@ -331,36 +332,48 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert out.startswith("name,")
 
-    def test_flag_overrides_change_result(self, tmp_path, capsys):
-        cfg = toy_config(tmp_path)
-        assert main(["analyze", "--config", cfg, "--rank", "1"]) == EXIT_OK
+    def test_config_settings_change_result(self, tmp_path, capsys):
+        text = TOY_CONFIG.format(csv=write(tmp_path, "toy.csv", TOY_CSV)).replace("rank: 2", "rank: 1")
+        cfg = write(tmp_path, "config.yaml", text + "standardize: true\n")
+        assert main(["analyze", "--config", cfg]) == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
-        assert doc["rank"] == 1
+        assert (doc["rank"], doc["standardize"]) == (1, True)
         assert doc["groupings"][0]["effective_ranks"] == [1, 1]
 
-    def test_standardize_flag(self, tmp_path, capsys):
-        cfg = toy_config(tmp_path)
-        assert main(["analyze", "--config", cfg, "--standardize"]) == EXIT_OK
-        assert json.loads(capsys.readouterr().out)["standardize"] is True
+    @pytest.mark.parametrize("flags", [["--rank", "3"], ["--wstar", "fit:label"], ["--standardize"]])
+    def test_result_settings_are_not_flags(self, tmp_path, capsys, flags):
+        # the config alone fixes the document; the command line picks only --out and --format
+        with pytest.raises(SystemExit) as info:
+            main(["analyze", "--config", toy_config(tmp_path), *flags])
+        assert info.value.code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: unrecognized arguments: {' '.join(flags)}" in captured.err
 
-    @pytest.mark.parametrize("line, flags, key", [
-        pytest.param("encoding:\n  grade: [bad, good]", [], "encoding", id="encoding"),
-        pytest.param("drop_columns: [id]", [], "drop_columns", id="drop_columns"),
-        pytest.param("costs:\n  group1: 2.0", [], "costs.group1", id="costs.group1"),
-        pytest.param("costs:\n  group2: [[1.0, 0.0], [0.0, 1.0]]", [], "costs.group2",
-                     id="costs.group2"),
-        pytest.param('wstar: "fit:x"', [], "wstar", id="wstar"),
-        pytest.param("standardize: true", [], "standardize", id="standardize"),
-        pytest.param("rank: 3", [], "rank", id="rank"),
-        pytest.param("", ["--wstar", "fit:x"], "wstar", id="--wstar"),
-        pytest.param("", ["--standardize"], "standardize", id="--standardize"),
-        pytest.param("", ["--rank", "3"], "rank", id="--rank"),
+    @pytest.mark.parametrize("line, key", [
+        ("out: results.json", "out"), ("out: 7", "out"), ("format: csv", "format"), ("format: null", "format"),
     ])
-    def test_dataset_only_setting_in_model_mode_is_a_usage_error(self, tmp_path, capsys,
-                                                                 line, flags, key):
+    def test_output_settings_in_a_config_are_unknown_keys(self, tmp_path, capsys, monkeypatch, line, key):
+        monkeypatch.chdir(tmp_path)
+        cfg = toy_config(tmp_path, line + "\n")
+        assert main(["analyze", "--config", cfg]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: unknown config keys: ['{key}']\n")
+        assert sorted(os.listdir(tmp_path)) == ["config.yaml", "toy.csv"]
+
+    @pytest.mark.parametrize("line, key", [
+        pytest.param("encoding:\n  grade: [bad, good]", "encoding", id="encoding"),
+        pytest.param("drop_columns: [id]", "drop_columns", id="drop_columns"),
+        pytest.param("costs:\n  group1: 2.0", "costs.group1", id="costs.group1"),
+        pytest.param("costs:\n  group2: [[1.0, 0.0], [0.0, 1.0]]", "costs.group2", id="costs.group2"),
+        pytest.param('wstar: "fit:x"', "wstar", id="wstar"),
+        pytest.param("standardize: true", "standardize", id="standardize"),
+        pytest.param("rank: 3", "rank", id="rank"),
+    ])
+    def test_dataset_only_setting_in_model_mode_is_a_usage_error(self, tmp_path, capsys, line, key):
         # a model file fixes its own features, projections and costs
         cfg = models_yaml(tmp_path, f"models:\n  - name: m\n    epsilon: 0.5\n{line}\n")
-        assert main(["analyze", "--config", cfg, *flags]) == EXIT_CONFIG
+        assert main(["analyze", "--config", cfg]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {key}: applies only to a dataset config, not to models\n"
@@ -405,16 +418,23 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("line, message", [
         ("dataset: [a, b]", "dataset: expected a string, got ['a', 'b']"),
-        ("out: 7", "out: expected a string, got 7"),
-        ("format: null", "format: expected a string, got None"),
     ])
-    def test_non_string_value_is_a_config_error(self, tmp_path, capsys, monkeypatch, line, message):
-        monkeypatch.chdir(tmp_path)
+    def test_non_string_value_is_a_config_error(self, tmp_path, capsys, line, message):
         cfg = models_yaml(tmp_path, f"models:\n  - name: m\n    epsilon: 0.5\n{line}\n")
         assert main(["analyze", "--config", cfg]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: {message}\n")
-        assert not (tmp_path / "7").exists()
+
+    @pytest.mark.parametrize("spec, message", [
+        ("{a: .inf}", "'a' maps to inf, not a finite number"),
+        ("[a, a, b]", "category 'a' is given twice"),
+    ])
+    def test_bad_encoding_is_a_config_error(self, tmp_path, capsys, spec, message):
+        # reported before the CSV is read, as the config's fault
+        cfg = toy_config(tmp_path, f"encoding:\n  age: {spec}\n")
+        assert main(["analyze", "--config", cfg]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: encoding: bad encoding spec for column 'age': {message}\n")
 
     def test_negative_seed_is_a_usage_error(self, tmp_path, capsys):
         # a config's `seed` is still read and checked; the --seed flag is gone
@@ -897,6 +917,50 @@ class TestCheckMatchesAnalyze:
         assert codes == {"two_axis": EXIT_OK, "random": EXIT_OK, "benchmark": EXIT_OK,
                          "near_limit": EXIT_OK, "flat": EXIT_DEGENERATE, "bad_array": EXIT_CONFIG}
         assert entries["bad_array"]["error"]["message"] == "projection2: expected a list of numbers"
+
+
+class TestDatasetMatchesModelFile:
+    """One config, one answer: an `analyze` grouping reports what a model file built from its rows does."""
+
+    COSTS = {
+        "identity": (None, None),
+        "scaled": (2.0, 0.5),
+        "diagonal": (np.diag([1.0, 2.0, 3.0, 4.0]), np.diag([4.0, 1.0, 0.5, 2.0])),
+    }
+
+    @pytest.mark.parametrize("costs", sorted(COSTS))
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_entries_agree(self, tmp_path, capsys, rank, costs):
+        rng = np.random.default_rng(10)
+        x = rng.standard_normal((60, 4)) @ rng.standard_normal((4, 4))
+        g = rng.integers(0, 3, 60)  # rows with g == 2 are in neither group
+        lines = ["x0,x1,x2,x3,g"] + [",".join(map(repr, row)) + f",{label}" for row, label in zip(x.tolist(), g)]
+        cost_specs = [c if c is None or isinstance(c, float) else c.tolist() for c in self.COSTS[costs]]
+        config = {"dataset": write(tmp_path, "d.csv", "\n".join(lines) + "\n"), "drop_columns": ["g"],
+                  "groupings": [{"name": "split", "group1": {"column": "g", "op": "eq", "value": 0},
+                                 "group2": {"column": "g", "op": "eq", "value": 1}}],
+                  "rank": rank, "costs": {"group1": cost_specs[0], "group2": cost_specs[1]}}
+        assert main(["analyze", "--config", write(tmp_path, "c.yaml", json.dumps(config))]) == EXIT_OK
+        (entry,) = json.loads(capsys.readouterr().out)["groupings"]
+        assert entry["n_excluded"] == int((g == 2).sum())
+
+        model = {"w_star": [1.0] * 4, "data1": x[g == 0].tolist(), "data2": x[g == 1].tolist(), "rank": rank}
+        for side, cost in enumerate(cost_specs, start=1):
+            if cost is not None:
+                model[f"cost{side}"] = (cost * np.eye(4)).tolist() if isinstance(cost, float) else cost
+        payload = json.loads(render_json(population_payload(model_from_dict(model))))
+
+        expected = dict(_leaves(payload))
+        got = dict(_leaves(_entry_part(entry)))
+        assert got.keys() == expected.keys()
+        for key, value in expected.items():
+            if key.startswith("conditions.per_unit_optimal.") and key.endswith(".value"):
+                # a difference of near-equal numbers: it agrees to its check's own scale
+                assert abs(got[key] - value) <= got[key[:-len("value")] + "tolerance"], key
+            elif isinstance(value, float):
+                assert abs(got[key] - value) <= 1e-9 * max(1.0, abs(value)), key
+            else:  # verdicts, boundary flags, fast_path, effective_ranks, tie_warnings
+                assert got[key] == value, key
 
 
 class TestDeepNesting:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import yaml
@@ -31,8 +33,6 @@ costs:
   group2: 2.5
 wstar: "fit:label"
 standardize: true
-out: results.json
-format: json
 """
 
 MODELS_YAML = """
@@ -66,7 +66,6 @@ class TestLoadConfig:
         assert cfg.cost2 == 2.5
         assert cfg.wstar == "fit:label"
         assert cfg.standardize is True
-        assert cfg.out == "results.json"
 
     def test_models_config_defaults(self, tmp_path):
         cfg = load_config(write_yaml(tmp_path, MODELS_YAML))
@@ -77,7 +76,6 @@ class TestLoadConfig:
         assert cfg.rank == DEFAULT_RANK
         assert cfg.wstar == "ones"
         assert cfg.standardize is False
-        assert cfg.format == "json"
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot open"):
@@ -184,9 +182,23 @@ class TestValidation:
         models = [{"name": "m", "epsilon": 0.5}]
         assert config_from_dict({"models": models, "seed": seed}) == config_from_dict({"models": models})
 
+    def test_a_replaced_field_is_validated(self):
+        cfg = ExperimentConfig(models=(ModelEntry(name="m", epsilon=0.5),))
+        with pytest.raises(ConfigError, match="rank"):
+            dataclasses.replace(cfg, rank=0)
+
     @pytest.mark.parametrize("key, value", [
-        ("dataset", ["a", "b"]), ("dataset", 7), ("out", 7), ("out", True),
-        ("wstar", 1), ("wstar", None), ("format", None), ("format", ["json"]),
+        ("out", 7), ("out", True), ("out", None), ("out", "results.json"),
+        ("format", None), ("format", ["json"]), ("format", "csv"),
+    ])
+    def test_output_settings_are_unknown_keys(self, key, value):
+        # where the document goes is the command line's (--out, --format), never the config's
+        with pytest.raises(ConfigError) as info:
+            config_from_dict({"models": [{"name": "m", "epsilon": 0.5}], key: value})
+        assert str(info.value) == f"unknown config keys: ['{key}']"
+
+    @pytest.mark.parametrize("key, value", [
+        ("dataset", ["a", "b"]), ("dataset", 7), ("wstar", 1), ("wstar", None),
     ])
     def test_string_keys_are_not_coerced(self, key, value):
         doc = {"models": [{"name": "m", "epsilon": 0.5}], key: value}
@@ -209,10 +221,9 @@ class TestValidation:
             config_from_dict(doc)
         assert str(info.value) == message
 
-    def test_null_dataset_and_out_mean_absent(self):
-        config = config_from_dict({"models": [{"name": "m", "epsilon": 0.5}],
-                                   "dataset": None, "out": None})
-        assert config.dataset is None and config.out is None
+    def test_null_dataset_means_absent(self):
+        config = config_from_dict({"models": [{"name": "m", "epsilon": 0.5}], "dataset": None})
+        assert config.dataset is None
 
     @pytest.mark.parametrize("value", ["0.5", True, [0.5]])
     def test_epsilon_must_be_a_number(self, value):
@@ -224,8 +235,9 @@ class TestValidation:
             config_from_dict({"models": [{"name": "m", "epsilon": 0.5}], "wstar": "zeros"})
 
     def test_bad_format(self):
-        with pytest.raises(ConfigError, match="format"):
+        with pytest.raises(ConfigError) as info:
             config_from_dict({"models": [{"name": "m", "epsilon": 0.5}], "format": "xml"})
+        assert str(info.value) == "unknown config keys: ['format']"
 
     def test_bad_encoding(self):
         with pytest.raises(ConfigError, match="encoding"):
@@ -236,7 +248,12 @@ class TestValidation:
 
     @pytest.mark.parametrize("text, message", [
         ("encoding: [1, 2]", "encoding: bad encoding manifest: expected a mapping of column names to specs, got [1, 2]"),
-        ("encoding: {a: {x: abc}}", "encoding: bad encoding spec for column 'a': 'x' maps to 'abc', not a number"),
+        ("encoding: {a: {x: abc}}", "encoding: bad encoding spec for column 'a': 'x' maps to 'abc', not a finite number"),
+        ("encoding: {grade: {a: .inf}}", "encoding: bad encoding spec for column 'grade': 'a' maps to inf, not a finite number"),
+        ("encoding: {grade: {a: .nan}}", "encoding: bad encoding spec for column 'grade': 'a' maps to nan, not a finite number"),
+        ("encoding: {grade: {a: inf}}", "encoding: bad encoding spec for column 'grade': 'a' maps to 'inf', not a finite number"),
+        ("encoding: {grade: [a, a, b]}", "encoding: bad encoding spec for column 'grade': category 'a' is given twice"),
+        ("encoding: {grade: [1, '1']}", "encoding: bad encoding spec for column 'grade': category '1' is given twice"),
     ])
     def test_malformed_encoding_names_the_column(self, text, message):
         doc = {"models": [{"name": "m", "epsilon": 0.5}], **yaml.safe_load(text)}
@@ -251,20 +268,3 @@ class TestValidation:
                 "drop_columns": "id",
             })
 
-
-class TestOverride:
-    def test_non_none_values_win(self):
-        cfg = ExperimentConfig(models=(ModelEntry(name="m", epsilon=0.5),), format="csv")
-        out = cfg.override(format="json", rank=None, out="o.json")
-        assert out.format == "json"
-        assert out.rank == cfg.rank
-        assert out.out == "o.json"
-
-    def test_no_overrides_is_identity(self):
-        cfg = ExperimentConfig(models=(ModelEntry(name="m", epsilon=0.5),))
-        assert cfg.override(format=None, out=None) is cfg
-
-    def test_override_still_validates(self):
-        cfg = ExperimentConfig(models=(ModelEntry(name="m", epsilon=0.5),))
-        with pytest.raises(ConfigError, match="rank"):
-            cfg.override(rank=0)

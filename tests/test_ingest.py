@@ -690,8 +690,14 @@ class TestManifest:
 
     @pytest.mark.parametrize("manifest, message", [
         ([1, 2], "bad encoding manifest: expected a mapping of column names to specs, got [1, 2]"),
-        ({"age": {"x": "abc"}}, "bad encoding spec for column 'age': 'x' maps to 'abc', not a number"),
-        ({"age": {"x": 1, "y": None}}, "bad encoding spec for column 'age': 'y' maps to None, not a number"),
+        ({"age": {"x": "abc"}}, "bad encoding spec for column 'age': 'x' maps to 'abc', not a finite number"),
+        ({"age": {"x": 1, "y": None}}, "bad encoding spec for column 'age': 'y' maps to None, not a finite number"),
+        ({"age": {"x": np.inf}}, "bad encoding spec for column 'age': 'x' maps to inf, not a finite number"),
+        ({"age": {"x": np.nan}}, "bad encoding spec for column 'age': 'x' maps to nan, not a finite number"),
+        ({"age": {"x": "-inf"}}, "bad encoding spec for column 'age': 'x' maps to '-inf', not a finite number"),
+        # categories are compared as the text a cell holds
+        ({"age": ["a", "a", "b"]}, "bad encoding spec for column 'age': category 'a' is given twice"),
+        ({"age": {1: 1, "1": 2}}, "bad encoding spec for column 'age': category '1' is given twice"),
     ])
     def test_a_malformed_manifest_is_an_ingest_error(self, tmp_path, manifest, message):
         # the library's own error type, naming the column, not float()'s or dict's

@@ -11,7 +11,7 @@ import yaml
 
 import scoregap
 from scoregap.cli import build_parser
-from scoregap.config import config_from_dict
+from scoregap.config import _KNOWN_KEYS, config_from_dict
 from scoregap.experiment import CSV_COLUMNS
 from scoregap.modelio import MODEL_KEYS
 
@@ -87,3 +87,16 @@ def test_box_references_resolve():
     missing += [f"{cls}.{name}" for cls, name in attributes
                 if not hasattr(owners.get(cls) or getattr(scoregap, cls), name)]
     assert missing == []
+
+
+def test_config_keys_and_flags_are_documented():
+    # every config key is in the config section, and the command-line section names exactly the flags there are
+    text = README.read_text(encoding="utf-8")
+    config_section = text[text.index("## Experiment config format"):text.index("## Model file format")]
+    prose = re.sub(r"```.*?```", "", config_section, flags=re.S)
+    assert _KNOWN_KEYS - set(re.findall(r"`([^`]+)`", prose)) == set()
+    cli_section = text[text.index("## Command line"):text.index("## Result document")]
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {flag for parser in subparsers.choices.values() for action in parser._actions
+             for flag in action.option_strings if flag.startswith("--") and flag != "--help"}
+    assert set(re.findall(r"(?<![\w-])--[a-z][\w-]*", cli_section)) == flags
