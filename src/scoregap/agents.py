@@ -13,10 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DimensionMismatchError,
     EmptyPeerSetError,
     NonFiniteError,
     NotPositiveDefiniteError,
+    ScoregapError,
     ShapeMismatchError,
 )
 from .linalg import (
@@ -80,8 +82,17 @@ class CostMatrix:
         return cls(np.eye(dim))
 
     @classmethod
-    def scaled_identity(cls, dim: int, scale: float) -> "CostMatrix":
-        return cls(scale * np.eye(dim))
+    def from_spec(cls, spec, dim: int, field: str, dim_label: str) -> "CostMatrix":
+        """I for None, that multiple of I for a number, else the matrix; a non-SPD or non-`dim` one is a ConfigError."""
+        if spec is None:
+            return cls.identity(dim)
+        try:
+            cost = cls(spec * np.eye(dim) if isinstance(spec, float) else spec)
+        except ScoregapError as exc:
+            raise ConfigError(f"{field}: {exc}") from None
+        if cost.dim != dim:
+            raise ConfigError(f"{field}: dimension {cost.dim} does not match {dim_label} {dim}")
+        return cost
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,10 +117,6 @@ class PeerDataset:
     @property
     def dim(self) -> int:
         return self.features.shape[1]
-
-    @property
-    def size(self) -> int:
-        return self.features.shape[0]
 
     def check_consistent(self, w: np.ndarray) -> bool:
         """True when max |features @ w - scores| <= tolerance(max_i sum_j |x_ij w_j|).

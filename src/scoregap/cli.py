@@ -5,8 +5,9 @@ Subcommands:
   check    write the payload an `analyze` entry holds for one model file
 
 Exit codes: 0 success, 2 config/usage error, 3 ingest error, 4 numerical
-degeneracy (no rule can help anyone), 5 partial failure (some `analyze`
-entries failed but the run completed; they are written as error objects).
+degeneracy (a zero welfare gain, or a subgroup whose pull or view of the rule
+is zero), 5 partial failure (some `analyze` entries failed but the run
+completed; they are written as error objects).
 
 `run` is the process entry (the `scoregap` script, `python -m scoregap`):
 `main`, then it flushes both streams and leaves with os._exit, skipping
@@ -36,8 +37,7 @@ EXIT_INGEST = 3
 EXIT_DEGENERATE = 4
 EXIT_PARTIAL = 5
 
-# Error types that mean the instance violates the model's standing
-# assumptions (no gain possible anywhere) rather than being malformed.
+# Errors that mean the instance violates the model's assumptions (a zero gain or pull) rather than being malformed.
 DEGENERATE_ERRORS = (DegenerateObjectiveError, ZeroProjectedRuleError)
 
 # The first class an error is an instance of decides its exit code.

@@ -242,10 +242,23 @@ def config_from_dict(doc: object) -> ExperimentConfig:
     )
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """A SafeLoader that rejects a mapping key given twice, where SafeLoader keeps the last value."""
+
+    def construct_mapping(self, node, deep=False):
+        own = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]  # a merged key may be overridden
+        mapping = super().construct_mapping(node, deep)  # which rejects an unhashable key
+        keys = [self.construct_object(key) for key in own]  # each one built already
+        if len(set(keys)) < len(keys):
+            repeated = next(key for key in keys if keys.count(key) > 1)
+            raise yaml.constructor.ConstructorError(None, None, f"found duplicate key {repeated!r}", node.start_mark)
+        return mapping
+
+
 def load_config(path: str) -> ExperimentConfig:
     try:
         with open(path, encoding="utf-8") as handle:
-            doc = yaml.safe_load(handle)
+            doc = yaml.load(handle, Loader=_UniqueKeyLoader)
     except OSError as exc:
         raise ConfigError(f"cannot open config {path}: {exc}") from None
     except (yaml.YAMLError, ValueError, RecursionError) as exc:  # an integer too long to convert, deep nesting

@@ -11,6 +11,14 @@ class ScoregapError(Exception):
     """Base class for all package-specific errors."""
 
 
+def captured(fn, *args):
+    """fn(*args), or the ScoregapError it raised, kept for the entry that raises it later."""
+    try:
+        return fn(*args)
+    except ScoregapError as exc:
+        return exc
+
+
 # ---------------------------------------------------------------------------
 # linear algebra primitives
 

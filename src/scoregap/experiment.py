@@ -22,11 +22,11 @@ import csv
 import io
 import json
 import math
-from typing import Callable, Dict, Sequence, Tuple, Union
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, EmptyGroupError, NonFiniteError, ScoregapError
+from .errors import ConfigError, EmptyGroupError, NonFiniteError, ScoregapError, captured
 from .agents import CostMatrix, Subgroup
 from .conditions import condition_report, disparity_example
 from .config import ExperimentConfig, ModelEntry
@@ -34,7 +34,7 @@ from .ingest import Dataset, GroupingSpec, load_csv, split_masks, standardize_co
 # benchmarks/run.py wraps `alignment` and `load_model`, unused here, until ROADMAP item 1 replaces its counters.
 from .linalg import alignment, as_vector, min_norm_least_squares, subspace_projection, unit_exponent
 from .metrics import improvement_report
-from .modelio import cost_from_matrix, load_model, model_from_dict, read_model_files
+from .modelio import load_model, model_from_dict, read_model_files
 from .principal import PopulationModel, welfare_maximizing_rule
 
 RESULT_SCHEMA_VERSION = 5
@@ -54,12 +54,6 @@ CSV_FIELDS = (
     ("fast_path", "conditions.fast_path"),
 )
 CSV_COLUMNS = tuple(column for column, _ in CSV_FIELDS)
-
-
-def _build_cost(spec: Union[None, float, np.ndarray], dim: int, where: str) -> CostMatrix:
-    if isinstance(spec, float):
-        return CostMatrix.scaled_identity(dim, spec)
-    return cost_from_matrix(spec, dim, where, "feature count")
 
 
 def _load_wstar_vector(path: str, dim: int) -> np.ndarray:
@@ -139,14 +133,6 @@ def prepare_features(config: ExperimentConfig) -> Tuple[Dataset, Tuple[str, ...]
     return ds, drop, features, w_star
 
 
-def _split(ds: Dataset, spec: GroupingSpec) -> Union[Tuple[np.ndarray, np.ndarray], ScoregapError]:
-    """The grouping's two row masks, or the error that becomes its entry."""
-    try:
-        return split_masks(ds, spec)
-    except ScoregapError as exc:
-        return exc
-
-
 def _cell_stacker(features: np.ndarray, masks: Sequence[np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
     """`stack(mask)`: a matrix with the singular values and right singular vectors of features[mask].
 
@@ -188,20 +174,15 @@ def _cell_stacker(features: np.ndarray, masks: Sequence[np.ndarray]) -> Callable
 
 
 def _grouping_model(spec: GroupingSpec, split, stack: Callable[[np.ndarray], np.ndarray],
-                    w_star: np.ndarray, config: ExperimentConfig) -> Tuple[dict, PopulationModel]:
+                    costs: Sequence[CostMatrix], w_star: np.ndarray, rank: int) -> Tuple[dict, PopulationModel]:
     if isinstance(split, ScoregapError):
         raise split
     for side, mask in enumerate(split, start=1):
         if not mask.any():
             raise EmptyGroupError(f"grouping {spec.name!r}: group {side} received zero rows")
-    dim = w_star.shape[0]
     groups = [
-        Subgroup(
-            name=f"{spec.name}:{side}",
-            cost=_build_cost(cost, dim, f"costs.group{side}"),
-            projection=subspace_projection(stack(mask), config.rank),
-        )
-        for side, (mask, cost) in enumerate(zip(split, (config.cost1, config.cost2)), start=1)
+        Subgroup(name=f"{spec.name}:{side}", cost=cost, projection=subspace_projection(stack(mask), rank))
+        for side, (mask, cost) in enumerate(zip(split, costs), start=1)
     ]
     sizes = [int(mask.sum()) for mask in split]
     accounting = {"group_sizes": sizes, "n_excluded": int(split[0].shape[0] - sum(sizes))}
@@ -213,7 +194,7 @@ def _listed_model(entry: ModelEntry, doc) -> Tuple[dict, PopulationModel]:
         model = disparity_example(entry.epsilon)
         source: Dict[str, object] = {"epsilon": entry.epsilon}
     else:
-        if isinstance(doc, ConfigError):
+        if isinstance(doc, ScoregapError):
             raise doc
         model = model_from_dict(doc)
         source = {"path": entry.path}
@@ -237,8 +218,8 @@ def run_analysis(config: ExperimentConfig) -> dict:
     """Execute every grouping/model entry and assemble the result document.
 
     Dataset and config errors that poison the whole run (unreadable file,
-    bad w* source) raise; errors scoped to one entry are captured inside
-    that entry.
+    bad w* source, a cost that does not fit the features) raise; errors
+    scoped to one entry are captured inside that entry.
     """
     result: Dict[str, object] = {
         "schema_version": RESULT_SCHEMA_VERSION,
@@ -252,10 +233,12 @@ def run_analysis(config: ExperimentConfig) -> dict:
     if config.dataset is not None:
         ds, drop, features, w_star = prepare_features(config)
         result.update(n_rows=ds.size, n_dropped=ds.n_dropped, feature_names=list(ds.feature_names(drop)))
-        splits = [_split(ds, spec) for spec in config.groupings]
+        costs = [CostMatrix.from_spec(cost, w_star.shape[0], f"costs.group{side}", "feature count")
+                 for side, cost in enumerate((config.cost1, config.cost2), start=1)]
+        splits = [captured(split_masks, ds, spec) for spec in config.groupings]
         stack = _cell_stacker(features, [m for split in splits if not isinstance(split, ScoregapError)
                                          for m in split])
-        entries = [_entry(spec.name, _grouping_model, spec, split, stack, w_star, config)
+        entries = [_entry(spec.name, _grouping_model, spec, split, stack, costs, w_star, config.rank)
                    for spec, split in zip(config.groupings, splits)]
     else:
         docs = read_model_files([entry.path for entry in config.models if entry.epsilon is None])[::-1]

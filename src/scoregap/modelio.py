@@ -17,7 +17,7 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from .errors import ConfigError, ScoregapError
+from .errors import ConfigError, ScoregapError, captured
 from .agents import CostMatrix, Subgroup
 from .linalg import ProjectionMatrix, as_matrix, as_vector, subspace_projection
 from .principal import PopulationModel
@@ -61,19 +61,6 @@ def _projection_from_doc(doc: dict, gid: int, rank: Optional[int]) -> Projection
         raise ConfigError(f"{data_field}: {exc}") from None
 
 
-def cost_from_matrix(matrix: Optional[np.ndarray], dim: int, field: str, dim_label: str) -> CostMatrix:
-    """The cost read from `field` (identity if absent); `dim_label` fixes its `dim`."""
-    if matrix is None:
-        return CostMatrix.identity(dim)
-    try:
-        cost = CostMatrix(matrix)
-    except ScoregapError as exc:
-        raise ConfigError(f"{field}: {exc}") from None
-    if cost.dim != dim:
-        raise ConfigError(f"{field}: dimension {cost.dim} does not match {dim_label} {dim}")
-    return cost
-
-
 def model_from_dict(doc: dict) -> PopulationModel:
     """Build a PopulationModel from a parsed model document."""
     if not isinstance(doc, dict):
@@ -105,16 +92,24 @@ def model_from_dict(doc: dict) -> PopulationModel:
                 f"projection{gid}: dimension {proj.dim} does not match w_star dimension {dim}"
             )
         field = f"cost{gid}"
-        cost = cost_from_matrix(_field_array(doc, field), dim, field, "w_star dimension")
+        cost = CostMatrix.from_spec(_field_array(doc, field), dim, field, "w_star dimension")
         groups.append(Subgroup(name=names[gid - 1], cost=cost, projection=proj))
     return PopulationModel(group1=groups[0], group2=groups[1], w_star=w_star)
+
+
+def _unique_keys(pairs: List[tuple]) -> dict:
+    """The object `pairs` spell, or a ValueError for a key given twice, where json keeps the last value."""
+    keys = [key for key, _ in pairs]
+    if len(set(keys)) < len(keys):
+        raise ValueError(f"duplicate key {next(key for key in keys if keys.count(key) > 1)!r}")
+    return dict(pairs)
 
 
 def read_model_file(path: str):
     """The JSON document at `path`, each list under ARRAY_KEYS a float array where np.asarray takes it."""
     try:
         with open(path, encoding="utf-8-sig") as handle:
-            doc = json.load(handle)
+            doc = json.load(handle, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot open model file {path}: {exc}") from None
     except (ValueError, RecursionError) as exc:  # bad JSON, an integer too long to convert, deep nesting
@@ -132,19 +127,12 @@ def load_model(path: str) -> PopulationModel:
     return model_from_dict(read_model_file(path))
 
 
-def _doc_or_error(path: str):
-    try:
-        return read_model_file(path)
-    except ConfigError as exc:
-        return exc
-
-
 def read_model_files(paths: List[str]) -> List[Union[dict, ConfigError]]:
     """`read_model_file` of each path, or its ConfigError. With n = min(len(paths), usable CPUs) >= 2,
     forked child w parses paths[w::n], then pickles its list in one write; it runs no BLAS call."""
     n = min(len(paths), len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
     if n < 2 or not hasattr(os, "fork"):
-        return [_doc_or_error(path) for path in paths]
+        return [captured(read_model_file, path) for path in paths]
     pids, pipes = [], []
     try:
         for w in range(n):
@@ -156,7 +144,7 @@ def read_model_files(paths: List[str]) -> List[Union[dict, ConfigError]]:
                     try:
                         for pipe in pipes:  # then a write to a pipe the parent has closed fails at once
                             pipe.close()
-                        sink.write(pickle.dumps([_doc_or_error(p) for p in paths[w::n]], pickle.HIGHEST_PROTOCOL))
+                        sink.write(pickle.dumps([captured(read_model_file, p) for p in paths[w::n]], pickle.HIGHEST_PROTOCOL))
                         sink.flush()
                     finally:
                         os._exit(0)  # the parent learns of a failure from what the pipe lacks

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scoregap import (
+    ConfigError,
     CostMatrix,
     DimensionMismatchError,
     EmptyPeerSetError,
@@ -54,8 +55,25 @@ class TestCostMatrix:
     def test_identity_and_scaled(self):
         np.testing.assert_array_equal(CostMatrix.identity(3).matrix, np.eye(3))
         np.testing.assert_array_equal(
-            CostMatrix.scaled_identity(2, 4.0).matrix, 4.0 * np.eye(2)
+            CostMatrix(4.0 * np.eye(2)).matrix, 4.0 * np.eye(2)
         )
+
+    @pytest.mark.parametrize("spec, want", [
+        (None, np.eye(2)),
+        (4.0, 4.0 * np.eye(2)),
+        (np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([[2.0, 0.5], [0.5, 1.0]])),
+    ])
+    def test_from_spec_builds_each_kind(self, spec, want):
+        np.testing.assert_array_equal(CostMatrix.from_spec(spec, 2, "costs.group1", "feature count").matrix, want)
+
+    @pytest.mark.parametrize("spec, message", [
+        (np.eye(3), "costs.group1: dimension 3 does not match feature count 2"),
+        (np.array([[1.0, 0.0], [0.0, -1.0]]), "costs.group1: Cholesky failed; cost matrix is not positive definite"),
+    ])
+    def test_from_spec_names_the_field(self, spec, message):
+        with pytest.raises(ConfigError) as info:
+            CostMatrix.from_spec(spec, 2, "costs.group1", "feature count")
+        assert str(info.value) == message
 
     def test_rejects_asymmetric(self):
         with pytest.raises(NotPositiveDefiniteError):

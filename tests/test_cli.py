@@ -378,6 +378,22 @@ class TestAnalyze:
         assert captured.out == ""
         assert captured.err == f"error: {key}: applies only to a dataset config, not to models\n"
 
+    @pytest.mark.parametrize("costs, message", [
+        pytest.param("{group1: [[1.0, 0.0], [0.0, 1.0]]}", "costs.group1: dimension 2 does not match feature count 3",
+                     id="wrong-dimension"),
+        pytest.param("{group2: [[1, 0, 0], [0, -1, 0], [0, 0, 1]]}",
+                     "costs.group2: Cholesky failed; cost matrix is not positive definite", id="not-spd"),
+    ])
+    def test_a_cost_that_does_not_fit_stops_the_run(self, tmp_path, capsys, costs, message):
+        # the costs are run-wide, so two groupings still give one error line and no document
+        second = "  - name: skill\n    group1: {column: skill, op: le, value: 0}\nrank: 2"
+        text = TOY_CONFIG.format(csv=write(tmp_path, "toy.csv", TOY_CSV)).replace("rank: 2", second)
+        cfg = write(tmp_path, "config.yaml", f"{text}costs: {costs}\n")
+        out = tmp_path / "out.json"
+        assert main(["analyze", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
     def test_out_of_range_epsilon(self, tmp_path, capsys):
         cfg = models_yaml(tmp_path, "models:\n  - name: wide\n    epsilon: 1.5\n")
         assert main(["analyze", "--config", cfg]) == EXIT_PARTIAL
@@ -972,6 +988,29 @@ class TestDeepNesting:
         assert captured.err.startswith(f"error: {cfg} is not valid YAML")
 
 
+class TestRepeatedKeys:
+    """A key given twice is rejected where the parser would keep only the last value."""
+
+    @pytest.mark.parametrize("old, new, key", [
+        pytest.param("rank: 2\n", "rank: 2\nrank: 1\n", "rank", id="top-level"),
+        pytest.param("rank: 2\n", "rank: 2\nencoding: {g: {lo: 1, hi: 2, lo: 3}}\n", "lo", id="nested"),
+        pytest.param("op: le, value: 35", "op: le, value: 35, op: gt", "op", id="predicate"),
+    ])
+    def test_config(self, tmp_path, capsys, old, new, key):
+        cfg = toy_config(tmp_path)
+        Path(cfg).write_text(Path(cfg).read_text().replace(old, new))
+        assert main(["analyze", "--config", cfg]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {cfg} is not valid YAML: found duplicate key {key!r}\n")
+
+    def test_model_file(self, tmp_path, capsys):
+        text = json.dumps(REJECTED_MODEL)
+        model = write(tmp_path, "model.json", text[:-1] + ', "w_star": [0.0, 1.0]}')
+        assert main(["check", model]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"error: {model} is not valid JSON: duplicate key 'w_star'\n")
+
+
 class TestHugeIntegers:
     def test_config(self, tmp_path, capsys):
         cfg = models_yaml(tmp_path, f"models:\n  - name: m\n    epsilon: 0.5\nrank: {HUGE_INT}\n")
@@ -1078,6 +1117,13 @@ class TestProcessEntry:
         proc = self.scoregap("analyze", "--config", str(tmp_path / "absent.yaml"))
         assert (proc.returncode, proc.stdout) == (EXIT_CONFIG, "")
         assert proc.stderr.startswith(f"error: cannot open config {tmp_path / 'absent.yaml'}")
+
+    def test_out_to_a_non_regular_file_writes_through_it(self, tmp_path):
+        # /dev/stdout is the pipe, so it is opened in place, not replaced by a moved file
+        model = two_axis_model(tmp_path, 0.3)
+        proc = self.scoregap("check", model, "--out", "/dev/stdout")
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        assert proc.stdout == self.scoregap("check", model).stdout
 
     def test_argparse_usage_error(self):
         proc = self.scoregap("analyze")

@@ -78,6 +78,17 @@ def _blocked_perception_population():
     )
 
 
+def _zero_pull_population():
+    # w* lies in the kernel of group 1's subspace, identity costs
+    return PopulationModel(
+        group1=Subgroup(name="plane", cost=CostMatrix.identity(3),
+                        projection=ProjectionMatrix(np.eye(3)[:, :2])),
+        group2=Subgroup(name="full", cost=CostMatrix.identity(3),
+                        projection=ProjectionMatrix.identity(3)),
+        w_star=np.array([0.0, 0.0, 1.0]),
+    )
+
+
 def _harmful_population():
     # group 1 sees e1 and moves by t_1 = (1, 0); group 2 sees (1, 1)/sqrt(2) and
     # its cost sends it to t_2 = (-4.5, -4.5), so s = (-3.5, -4.5) harms group 1
@@ -232,7 +243,7 @@ class TestPerUnitOptimality:
         pop = PopulationModel(
             group1=Subgroup(name="cheap", cost=CostMatrix.identity(4),
                             projection=ProjectionMatrix.identity(4)),
-            group2=Subgroup(name="costly", cost=CostMatrix.scaled_identity(4, 2.0),
+            group2=Subgroup(name="costly", cost=CostMatrix(2.0 * np.eye(4)),
                             projection=ProjectionMatrix.identity(4)),
             w_star=w_star,
         )
@@ -291,16 +302,8 @@ class TestPerUnitOptimality:
                 assert check.value == pytest.approx(solved, abs=1e-9)
 
     def test_zero_pull_direction_raises(self):
-        # w* lies in the kernel of group 1's subspace, identity costs
-        pop = PopulationModel(
-            group1=Subgroup(name="plane", cost=CostMatrix.identity(3),
-                            projection=ProjectionMatrix(np.eye(3)[:, :2])),
-            group2=Subgroup(name="full", cost=CostMatrix.identity(3),
-                            projection=ProjectionMatrix.identity(3)),
-            w_star=np.array([0.0, 0.0, 1.0]),
-        )
         with pytest.raises(ZeroProjectedRuleError):
-            check_per_unit_optimality(pop, 1)
+            check_per_unit_optimality(_zero_pull_population(), 1)
 
     def test_invisible_welfare_rule_raises(self):
         pop = _blocked_perception_population()
@@ -389,6 +392,11 @@ class TestSufficientPerUnit:
         pop_false = _per_unit_false_population()
         assert check_sufficient_per_unit(pop_false, 1) is None
         assert not check_per_unit_optimality(pop_false, 1).verdict
+
+    @pytest.mark.parametrize("make", [_zero_pull_population, _blocked_perception_population])
+    def test_a_zero_vector_gives_none(self, make):
+        # group 1's pull, or its view of the welfare rule, is zero: no multiplier relates them
+        assert check_sufficient_per_unit(make(), 1) is None
 
     def test_degenerate_raises(self):
         with pytest.raises(DegenerateObjectiveError):

@@ -85,6 +85,12 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="not valid YAML"):
             load_config(write_yaml(tmp_path, "a: [unclosed"))
 
+    def test_a_merged_key_may_be_overridden(self, tmp_path):
+        # the second entry's own `name` replaces the one its `<<` merge brings in; neither is repeated
+        text = "models:\n  - &first {name: synthetic, epsilon: 0.1}\n  - <<: *first\n    name: again\n"
+        cfg = load_config(write_yaml(tmp_path, text))
+        assert cfg.models == (ModelEntry(name="synthetic", epsilon=0.1), ModelEntry(name="again", epsilon=0.1))
+
     def test_matrix_cost(self, tmp_path):
         text = (
             "dataset: x.csv\n"

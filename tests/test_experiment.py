@@ -123,7 +123,7 @@ class TestModelMode:
         model = PopulationModel(
             group1=Subgroup(name="a", cost=CostMatrix.identity(2),
                             projection=ProjectionMatrix.identity(2)),
-            group2=Subgroup(name="b", cost=CostMatrix.scaled_identity(2, 2.0),
+            group2=Subgroup(name="b", cost=CostMatrix(2.0 * np.eye(2)),
                             projection=ProjectionMatrix.identity(2)),
             w_star=np.array([1.0, 0.0]),
         )
@@ -225,12 +225,20 @@ class TestDatasetMode:
         )
         assert ratio == pytest.approx(0.25, abs=1e-9)
 
-    def test_bad_cost_dimension_is_entry_error(self, tmp_path):
+    def test_bad_cost_dimension_is_run_error(self, tmp_path):
+        # the costs are the population's, so a cost that does not fit poisons every grouping
         cfg = dataset_config(tmp_path, cost1=np.eye(7))
-        result = run_analysis(cfg)
-        (entry,) = result["groupings"]
-        assert entry["error"]["type"] == "ConfigError"
-        assert "costs.group1" in entry["error"]["message"]
+        with pytest.raises(ConfigError, match=r"^costs\.group1: dimension 7 does not match feature count 3$"):
+            run_analysis(cfg)
+
+    def test_each_cost_is_built_once_per_run(self, tmp_path):
+        groupings = tuple(GroupingSpec(name=f"age{cut}", group1=GroupPredicate("age", "le", cut))
+                          for cut in (30, 35, 40))
+        cfg = dataset_config(tmp_path, groupings=groupings, cost1=2.0, cost2=np.diag([1.0, 2.0, 3.0]))
+        with mock.patch.object(CostMatrix, "from_spec", wraps=CostMatrix.from_spec) as from_spec:
+            result = run_analysis(cfg)
+        assert result["n_failed"] == 0
+        assert [call.args[2] for call in from_spec.call_args_list] == ["costs.group1", "costs.group2"]
 
     def test_empty_group_is_entry_error(self, tmp_path):
         cfg = dataset_config(tmp_path, groupings=(

@@ -17,6 +17,7 @@ from scoregap import (
     GroupingSpec,
     IngestError,
     MissingColumnError,
+    ShapeMismatchError,
     UnmappedCategoryError,
     load_csv,
     run_analysis,
@@ -725,6 +726,10 @@ class TestDatasetAccess:
         ds = load_csv(write_csv(tmp_path, NUMERIC_CSV))
         with pytest.raises(MissingColumnError):
             ds.column("absent")
+
+    def test_rows_must_have_one_column_per_name(self):
+        with pytest.raises(ShapeMismatchError, match="^3 columns of data for 2 names$"):
+            Dataset(column_names=("a", "b"), rows=np.zeros((1, 3)), raw_columns={})
 
     @pytest.mark.parametrize("quote", ["", '"'], ids=["loadtxt", "row-reader"])
     def test_every_mapped_column_keeps_its_text_as_codes(self, tmp_path, quote):

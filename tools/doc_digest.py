@@ -6,7 +6,11 @@ imported unchanged) into a temporary directory, runs
     python -m scoregap analyze --config CFG --out OUT --format F
 
 on each, with F the workload's own format as `benchmarks/run.py` passes
-it, then `python -m scoregap check` on each seed-1 model file. It prints
+it, then `python -m scoregap check` on each seed-1 model file. No
+workload config sets `costs:`, so it also runs the seed-1 `credit` and
+`adult` configs again with `costs: {group1: 2.5, group2: A}`, A a
+seed-1 SPD matrix of the feature count, which sends a scaled and a
+dense cost through `analyze`. It prints
 one line per command: its exit code and the sha256 of each file it wrote
 (OUT, and OUT.json for csv; standard output for `check`) and of its
 standard error. The commands run inside the temporary directory on
@@ -20,11 +24,15 @@ Run from any directory, at each checkout, and diff the outputs:
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
+import yaml
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("models", "credit", "adult")
@@ -40,6 +48,24 @@ def _run(argv: list, env: dict) -> subprocess.CompletedProcess:
                           stdin=subprocess.DEVNULL)
 
 
+def _analyze(label: str, config: Path, out: Path, fmt: str, env: dict) -> None:
+    """Run `analyze` on `config` and print its digest line."""
+    proc = _run(["analyze", "--config", str(config), "--out", str(out), "--format", fmt], env)
+    files = [out, Path(f"{out}.json")] if fmt == "csv" else [out]
+    digests = " ".join(f"{path.name}={_sha(path.read_bytes()) if path.exists() else 'absent'}" for path in files)
+    print(f"analyze {label} format={fmt} exit={proc.returncode} {digests} stderr={_sha(proc.stderr)}", flush=True)
+
+
+def _with_costs(config: Path, dim: int) -> Path:
+    """A copy of `config` whose group 1 pays 2.5 I and group 2 a seeded dim x dim SPD matrix."""
+    rng = np.random.default_rng(1)
+    b = rng.standard_normal((dim, dim))
+    costs = {"costs": {"group1": 2.5, "group2": (b @ b.T / dim + np.eye(dim)).tolist()}}
+    path = config.with_name(f"costs-{config.name}")
+    path.write_text(config.read_text(encoding="utf-8") + yaml.safe_dump(costs), encoding="utf-8")
+    return path
+
+
 def main() -> int:
     sys.path.insert(0, str(ROOT / "benchmarks"))
     import workloads
@@ -48,22 +74,22 @@ def main() -> int:
                                                       if p))
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
+        generated = {}
         for name in WORKLOADS:
             for seed in SEEDS:
                 work = Path(f"{name}-{seed}")
-                wl = workloads.generate(name, ROOT, work, seed)
-                out = work / f"out.{wl.cli_format}"
-                proc = _run(["analyze", "--config", str(wl.config), "--out", str(out), "--format", wl.cli_format],
-                            env)
-                files = [out, Path(f"{out}.json")] if wl.cli_format == "csv" else [out]
-                digests = " ".join(f"{path.name}={_sha(path.read_bytes()) if path.exists() else 'absent'}"
-                                   for path in files)
-                print(f"analyze {name} seed={seed} format={wl.cli_format} exit={proc.returncode} {digests} "
-                      f"stderr={_sha(proc.stderr)}", flush=True)
+                wl = generated[name, seed] = workloads.generate(name, ROOT, work, seed)
+                _analyze(f"{name} seed={seed}", wl.config, work / f"out.{wl.cli_format}", wl.cli_format, env)
         for model in sorted(Path("models-1").glob("model_*.json")):
             proc = _run(["check", str(model)], env)
             print(f"check {model} exit={proc.returncode} stdout={_sha(proc.stdout)} stderr={_sha(proc.stderr)}",
                   flush=True)
+        for name in ("credit", "adult"):
+            wl = generated[name, 1]
+            out = wl.config.parent / f"out.{wl.cli_format}"
+            dim = len(json.loads(Path(f"{out}.json" if wl.cli_format == "csv" else out).read_text())["feature_names"])
+            _analyze(f"{name} seed=1 costs", _with_costs(wl.config, dim),
+                     wl.config.parent / f"costs-out.{wl.cli_format}", wl.cli_format, env)
         os.chdir(ROOT)
     return 0
 
