@@ -18,8 +18,8 @@ from .errors import (
     EmptyPeerSetError,
     NonFiniteError,
     NotPositiveDefiniteError,
-    ScoregapError,
     ShapeMismatchError,
+    naming,
 )
 from .linalg import (
     SYMMETRY_TOL, ProjectionMatrix, as_matrix, as_vector, frozen, min_norm_least_squares, tolerance, unit_exponent,
@@ -86,10 +86,8 @@ class CostMatrix:
         """I for None, that multiple of I for a number, else the matrix; a non-SPD or non-`dim` one is a ConfigError."""
         if spec is None:
             return cls.identity(dim)
-        try:
+        with naming(field):
             cost = cls(spec * np.eye(dim) if isinstance(spec, float) else spec)
-        except ScoregapError as exc:
-            raise ConfigError(f"{field}: {exc}") from None
         if cost.dim != dim:
             raise ConfigError(f"{field}: dimension {cost.dim} does not match {dim_label} {dim}")
         return cost

@@ -81,7 +81,7 @@ def _check(pop: PopulationModel, power: int, value: float, scale: float, equalit
 
 
 def _require_nondegenerate(pop: PopulationModel) -> None:
-    if pop.degenerate:
+    if not pop.unit_gain.any():
         raise DegenerateObjectiveError("welfare gain is zero for every rule; guarantee checks are vacuous")
 
 
@@ -121,7 +121,7 @@ def check_per_unit_optimality(pop: PopulationModel, gid: int) -> ConditionCheck:
     gg = pop.gram[gid - 1, gid - 1]
     t_norm = float(np.sqrt(gg))
     n = pop.perceived[gid - 1]
-    if pop.zero_pulls[gid - 1]:
+    if not pop.unit_pulls[gid - 1].any():
         raise ZeroProjectedRuleError(f"subgroup {gid}'s pull direction is zero; per-unit optimum undefined")
     if n <= tolerance(pop.gain_norm):
         raise ZeroProjectedRuleError(f"subgroup {gid} perceives a zero welfare rule; per-unit gain undefined")

@@ -15,7 +15,7 @@ from typing import Dict, Optional, Tuple, Union
 import numpy as np
 import yaml
 
-from .errors import ConfigError, IngestError, ScoregapError
+from .errors import ConfigError, IngestError, naming, opening
 from .ingest import GroupPredicate, GroupingSpec, normalize_manifest
 from .linalg import as_matrix
 
@@ -106,10 +106,8 @@ def _parse_predicate(doc: object, where: str) -> GroupPredicate:
         value = tuple(value)
     column = _string(doc["column"], f"{where}.column")
     op = _string(doc["op"], f"{where}.op")
-    try:
+    with naming(where, IngestError):
         return GroupPredicate(column=column, op=op, value=value)
-    except IngestError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _parse_grouping(doc: object, idx: int) -> GroupingSpec:
@@ -160,10 +158,8 @@ def _parse_cost(doc: object, where: str) -> Union[None, float, np.ndarray]:
         return float(doc)
     if isinstance(doc, dict):
         raise ConfigError(f"{where}: expected a matrix, 'identity', or a positive number")
-    try:
+    with naming():
         return as_matrix(doc, where, square=True)
-    except ScoregapError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def _integer(doc: dict, key: str, default: int) -> int:
@@ -203,10 +199,8 @@ def config_from_dict(doc: object) -> ExperimentConfig:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
     encoding = doc.get("encoding") or {}
-    try:
+    with naming("encoding", IngestError):
         normalize_manifest(encoding)
-    except IngestError as exc:
-        raise ConfigError(f"encoding: {exc}") from None
 
     costs = doc.get("costs") or {}
     if not isinstance(costs, dict):
@@ -256,11 +250,9 @@ class _UniqueKeyLoader(yaml.SafeLoader):
 
 
 def load_config(path: str) -> ExperimentConfig:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            doc = yaml.load(handle, Loader=_UniqueKeyLoader)
-    except OSError as exc:
-        raise ConfigError(f"cannot open config {path}: {exc}") from None
+    try:  # `opening` reports a UnicodeDecodeError, which is a ValueError, before it gets here
+        with opening(path, "config "), open(path, encoding="utf-8") as handle:
+            doc = yaml.load(handle, Loader=_UniqueKeyLoader)  # from the handle, so a YAML error names the file
     except (yaml.YAMLError, ValueError, RecursionError) as exc:  # an integer too long to convert, deep nesting
         raise ConfigError(f"{path} is not valid YAML: {exc}") from None
     return config_from_dict(doc)

@@ -2,9 +2,12 @@
 
 Every error that callers are expected to branch on gets its own class;
 all inherit from ScoregapError so a CLI can catch the whole family.
+Only `opening` and `naming` turn a caught error into one about outside input.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 
 class ScoregapError(Exception):
@@ -109,3 +112,23 @@ class EmptyGroupError(IngestError):
 class ConfigError(ScoregapError):
     """An experiment config or model file is invalid; message carries the
     offending field path."""
+
+
+@contextmanager
+def opening(path: str, what: str = "", error: type = ConfigError):
+    """Wraps the reads of the input file at `path`: an OSError or a UnicodeDecodeError there becomes `error`."""
+    try:
+        yield
+    except OSError as exc:
+        raise error(f"cannot open {what}{path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text: byte 0x{exc.object[exc.start]:02x} cannot be decoded") from None
+
+
+@contextmanager
+def naming(field: str | None = None, catch: type | tuple = ScoregapError):
+    """Wraps the checks of an outside value: a `catch` error there becomes a ConfigError, prefixed `field: `."""
+    try:
+        yield
+    except catch as exc:
+        raise ConfigError(f"{field}: {exc}" if field else str(exc)) from None

@@ -26,7 +26,7 @@ from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, EmptyGroupError, NonFiniteError, ScoregapError, captured
+from .errors import ConfigError, EmptyGroupError, NonFiniteError, ScoregapError, captured, naming, opening
 from .agents import CostMatrix, Subgroup
 from .conditions import condition_report, disparity_example
 from .config import ExperimentConfig, ModelEntry
@@ -57,11 +57,8 @@ CSV_COLUMNS = tuple(column for column, _ in CSV_FIELDS)
 
 
 def _load_wstar_vector(path: str, dim: int) -> np.ndarray:
-    try:
-        with open(path, encoding="utf-8-sig") as handle:
-            text = handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot open w* file {path}: {exc}") from None
+    with opening(path, "w* file "), open(path, encoding="utf-8-sig") as handle:
+        text = handle.read()
     try:
         values = json.loads(text)
     except (ValueError, RecursionError):  # JSONDecodeError, an integer too long to convert, deep nesting
@@ -69,10 +66,8 @@ def _load_wstar_vector(path: str, dim: int) -> np.ndarray:
             values = [float(tok) for tok in text.split()]
         except ValueError:
             raise ConfigError(f"{path}: neither JSON nor whitespace-separated numbers") from None
-    try:
+    with naming():
         return as_vector(values, path, dim)
-    except ScoregapError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def _leaves(value, key: str = ""):

@@ -29,6 +29,7 @@ from .errors import (
     MissingColumnError,
     ShapeMismatchError,
     UnmappedCategoryError,
+    opening,
 )
 from .linalg import as_matrix, frozen
 
@@ -242,27 +243,21 @@ def load_csv(path: str, manifest: Optional[ManifestSpec] = None) -> Dataset:
     Every mapped column keeps its text as codes (`Dataset.raw_columns`).
     """
     norm = normalize_manifest(manifest)
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as handle:
-            header = next(csv.reader(handle), None)
-            if header is None:
-                raise IngestError(f"{path} is empty; a header row is required")
-            names = tuple(h.strip() for h in header)
-            if not names:
-                raise IngestError(f"{path} has a blank header row")
-            if len(set(names)) != len(names):
-                raise IngestError(f"{path} has duplicate column names")
-            for name in norm:
-                if name not in names:
-                    raise MissingColumnError(f"manifest names column {name!r} not present in {path}")
+    with opening(path, error=IngestError), open(path, newline="", encoding="utf-8-sig") as handle:
+        header = next(csv.reader(handle), None)
+        if header is None:
+            raise IngestError(f"{path} is empty; a header row is required")
+        names = tuple(h.strip() for h in header)
+        if not names:
+            raise IngestError(f"{path} has a blank header row")
+        if len(set(names)) != len(names):
+            raise IngestError(f"{path} has duplicate column names")
+        for name in norm:
+            if name not in names:
+                raise MissingColumnError(f"manifest names column {name!r} not present in {path}")
 
-            mappings = [norm.get(n) for n in names]
-            body = handle.read()
-    except OSError as exc:
-        raise IngestError(f"cannot open {path}: {exc}") from None
-    except UnicodeDecodeError as exc:  # raised as the header or the body is read
-        raise IngestError(f"{path} is not UTF-8 text: byte 0x{exc.object[exc.start]:02x} "
-                          "cannot be decoded") from None
+        mappings = [norm.get(n) for n in names]
+        body = handle.read()
 
     table = _loadtxt_table(body, names, mappings)
     if table is None:

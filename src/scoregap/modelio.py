@@ -17,7 +17,7 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from .errors import ConfigError, ScoregapError, captured
+from .errors import ConfigError, ScoregapError, captured, naming, opening
 from .agents import CostMatrix, Subgroup
 from .linalg import ProjectionMatrix, as_matrix, as_vector, subspace_projection
 from .principal import PopulationModel
@@ -34,10 +34,8 @@ def _field_array(doc: dict, field: str, read=as_matrix) -> Optional[np.ndarray]:
     """doc[field] through `read` (as_vector or as_matrix); None when absent or null."""
     if doc.get(field) is None:
         return None
-    try:
+    with naming():
         return read(doc[field], field)
-    except ScoregapError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def _projection_from_doc(doc: dict, gid: int, rank: Optional[int]) -> ProjectionMatrix:
@@ -48,17 +46,13 @@ def _projection_from_doc(doc: dict, gid: int, rank: Optional[int]) -> Projection
     if matrix is not None:
         if data is not None:
             raise ConfigError(f"{data_field}: set alongside {proj_field}; give only one")
-        try:
+        with naming(proj_field, (ScoregapError, ValueError)):
             return ProjectionMatrix.from_matrix(matrix)
-        except (ScoregapError, ValueError) as exc:
-            raise ConfigError(f"{proj_field}: {exc}") from None
     if data is None:
         raise ConfigError(f"{proj_field}: missing (provide {proj_field} or {data_field})")
     k = rank if rank is not None else min(data.shape)
-    try:
+    with naming(data_field):
         return subspace_projection(data, k)
-    except ScoregapError as exc:
-        raise ConfigError(f"{data_field}: {exc}") from None
 
 
 def model_from_dict(doc: dict) -> PopulationModel:
@@ -107,11 +101,9 @@ def _unique_keys(pairs: List[tuple]) -> dict:
 
 def read_model_file(path: str):
     """The JSON document at `path`, each list under ARRAY_KEYS a float array where np.asarray takes it."""
-    try:
-        with open(path, encoding="utf-8-sig") as handle:
+    try:  # `opening` reports a UnicodeDecodeError, which is a ValueError, before it gets here
+        with opening(path, "model file "), open(path, encoding="utf-8-sig") as handle:
             doc = json.load(handle, object_pairs_hook=_unique_keys)
-    except OSError as exc:
-        raise ConfigError(f"cannot open model file {path}: {exc}") from None
     except (ValueError, RecursionError) as exc:  # bad JSON, an integer too long to convert, deep nesting
         raise ConfigError(f"{path} is not valid JSON: {exc}") from None
     for key in ARRAY_KEYS if isinstance(doc, dict) else ():

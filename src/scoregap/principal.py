@@ -33,7 +33,8 @@ class PopulationModel:
     (n_1, n_2) with n_g = ||V_g^T u|| for the basis V_g, and `gain_norm` =
     ||u||; `in_units` scales a value back exactly. `alignment` is tr(P_1 P_2)/d.
     Zeros are decided once: t_g = 0 where ||P_g z|| <= tolerance(||z||) for the solve's z, and
-    `zero_pulls` (t_g ~ 0) and `degenerate` (s ~ 0) judge against `pull_scale` = (||t_1|| + ||t_2||) 2**-e.
+    U_g = 0 where t_g ~ 0, then u = 0 where s ~ 0, both judged against `pull_scale` =
+    (||t_1|| + ||t_2||) 2**-e; `zero_pulls` and `degenerate` read those zeros.
     """
 
     group1: Subgroup
@@ -58,16 +59,20 @@ class PopulationModel:
                 raise NonFiniteError(f"{g.name}: pull direction overflows to a non-finite value")
             pulls.append((y, shift, top))
         exponent = max((top for y, _, top in pulls if y.any()), default=0)  # a zero pull has no say
-        units = frozen([np.ldexp(y, shift - exponent) for y, shift, _ in pulls])
-        object.__setattr__(self, "exponent", exponent)
-        object.__setattr__(self, "unit_pulls", units)
-        object.__setattr__(self, "unit_gain", frozen(units[0] + units[1]))
-        object.__setattr__(self, "gram", frozen(units @ units.T))
-        object.__setattr__(self, "gain_norm", float(np.linalg.norm(self.unit_gain)))
-        norms = np.sqrt(np.diag(self.gram))
+        units = np.array([np.ldexp(y, shift - exponent) for y, shift, _ in pulls])
+        norms = np.sqrt(np.diag(units @ units.T))  # as `gram` takes them, to the last bit
         object.__setattr__(self, "pull_scale", float(norms[0] + norms[1]))
-        object.__setattr__(self, "zero_pulls", tuple(bool(n <= tolerance(self.pull_scale)) for n in norms))
-        object.__setattr__(self, "degenerate", bool(self.gain_norm <= tolerance(self.pull_scale)))
+        units[norms <= tolerance(self.pull_scale)] = 0.0
+        gain = units[0] + units[1]
+        if np.linalg.norm(gain) <= tolerance(self.pull_scale):
+            gain[:] = 0.0
+        object.__setattr__(self, "exponent", exponent)
+        object.__setattr__(self, "unit_pulls", frozen(units))
+        object.__setattr__(self, "unit_gain", frozen(gain))
+        object.__setattr__(self, "gram", frozen(units @ units.T))
+        object.__setattr__(self, "gain_norm", float(np.linalg.norm(gain)))
+        object.__setattr__(self, "zero_pulls", tuple(not u.any() for u in units))
+        object.__setattr__(self, "degenerate", not gain.any())
         perceived = tuple(float(np.linalg.norm(g.projection.basis.T @ self.unit_gain)) for g in self.groups)
         object.__setattr__(self, "perceived", perceived)
         object.__setattr__(self, "alignment", alignment(*(g.projection for g in self.groups)))
@@ -115,9 +120,9 @@ def welfare_gain(model: PopulationModel, w) -> float:
     return model.in_units(model.as_rule(w) @ model.unit_gain)
 
 
-def _unit_rule(unit: np.ndarray, zero: bool, message: str) -> np.ndarray:
-    """The unit rule w maximizing <unit, w> for a direction taken at 2**-e: unit / ||unit||; raises where `zero`."""
-    if zero:
+def _unit_rule(unit: np.ndarray, message: str) -> np.ndarray:
+    """The unit rule w maximizing <unit, w> for a direction taken at 2**-e: unit / ||unit||; raises where unit = 0."""
+    if not unit.any():
         raise DegenerateObjectiveError(message)
     return np.sqrt(1.0 / float(unit @ unit)) * unit
 
@@ -127,10 +132,9 @@ def welfare_maximizing_rule(model: PopulationModel) -> np.ndarray:
 
     Raises DegenerateObjectiveError when the welfare gain is zero for every rule.
     """
-    return _unit_rule(model.unit_gain, model.degenerate, "welfare gain is zero for every rule; no maximizer exists")
+    return _unit_rule(model.unit_gain, "welfare gain is zero for every rule; no maximizer exists")
 
 
 def group_optimal_rule(model: PopulationModel, gid: int) -> np.ndarray:
     """Unit rule maximizing subgroup gid's own improvement."""
-    return _unit_rule(model.unit_pull(gid), model.zero_pulls[gid - 1],
-                      f"subgroup {gid} cannot gain under any rule; no maximizer exists")
+    return _unit_rule(model.unit_pull(gid), f"subgroup {gid} cannot gain under any rule; no maximizer exists")

@@ -14,7 +14,10 @@ import pytest
 
 import scoregap
 import scoregap.cli
-from scoregap import ConfigError, disparity_example, load_config, render_json, run_analysis
+from scoregap import (
+    ConfigError, disparity_example, improvement_report, load_config, render_json, run_analysis,
+    welfare_maximizing_rule,
+)
 from scoregap.cli import (
     EXIT_CONFIG,
     EXIT_DEGENERATE,
@@ -719,7 +722,7 @@ HUGE_INT = "1" * 5000
 class TestWstarFile:
     @pytest.mark.parametrize("text, message", [
         pytest.param(None, "cannot open w* file {path}: ", id="unreadable"),
-        pytest.param("1.0 \xff 2.0\n", "cannot open w* file {path}: ", id="not-utf-8"),
+        pytest.param("1.0 \xff 2.0\n", "{path} is not UTF-8 text: byte 0xff cannot be decoded\n", id="not-utf-8"),
         pytest.param("1.0 two 3.0\n", "{path}: neither JSON nor whitespace-separated numbers\n",
                      id="not-numbers"),
         pytest.param(f"[{HUGE_INT}, 0, 0]", "{path}: neither JSON nor whitespace-separated numbers\n",
@@ -891,6 +894,13 @@ class TestNearFloatLimit:
         else:
             assert err == "" and all(math.isfinite(x) for _, x in _leaves(json.loads(out)) if isinstance(x, float))
 
+    def test_a_pull_judged_zero_improves_nothing(self):
+        fields, _, _ = FLOAT_LIMIT_MODELS["tiny_cost_tiny_w"]
+        model = model_from_dict({"schema_version": 1, **fields})
+        assert model.zero_pulls == (False, True)
+        report = improvement_report(model, welfare_maximizing_rule(model))
+        assert report["I2"] == report["uI2"] == 0.0
+
     def test_a_huge_w_star_names_the_value_past_the_float_range(self, tmp_path, capsys):
         code, captured = self.scaled_check(tmp_path, capsys, 1e155)
         assert (code, captured.out) == (EXIT_CONFIG, "")
@@ -1009,6 +1019,17 @@ class TestRepeatedKeys:
         model = write(tmp_path, "model.json", text[:-1] + ', "w_star": [0.0, 1.0]}')
         assert main(["check", model]) == EXIT_CONFIG
         assert capsys.readouterr() == ("", f"error: {model} is not valid JSON: duplicate key 'w_star'\n")
+
+
+class TestNotUtf8:
+    """Each reader words a file that is not UTF-8 text alike, naming the first byte it cannot decode."""
+
+    @pytest.mark.parametrize("command", [["analyze", "--config"], ["check"]], ids=["config", "model-file"])
+    def test_is_a_usage_error_naming_the_byte(self, tmp_path, capsys, command):
+        path = tmp_path / "input"
+        path.write_bytes(b"rank: 2\n# \xff\n")
+        assert main([*command, str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"error: {path} is not UTF-8 text: byte 0xff cannot be decoded\n")
 
 
 class TestHugeIntegers:

@@ -76,3 +76,50 @@ def test_the_zero_rule_has_one_home():
     naming = [path.name for path in sorted(PACKAGE.glob("*.py"))
               if _names_rel_tol(ast.parse(path.read_text(encoding="utf-8")))]
     assert naming == ["linalg.py"]
+
+
+
+def _caught(handler: ast.ExceptHandler) -> set:
+    """The names of the classes an except clause catches, `module.Name` read as `Name`."""
+    kinds = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return {kind.id if isinstance(kind, ast.Name) else kind.attr
+            for kind in kinds if isinstance(kind, (ast.Name, ast.Attribute))}
+
+
+def _opens_for_reading(body) -> bool:
+    """Whether the statements call open() with no mode, or with a mode that only reads."""
+    calls = [node for stmt in body for node in ast.walk(stmt)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open"]
+    modes = [next((kw.value for kw in call.keywords if kw.arg == "mode"), call.args[1] if len(call.args) > 1 else None)
+             for call in calls]
+    return any(mode is None or isinstance(mode, ast.Constant) and not set(mode.value) & set("wax+") for mode in modes)
+
+
+def _blaming_handlers(source: str) -> list:
+    """Lines of the except clauses that word an unreadable input file, or a caught ScoregapError, as their own error."""
+    from scoregap import errors
+
+    ours = {name for name, value in vars(errors).items()
+            if isinstance(value, type) and issubclass(value, errors.ScoregapError)}
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        for handler in node.handlers if isinstance(node, ast.Try) else ():
+            caught = _caught(handler) if handler.type is not None else set()
+            raised = {sub.exc.func.id for stmt in handler.body for sub in ast.walk(stmt)
+                      if isinstance(sub, ast.Raise) and isinstance(sub.exc, ast.Call)
+                      and isinstance(sub.exc.func, ast.Name)}
+            if (caught & {"OSError", "IOError", "EnvironmentError", "UnicodeError", "UnicodeDecodeError"}
+                    and _opens_for_reading(node.body) or caught & ours and "ConfigError" in raised):
+                lines.append(handler.lineno)
+    return lines
+
+
+def test_outside_input_is_blamed_in_one_place():
+    # errors.opening words every unreadable input file and errors.naming every bad field, each in one place
+    assert _blaming_handlers(
+        "try:\n    with open(path) as f:\n        text = f.read()\nexcept (OSError, UnicodeDecodeError):\n    pass\n"
+        "try:\n    as_vector(v)\nexcept errors.ShapeMismatchError as exc:\n    raise ConfigError(str(exc))\n"
+    ) == [4, 8]
+    blaming = {path.name: _blaming_handlers(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))
+               if path.name != "errors.py"}
+    assert not {name: lines for name, lines in blaming.items() if lines}

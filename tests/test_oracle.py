@@ -20,12 +20,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from scoregap import DegenerateObjectiveError, check_do_no_harm, check_equal_improvement, welfare_maximizing_rule
+from scoregap import (
+    DegenerateObjectiveError, ZeroProjectedRuleError, check_do_no_harm, check_equal_improvement,
+    check_per_unit_optimality, improvement_report, welfare_maximizing_rule,
+)
 from scoregap.modelio import model_from_dict
 
 from conftest import EXACT_ZERO_PULL_MODELS
 
 BAND = 1e-6  # an exact value this far from zero, relative to its scale, has a sign no roundoff can flip
+IDENTITY_TOL = 1e-9  # relative to its scale, the most roundoff an identity may show
 
 
 def _hadamard(d):
@@ -67,12 +71,14 @@ def _norm(sq):
 
 
 def _exact(doc):
-    """G = T T^T for a model document's pulls and ||s||^2 = G_11 + 2 G_12 + G_22, exactly, with ||t_1|| + ||t_2||."""
+    """G = T T^T for a model document's pulls, ||t_1|| + ||t_2||, ||s||^2 = G_11 + 2 G_12 + G_22 and each
+    n_g^2 = ||P_g s||^2, exactly but for the float ||t_1|| + ||t_2||."""
     w = [Fraction(x) for x in doc["w_star"]]
-    pulls = [_matvec([[Fraction(x) for x in row] for row in doc[f"projection{g}"]], _solve(doc[f"cost{g}"], w))
-             for g in (1, 2)]
+    projections = [[[Fraction(x) for x in row] for row in doc[f"projection{g}"]] for g in (1, 2)]
+    pulls = [_matvec(p, _solve(doc[f"cost{g}"], w)) for g, p in zip((1, 2), projections)]
     gram = [[_dot(u, v) for v in pulls] for u in pulls]
-    return gram, _norm(gram[0][0]) + _norm(gram[1][1]), gram[0][0] + 2 * gram[0][1] + gram[1][1]
+    perceived = [_dot(v, v) for v in (_matvec(p, [a + b for a, b in zip(*pulls)]) for p in projections)]
+    return gram, _norm(gram[0][0]) + _norm(gram[1][1]), gram[0][0] + 2 * gram[0][1] + gram[1][1], perceived
 
 
 def _spd(rng, d):
@@ -125,7 +131,7 @@ def oracle_examples(test):
 @oracle_examples
 def test_zero_pulls(doc):
     model = model_from_dict(doc)
-    gram, pull_scale, _ = _exact(doc)
+    gram, pull_scale, _, _ = _exact(doc)
     for g in (0, 1):
         if gram[g][g] == 0:
             assert model.zero_pulls[g], g
@@ -136,7 +142,7 @@ def test_zero_pulls(doc):
 @oracle_examples
 def test_degeneracy(doc):
     model = model_from_dict(doc)
-    _, pull_scale, gain_sq = _exact(doc)
+    _, pull_scale, gain_sq, _ = _exact(doc)
     if gain_sq == 0:
         assert model.degenerate
         with pytest.raises(DegenerateObjectiveError, match="^welfare gain is zero for every rule; no maximizer exists$"):
@@ -148,7 +154,7 @@ def test_degeneracy(doc):
 @oracle_examples
 def test_do_no_harm(doc):
     model = model_from_dict(doc)
-    gram, pull_scale, gain_sq = _exact(doc)
+    gram, pull_scale, gain_sq, _ = _exact(doc)
     if gain_sq == 0:
         with pytest.raises(DegenerateObjectiveError):
             check_do_no_harm(model, 1)
@@ -165,7 +171,7 @@ def test_do_no_harm(doc):
 @oracle_examples
 def test_equal_improvement(doc):
     model = model_from_dict(doc)
-    gram, _, gain_sq = _exact(doc)
+    gram, _, gain_sq, _ = _exact(doc)
     if gain_sq == 0:
         with pytest.raises(DegenerateObjectiveError):
             check_equal_improvement(model)
@@ -176,3 +182,37 @@ def test_equal_improvement(doc):
         assert check.verdict
     elif abs(float(value)) > BAND * float(gram[0][0] + gram[1][1]):
         assert not check.verdict
+
+
+@oracle_examples
+def test_per_unit_optimality(doc):
+    model = model_from_dict(doc)
+    gram, pull_scale, gain_sq, perceived = _exact(doc)
+    if gain_sq == 0:
+        with pytest.raises(DegenerateObjectiveError):
+            check_per_unit_optimality(model, 1)
+        return
+    for g in (1, 2):
+        pull_sq, inner, n_sq = gram[g - 1][g - 1], gram[g - 1][g - 1] + gram[0][1], perceived[g - 1]
+        if pull_sq == 0 or n_sq == 0:
+            with pytest.raises(ZeroProjectedRuleError):
+                check_per_unit_optimality(model, g)
+        elif _norm(pull_sq) > BAND * pull_scale and _norm(n_sq) > BAND * _norm(gain_sq):
+            # <t_g, P_g s> = G_gg + G_12, so Cauchy-Schwarz is an equality exactly when t_g is parallel to P_g s
+            optimal = inner > 0 and inner ** 2 == pull_sq * n_sq
+            if optimal or inner <= 0 or 1 - math.sqrt(inner ** 2 / (pull_sq * n_sq)) > BAND:
+                assert check_per_unit_optimality(model, g).verdict == optimal, g
+
+
+@oracle_examples
+def test_improvements_of_the_welfare_rule(doc):
+    model = model_from_dict(doc)
+    gram, pull_scale, gain_sq, _ = _exact(doc)
+    if _norm(gain_sq) <= BAND * pull_scale:
+        return  # test_degeneracy judges these
+    report = improvement_report(model, welfare_maximizing_rule(model))
+    gain = _norm(gain_sq)
+    for g in (1, 2):  # I_g = <t_g, s> / ||s||
+        exact = float(gram[g - 1][g - 1] + gram[0][1])
+        assert abs(report[f"I{g}"] * gain - exact) <= IDENTITY_TOL * pull_scale * gain, g
+    assert abs(report["welfare"] ** 2 - float(gain_sq)) <= IDENTITY_TOL * float(gain_sq)  # welfare = ||s||

@@ -10,10 +10,12 @@ it, then `python -m scoregap check` on each seed-1 model file. No
 workload config sets `costs:`, so it also runs the seed-1 `credit` and
 `adult` configs again with `costs: {group1: 2.5, group2: A}`, A a
 seed-1 SPD matrix of the feature count, which sends a scaled and a
-dense cost through `analyze`. It prints
+dense cost through `analyze`. Last it feeds each reader a malformed
+input: a config, a model file, a `vector:` w* file and a CSV that are
+not UTF-8 text, and a model file that does not exist. It prints
 one line per command: its exit code and the sha256 of each file it wrote
-(OUT, and OUT.json for csv; standard output for `check`) and of its
-standard error. The commands run inside the temporary directory on
+(OUT, and OUT.json for csv; standard output for `check` and for the
+malformed inputs) and of its standard error. The commands run inside the temporary directory on
 relative paths, so no line depends on where that directory is.
 
 Run from any directory, at each checkout, and diff the outputs:
@@ -66,6 +68,25 @@ def _with_costs(config: Path, dim: int) -> Path:
     return path
 
 
+def _malformed(env: dict) -> None:
+    """Run each reader on an input it must reject and print one digest line per input."""
+    bad = b"a,\xff\n"  # 0xff begins no UTF-8 sequence
+    Path("bad.yaml").write_bytes(b"rank: 2\n# \xff\n")
+    Path("bad.json").write_bytes(b'{"w_star": [1, 1]} ' + bad)
+    Path("bad-wstar.txt").write_bytes(b"1 " + bad)
+    Path("bad.csv").write_bytes(b"x,y\n1,2\n" + bad)
+    Path("ok.csv").write_text("x,y\n1,2\n3,4\n", encoding="utf-8")
+    grouping = "groupings:\n  - {name: g, group1: {column: x, op: le, value: 1}}\n"
+    Path("bad-wstar.yaml").write_text(f"dataset: ok.csv\nwstar: vector:bad-wstar.txt\n{grouping}", encoding="utf-8")
+    Path("bad-csv.yaml").write_text(f"dataset: bad.csv\n{grouping}", encoding="utf-8")
+    for label, argv in (("config", ["analyze", "--config", "bad.yaml"]), ("model", ["check", "bad.json"]),
+                        ("wstar", ["analyze", "--config", "bad-wstar.yaml"]),
+                        ("csv", ["analyze", "--config", "bad-csv.yaml"]), ("absent-model", ["check", "absent.json"])):
+        proc = _run(argv, env)
+        print(f"malformed {label} exit={proc.returncode} stdout={_sha(proc.stdout)} stderr={_sha(proc.stderr)}",
+              flush=True)
+
+
 def main() -> int:
     sys.path.insert(0, str(ROOT / "benchmarks"))
     import workloads
@@ -90,6 +111,7 @@ def main() -> int:
             dim = len(json.loads(Path(f"{out}.json" if wl.cli_format == "csv" else out).read_text())["feature_names"])
             _analyze(f"{name} seed=1 costs", _with_costs(wl.config, dim),
                      wl.config.parent / f"costs-out.{wl.cli_format}", wl.cli_format, env)
+        _malformed(env)
         os.chdir(ROOT)
     return 0
 
