@@ -177,7 +177,7 @@ def estimate_rule_empirical(peers: PeerDataset) -> np.ndarray:
 def movement(group: Subgroup, w) -> np.ndarray:
     """Feature change a subgroup makes when rule w is deployed: A^{-1} P w. NonFiniteError past the float range."""
     y, k = group.cost.scaled_solve(group.projection.apply(as_vector(w, "w", group.dim)))
-    if y.any() and k + unit_exponent(y) > 1024:  # max |y 2**k| >= 2**1024, as in PopulationModel
+    if y.any() and k > 1024:  # max |y| >= 1/2, so max |y 2**k| >= 2**1024
         raise NonFiniteError(f"{group.name}: movement overflows to a non-finite value")
     return np.ldexp(y, k)
 

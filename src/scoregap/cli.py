@@ -5,9 +5,9 @@ Subcommands:
   check    write the payload an `analyze` entry holds for one model file
 
 Exit codes: 0 success, 2 config/usage error, 3 ingest error, 4 numerical
-degeneracy (a zero welfare gain, or a subgroup whose pull or view of the rule
-is zero), 5 partial failure (some `analyze` entries failed but the run
-completed; they are written as error objects).
+degeneracy (the welfare gain is zero for every rule), 5 partial failure
+(some `analyze` entries failed but the run completed; they are written as
+error objects).
 
 `run` is the process entry (the `scoregap` script, `python -m scoregap`):
 `main`, then it flushes both streams and leaves with os._exit, skipping
@@ -26,10 +26,10 @@ import sys
 import tempfile
 from typing import Dict, List, Optional, Tuple
 
-from .errors import ConfigError, DegenerateObjectiveError, IngestError, ScoregapError, ZeroProjectedRuleError
+from .errors import ConfigError, DegenerateObjectiveError, IngestError, ScoregapError
 from .config import load_config
 from .experiment import RESULT_SCHEMA_VERSION, population_payload, render_csv, render_json, run_analysis
-from .modelio import load_model
+from .modelio import model_from_dict, read_model_files
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -37,14 +37,11 @@ EXIT_INGEST = 3
 EXIT_DEGENERATE = 4
 EXIT_PARTIAL = 5
 
-# Errors that mean the instance violates the model's assumptions (a zero gain or pull) rather than being malformed.
-DEGENERATE_ERRORS = (DegenerateObjectiveError, ZeroProjectedRuleError)
-
 # The first class an error is an instance of decides its exit code.
 _EXIT_CODES = (
     (ConfigError, EXIT_CONFIG),
     (IngestError, EXIT_INGEST),
-    (DEGENERATE_ERRORS, EXIT_DEGENERATE),
+    (DegenerateObjectiveError, EXIT_DEGENERATE),
     (ScoregapError, EXIT_CONFIG),
 )
 
@@ -125,14 +122,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if not result["n_failed"]:
         return EXIT_OK
     # Degenerate only when every entry failed, each for a degeneracy: the run as a whole is vacuous.
-    degenerate = {cls.__name__ for cls in DEGENERATE_ERRORS}
-    return EXIT_DEGENERATE if all(e.get("error", {}).get("type") in degenerate for e in entries) else EXIT_PARTIAL
+    degenerate = DegenerateObjectiveError.__name__
+    return EXIT_DEGENERATE if all(e.get("error", {}).get("type") == degenerate for e in entries) else EXIT_PARTIAL
 
 
 def cmd_check(args: argparse.Namespace) -> int:
     _check_writable(args.out)
-    payload = population_payload(load_model(args.model))
-    doc = {"schema_version": RESULT_SCHEMA_VERSION, "model": args.model, **payload}
+    model = model_from_dict(*read_model_files([args.model]))  # analyze's reader, in this process for one path
+    doc = {"schema_version": RESULT_SCHEMA_VERSION, "model": args.model, **population_payload(model)}
     _emit(render_json(doc), args.out)
     return EXIT_OK
 

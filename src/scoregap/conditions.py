@@ -31,6 +31,8 @@ sqrt(G_11 + 2 G_12 + G_22) cancels where degeneracy is decided:
 
 V_g is group g's orthonormal basis, so the span tests are norms of the
 cosines and of the sines of the principal angles; c = tr A_2 / tr A_1.
+A zero pull needs no case: t_g = 0 makes the per-unit scalar and its scale
+0, so it holds. Where n_g ~ 0 the per-unit verdict is None, as uI_g is.
 The orthogonal test reads PopulationModel.alignment, ||V_1^T V_2||_F^2 / d,
 against tolerance(tolerance()). PopulationModel decides the pull solve,
 t_g ~ 0 and degeneracy once; the last three rows are input checks.
@@ -46,7 +48,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateObjectiveError, EpsilonOutOfRangeError, ZeroProjectedRuleError
+from .errors import DegenerateObjectiveError, EpsilonOutOfRangeError
 from .agents import CostMatrix, Subgroup
 from .linalg import ProjectionMatrix, tolerance, unit_exponent
 from .principal import PopulationModel
@@ -60,11 +62,12 @@ class ConditionCheck:
     conditions the verdict is value >= -tolerance and `boundary` flags
     |value| < tolerance (a statistical tie with zero); for equality
     conditions the verdict is |value| <= tolerance and boundary is
-    always False.
+    always False. A per-unit check has verdict and value None where the
+    subgroup perceives none of the welfare rule (n_g ~ 0), as uI_g is None.
     """
 
-    verdict: bool
-    value: float
+    verdict: Optional[bool]
+    value: Optional[float]
     tolerance: float
     boundary: bool = False
 
@@ -114,17 +117,16 @@ def check_per_unit_optimality(pop: PopulationModel, gid: int) -> ConditionCheck:
 
     The scalar is ||t_g|| - <t_g, P_g s> / n_g = sqrt(G_gg) - (G_gg + G_12) / n_g,
     the subgroup's per-unit shortfall (always >= 0 in exact arithmetic);
-    it vanishes exactly when t_g is a positive multiple of P_g s.
+    it vanishes exactly when t_g is zero or a positive multiple of P_g s.
+    Where n_g ~ 0 the verdict and the scalar are None, as uI_g is.
     """
     pop.group(gid)  # checks gid
     _require_nondegenerate(pop)
     gg = pop.gram[gid - 1, gid - 1]
     t_norm = float(np.sqrt(gg))
     n = pop.perceived[gid - 1]
-    if not pop.unit_pulls[gid - 1].any():
-        raise ZeroProjectedRuleError(f"subgroup {gid}'s pull direction is zero; per-unit optimum undefined")
     if n <= tolerance(pop.gain_norm):
-        raise ZeroProjectedRuleError(f"subgroup {gid} perceives a zero welfare rule; per-unit gain undefined")
+        return ConditionCheck(verdict=None, value=None, tolerance=pop.in_units(tolerance(t_norm)))
     return _check(pop, 1, t_norm - (gg + pop.gram[0, 1]) / n, t_norm, equality=True)
 
 
@@ -132,19 +134,17 @@ def check_sufficient_per_unit(pop: PopulationModel, gid: int) -> Optional[float]
     """The multiplier c_g > 0 with t_g = c_g P_g s, or None.
 
     t_g is a positive multiple of the perceived welfare direction P_g s
-    exactly when the per-unit scalar vanishes, so this returns
-    ||t_g|| / n_g when check_per_unit_optimality holds, and None when it
-    fails or either vector is zero.
+    exactly when the per-unit scalar vanishes and t_g is not zero, so this
+    returns ||t_g|| / n_g when check_per_unit_optimality holds for a nonzero
+    t_g, and None otherwise.
     """
-    try:
-        return _multiplier(pop, gid, check_per_unit_optimality(pop, gid))
-    except ZeroProjectedRuleError:
-        return None
+    return _multiplier(pop, gid, check_per_unit_optimality(pop, gid))
 
 
 def _multiplier(pop: PopulationModel, gid: int, check: ConditionCheck) -> Optional[float]:
-    """sqrt(G_gg) / n_g where subgroup gid's per-unit `check` holds, else None."""
-    return float(np.sqrt(pop.gram[gid - 1, gid - 1])) / pop.perceived[gid - 1] if check.verdict else None
+    """sqrt(G_gg) / n_g where subgroup gid's per-unit `check` holds and its pull is not zero, else None."""
+    holds = check.verdict and not pop.zero_pulls[gid - 1]
+    return float(np.sqrt(pop.gram[gid - 1, gid - 1])) / pop.perceived[gid - 1] if holds else None
 
 
 def _scaled_equal(pop: PopulationModel) -> bool:

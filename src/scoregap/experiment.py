@@ -37,7 +37,7 @@ from .metrics import improvement_report
 from .modelio import load_model, model_from_dict, read_model_files
 from .principal import PopulationModel, welfare_maximizing_rule
 
-RESULT_SCHEMA_VERSION = 5
+RESULT_SCHEMA_VERSION = 6
 
 # The CSV table: one (column, key path) pair per column, each path as `_leaves` names it.
 CSV_FIELDS = (
@@ -189,8 +189,6 @@ def _listed_model(entry: ModelEntry, doc) -> Tuple[dict, PopulationModel]:
         model = disparity_example(entry.epsilon)
         source: Dict[str, object] = {"epsilon": entry.epsilon}
     else:
-        if isinstance(doc, ScoregapError):
-            raise doc
         model = model_from_dict(doc)
         source = {"path": entry.path}
     return {"source": source, "group_sizes": None, "n_excluded": None}, model

@@ -55,8 +55,10 @@ def _projection_from_doc(doc: dict, gid: int, rank: Optional[int]) -> Projection
         return subspace_projection(data, k)
 
 
-def model_from_dict(doc: dict) -> PopulationModel:
-    """Build a PopulationModel from a parsed model document."""
+def model_from_dict(doc: Union[dict, ConfigError]) -> PopulationModel:
+    """Build a PopulationModel from a parsed model document; raises the error read_model_files left in its place."""
+    if isinstance(doc, ScoregapError):
+        raise doc
     if not isinstance(doc, dict):
         raise ConfigError("model file must contain a JSON object")
     unknown = set(doc) - MODEL_KEYS

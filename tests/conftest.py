@@ -3,6 +3,7 @@
 import numpy as np
 
 from scoregap import CostMatrix, PopulationModel, ProjectionMatrix, Subgroup
+from scoregap.experiment import population_payload
 from scoregap.modelio import MODEL_SCHEMA_VERSION
 
 # populated by test_acceptance, printed at the end of the run
@@ -113,6 +114,63 @@ def scaled_population(rng: np.random.Generator, d: int = None,
         group2=Subgroup(name="g2", cost=CostMatrix(scale * a1), projection=projection),
         w_star=rng.standard_normal(d),
     )
+
+
+def zero_pull_population(rng: np.random.Generator, d: int = None) -> PopulationModel:
+    """Group 1 sees only directions orthogonal to A_1^{-1} w*, so its pull is zero; in half the
+    draws group 2 sees only the rest, so group 1 also perceives none of the welfare rule."""
+    if d is None:
+        d = int(rng.integers(3, 9))
+    a1, w_star = random_spd(rng, d), rng.standard_normal(d)
+    q, _ = np.linalg.qr(np.column_stack([np.linalg.solve(a1, w_star), rng.standard_normal((d, d - 1))]))
+    r1 = int(rng.integers(1, d))
+    blind = bool(rng.integers(0, 2))
+    basis2 = q[:, [0] + list(range(r1 + 1, d))] if blind else random_orthonormal(rng, d, int(rng.integers(1, d + 1)))
+    return PopulationModel(
+        group1=Subgroup(name="g1", cost=CostMatrix(a1), projection=ProjectionMatrix(q[:, 1:r1 + 1])),
+        group2=Subgroup(name="g2", cost=CostMatrix(random_spd(rng, d)), projection=ProjectionMatrix(basis2)),
+        w_star=w_star,
+    )
+
+
+def assert_entry_agrees(model: PopulationModel) -> None:
+    """Asserts that each verdict of the model's entry agrees with the metric it restates, and each fast path
+    with the verdicts its condition implies.
+
+    do_no_harm is I_g >= 0 and equal_improvement is I_1 = I_2, each judged on the metric times `welfare`
+    (= ||s||), so a verdict fails only where its metric does, and a metric past twice the tolerance fails
+    it. per_unit_optimal is uI_g = uI_g_star within its tolerance, None exactly where uI_g is, and true with
+    value 0 and no multiplier where the pull is zero.
+    """
+    payload = population_payload(model)
+    metrics, conditions = payload["metrics"], payload["conditions"]
+    welfare, c = metrics["welfare"], conditions["sufficient_c"]
+    for g in (1, 2):
+        harm = conditions["do_no_harm"][f"group{g}"]
+        assert harm["verdict"] or metrics[f"I{g}"] < 0, g
+        assert metrics[f"I{g}"] * welfare >= -2 * harm["tolerance"] or not harm["verdict"], g
+        per_unit = conditions["per_unit_optimal"][f"group{g}"]
+        unit = metrics[f"uI{g}"]
+        assert (per_unit["verdict"] is None) == (per_unit["value"] is None) == (unit is None), g
+        if unit is not None:
+            shortfall, tol = metrics[f"uI{g}_star"] - unit, per_unit["tolerance"]
+            if abs(abs(shortfall) - tol) >= 1e-3 * tol:  # roundoff cannot move a shortfall this far from the edge
+                assert per_unit["verdict"] == (abs(shortfall) <= tol), g
+            if model.zero_pulls[g - 1]:
+                assert (per_unit["verdict"], per_unit["value"], c[f"group{g}"]) == (True, 0.0, None), g
+    equal = conditions["equal_improvement"]
+    assert equal["verdict"] or metrics["difference"] != 0
+    assert abs(metrics["difference"]) * welfare <= 2 * equal["tolerance"] or not equal["verdict"]
+    fast = conditions["fast_path"]
+    if fast == "orthogonal_subspaces":  # G_12 = 0, so G_gg + G_12 >= 0
+        assert conditions["do_no_harm"]["group1"]["verdict"] and conditions["do_no_harm"]["group2"]["verdict"]
+    if fast in ("scaled_equal", "sufficient_cg"):  # t_g = c_g P_g s with c_g > 0
+        for g in (1, 2):
+            assert conditions["per_unit_optimal"][f"group{g}"]["verdict"] and c[f"group{g}"] > 0, g
+    if fast == "scaled_equal":  # t_2 = t_1 / c for c = tr A_2 / tr A_1, and P_g s = s
+        ratio = np.trace(model.group2.cost.matrix) / np.trace(model.group1.cost.matrix)
+        assert abs(c["group1"] + c["group2"] - 1.0) <= 1e-12
+        assert abs(c["group1"] / c["group2"] - ratio) <= 1e-9 * ratio
 
 
 def random_unit_rules(rng: np.random.Generator, n: int, d: int) -> np.ndarray:

@@ -34,6 +34,22 @@ class TestCostMatrix:
         assert 0.5 <= np.max(np.abs(y)) < 1.0
         np.testing.assert_allclose(np.ldexp(y, k), np.linalg.solve(a, v), rtol=1e-10)
 
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), log_a=st.floats(-300.0, 300.0), log_v=st.floats(-300.0, 300.0),
+           zeros=st.integers(0, 6))
+    def test_scaled_solve_returns_y_in_its_range(self, seed, log_a, log_v, zeros):
+        # max |y| in [1/2, 1) whatever the scales of A and v, and of A's eigenvalues (10**-6 to 10**6),
+        # so `movement` reads its overflow off k alone; y = 0 only for v = 0
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(1, 7))
+        q = random_orthonormal(rng, d, d)
+        a = q @ np.diag(10.0 ** rng.uniform(-6.0, 6.0, size=d)) @ q.T
+        v = rng.standard_normal(d) * 10.0 ** log_v
+        v[:zeros] = 0.0
+        y, k = CostMatrix((a + a.T) * 10.0 ** log_a).scaled_solve(v)
+        top = np.max(np.abs(y))
+        assert 0.5 <= top < 1.0 if v.any() else top == 0.0
+
     def test_scaled_solve_of_a_cost_wider_than_the_float_range(self):
         # the diagonal spans 1e310, yet A^{-1} v = (1e-300, 1e10); y holds the first entry as a subnormal
         y, k = CostMatrix(np.diag([1e300, 1e-10])).scaled_solve(np.array([1.0, 1.0]))

@@ -15,7 +15,7 @@ import pytest
 import scoregap
 import scoregap.cli
 from scoregap import (
-    ConfigError, disparity_example, improvement_report, load_config, render_json, run_analysis,
+    ConfigError, condition_report, disparity_example, improvement_report, load_config, render_json, run_analysis,
     welfare_maximizing_rule,
 )
 from scoregap.cli import (
@@ -145,7 +145,7 @@ class TestCheck:
         assert main(["check", model_path, "--out", out_path]) == EXIT_OK
         assert capsys.readouterr().out == ""
         doc = json.loads(Path(out_path).read_text())
-        assert doc["schema_version"] == 5
+        assert doc["schema_version"] == 6
 
     def test_same_conditions_as_analyze(self, tmp_path, capsys):
         # one model file, two subcommands: check writes exactly the analyze entry's payload
@@ -169,7 +169,7 @@ class TestCheck:
         for name, path in paths.items():
             assert main(["check", path]) == EXIT_OK
             checked = json.loads(capsys.readouterr().out)
-            assert checked.pop("schema_version") == 5
+            assert checked.pop("schema_version") == 6
             assert checked.pop("model") == path
             skipped = ("name", "source", "group_sizes", "n_excluded")
             assert checked == {k: v for k, v in entries[name].items() if k not in skipped}
@@ -200,7 +200,7 @@ class TestUnwritableOut:
 
     @pytest.fixture(autouse=True)
     def loads(self):
-        with mock.patch.object(scoregap.cli, "load_model", wraps=scoregap.cli.load_model) as loads:
+        with mock.patch.object(scoregap.cli, "read_model_files", wraps=scoregap.cli.read_model_files) as loads:
             yield loads
 
     @pytest.mark.parametrize("command", [
@@ -327,7 +327,7 @@ class TestAnalyze:
         header = Path(out).read_text().splitlines()[0].split(",")
         assert header[0] == "name"
         sibling = json.loads(Path(out + ".json").read_text())
-        assert sibling["schema_version"] == 5
+        assert sibling["schema_version"] == 6
 
     def test_csv_format_stdout_only(self, tmp_path, capsys):
         cfg = toy_config(tmp_path)
@@ -783,18 +783,17 @@ NEAR_LIMIT_MODEL = {"schema_version": 1, "rank": 1, "w_star": [1.0, 1.0, 1.0], "
 
 # Model files whose pulls are solved near the float limit: each name maps to
 # (its fields, check's exit code, the error line after "error: "). A "twin"
-# is the same file with w* scaled down far enough that nothing overflows.
-_ZERO_PULL_1 = "subgroup 1's pull direction is zero; per-unit optimum undefined"
-_ZERO_PULL_2 = "subgroup 2's pull direction is zero; per-unit optimum undefined"
+# is the same file with w* scaled down far enough that no solve overflows.
 _TOLERANCE = "conditions.do_no_harm.group1.tolerance: overflows to a non-finite value"
 _PULL_OVERFLOW = "group1: pull direction overflows to a non-finite value"
 _TINY_COST = {"cost1": [[1e-300, 0.0], [0.0, 1e-310]], "data1": [[1.0, 1.0]], "data2": [[1.0, 0.0], [0.0, 1.0]]}
 FLOAT_LIMIT_MODELS = {
-    # unscaled, A_1^{-1} w* = (2e308, 1) would overflow before P_1 projects that axis away
+    # unscaled, A_1^{-1} w* = (2e308, 1) would overflow before P_1 projects that axis away; t_1 is judged
+    # zero, and it is the do-no-harm tolerance, in units of w*^2, that leaves the float range
     "a": ({"w_star": [1e308, 1.0], "cost1": [[0.5, 0.0], [0.0, 1.0]], "data1": [[0.0, 1.0]],
-           "data2": [[0.0, 1.0], [1.0, 1.0]]}, EXIT_DEGENERATE, _ZERO_PULL_1),
+           "data2": [[0.0, 1.0], [1.0, 1.0]]}, EXIT_CONFIG, _TOLERANCE),
     "a_twin": ({"w_star": [1e300, 1.0], "cost1": [[0.5, 0.0], [0.0, 1.0]], "data1": [[0.0, 1.0]],
-                "data2": [[0.0, 1.0], [1.0, 1.0]]}, EXIT_DEGENERATE, _ZERO_PULL_1),
+                "data2": [[0.0, 1.0], [1.0, 1.0]]}, EXIT_CONFIG, _TOLERANCE),
     # t_1 + t_2 overflows, and so does ||s||^2 in the do-no-harm tolerance
     "sum": ({"w_star": [1e200, 1e308], "data1": [[1.0, 0.0], [0.0, 1.0]], "data2": [[1.0, 0.0], [0.0, 1.0]]},
             EXIT_CONFIG, _TOLERANCE),
@@ -804,10 +803,10 @@ FLOAT_LIMIT_MODELS = {
                         "data2": [[1.0, 1.0]]}, EXIT_CONFIG, _TOLERANCE),
     # t_1 = 5e309 (1, 1) leaves the float range; with w* = 1e-300 it is finite and dwarfs t_2
     "tiny_cost": ({"w_star": [1.0, 1.0], **_TINY_COST}, EXIT_CONFIG, _PULL_OVERFLOW),
-    "tiny_cost_tiny_w": ({"w_star": [1e-300, 1e-300], **_TINY_COST}, EXIT_DEGENERATE, _ZERO_PULL_2),
+    "tiny_cost_tiny_w": ({"w_star": [1e-300, 1e-300], **_TINY_COST}, 0, None),
     # the zero pull of a rank-0 projection takes no part in choosing the exponent
     "zero_vote": ({"w_star": [1.0, 1.0], "cost1": [[1e159, 0.0], [0.0, 1e159]], "data1": [[1.0, 0.0]],
-                   "projection2": [[0.0, 0.0], [0.0, 0.0]]}, EXIT_DEGENERATE, _ZERO_PULL_2),
+                   "projection2": [[0.0, 0.0], [0.0, 0.0]]}, 0, None),
     # A_1 has condition 1e320, so t_1 itself leaves the float range
     "cond_overflow": ({"w_star": [1.0, 1.0], "cost1": [[1.0, 0.0], [0.0, 1e-320]], "data1": [[1.0, 1.0]],
                        "data2": [[1.0, 0.0], [0.0, 1.0]]},
@@ -900,6 +899,10 @@ class TestNearFloatLimit:
         assert model.zero_pulls == (False, True)
         report = improvement_report(model, welfare_maximizing_rule(model))
         assert report["I2"] == report["uI2"] == 0.0
+        conditions = condition_report(model)  # so subgroup 2 gets its per-unit optimum, 0, from every rule
+        assert conditions["per_unit_optimal"]["group2"] == {"verdict": True, "value": 0.0, "tolerance": 0.0,
+                                                           "boundary": False}
+        assert conditions["sufficient_c"]["group2"] is None
 
     def test_a_huge_w_star_names_the_value_past_the_float_range(self, tmp_path, capsys):
         code, captured = self.scaled_check(tmp_path, capsys, 1e155)
@@ -943,6 +946,46 @@ class TestCheckMatchesAnalyze:
         assert codes == {"two_axis": EXIT_OK, "random": EXIT_OK, "benchmark": EXIT_OK,
                          "near_limit": EXIT_OK, "flat": EXIT_DEGENERATE, "bad_array": EXIT_CONFIG}
         assert entries["bad_array"]["error"]["message"] == "projection2: expected a list of numbers"
+
+
+# Subgroup 1 perceives the welfare rule, yet its pull t_1 = P_1 w* is zero (identity costs).
+ZERO_PULL_MODEL = {"w_star": [1, -1], "projection1": [[0.5, 0.5], [0.5, 0.5]], "projection2": [[1, 0], [0, 0]]}
+# Subgroup 1 sees e_1 and e_2 while w* = e_3, so it perceives none of the welfare rule: n_1 = 0.
+BLIND_MODEL = {"w_star": [0, 0, 1], "projection1": [[1, 0, 0], [0, 1, 0], [0, 0, 0]],
+               "projection2": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+
+
+class TestZeroPerUnit:
+    """A zero pull, or a zero view of the welfare rule, is a per-unit verdict and keeps the entry."""
+
+    @staticmethod
+    def check_and_analyze(tmp_path, capsys, doc):
+        """`check`'s document for `doc` written as a model file, once `analyze` is seen to keep the same entry."""
+        path = write(tmp_path, "model.json", json.dumps(doc))
+        cfg = models_yaml(tmp_path, f"models:\n  - name: m\n    path: {path}\n")
+        assert main(["analyze", "--config", cfg]) == EXIT_OK
+        (entry,) = json.loads(capsys.readouterr().out)["groupings"]
+        assert main(["check", path]) == EXIT_OK
+        checked = json.loads(capsys.readouterr().out)
+        assert {k: v for k, v in checked.items() if k not in ("model", "schema_version")} == _entry_part(entry)
+        return checked
+
+    def test_a_zero_pull_meets_its_optimum(self, tmp_path, capsys):
+        doc = self.check_and_analyze(tmp_path, capsys, ZERO_PULL_MODEL)
+        assert doc["metrics"]["uI1"] == doc["metrics"]["uI1_star"] == 0.0
+        conditions = doc["conditions"]
+        assert conditions["per_unit_optimal"]["group1"] == {"verdict": True, "value": 0.0, "tolerance": 0.0,
+                                                           "boundary": False}
+        assert conditions["sufficient_c"]["group1"] is None
+        assert conditions["fast_path"] != "sufficient_cg"
+
+    def test_a_blind_subgroup_gets_a_null_verdict(self, tmp_path, capsys):
+        doc = self.check_and_analyze(tmp_path, capsys, BLIND_MODEL)
+        assert doc["metrics"]["uI1"] is None
+        check = doc["conditions"]["per_unit_optimal"]["group1"]
+        assert (check["verdict"], check["value"]) == (None, None)
+        assert doc["conditions"]["sufficient_c"]["group1"] is None
+        assert doc["conditions"]["per_unit_optimal"]["group2"]["verdict"] is True
 
 
 class TestDatasetMatchesModelFile:
@@ -1019,6 +1062,31 @@ class TestRepeatedKeys:
         model = write(tmp_path, "model.json", text[:-1] + ', "w_star": [0.0, 1.0]}')
         assert main(["check", model]) == EXIT_CONFIG
         assert capsys.readouterr() == ("", f"error: {model} is not valid JSON: duplicate key 'w_star'\n")
+
+    def test_model_file_names_the_repeated_key_not_the_first(self, tmp_path, capsys):
+        text = json.dumps({**REJECTED_MODEL, "names": ["a", "b"]})
+        model = write(tmp_path, "model.json", text[:-1] + ', "names": ["c", "d"]}')
+        assert main(["check", model]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"error: {model} is not valid JSON: duplicate key 'names'\n")
+
+
+class TestEntryShape:
+    """An entry that lacks a required key, or is not a mapping, is one usage error that names the entry."""
+
+    @pytest.mark.parametrize("entry", ["{name: a}", "{group1: {column: age, op: le, value: 35}}"],
+                             ids=["no-group1", "no-name"])
+    def test_grouping(self, tmp_path, capsys, entry):
+        cfg = toy_config(tmp_path)
+        Path(cfg).write_text(Path(cfg).read_text().replace(
+            "  - name: age\n    group1: {column: age, op: le, value: 35}\n", f"  - {entry}\n"))
+        assert main(["analyze", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", "error: groupings[0]: name and group1 are required\n")
+
+    @pytest.mark.parametrize("entry", ["{path: m.json}", "5"], ids=["no-name", "not-a-mapping"])
+    def test_model_entry(self, tmp_path, capsys, entry):
+        cfg = models_yaml(tmp_path, f"models:\n  - {entry}\n")
+        assert main(["analyze", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", "error: models[0]: expected a mapping with a name\n")
 
 
 class TestNotUtf8:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scoregap import (
+    ConditionCheck,
     CostMatrix,
     DegenerateObjectiveError,
     EpsilonOutOfRangeError,
@@ -26,6 +27,7 @@ from scoregap import (
 )
 
 from conftest import (
+    assert_entry_agrees,
     orthogonal_population,
     random_orthonormal,
     random_population,
@@ -33,6 +35,7 @@ from conftest import (
     random_spd,
     random_unit_rules,
     scaled_population,
+    zero_pull_population,
 )
 
 
@@ -86,6 +89,17 @@ def _zero_pull_population():
         group2=Subgroup(name="full", cost=CostMatrix.identity(3),
                         projection=ProjectionMatrix.identity(3)),
         w_star=np.array([0.0, 0.0, 1.0]),
+    )
+
+
+def _zero_pull_in_view_population():
+    # w* = (1, -1) lies in the kernel of group 1's line (1, 1), while the welfare rule, e1, does not
+    return PopulationModel(
+        group1=Subgroup(name="diagonal", cost=CostMatrix.identity(2),
+                        projection=ProjectionMatrix(np.array([[1.0], [1.0]]) / np.sqrt(2.0))),
+        group2=Subgroup(name="axis", cost=CostMatrix.identity(2),
+                        projection=ProjectionMatrix(np.array([[1.0], [0.0]]))),
+        w_star=np.array([1.0, -1.0]),
     )
 
 
@@ -283,10 +297,7 @@ class TestPerUnitOptimality:
             pop = random_population(rng)
             w = welfare_maximizing_rule(pop)
             for gid in (1, 2):
-                try:
-                    check = check_per_unit_optimality(pop, gid)
-                except ZeroProjectedRuleError:
-                    continue
+                check = check_per_unit_optimality(pop, gid)
                 expected = (
                     optimal_per_unit_improvement(pop, gid)
                     - per_unit_improvement(pop, gid, w)
@@ -301,18 +312,26 @@ class TestPerUnitOptimality:
                 solved = float(np.linalg.solve(g.cost.matrix, diff) @ pop.w_star)
                 assert check.value == pytest.approx(solved, abs=1e-9)
 
-    def test_zero_pull_direction_raises(self):
-        with pytest.raises(ZeroProjectedRuleError):
-            check_per_unit_optimality(_zero_pull_population(), 1)
+    def test_zero_pull_direction_meets_its_optimum(self):
+        # every rule gains group 1 its per-unit optimum, 0, while it perceives the welfare rule
+        pop = _zero_pull_in_view_population()
+        assert pop.zero_pulls == (True, False) and pop.perceived[0] > 0.1
+        assert check_per_unit_optimality(pop, 1) == ConditionCheck(verdict=True, value=0.0, tolerance=0.0)
+        assert check_sufficient_per_unit(pop, 1) is None
 
-    def test_invisible_welfare_rule_raises(self):
-        pop = _blocked_perception_population()
+    @pytest.mark.parametrize("make", [_zero_pull_population, _blocked_perception_population],
+                             ids=["zero-pull", "blocked"])
+    def test_invisible_welfare_rule_has_no_verdict(self, make):
+        pop = make()
         # sanity: the construction does what its name says
-        assert np.linalg.norm(pop.pull_direction(1)) > 0.5
+        assert pop.zero_pulls == (make is _zero_pull_population, False)
         perceived = pop.group1.projection.matrix @ pop.gain_direction
         assert np.linalg.norm(perceived) < 1e-12
-        with pytest.raises(ZeroProjectedRuleError):
-            check_per_unit_optimality(pop, 1)
+        check = check_per_unit_optimality(pop, 1)
+        assert (check.verdict, check.value, check.boundary) == (None, None, False)
+        w = welfare_maximizing_rule(pop)
+        with pytest.raises(ZeroProjectedRuleError):  # so uI_1 has no value either
+            per_unit_improvement(pop, 1, w)
 
     def test_degenerate_raises(self):
         with pytest.raises(DegenerateObjectiveError):
@@ -380,10 +399,7 @@ class TestSufficientPerUnit:
             for _ in range(20):
                 pop = make(rng)
                 for gid in (1, 2):
-                    try:
-                        verdict = check_per_unit_optimality(pop, gid).verdict
-                    except ZeroProjectedRuleError:
-                        verdict = False
+                    verdict = check_per_unit_optimality(pop, gid).verdict
                     assert (check_sufficient_per_unit(pop, gid) is not None) == verdict
 
     def test_not_necessary_for_the_verdict(self):
@@ -512,6 +528,7 @@ _FAMILIES = {
     "random": random_population,
     "orthogonal": orthogonal_population,
     "scaled": scaled_population,
+    "zero_pull": zero_pull_population,
 }
 
 
@@ -555,6 +572,12 @@ def _verdicts(pop, swap=False):
 _seeds = st.integers(0, 2**32 - 1)
 _families = st.sampled_from(sorted(_FAMILIES))
 _log_scales = st.floats(-8.0, 8.0)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(seed=_seeds, family=_families)
+def test_an_entry_agrees_with_itself(seed, family):
+    assert_entry_agrees(_population(seed, family))
 
 
 class TestInvariance:

@@ -25,22 +25,32 @@ D = 5
 CASES = [(shape, seed) for shape in ("generic", "orthogonal", "shared") for seed in (0, 1)]
 
 
-def seeded_doc(shape: str, seed: int) -> dict:
-    """A d = 5 model file whose projections come from sample matrices and a rank cut."""
+def seeded_doc(shape: str, seed: int, spread: float = 0.0) -> dict:
+    """A d = 5 model file whose projections come from sample matrices and a rank cut.
+
+    With `spread` set, each cost's eigenvalues are spread over 10**-spread to 10**spread."""
     rng = np.random.default_rng(seed)
     basis = random_orthonormal(rng, D, D)
     planes = {"generic": (np.eye(D), np.eye(D)),
               "orthogonal": (basis[:, :2], basis[:, 2:4]),
               "shared": (basis[:, :2], basis[:, :2])}[shape]
-    cost1 = random_spd(rng, D)
+    spd = (lambda: random_spd(rng, D)) if not spread else lambda: spread_spd(rng, D, spread)
+    cost1 = spd()
     return {
         "w_star": rng.standard_normal(D),
         "cost1": cost1,
-        "cost2": 2.0 * cost1 if shape == "shared" else random_spd(rng, D),
+        "cost2": 2.0 * cost1 if shape == "shared" else spd(),
         "data1": rng.standard_normal((30, planes[0].shape[1])) @ planes[0].T,
         "data2": rng.standard_normal((25, planes[1].shape[1])) @ planes[1].T,
         "rank": 3,
     }
+
+
+def spread_spd(rng: np.random.Generator, d: int, spread: float) -> np.ndarray:
+    """Q diag(10**x) Q^T for a random rotation Q and x uniform in [-spread, spread]."""
+    q = random_orthonormal(rng, d, d)
+    a = q @ np.diag(10.0 ** rng.uniform(-spread, spread, size=d)) @ q.T
+    return (a + a.T) / 2.0
 
 
 def entry_of(tmp_path, doc: dict, name: str) -> dict:
@@ -164,10 +174,11 @@ def test_scaling_the_data_by_a_power_of_two_changes_no_bit(tmp_path, shape, seed
 @pytest.mark.parametrize("shape, seed", CASES)
 @pytest.mark.parametrize("k", [-300, 37, 300])
 def test_scaling_the_costs_by_a_power_of_two_is_exact(tmp_path, shape, seed, k):
-    # A_g 2**k scales t_g = P_g A_g^{-1} w* by 2**-k, as w* 2**-k does
-    doc = seeded_doc(shape, seed)
-    scaled = dict(doc, cost1=np.ldexp(doc["cost1"], k), cost2=np.ldexp(doc["cost2"], k))
-    assert_exactly_scaled(entry_of(tmp_path, doc, "a"), entry_of(tmp_path, scaled, "b"), -k)
+    # A_g 2**k scales t_g = P_g A_g^{-1} w* by 2**-k, as w* 2**-k does. Costs whose eigenvalues
+    # spread over 1e-6 to 1e6 pivot differently under any balancing that does not move with k as a whole.
+    for doc in (seeded_doc(shape, seed), seeded_doc(shape, seed, spread=6.0)):
+        scaled = dict(doc, cost1=np.ldexp(doc["cost1"], k), cost2=np.ldexp(doc["cost2"], k))
+        assert_exactly_scaled(entry_of(tmp_path, doc, "a"), entry_of(tmp_path, scaled, "b"), -k)
 
 
 # CSV relations, on an all-numeric file and one with categorical columns

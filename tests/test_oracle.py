@@ -21,12 +21,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from scoregap import (
-    DegenerateObjectiveError, ZeroProjectedRuleError, check_do_no_harm, check_equal_improvement,
-    check_per_unit_optimality, improvement_report, welfare_maximizing_rule,
+    DegenerateObjectiveError, check_do_no_harm, check_equal_improvement, check_per_unit_optimality,
+    check_sufficient_per_unit, improvement_report, welfare_maximizing_rule,
 )
 from scoregap.modelio import model_from_dict
 
-from conftest import EXACT_ZERO_PULL_MODELS
+from conftest import EXACT_ZERO_PULL_MODELS, assert_entry_agrees
 
 BAND = 1e-6  # an exact value this far from zero, relative to its scale, has a sign no roundoff can flip
 IDENTITY_TOL = 1e-9  # relative to its scale, the most roundoff an identity may show
@@ -194,14 +194,25 @@ def test_per_unit_optimality(doc):
         return
     for g in (1, 2):
         pull_sq, inner, n_sq = gram[g - 1][g - 1], gram[g - 1][g - 1] + gram[0][1], perceived[g - 1]
-        if pull_sq == 0 or n_sq == 0:
-            with pytest.raises(ZeroProjectedRuleError):
-                check_per_unit_optimality(model, g)
-        elif _norm(pull_sq) > BAND * pull_scale and _norm(n_sq) > BAND * _norm(gain_sq):
+        check = check_per_unit_optimality(model, g)
+        if n_sq == 0:  # the subgroup perceives none of the welfare rule, so its per-unit gain has no value
+            assert (check.verdict, check.value) == (None, None), g
+        elif _norm(n_sq) <= BAND * _norm(gain_sq):
+            continue
+        elif pull_sq == 0:  # every rule gains the subgroup its per-unit optimum, 0
+            assert (check.verdict, check.value, check_sufficient_per_unit(model, g)) == (True, 0.0, None), g
+        elif _norm(pull_sq) > BAND * pull_scale:
             # <t_g, P_g s> = G_gg + G_12, so Cauchy-Schwarz is an equality exactly when t_g is parallel to P_g s
             optimal = inner > 0 and inner ** 2 == pull_sq * n_sq
             if optimal or inner <= 0 or 1 - math.sqrt(inner ** 2 / (pull_sq * n_sq)) > BAND:
-                assert check_per_unit_optimality(model, g).verdict == optimal, g
+                assert check.verdict == optimal, g
+
+
+@oracle_examples
+def test_an_entry_agrees_with_itself(doc):
+    model = model_from_dict(doc)
+    if not model.degenerate:
+        assert_entry_agrees(model)
 
 
 @oracle_examples

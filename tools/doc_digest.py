@@ -10,7 +10,11 @@ it, then `python -m scoregap check` on each seed-1 model file. No
 workload config sets `costs:`, so it also runs the seed-1 `credit` and
 `adult` configs again with `costs: {group1: 2.5, group2: A}`, A a
 seed-1 SPD matrix of the feature count, which sends a scaled and a
-dense cost through `analyze`. Last it feeds each reader a malformed
+dense cost through `analyze`. It then runs `check` on two model files in
+which one subgroup's per-unit verdict is not decided by a ratio: in
+`zero-pull.json` group 1's pull is zero while it perceives the welfare
+rule, and in `blind.json` it sees e1 and e2 while w* = e3, so it
+perceives none of the welfare rule. Last it feeds each reader a malformed
 input: a config, a model file, a `vector:` w* file and a CSV that are
 not UTF-8 text, and a model file that does not exist. It prints
 one line per command: its exit code and the sha256 of each file it wrote
@@ -68,6 +72,19 @@ def _with_costs(config: Path, dim: int) -> Path:
     return path
 
 
+ZERO_PER_UNIT = {
+    "zero-pull": {"w_star": [1, -1], "projection1": [[0.5, 0.5], [0.5, 0.5]], "projection2": [[1, 0], [0, 0]]},
+    "blind": {"w_star": [0, 0, 1], "projection1": [[1, 0, 0], [0, 1, 0], [0, 0, 0]],
+              "projection2": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+}
+
+
+def _check(model: Path, env: dict) -> None:
+    """Run `check` on `model` and print its digest line."""
+    proc = _run(["check", str(model)], env)
+    print(f"check {model} exit={proc.returncode} stdout={_sha(proc.stdout)} stderr={_sha(proc.stderr)}", flush=True)
+
+
 def _malformed(env: dict) -> None:
     """Run each reader on an input it must reject and print one digest line per input."""
     bad = b"a,\xff\n"  # 0xff begins no UTF-8 sequence
@@ -102,15 +119,16 @@ def main() -> int:
                 wl = generated[name, seed] = workloads.generate(name, ROOT, work, seed)
                 _analyze(f"{name} seed={seed}", wl.config, work / f"out.{wl.cli_format}", wl.cli_format, env)
         for model in sorted(Path("models-1").glob("model_*.json")):
-            proc = _run(["check", str(model)], env)
-            print(f"check {model} exit={proc.returncode} stdout={_sha(proc.stdout)} stderr={_sha(proc.stderr)}",
-                  flush=True)
+            _check(model, env)
         for name in ("credit", "adult"):
             wl = generated[name, 1]
             out = wl.config.parent / f"out.{wl.cli_format}"
             dim = len(json.loads(Path(f"{out}.json" if wl.cli_format == "csv" else out).read_text())["feature_names"])
             _analyze(f"{name} seed=1 costs", _with_costs(wl.config, dim),
                      wl.config.parent / f"costs-out.{wl.cli_format}", wl.cli_format, env)
+        for name, doc in ZERO_PER_UNIT.items():
+            Path(f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+            _check(Path(f"{name}.json"), env)
         _malformed(env)
         os.chdir(ROOT)
     return 0
