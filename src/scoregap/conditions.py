@@ -21,7 +21,7 @@ sqrt(G_11 + 2 G_12 + G_22) cancels where degeneracy is decided:
     pull solve (t_g = 0)  ||P_g z||, z ~ A_g^{-1} w_star    ||z||
     t_g ~ 0               ||t_g||                           ||t_1|| + ||t_2||
     n_g ~ 0               n_g                               ||s||
-    P_g w ~ 0 (metrics)   ||P_g w||                         ||w||
+    P_g w ~ 0 (any w)     ||P_g w||                         ||w||
     orthogonal spans      ||V_1^T V_2||_F                   1
     same span             ||V_2 - V_1 V_1^T V_2||_F         1
     proportional costs    max |A_2 - c A_1|                 max |A_2|
@@ -35,7 +35,8 @@ A zero pull needs no case: t_g = 0 makes the per-unit scalar and its scale
 0, so it holds. Where n_g ~ 0 the per-unit verdict is None, as uI_g is.
 The orthogonal test reads PopulationModel.alignment, ||V_1^T V_2||_F^2 / d,
 against tolerance(tolerance()). PopulationModel decides the pull solve,
-t_g ~ 0 and degeneracy once; the last three rows are input checks.
+t_g ~ 0, degeneracy and n_g ~ 0 once, each as an exact 0; the last three
+rows are input checks.
 
 Checkers return the raw scalar together with its tolerance, so callers
 can always re-judge.
@@ -125,7 +126,7 @@ def check_per_unit_optimality(pop: PopulationModel, gid: int) -> ConditionCheck:
     gg = pop.gram[gid - 1, gid - 1]
     t_norm = float(np.sqrt(gg))
     n = pop.perceived[gid - 1]
-    if n <= tolerance(pop.gain_norm):
+    if not n:
         return ConditionCheck(verdict=None, value=None, tolerance=pop.in_units(tolerance(t_norm)))
     return _check(pop, 1, t_norm - (gg + pop.gram[0, 1]) / n, t_norm, equality=True)
 

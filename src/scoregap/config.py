@@ -95,12 +95,20 @@ class ExperimentConfig:
             raise ConfigError("grouping/model names must be unique")
 
 
+def _reject_unknown(doc: dict, known, message: str) -> None:
+    """Raises ConfigError(message + the keys of `doc` outside `known`), sorted as text so that mixed types sort."""
+    unknown = sorted(set(doc) - set(known), key=str)
+    if unknown:
+        raise ConfigError(f"{message}{unknown}")
+
+
 def _parse_predicate(doc: object, where: str) -> GroupPredicate:
     if not isinstance(doc, dict):
         raise ConfigError(f"{where}: expected a mapping with column/op/value")
     missing = [k for k in ("column", "op", "value") if k not in doc]
     if missing:
         raise ConfigError(f"{where}: missing {', '.join(missing)}")
+    _reject_unknown(doc, ("column", "op", "value"), f"{where}: unknown keys ")
     value = doc["value"]
     if isinstance(value, list):
         value = tuple(value)
@@ -116,9 +124,7 @@ def _parse_grouping(doc: object, idx: int) -> GroupingSpec:
         raise ConfigError(f"{where}: expected a mapping")
     if "name" not in doc or "group1" not in doc:
         raise ConfigError(f"{where}: name and group1 are required")
-    extra = set(doc) - {"name", "group1", "group2"}
-    if extra:
-        raise ConfigError(f"{where}: unknown keys {sorted(extra)}")
+    _reject_unknown(doc, ("name", "group1", "group2"), f"{where}: unknown keys ")
     group2 = None
     if doc.get("group2") is not None:
         group2 = _parse_predicate(doc["group2"], f"{where}.group2")
@@ -133,9 +139,7 @@ def _parse_model_entry(doc: object, idx: int) -> ModelEntry:
     where = f"models[{idx}]"
     if not isinstance(doc, dict) or "name" not in doc:
         raise ConfigError(f"{where}: expected a mapping with a name")
-    extra = set(doc) - {"name", "path", "epsilon"}
-    if extra:
-        raise ConfigError(f"{where}: unknown keys {sorted(extra)}")
+    _reject_unknown(doc, ("name", "path", "epsilon"), f"{where}: unknown keys ")
     epsilon = doc.get("epsilon")
     if epsilon is not None and (isinstance(epsilon, bool) or not isinstance(epsilon, (int, float))):
         raise ConfigError(f"{where}.epsilon: expected a number, got {epsilon!r}")
@@ -194,9 +198,7 @@ _KNOWN_KEYS = {
 def config_from_dict(doc: object) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config must be a mapping")
-    unknown = set(doc) - _KNOWN_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    _reject_unknown(doc, _KNOWN_KEYS, "unknown config keys: ")
 
     encoding = doc.get("encoding") or {}
     with naming("encoding", IngestError):
@@ -205,9 +207,7 @@ def config_from_dict(doc: object) -> ExperimentConfig:
     costs = doc.get("costs") or {}
     if not isinstance(costs, dict):
         raise ConfigError("costs: expected a mapping with group1/group2")
-    bad = set(costs) - {"group1", "group2"}
-    if bad:
-        raise ConfigError(f"costs: unknown keys {sorted(bad)}")
+    _reject_unknown(costs, ("group1", "group2"), "costs: unknown keys ")
 
     groupings = tuple(_parse_grouping(g, i) for i, g in enumerate(_list(doc, "groupings", "groupings")))
     models = tuple(_parse_model_entry(m, i) for i, m in enumerate(_list(doc, "models", "model entries")))

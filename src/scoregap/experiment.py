@@ -37,7 +37,7 @@ from .metrics import improvement_report
 from .modelio import load_model, model_from_dict, read_model_files
 from .principal import PopulationModel, welfare_maximizing_rule
 
-RESULT_SCHEMA_VERSION = 6
+RESULT_SCHEMA_VERSION = 7
 
 # The CSV table: one (column, key path) pair per column, each path as `_leaves` names it.
 CSV_FIELDS = (
@@ -84,7 +84,7 @@ def population_payload(model: PopulationModel) -> dict:
     names the first key that overflowed, since a JSON document holds no inf."""
     with np.errstate(over="ignore"):  # an overflow shows as a non-finite value, named below
         rule = welfare_maximizing_rule(model)
-        metrics = improvement_report(model, rule)
+        metrics = improvement_report(model)
         conditions = condition_report(model)
     payload = {
         "alignment": model.alignment,

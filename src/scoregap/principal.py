@@ -34,7 +34,8 @@ class PopulationModel:
     ||u||; `in_units` scales a value back exactly. `alignment` is tr(P_1 P_2)/d.
     Zeros are decided once: t_g = 0 where ||P_g z|| <= tolerance(||z||) for the solve's z, and
     U_g = 0 where t_g ~ 0, then u = 0 where s ~ 0, both judged against `pull_scale` =
-    (||t_1|| + ||t_2||) 2**-e; `zero_pulls` and `degenerate` read those zeros.
+    (||t_1|| + ||t_2||) 2**-e; `zero_pulls` and `degenerate` read those zeros. Last,
+    n_g = 0 where n_g <= tolerance(||u||): the subgroup perceives none of the welfare rule.
     """
 
     group1: Subgroup
@@ -73,8 +74,8 @@ class PopulationModel:
         object.__setattr__(self, "gain_norm", float(np.linalg.norm(gain)))
         object.__setattr__(self, "zero_pulls", tuple(not u.any() for u in units))
         object.__setattr__(self, "degenerate", not gain.any())
-        perceived = tuple(float(np.linalg.norm(g.projection.basis.T @ self.unit_gain)) for g in self.groups)
-        object.__setattr__(self, "perceived", perceived)
+        perceived = [float(np.linalg.norm(g.projection.basis.T @ gain)) for g in self.groups]
+        object.__setattr__(self, "perceived", tuple(n if n > tolerance(self.gain_norm) else 0.0 for n in perceived))
         object.__setattr__(self, "alignment", alignment(*(g.projection for g in self.groups)))
 
     @property

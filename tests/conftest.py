@@ -139,8 +139,10 @@ def assert_entry_agrees(model: PopulationModel) -> None:
 
     do_no_harm is I_g >= 0 and equal_improvement is I_1 = I_2, each judged on the metric times `welfare`
     (= ||s||), so a verdict fails only where its metric does, and a metric past twice the tolerance fails
-    it. per_unit_optimal is uI_g = uI_g_star within its tolerance, None exactly where uI_g is, and true with
-    value 0 and no multiplier where the pull is zero.
+    it. Each verdict shares its floats with its metric: do_no_harm's value has the sign of I_g, and
+    equal_improvement's value is 0 exactly where `difference` is. per_unit_optimal's value is exactly
+    uI_g_star - uI_g (exact while no value is subnormal), its verdict is |value| <= tolerance, it is None
+    exactly where uI_g is, and it is true with value 0 and no multiplier where the pull is zero.
     """
     payload = population_payload(model)
     metrics, conditions = payload["metrics"], payload["conditions"]
@@ -149,17 +151,18 @@ def assert_entry_agrees(model: PopulationModel) -> None:
         harm = conditions["do_no_harm"][f"group{g}"]
         assert harm["verdict"] or metrics[f"I{g}"] < 0, g
         assert metrics[f"I{g}"] * welfare >= -2 * harm["tolerance"] or not harm["verdict"], g
+        assert np.sign(harm["value"]) == np.sign(metrics[f"I{g}"]), g
         per_unit = conditions["per_unit_optimal"][f"group{g}"]
         unit = metrics[f"uI{g}"]
         assert (per_unit["verdict"] is None) == (per_unit["value"] is None) == (unit is None), g
         if unit is not None:
-            shortfall, tol = metrics[f"uI{g}_star"] - unit, per_unit["tolerance"]
-            if abs(abs(shortfall) - tol) >= 1e-3 * tol:  # roundoff cannot move a shortfall this far from the edge
-                assert per_unit["verdict"] == (abs(shortfall) <= tol), g
+            assert per_unit["value"] == metrics[f"uI{g}_star"] - unit, g
+            assert per_unit["verdict"] == (abs(per_unit["value"]) <= per_unit["tolerance"]), g
             if model.zero_pulls[g - 1]:
                 assert (per_unit["verdict"], per_unit["value"], c[f"group{g}"]) == (True, 0.0, None), g
     equal = conditions["equal_improvement"]
     assert equal["verdict"] or metrics["difference"] != 0
+    assert (equal["value"] == 0) == (metrics["difference"] == 0)
     assert abs(metrics["difference"]) * welfare <= 2 * equal["tolerance"] or not equal["verdict"]
     fast = conditions["fast_path"]
     if fast == "orthogonal_subspaces":  # G_12 = 0, so G_gg + G_12 >= 0

@@ -325,13 +325,21 @@ def test_every_output_setting_in_a_config_is_a_config_error(mode, key, j):
 def _assert_config_inside_the_contract(doc, form: str) -> tuple:
     """The exit code and stderr of `analyze --format form` on the config `doc`, with CONFIG_CSV, a 3-entry
     w* file and CONFIG_MODEL beside it, once the run has kept to the contract."""
+    code, _, err = _outcome(doc, form)
+    return code, err
+
+
+def _outcome(doc, form: str = "json", model=CONFIG_MODEL) -> tuple:
+    """(exit code, stdout, stderr) of `analyze --format form` on the config `doc`, or of `check` on the model
+    file when `doc` is None, with CONFIG_CSV, a 3-entry w* file and `model` beside it, once the run has kept
+    to the contract; "{tmp}" stands for their directory in both streams."""
     with tempfile.TemporaryDirectory() as tmp:
         with open(os.path.join(tmp, "data.csv"), "w", encoding="utf-8") as handle:
             handle.write(CONFIG_CSV)
         with open(os.path.join(tmp, "w.txt"), "w", encoding="utf-8") as handle:
             handle.write("1 0.5 -2\n")
         with open(os.path.join(tmp, "model.json"), "w", encoding="utf-8") as handle:
-            json.dump(CONFIG_MODEL, handle)
+            json.dump(model, handle)
         config = os.path.join(tmp, "config.yaml")
         with open(config, "w", encoding="utf-8") as handle:
             yaml.safe_dump(_in_dir(doc, tmp), handle)
@@ -339,9 +347,91 @@ def _assert_config_inside_the_contract(doc, form: str) -> tuple:
         with warnings.catch_warnings(record=True) as caught, \
                 contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             warnings.simplefilter("always")
-            code = main(["analyze", "--config", config, "--format", form])
+            argv = ["check", os.path.join(tmp, "model.json")] if doc is None else ["analyze", "--config", config]
+            code = main(argv + ["--format", form] * (doc is not None))
     assert code in EXITS
     assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert not [line for line in err.getvalue().splitlines() if line.startswith(("error: w:", "error: rows:"))]
     _assert_finite_document(out.getvalue(), form)
-    return code, err.getvalue()
+    return code, out.getvalue().replace(tmp, "{tmp}"), err.getvalue().replace(tmp, "{tmp}")
+
+
+# Item 14's structural sweep: every key of the two sweep configs and of CONFIG_MODEL (run through `check`)
+# deleted, every list item popped, a stray key added to every mapping, and every mapping swapped for the list
+# of its values and every list for the mapping of its indices. The absence of an optional key means its
+# default, so deleting it must give the run that writes the default out; every other edit either keeps to
+# the contract or stops the run with exactly one `error:` line, and a stray key stops it naming that key:
+# exit 2, but for `encoding`, whose keys name CSV columns, where the CSV lacking that column is exit 3.
+STRUCTURAL_BASES = {"dataset": SWEEP_DATASET, "models": _models_config(), "model file": CONFIG_MODEL}
+OPTIONAL_KEYS = {
+    ("dataset", ("rank",)): 5, ("dataset", ("wstar",)): "ones", ("dataset", ("standardize",)): False,
+    ("dataset", ("drop_columns",)): [], ("dataset", ("costs",)): {},
+    ("dataset", ("costs", "group1")): "identity", ("dataset", ("costs", "group2")): "identity",
+    ("dataset", ("groupings", 0, "group2")): None,
+    ("model file", ("schema_version",)): 1, ("model file", ("cost1",)): None, ("model file", ("cost2",)): None,
+}
+STRAY = "stray"
+
+
+def _containers(doc, path=()):
+    """The key path to every mapping and list of a document, the document itself first."""
+    if isinstance(doc, (dict, list)):
+        yield path
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from _containers(value, path + (key,))
+
+
+def _structural_edits(doc) -> list:
+    """(edit, path) for every structural edit of `doc`: "delete" names a key or an item, the rest a container."""
+    edits = []
+    for path in _containers(doc):
+        node = _at(doc, path)
+        edits += [("delete", path + (key,)) for key in (node if isinstance(node, dict) else range(len(node)))]
+        edits += [("stray", path)] * isinstance(node, dict) + [("swap", path)]
+    return edits
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _edited(doc, edit: str, path):
+    """A copy of `doc` with `edit` made at `path`."""
+    doc = copy.deepcopy(doc)
+    if edit == "delete":
+        del _at(doc, path[:-1])[path[-1]]
+        return doc
+    node = _at(doc, path)
+    if edit == "stray":
+        node[STRAY] = None
+        return doc
+    swapped = list(node.values()) if isinstance(node, dict) else {str(i): v for i, v in enumerate(node)}
+    if not path:
+        return swapped
+    _at(doc, path[:-1])[path[-1]] = swapped
+    return doc
+
+
+@pytest.mark.parametrize("base, edit, path", [
+    pytest.param(base, edit, path, id=f"{base}:{edit}:{'.'.join(map(str, path))}")
+    for base, doc in STRUCTURAL_BASES.items() for edit, path in _structural_edits(doc)
+])
+def test_every_structural_edit_stays_inside_the_exit_contract(base, edit, path):
+    doc = _edited(STRUCTURAL_BASES[base], edit, path)
+    run = (lambda d: _outcome(None, model=d)) if base == "model file" else _outcome
+    code, out, err = run(doc)
+    if (base, path) in OPTIONAL_KEYS and edit == "delete":
+        written = copy.deepcopy(STRUCTURAL_BASES[base])
+        _at(written, path[:-1])[path[-1]] = OPTIONAL_KEYS[base, path]
+        assert (code, out, err) == run(written)
+    elif edit == "stray":
+        assert code == (3 if path == ("encoding",) else 2) and out == "" and repr(STRAY) in err, err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == (not out) and err.startswith("error:") == (not out), err
+
+
+def test_every_optional_key_is_in_a_sweep_base():
+    # so each row of OPTIONAL_KEYS is checked by a deletion above
+    assert all(("delete", path) in _structural_edits(STRUCTURAL_BASES[base]) for base, path in OPTIONAL_KEYS)

@@ -16,7 +16,6 @@ import scoregap
 import scoregap.cli
 from scoregap import (
     ConfigError, condition_report, disparity_example, improvement_report, load_config, render_json, run_analysis,
-    welfare_maximizing_rule,
 )
 from scoregap.cli import (
     EXIT_CONFIG,
@@ -145,7 +144,7 @@ class TestCheck:
         assert main(["check", model_path, "--out", out_path]) == EXIT_OK
         assert capsys.readouterr().out == ""
         doc = json.loads(Path(out_path).read_text())
-        assert doc["schema_version"] == 6
+        assert doc["schema_version"] == 7
 
     def test_same_conditions_as_analyze(self, tmp_path, capsys):
         # one model file, two subcommands: check writes exactly the analyze entry's payload
@@ -169,7 +168,7 @@ class TestCheck:
         for name, path in paths.items():
             assert main(["check", path]) == EXIT_OK
             checked = json.loads(capsys.readouterr().out)
-            assert checked.pop("schema_version") == 6
+            assert checked.pop("schema_version") == 7
             assert checked.pop("model") == path
             skipped = ("name", "source", "group_sizes", "n_excluded")
             assert checked == {k: v for k, v in entries[name].items() if k not in skipped}
@@ -327,7 +326,7 @@ class TestAnalyze:
         header = Path(out).read_text().splitlines()[0].split(",")
         assert header[0] == "name"
         sibling = json.loads(Path(out + ".json").read_text())
-        assert sibling["schema_version"] == 6
+        assert sibling["schema_version"] == 7
 
     def test_csv_format_stdout_only(self, tmp_path, capsys):
         cfg = toy_config(tmp_path)
@@ -897,7 +896,7 @@ class TestNearFloatLimit:
         fields, _, _ = FLOAT_LIMIT_MODELS["tiny_cost_tiny_w"]
         model = model_from_dict({"schema_version": 1, **fields})
         assert model.zero_pulls == (False, True)
-        report = improvement_report(model, welfare_maximizing_rule(model))
+        report = improvement_report(model)
         assert report["I2"] == report["uI2"] == 0.0
         conditions = condition_report(model)  # so subgroup 2 gets its per-unit optimum, 0, from every rule
         assert conditions["per_unit_optimal"]["group2"] == {"verdict": True, "value": 0.0, "tolerance": 0.0,

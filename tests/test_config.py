@@ -155,6 +155,28 @@ class TestValidation:
                  "surprise": True},
             ]))
 
+    @pytest.mark.parametrize("extra", [
+        {"stray": 1},
+        # a group2 block indented one level too deep, which would turn the grouping into a complement split
+        {"group2": {"column": "a", "op": "gt", "value": 0}},
+    ])
+    def test_a_predicate_rejects_unknown_keys(self, extra):
+        predicate = {"column": "a", "op": "le", "value": 0, **extra}
+        with pytest.raises(ConfigError) as info:
+            config_from_dict({"dataset": "x.csv", "groupings": [{"name": "g", "group1": predicate}]})
+        assert str(info.value) == f"groupings[0].group1: unknown keys {list(extra)}"
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"dataset": "x.csv", 1: "a", "zz": "b", None: "c"}, "unknown config keys: [1, None, 'zz']"),
+        ({"models": [{"name": "m", "epsilon": 0.5, 2: "x", "b": "y"}]}, "models[0]: unknown keys [2, 'b']"),
+        ({"models": [{"name": "m", "epsilon": 0.5}], "costs": {True: 1, "g": 2}}, "costs: unknown keys [True, 'g']"),
+    ])
+    def test_unknown_keys_of_mixed_types_are_named(self, doc, message):
+        # YAML keys need not be strings; they are listed in the order of their text
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(doc)
+        assert str(info.value) == message
+
     def test_bad_costs(self):
         models = [{"name": "m", "epsilon": 0.5}]
         with pytest.raises(ConfigError, match="costs.group1"):

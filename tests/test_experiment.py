@@ -88,7 +88,7 @@ def dataset_config(tmp_path, **kwargs) -> ExperimentConfig:
 class TestModelMode:
     def test_two_axis_entry_values(self):
         result = run_analysis(models_config())
-        assert result["schema_version"] == 6
+        assert result["schema_version"] == 7
         assert result["n_failed"] == 0
         assert result["dataset"] is None
         (entry,) = result["groupings"]
@@ -301,7 +301,7 @@ class TestRendering:
         assert text1 == text2
         assert text1.endswith("\n")
         doc = json.loads(text1)
-        assert doc["schema_version"] == 6
+        assert doc["schema_version"] == 7
 
     def test_json_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -405,7 +405,7 @@ def key_paths(doc) -> set:
 
 class TestResultSchema:
     def test_version(self):
-        assert RESULT_SCHEMA_VERSION == 6  # any change to the sets above bumps it
+        assert RESULT_SCHEMA_VERSION == 7  # any change to the sets above bumps it
 
     def test_dataset_document(self, tmp_path):
         doc = run_analysis(dataset_config(tmp_path, groupings=(

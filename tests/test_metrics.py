@@ -3,6 +3,7 @@ import pytest
 
 from scoregap import (
     CostMatrix,
+    DegenerateObjectiveError,
     DimensionMismatchError,
     PopulationModel,
     ProjectionMatrix,
@@ -124,35 +125,45 @@ class TestImprovementDifference:
 
 
 class TestImprovementReport:
+    """The report reads the welfare rule's metrics from the closed forms the guarantee checks judge."""
+
     def test_matches_individual_metrics(self):
         rng = np.random.default_rng(7)
-        pop = random_population(rng, d=6)
-        w = welfare_maximizing_rule(pop)
-        rep = improvement_report(pop, w)
-        assert rep["I1"] == pytest.approx(total_improvement(pop, 1, w), abs=1e-12)
-        assert rep["I2"] == pytest.approx(total_improvement(pop, 2, w), abs=1e-12)
-        assert rep["uI1"] == pytest.approx(per_unit_improvement(pop, 1, w), abs=1e-12)
-        assert rep["uI2"] == pytest.approx(per_unit_improvement(pop, 2, w), abs=1e-12)
-        assert rep["uI1_star"] == pytest.approx(
-            optimal_per_unit_improvement(pop, 1), abs=1e-12
-        )
-        assert rep["welfare"] == pytest.approx(welfare_gain(pop, w), abs=1e-12)
-        assert rep["difference"] == pytest.approx(improvement_difference(pop, w), abs=1e-12)
+        for _ in range(20):
+            pop = random_population(rng)
+            w = welfare_maximizing_rule(pop)
+            rep = improvement_report(pop)
+            scale = rep["welfare"]
+            for gid in (1, 2):
+                assert rep[f"I{gid}"] == pytest.approx(total_improvement(pop, gid, w), abs=1e-12 * scale)
+                assert rep[f"uI{gid}"] == pytest.approx(per_unit_improvement(pop, gid, w), rel=1e-12, abs=1e-12 * scale)
+                assert rep[f"uI{gid}_star"] == optimal_per_unit_improvement(pop, gid)
+            assert rep["welfare"] == pytest.approx(welfare_gain(pop, w), rel=1e-12)
+            assert rep["difference"] == pytest.approx(improvement_difference(pop, w), abs=1e-12 * scale)
 
     def test_welfare_is_sum_of_totals(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
             pop = random_population(rng)
-            w = rng.standard_normal(pop.dim)
-            rep = improvement_report(pop, w)
-            assert rep["welfare"] == pytest.approx(rep["I1"] + rep["I2"], abs=1e-9)
+            rep = improvement_report(pop)
+            assert rep["welfare"] == pytest.approx(rep["I1"] + rep["I2"], rel=1e-12)
+            w = rng.standard_normal(pop.dim)  # and so it is for any rule
+            total = total_improvement(pop, 1, w) + total_improvement(pop, 2, w)
+            assert welfare_gain(pop, w) == pytest.approx(total, abs=1e-9)
 
     def test_undefined_ratios_become_none(self):
-        pop = disparity_example(0.3)
-        rep = improvement_report(pop, np.array([0.0, 1.0]))
-        assert rep["uI1"] is None
-        assert rep["I1"] == pytest.approx(0.0, abs=1e-15)
-        assert rep["uI2"] is not None
+        # group 1 sees e_1 and e_2 while w* = e_3, so it perceives none of the welfare rule
+        pop = PopulationModel(
+            group1=Subgroup(name="blind", cost=CostMatrix.identity(3),
+                            projection=ProjectionMatrix(np.eye(3)[:, :2])),
+            group2=Subgroup(name="sighted", cost=CostMatrix.identity(3),
+                            projection=ProjectionMatrix.identity(3)),
+            w_star=np.array([0.0, 0.0, 1.0]),
+        )
+        rep = improvement_report(pop)
+        assert pop.perceived[0] == 0.0
+        assert (rep["uI1"], rep["I1"], rep["uI1_star"]) == (None, 0.0, 0.0)
+        assert rep["uI2"] == rep["uI2_star"] == rep["I2"] == rep["welfare"] == 1.0
 
     def test_rank_zero_optimal_is_none(self):
         pop = PopulationModel(
@@ -162,14 +173,25 @@ class TestImprovementReport:
                             projection=ProjectionMatrix.identity(2)),
             w_star=np.array([1.0, 1.0]),
         )
-        rep = improvement_report(pop, np.array([1.0, 0.0]))
+        rep = improvement_report(pop)
         assert rep["uI1_star"] is None
         assert rep["uI1"] is None
+
+    def test_a_degenerate_population_has_no_report(self):
+        pop = PopulationModel(
+            group1=Subgroup(name="blind", cost=CostMatrix.identity(2),
+                            projection=ProjectionMatrix(np.zeros((2, 0)))),
+            group2=Subgroup(name="blind too", cost=CostMatrix.identity(2),
+                            projection=ProjectionMatrix(np.zeros((2, 0)))),
+            w_star=np.array([1.0, 1.0]),
+        )
+        with pytest.raises(DegenerateObjectiveError):
+            improvement_report(pop)
 
     def test_keys_are_the_document_metrics(self):
         rng = np.random.default_rng(9)
         pop = random_population(rng, d=4)
-        rep = improvement_report(pop, welfare_maximizing_rule(pop))
+        rep = improvement_report(pop)
         assert set(rep) == {
             "welfare", "difference", "I1", "I2", "uI1", "uI2", "uI1_star", "uI2_star",
         }

@@ -221,7 +221,7 @@ def test_improvements_of_the_welfare_rule(doc):
     gram, pull_scale, gain_sq, _ = _exact(doc)
     if _norm(gain_sq) <= BAND * pull_scale:
         return  # test_degeneracy judges these
-    report = improvement_report(model, welfare_maximizing_rule(model))
+    report = improvement_report(model)
     gain = _norm(gain_sq)
     for g in (1, 2):  # I_g = <t_g, s> / ||s||
         exact = float(gram[g - 1][g - 1] + gram[0][1])

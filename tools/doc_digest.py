@@ -25,6 +25,9 @@ relative paths, so no line depends on where that directory is.
 Run from any directory, at each checkout, and diff the outputs:
 
     python3 tools/doc_digest.py > digest.txt
+
+`commands` yields the same commands to `tools/doc_compare.py`, which
+compares the documents of two checkouts value by value.
 """
 
 from __future__ import annotations
@@ -49,17 +52,15 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _run(argv: list, env: dict) -> subprocess.CompletedProcess:
+def src_env(root: Path) -> dict:
+    """This process's environment with `root`/src first on PYTHONPATH, so `-m scoregap` runs that checkout."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (str(root / "src"), os.environ.get("PYTHONPATH"))
+                                                       if p))
+
+
+def run(argv: list, env: dict) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-m", "scoregap", *argv], env=env, capture_output=True,
                           stdin=subprocess.DEVNULL)
-
-
-def _analyze(label: str, config: Path, out: Path, fmt: str, env: dict) -> None:
-    """Run `analyze` on `config` and print its digest line."""
-    proc = _run(["analyze", "--config", str(config), "--out", str(out), "--format", fmt], env)
-    files = [out, Path(f"{out}.json")] if fmt == "csv" else [out]
-    digests = " ".join(f"{path.name}={_sha(path.read_bytes()) if path.exists() else 'absent'}" for path in files)
-    print(f"analyze {label} format={fmt} exit={proc.returncode} {digests} stderr={_sha(proc.stderr)}", flush=True)
 
 
 def _with_costs(config: Path, dim: int) -> Path:
@@ -79,14 +80,15 @@ ZERO_PER_UNIT = {
 }
 
 
-def _check(model: Path, env: dict) -> None:
-    """Run `check` on `model` and print its digest line."""
-    proc = _run(["check", str(model)], env)
-    print(f"check {model} exit={proc.returncode} stdout={_sha(proc.stdout)} stderr={_sha(proc.stderr)}", flush=True)
+def _analyze(label: str, config: Path, out: Path, fmt: str) -> tuple:
+    """The `analyze` command on `config`, writing OUT (and OUT.json for csv)."""
+    files = [out, Path(f"{out}.json")] if fmt == "csv" else [out]
+    argv = ["analyze", "--config", str(config), "--out", str(out), "--format", fmt]
+    return f"analyze {label} format={fmt}", argv, files
 
 
-def _malformed(env: dict) -> None:
-    """Run each reader on an input it must reject and print one digest line per input."""
+def _malformed() -> list:
+    """A command per reader, each on an input it must reject."""
     bad = b"a,\xff\n"  # 0xff begins no UTF-8 sequence
     Path("bad.yaml").write_bytes(b"rank: 2\n# \xff\n")
     Path("bad.json").write_bytes(b'{"w_star": [1, 1]} ' + bad)
@@ -96,40 +98,55 @@ def _malformed(env: dict) -> None:
     grouping = "groupings:\n  - {name: g, group1: {column: x, op: le, value: 1}}\n"
     Path("bad-wstar.yaml").write_text(f"dataset: ok.csv\nwstar: vector:bad-wstar.txt\n{grouping}", encoding="utf-8")
     Path("bad-csv.yaml").write_text(f"dataset: bad.csv\n{grouping}", encoding="utf-8")
-    for label, argv in (("config", ["analyze", "--config", "bad.yaml"]), ("model", ["check", "bad.json"]),
-                        ("wstar", ["analyze", "--config", "bad-wstar.yaml"]),
-                        ("csv", ["analyze", "--config", "bad-csv.yaml"]), ("absent-model", ["check", "absent.json"])):
-        proc = _run(argv, env)
-        print(f"malformed {label} exit={proc.returncode} stdout={_sha(proc.stdout)} stderr={_sha(proc.stderr)}",
-              flush=True)
+    return [(f"malformed {label}", argv, None)
+            for label, argv in (("config", ["analyze", "--config", "bad.yaml"]), ("model", ["check", "bad.json"]),
+                                ("wstar", ["analyze", "--config", "bad-wstar.yaml"]),
+                                ("csv", ["analyze", "--config", "bad-csv.yaml"]),
+                                ("absent-model", ["check", "absent.json"]))]
 
 
-def main() -> int:
+def commands():
+    """Write every input into the working directory and yield (label, argv, files) per command, in digest order.
+
+    `files` lists what the command writes, or is None where its document is its standard output. Each
+    command must have run before the next is drawn: a costed config reads the feature count from the
+    document of the run before it.
+    """
     sys.path.insert(0, str(ROOT / "benchmarks"))
     import workloads
 
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH"))
-                                                      if p))
+    generated = {}
+    for name in WORKLOADS:
+        for seed in SEEDS:
+            work = Path(f"{name}-{seed}")
+            wl = generated[name, seed] = workloads.generate(name, ROOT, work, seed)
+            yield _analyze(f"{name} seed={seed}", wl.config, work / f"out.{wl.cli_format}", wl.cli_format)
+    for model in sorted(Path("models-1").glob("model_*.json")):
+        yield f"check {model}", ["check", str(model)], None
+    for name in ("credit", "adult"):
+        wl = generated[name, 1]
+        out = wl.config.parent / f"out.{wl.cli_format}"
+        dim = len(json.loads(Path(f"{out}.json" if wl.cli_format == "csv" else out).read_text())["feature_names"])
+        yield _analyze(f"{name} seed=1 costs", _with_costs(wl.config, dim),
+                       wl.config.parent / f"costs-out.{wl.cli_format}", wl.cli_format)
+    for name, doc in ZERO_PER_UNIT.items():
+        Path(f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+        yield f"check {name}.json", ["check", f"{name}.json"], None
+    yield from _malformed()
+
+
+def main() -> int:
+    env = src_env(ROOT)
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
-        generated = {}
-        for name in WORKLOADS:
-            for seed in SEEDS:
-                work = Path(f"{name}-{seed}")
-                wl = generated[name, seed] = workloads.generate(name, ROOT, work, seed)
-                _analyze(f"{name} seed={seed}", wl.config, work / f"out.{wl.cli_format}", wl.cli_format, env)
-        for model in sorted(Path("models-1").glob("model_*.json")):
-            _check(model, env)
-        for name in ("credit", "adult"):
-            wl = generated[name, 1]
-            out = wl.config.parent / f"out.{wl.cli_format}"
-            dim = len(json.loads(Path(f"{out}.json" if wl.cli_format == "csv" else out).read_text())["feature_names"])
-            _analyze(f"{name} seed=1 costs", _with_costs(wl.config, dim),
-                     wl.config.parent / f"costs-out.{wl.cli_format}", wl.cli_format, env)
-        for name, doc in ZERO_PER_UNIT.items():
-            Path(f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
-            _check(Path(f"{name}.json"), env)
-        _malformed(env)
+        for label, argv, files in commands():
+            proc = run(argv, env)
+            if files is None:
+                outputs = f"stdout={_sha(proc.stdout)}"
+            else:
+                outputs = " ".join(f"{path.name}={_sha(path.read_bytes()) if path.exists() else 'absent'}"
+                                   for path in files)
+            print(f"{label} exit={proc.returncode} {outputs} stderr={_sha(proc.stderr)}", flush=True)
         os.chdir(ROOT)
     return 0
 
