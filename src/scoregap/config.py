@@ -102,52 +102,53 @@ def _reject_unknown(doc: dict, known, message: str) -> None:
         raise ConfigError(f"{message}{unknown}")
 
 
-def _parse_predicate(doc: object, where: str) -> GroupPredicate:
+def _fields(doc: object, where: str, required: tuple, optional: tuple = ()) -> list:
+    """The values of the mapping `doc` at `required` then `optional`, None for an absent optional key; a
+    ConfigError at path `where` when `doc` is not a mapping, lacks a required key or has an unknown one."""
+    keys = required + optional
     if not isinstance(doc, dict):
-        raise ConfigError(f"{where}: expected a mapping with column/op/value")
-    missing = [k for k in ("column", "op", "value") if k not in doc]
+        raise ConfigError(f"{where}: expected a mapping with {'/'.join(keys)}")
+    missing = [k for k in required if k not in doc]
     if missing:
         raise ConfigError(f"{where}: missing {', '.join(missing)}")
-    _reject_unknown(doc, ("column", "op", "value"), f"{where}: unknown keys ")
-    value = doc["value"]
-    if isinstance(value, list):
-        value = tuple(value)
-    column = _string(doc["column"], f"{where}.column")
-    op = _string(doc["op"], f"{where}.op")
+    _reject_unknown(doc, keys, f"{where}: unknown keys ")
+    return [doc.get(k) for k in keys]
+
+
+def _items(value: object, key: str, items: str, read) -> tuple:
+    """read(item, path) for each item of the list `value`, at path `key[i]`; () when `value` is null."""
+    if value is None:
+        return ()
+    if not isinstance(value, list):
+        raise ConfigError(f"{key}: expected a list of {items}")
+    return tuple(read(item, f"{key}[{i}]") for i, item in enumerate(value))
+
+
+def _parse_predicate(doc: object, where: str) -> GroupPredicate:
+    column, op, value = _fields(doc, where, ("column", "op", "value"))
+    column = _typed(column, f"{where}.column")
+    op = _typed(op, f"{where}.op")
     with naming(where, IngestError):
-        return GroupPredicate(column=column, op=op, value=value)
+        return GroupPredicate(column=column, op=op, value=tuple(value) if isinstance(value, list) else value)
 
 
-def _parse_grouping(doc: object, idx: int) -> GroupingSpec:
-    where = f"groupings[{idx}]"
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{where}: expected a mapping")
-    if "name" not in doc or "group1" not in doc:
-        raise ConfigError(f"{where}: name and group1 are required")
-    _reject_unknown(doc, ("name", "group1", "group2"), f"{where}: unknown keys ")
-    group2 = None
-    if doc.get("group2") is not None:
-        group2 = _parse_predicate(doc["group2"], f"{where}.group2")
+def _parse_grouping(doc: object, where: str) -> GroupingSpec:
+    name, group1, group2 = _fields(doc, where, ("name", "group1"), ("group2",))
     return GroupingSpec(
-        name=_string(doc["name"], f"{where}.name"),
-        group1=_parse_predicate(doc["group1"], f"{where}.group1"),
-        group2=group2,
+        name=_typed(name, f"{where}.name"),
+        group1=_parse_predicate(group1, f"{where}.group1"),
+        group2=None if group2 is None else _parse_predicate(group2, f"{where}.group2"),
     )
 
 
-def _parse_model_entry(doc: object, idx: int) -> ModelEntry:
-    where = f"models[{idx}]"
-    if not isinstance(doc, dict) or "name" not in doc:
-        raise ConfigError(f"{where}: expected a mapping with a name")
-    _reject_unknown(doc, ("name", "path", "epsilon"), f"{where}: unknown keys ")
-    epsilon = doc.get("epsilon")
-    if epsilon is not None and (isinstance(epsilon, bool) or not isinstance(epsilon, (int, float))):
-        raise ConfigError(f"{where}.epsilon: expected a number, got {epsilon!r}")
+def _parse_model_entry(doc: object, where: str) -> ModelEntry:
+    name, path, epsilon = _fields(doc, where, ("name",), ("path", "epsilon"))
+    epsilon = _typed(epsilon, f"{where}.epsilon", (int, float, type(None)), "a number")
     if epsilon is not None and not abs(epsilon) <= sys.float_info.max:  # exact for ints; false for nan
         raise ConfigError(f"{where}.epsilon: expected a finite number, got {epsilon}")
     return ModelEntry(
-        name=_string(doc["name"], f"{where}.name"),
-        path=_string(doc.get("path"), f"{where}.path", nullable=True),
+        name=_typed(name, f"{where}.name"),
+        path=_typed(path, f"{where}.path", (str, type(None))),
         epsilon=None if epsilon is None else float(epsilon),
     )
 
@@ -166,26 +167,10 @@ def _parse_cost(doc: object, where: str) -> Union[None, float, np.ndarray]:
         return as_matrix(doc, where, square=True)
 
 
-def _integer(doc: dict, key: str, default: int) -> int:
-    """doc[key] when it is a YAML integer (not a bool); default when absent."""
-    value = doc.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key}: expected an integer, got {value!r}")
-    return value
-
-
-def _string(value: object, field: str, nullable: bool = False) -> Optional[str]:
-    """value when it is a YAML string (or null, when `nullable`); `field` is its path."""
-    if not isinstance(value, str) and not (nullable and value is None):
-        raise ConfigError(f"{field}: expected a string, got {value!r}")
-    return value
-
-
-def _list(doc: dict, key: str, items: str) -> list:
-    """doc[key] when it is a YAML list; [] when absent or falsy."""
-    value = doc.get(key) or []
-    if not isinstance(value, list):
-        raise ConfigError(f"{key}: expected a list of {items}")
+def _typed(value: object, field: str, kind=str, expected: str = "a string"):
+    """value when it is a YAML value of `kind`, a bool only where `kind` is bool; `field` is its path."""
+    if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
+        raise ConfigError(f"{field}: expected {expected}, got {value!r}")
     return value
 
 
@@ -196,43 +181,34 @@ _KNOWN_KEYS = {
 
 
 def config_from_dict(doc: object) -> ExperimentConfig:
+    # a null value means an absent key, except at rank, wstar, standardize and seed, which need their kind
     if not isinstance(doc, dict):
         raise ConfigError("config must be a mapping")
     _reject_unknown(doc, _KNOWN_KEYS, "unknown config keys: ")
 
-    encoding = doc.get("encoding") or {}
+    encoding = doc.get("encoding")
     with naming("encoding", IngestError):
         normalize_manifest(encoding)
-
-    costs = doc.get("costs") or {}
-    if not isinstance(costs, dict):
-        raise ConfigError("costs: expected a mapping with group1/group2")
-    _reject_unknown(costs, ("group1", "group2"), "costs: unknown keys ")
-
-    groupings = tuple(_parse_grouping(g, i) for i, g in enumerate(_list(doc, "groupings", "groupings")))
-    models = tuple(_parse_model_entry(m, i) for i, m in enumerate(_list(doc, "models", "model entries")))
-    drop = _list(doc, "drop_columns", "column names")
-    standardize = doc.get("standardize", False)
-    if not isinstance(standardize, bool):
-        raise ConfigError(f"standardize: expected true or false, got {standardize!r}")
+    costs = doc.get("costs")
+    cost1, cost2 = (None, None) if costs is None else _fields(costs, "costs", (), ("group1", "group2"))
     # `seed` set the retired alignment sampler; it is still read and then
     # dropped because the benchmark's models workload writes `seed: 0`.
     # ROADMAP item 1 removes that line, and this key goes with it.
-    seed = _integer(doc, "seed", 0)
+    seed = _typed(doc.get("seed", 0), "seed", int, "an integer")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
 
     return ExperimentConfig(
-        dataset=_string(doc.get("dataset"), "dataset", nullable=True),
-        encoding=dict(encoding),
-        drop_columns=tuple(_string(c, f"drop_columns[{i}]") for i, c in enumerate(drop)),
-        groupings=groupings,
-        models=models,
-        rank=_integer(doc, "rank", DEFAULT_RANK),
-        cost1=_parse_cost(costs.get("group1"), "costs.group1"),
-        cost2=_parse_cost(costs.get("group2"), "costs.group2"),
-        wstar=_string(doc.get("wstar", WSTAR_ONES), "wstar"),
-        standardize=standardize,
+        dataset=_typed(doc.get("dataset"), "dataset", (str, type(None))),
+        encoding={} if encoding is None else dict(encoding),
+        drop_columns=_items(doc.get("drop_columns"), "drop_columns", "column names", _typed),
+        groupings=_items(doc.get("groupings"), "groupings", "groupings", _parse_grouping),
+        models=_items(doc.get("models"), "models", "model entries", _parse_model_entry),
+        rank=_typed(doc.get("rank", DEFAULT_RANK), "rank", int, "an integer"),
+        cost1=_parse_cost(cost1, "costs.group1"),
+        cost2=_parse_cost(cost2, "costs.group2"),
+        wstar=_typed(doc.get("wstar", WSTAR_ONES), "wstar"),
+        standardize=_typed(doc.get("standardize", False), "standardize", bool, "true or false"),
     )
 
 

@@ -54,10 +54,11 @@ def normalize_manifest(manifest: Optional[ManifestSpec]) -> Dict[str, Optional[D
     c->3, preserving the stated ordering. IngestError names what is not a
     mapping, a spec or a finite number, and a category (as text) given twice.
     """
-    if not isinstance(manifest or {}, Mapping):
+    manifest = {} if manifest is None else manifest
+    if not isinstance(manifest, Mapping):
         raise IngestError(f"bad encoding manifest: expected a mapping of column names to specs, got {manifest!r}")
     out: Dict[str, Optional[Dict[str, float]]] = {}
-    for name, spec in (manifest or {}).items():
+    for name, spec in manifest.items():
         if spec == PASSTHROUGH or spec is None:
             out[name] = None
         elif isinstance(spec, (Mapping, list, tuple)):

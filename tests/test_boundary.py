@@ -329,20 +329,24 @@ def _assert_config_inside_the_contract(doc, form: str) -> tuple:
     return code, err
 
 
-def _outcome(doc, form: str = "json", model=CONFIG_MODEL) -> tuple:
+def _outcome(doc, form: str = "json", model=CONFIG_MODEL, repeat=None) -> tuple:
     """(exit code, stdout, stderr) of `analyze --format form` on the config `doc`, or of `check` on the model
     file when `doc` is None, with CONFIG_CSV, a 3-entry w* file and `model` beside it, once the run has kept
-    to the contract; "{tmp}" stands for their directory in both streams."""
+    to the contract; "{tmp}" stands for their directory in both streams. When `repeat` is given, the key
+    REPEAT is written as `repeat` in both files, which then hold a key twice."""
+    def text(written: str) -> str:
+        return written if repeat is None else written.replace(REPEAT, repeat)
+
     with tempfile.TemporaryDirectory() as tmp:
         with open(os.path.join(tmp, "data.csv"), "w", encoding="utf-8") as handle:
             handle.write(CONFIG_CSV)
         with open(os.path.join(tmp, "w.txt"), "w", encoding="utf-8") as handle:
             handle.write("1 0.5 -2\n")
         with open(os.path.join(tmp, "model.json"), "w", encoding="utf-8") as handle:
-            json.dump(model, handle)
+            handle.write(text(json.dumps(model)))
         config = os.path.join(tmp, "config.yaml")
         with open(config, "w", encoding="utf-8") as handle:
-            yaml.safe_dump(_in_dir(doc, tmp), handle)
+            handle.write(text(yaml.safe_dump(_in_dir(doc, tmp))))
         out, err = io.StringIO(), io.StringIO()
         with warnings.catch_warnings(record=True) as caught, \
                 contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -357,11 +361,12 @@ def _outcome(doc, form: str = "json", model=CONFIG_MODEL) -> tuple:
 
 
 # Item 14's structural sweep: every key of the two sweep configs and of CONFIG_MODEL (run through `check`)
-# deleted, every list item popped, a stray key added to every mapping, and every mapping swapped for the list
-# of its values and every list for the mapping of its indices. The absence of an optional key means its
-# default, so deleting it must give the run that writes the default out; every other edit either keeps to
-# the contract or stops the run with exactly one `error:` line, and a stray key stops it naming that key:
-# exit 2, but for `encoding`, whose keys name CSV columns, where the CSV lacking that column is exit 3.
+# deleted and repeated, every list item popped, a stray key added to every mapping, and every mapping swapped
+# for the list of its values and every list for the mapping of its indices. The absence of an optional key
+# means its default, so deleting it must give the run that writes the default out; every other edit either
+# keeps to the contract or stops the run with exactly one `error:` line. A swap is exit 2; a repeated key is
+# exit 2 naming that key; a stray key stops the run naming it: exit 2, but for `encoding`, whose keys name
+# CSV columns, where the CSV lacking that column is exit 3.
 STRUCTURAL_BASES = {"dataset": SWEEP_DATASET, "models": _models_config(), "model file": CONFIG_MODEL}
 OPTIONAL_KEYS = {
     ("dataset", ("rank",)): 5, ("dataset", ("wstar",)): "ones", ("dataset", ("standardize",)): False,
@@ -371,6 +376,7 @@ OPTIONAL_KEYS = {
     ("model file", ("schema_version",)): 1, ("model file", ("cost1",)): None, ("model file", ("cost2",)): None,
 }
 STRAY = "stray"
+REPEAT = "repeated_key_sentinel"
 
 
 def _containers(doc, path=()):
@@ -382,11 +388,13 @@ def _containers(doc, path=()):
 
 
 def _structural_edits(doc) -> list:
-    """(edit, path) for every structural edit of `doc`: "delete" names a key or an item, the rest a container."""
+    """(edit, path) for every structural edit of `doc`: "delete" names a key or an item, "repeat" a key, the
+    rest a container."""
     edits = []
     for path in _containers(doc):
         node = _at(doc, path)
         edits += [("delete", path + (key,)) for key in (node if isinstance(node, dict) else range(len(node)))]
+        edits += [("repeat", path + (key,)) for key in node] * isinstance(node, dict)
         edits += [("stray", path)] * isinstance(node, dict) + [("swap", path)]
     return edits
 
@@ -402,6 +410,9 @@ def _edited(doc, edit: str, path):
     doc = copy.deepcopy(doc)
     if edit == "delete":
         del _at(doc, path[:-1])[path[-1]]
+        return doc
+    if edit == "repeat":  # a copy, or the YAML would alias the value
+        _at(doc, path[:-1])[REPEAT] = copy.deepcopy(_at(doc, path))
         return doc
     node = _at(doc, path)
     if edit == "stray":
@@ -420,16 +431,24 @@ def _edited(doc, edit: str, path):
 ])
 def test_every_structural_edit_stays_inside_the_exit_contract(base, edit, path):
     doc = _edited(STRUCTURAL_BASES[base], edit, path)
-    run = (lambda d: _outcome(None, model=d)) if base == "model file" else _outcome
+    repeat = path[-1] if edit == "repeat" else None
+
+    def run(doc):
+        return _outcome(None, model=doc, repeat=repeat) if base == "model file" else _outcome(doc, repeat=repeat)
+
     code, out, err = run(doc)
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == (not out) and err.startswith("error:") == (not out), err
     if (base, path) in OPTIONAL_KEYS and edit == "delete":
         written = copy.deepcopy(STRUCTURAL_BASES[base])
         _at(written, path[:-1])[path[-1]] = OPTIONAL_KEYS[base, path]
         assert (code, out, err) == run(written)
     elif edit == "stray":
-        assert code == (3 if path == ("encoding",) else 2) and out == "" and repr(STRAY) in err, err
-    errors = [line for line in err.splitlines() if line.startswith("error:")]
-    assert len(errors) == (not out) and err.startswith("error:") == (not out), err
+        assert code == (3 if path == ("encoding",) else 2) and out == "" and repr(STRAY) in errors[0], err
+    elif edit == "repeat":
+        assert code == 2 and out == "" and repr(path[-1]) in errors[0], err
+    elif edit == "swap":
+        assert code == 2 and out == "", err
 
 
 def test_every_optional_key_is_in_a_sweep_base():

@@ -1072,20 +1072,23 @@ class TestRepeatedKeys:
 class TestEntryShape:
     """An entry that lacks a required key, or is not a mapping, is one usage error that names the entry."""
 
-    @pytest.mark.parametrize("entry", ["{name: a}", "{group1: {column: age, op: le, value: 35}}"],
-                             ids=["no-group1", "no-name"])
-    def test_grouping(self, tmp_path, capsys, entry):
+    @pytest.mark.parametrize("entry, message", [
+        ("{name: a}", "missing group1"), ("{group1: {column: age, op: le, value: 35}}", "missing name"),
+    ], ids=["no-group1", "no-name"])
+    def test_grouping(self, tmp_path, capsys, entry, message):
         cfg = toy_config(tmp_path)
         Path(cfg).write_text(Path(cfg).read_text().replace(
             "  - name: age\n    group1: {column: age, op: le, value: 35}\n", f"  - {entry}\n"))
         assert main(["analyze", "--config", cfg]) == EXIT_CONFIG
-        assert capsys.readouterr() == ("", "error: groupings[0]: name and group1 are required\n")
+        assert capsys.readouterr() == ("", f"error: groupings[0]: {message}\n")
 
-    @pytest.mark.parametrize("entry", ["{path: m.json}", "5"], ids=["no-name", "not-a-mapping"])
-    def test_model_entry(self, tmp_path, capsys, entry):
+    @pytest.mark.parametrize("entry, message", [
+        ("{path: m.json}", "missing name"), ("5", "expected a mapping with name/path/epsilon"),
+    ], ids=["no-name", "not-a-mapping"])
+    def test_model_entry(self, tmp_path, capsys, entry, message):
         cfg = models_yaml(tmp_path, f"models:\n  - {entry}\n")
         assert main(["analyze", "--config", cfg]) == EXIT_CONFIG
-        assert capsys.readouterr() == ("", "error: models[0]: expected a mapping with a name\n")
+        assert capsys.readouterr() == ("", f"error: models[0]: {message}\n")
 
 
 class TestNotUtf8:

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -42,6 +44,12 @@ models:
   - name: stored
     path: some/model.json
 """
+
+
+MODES = {
+    "dataset": {"dataset": "x.csv", "groupings": [{"name": "g", "group1": {"column": "a", "op": "le", "value": 1}}]},
+    "models": {"models": [{"name": "m", "epsilon": 0.5}, {"name": "n", "path": "p.json"}]},
+}
 
 
 def write_yaml(tmp_path, text, name="config.yaml"):
@@ -186,6 +194,18 @@ class TestValidation:
         with pytest.raises(ConfigError, match="costs"):
             config_from_dict({"models": models, "costs": {"group3": 1}})
 
+    @pytest.mark.parametrize("scale", [0, -0.0])
+    def test_a_zero_cost_scale_is_rejected(self, scale):
+        with pytest.raises(ConfigError) as info:
+            config_from_dict({**MODES["dataset"], "costs": {"group1": scale}})
+        assert str(info.value) == f"costs.group1: scale must be a positive finite number, got {scale}"
+
+    @pytest.mark.parametrize("scale", [5e-324, sys.float_info.max])
+    def test_a_cost_scale_may_be_any_positive_finite_number(self, scale):
+        # the range's two edges are in it
+        config = config_from_dict({**MODES["dataset"], "costs": {"group1": scale, "group2": scale}})
+        assert config.cost1 == config.cost2 == scale
+
     def test_bad_rank_and_samples(self):
         models = [{"name": "m", "epsilon": 0.5}]
         for key, value in [
@@ -258,6 +278,11 @@ class TestValidation:
         with pytest.raises(ConfigError, match=r"models\[0\].epsilon"):
             config_from_dict({"models": [{"name": "m", "epsilon": value}]})
 
+    @pytest.mark.parametrize("value", [sys.float_info.max, -sys.float_info.max])
+    def test_epsilon_may_be_any_finite_number(self, value):
+        # the largest float is finite
+        assert config_from_dict({"models": [{"name": "m", "epsilon": value}]}).models[0].epsilon == value
+
     def test_bad_wstar(self):
         with pytest.raises(ConfigError, match="wstar"):
             config_from_dict({"models": [{"name": "m", "epsilon": 0.5}], "wstar": "zeros"})
@@ -276,6 +301,11 @@ class TestValidation:
 
     @pytest.mark.parametrize("text, message", [
         ("encoding: [1, 2]", "encoding: bad encoding manifest: expected a mapping of column names to specs, got [1, 2]"),
+        # a falsy value of the wrong kind is no more absent than any other
+        ("encoding: 0", "encoding: bad encoding manifest: expected a mapping of column names to specs, got 0"),
+        ("encoding: []", "encoding: bad encoding manifest: expected a mapping of column names to specs, got []"),
+        ("encoding: ''", "encoding: bad encoding manifest: expected a mapping of column names to specs, got ''"),
+        ("encoding: false", "encoding: bad encoding manifest: expected a mapping of column names to specs, got False"),
         ("encoding: {a: {x: abc}}", "encoding: bad encoding spec for column 'a': 'x' maps to 'abc', not a finite number"),
         ("encoding: {grade: {a: .inf}}", "encoding: bad encoding spec for column 'grade': 'a' maps to inf, not a finite number"),
         ("encoding: {grade: {a: .nan}}", "encoding: bad encoding spec for column 'grade': 'a' maps to nan, not a finite number"),
@@ -288,6 +318,33 @@ class TestValidation:
         with pytest.raises(ConfigError) as info:
             config_from_dict(doc)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("mode", ["dataset", "models"])
+    @pytest.mark.parametrize("key, value, message", [
+        *[("costs", v, "costs: expected a mapping with group1/group2") for v in (0, False, "", [])],
+        *[("drop_columns", v, "drop_columns: expected a list of column names") for v in (0, {}, "")],
+        *[("groupings", v, "groupings: expected a list of groupings") for v in (0, {})],
+        *[("models", v, "models: expected a list of model entries") for v in (0, {})],
+    ])
+    def test_a_falsy_value_of_the_wrong_kind_is_named(self, mode, key, value, message):
+        doc = {**MODES[mode], key: value}
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(doc)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("mode, path", [
+        ("dataset", ("encoding",)), ("dataset", ("drop_columns",)), ("dataset", ("models",)),
+        ("dataset", ("costs",)), ("dataset", ("costs", "group1")), ("dataset", ("costs", "group2")),
+        ("dataset", ("groupings", 0, "group2")), ("models", ("dataset",)), ("models", ("groupings",)),
+        ("models", ("models", 0, "path")), ("models", ("models", 1, "epsilon")),
+    ])
+    def test_null_means_absent(self, mode, path):
+        doc = copy.deepcopy({**MODES[mode], "costs": {}})  # so that costs.group1/2 have a mapping to sit in
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = None
+        assert config_from_dict(doc) == config_from_dict(MODES[mode])
 
     def test_drop_columns_must_be_list(self):
         with pytest.raises(ConfigError, match="drop_columns"):

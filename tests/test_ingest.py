@@ -691,6 +691,8 @@ class TestManifest:
 
     @pytest.mark.parametrize("manifest, message", [
         ([1, 2], "bad encoding manifest: expected a mapping of column names to specs, got [1, 2]"),
+        # None alone means no manifest; a falsy value of another kind is not one
+        *[(v, f"bad encoding manifest: expected a mapping of column names to specs, got {v!r}") for v in (0, [], "", False)],
         ({"age": {"x": "abc"}}, "bad encoding spec for column 'age': 'x' maps to 'abc', not a finite number"),
         ({"age": {"x": 1, "y": None}}, "bad encoding spec for column 'age': 'y' maps to None, not a finite number"),
         ({"age": {"x": np.inf}}, "bad encoding spec for column 'age': 'x' maps to inf, not a finite number"),
