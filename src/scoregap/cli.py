@@ -24,7 +24,7 @@ import os
 import stat
 import sys
 import tempfile
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import ConfigError, DegenerateObjectiveError, IngestError, ScoregapError
 from .config import load_config
@@ -46,21 +46,8 @@ _EXIT_CODES = (
 )
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if out is not None:
-        _write_files({out: text})
-    elif sys.stdout is None:  # fd 1 was closed when the interpreter started
-        raise ConfigError(f"cannot write standard output: {os.strerror(errno.EBADF)}")
-    else:
-        try:
-            sys.stdout.write(text)
-            sys.stdout.flush()
-        except OSError as exc:  # a closed pipe: Python ignores SIGPIPE, so the write fails with EPIPE
-            raise ConfigError(f"cannot write standard output: {exc.strerror or exc}") from None
-
-
-def _write_files(texts: Dict[str, str]) -> None:
-    """Write each path's text, all or nothing.
+def _write_files(texts: Dict[Optional[str], str]) -> None:
+    """Write each path's text, all or nothing; the key None, which always comes alone, is standard output.
 
     Each text goes to a temporary file beside its target, and only when
     every one is written are they moved over their targets, so a failed
@@ -70,6 +57,15 @@ def _write_files(texts: Dict[str, str]) -> None:
     regular file (a directory, /dev/stdout) is opened in place, since
     moving a file over it would replace it.
     """
+    if None in texts:
+        if sys.stdout is None:  # fd 1 was closed when the interpreter started
+            raise ConfigError(f"cannot write standard output: {os.strerror(errno.EBADF)}")
+        try:
+            sys.stdout.write(texts[None])
+            sys.stdout.flush()
+        except OSError as exc:  # a closed pipe: Python ignores SIGPIPE, so the write fails with EPIPE
+            raise ConfigError(f"cannot write standard output: {exc.strerror or exc}") from None
+        return
     umask = os.umask(0o022)
     os.umask(umask)
     moves: List[Tuple[str, str, str]] = []
@@ -95,9 +91,9 @@ def _write_files(texts: Dict[str, str]) -> None:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _check_writable(out: Optional[str], side_json: bool = False) -> None:
-    """Raise `_write_files`'s error for a missing directory or a directory at `out` (and OUT.json)."""
-    for path in [] if out is None else [out] + [out + ".json"] * side_json:
+def _check_writable(targets: Iterable[Optional[str]]) -> None:
+    """Raise `_write_files`'s error for a missing directory or a directory at a target path."""
+    for path in [target for target in targets if target is not None]:
         try:
             os.stat(os.path.join(os.path.dirname(path) or ".", ""))  # the final "/" wants a directory
         except OSError as exc:
@@ -108,12 +104,12 @@ def _check_writable(out: Optional[str], side_json: bool = False) -> None:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    _check_writable(args.out, side_json=args.format == "csv")  # before the run, creating nothing
-    result = run_analysis(config)
+    renderers = {args.out: render_csv if args.format == "csv" else render_json}
     if args.format == "csv" and args.out is not None:
-        _write_files({args.out: render_csv(result), args.out + ".json": render_json(result)})
-    else:
-        _emit((render_csv if args.format == "csv" else render_json)(result), args.out)
+        renderers[args.out + ".json"] = render_json  # the document beside its table
+    _check_writable(renderers)  # before the run, creating nothing
+    result = run_analysis(config)
+    _write_files({target: render(result) for target, render in renderers.items()})
 
     entries = result["groupings"]
     for entry in entries:
@@ -127,10 +123,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    _check_writable(args.out)
-    model = model_from_dict(*read_model_files([args.model]))  # analyze's reader, in this process for one path
+    _check_writable([args.out])
+    model = model_from_dict(*read_model_files([args.model]))  # analyze's reader, which forks none for one path
     doc = {"schema_version": RESULT_SCHEMA_VERSION, "model": args.model, **population_payload(model)}
-    _emit(render_json(doc), args.out)
+    _write_files({args.out: render_json(doc)})
     return EXIT_OK
 
 

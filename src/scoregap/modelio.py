@@ -122,14 +122,14 @@ def load_model(path: str) -> PopulationModel:
 
 
 def read_model_files(paths: List[str]) -> List[Union[dict, ConfigError]]:
-    """`read_model_file` of each path, or its ConfigError. With n = min(len(paths), usable CPUs) >= 2,
-    forked child w parses paths[w::n], then pickles its list in one write; it runs no BLAS call."""
-    n = min(len(paths), len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
-    if n < 2 or not hasattr(os, "fork"):
-        return [captured(read_model_file, path) for path in paths]
+    """`read_model_file` of each path, or its ConfigError. With n = max(1, min(len(paths), usable CPUs)), or 1 without
+    os.fork, forked child w = 1 … n-1 parses paths[w::n] and pickles its list in one write, while this process parses
+    paths[0::n]. No BLAS call runs before every child is reaped."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    n = max(1, min(len(paths), cpus)) if hasattr(os, "fork") else 1
     pids, pipes = [], []
     try:
-        for w in range(n):
+        for w in range(1, n):
             read_fd, write_fd = os.pipe()
             pipes.append(open(read_fd, "rb"))
             with open(write_fd, "wb") as sink:  # the parent's copy closes at once
@@ -142,8 +142,9 @@ def read_model_files(paths: List[str]) -> List[Union[dict, ConfigError]]:
                         sink.flush()
                     finally:
                         os._exit(0)  # the parent learns of a failure from what the pipe lacks
+        parts = [[captured(read_model_file, p) for p in paths[0::n]]]
         try:
-            parts = [pickle.load(pipe) for pipe in pipes]
+            parts += [pickle.load(pipe) for pipe in pipes]
         except (EOFError, pickle.UnpicklingError):
             raise RuntimeError("a model-file reader exited before it sent its documents") from None
     finally:

@@ -1243,6 +1243,15 @@ class TestProcessEntry:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (EXIT_CONFIG, "error: cannot write standard output: Broken pipe\n")
 
+    @pytest.mark.parametrize("code, leaves_with", [(EXIT_OK, EXIT_CONFIG), (EXIT_PARTIAL, EXIT_PARTIAL)])
+    def test_a_stream_that_cannot_be_flushed_fails_only_a_success(self, code, leaves_with):
+        unflushable = mock.Mock(flush=mock.Mock(side_effect=BrokenPipeError))
+        with mock.patch.object(scoregap.cli, "main", return_value=code), mock.patch.object(sys, "stdout", unflushable), \
+                mock.patch.object(scoregap.cli.os, "_exit", side_effect=SystemExit) as leave:
+            with pytest.raises(SystemExit):
+                scoregap.cli.run()
+        leave.assert_called_once_with(leaves_with)
+
     def test_console_script_is_run(self):
         pyproject = Path(scoregap.__file__).resolve().parents[2] / "pyproject.toml"
         (target,) = re.findall(r'^scoregap\s*=\s*"([^"]+)"', pyproject.read_text(), re.MULTILINE)

@@ -253,7 +253,8 @@ def analyzed(config, workers):
 
 
 class TestForkedParse:
-    """`read_model_files` forks a child per usable CPU; the result must not depend on it."""
+    """`read_model_files` parses in this process and one forked reader per further usable CPU; the result must not
+    depend on how many readers there are."""
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(texts=st.lists(_file, min_size=2, max_size=4), repeat_first=st.booleans())
@@ -267,7 +268,7 @@ class TestForkedParse:
     @example(texts=[GOOD, GOOD.replace("[1, 2]", "[3, 1]")], repeat_first=True)
     def test_forked_and_in_process_parses_agree(self, tmp_path_factory, texts, repeat_first):
         config = write_models(tmp_path_factory.mktemp("models"), texts, repeat_first)
-        assert analyzed(config, 2) == analyzed(config, 1)
+        assert analyzed(config, 3) == analyzed(config, 2) == analyzed(config, 1)
 
     def test_docs_hold_float_arrays(self, tmp_path):
         config = write_models(tmp_path, [GOOD, "[1, 2]", ABSENT], repeat_first=False)
@@ -290,23 +291,26 @@ class TestForkedParse:
 
     def test_a_child_that_dies_before_it_writes_is_an_error(self, tmp_path):
         config = write_models(tmp_path, [GOOD, GOOD, GOOD], False)
-        with mock.patch.object(modelio, "read_model_file", lambda path: os._exit(3)):
-            with pytest.raises(RuntimeError, match="exited before it sent its documents"):
-                analyzed(config, 2)
-        assert_no_child_left()
-
-    def test_a_sibling_blocked_on_a_full_pipe_exits_when_child_0_dies(self, tmp_path):
-        """Child 1's list pickles to more than a pipe holds; once the parent stops reading, it must not block."""
-        config = write_models(tmp_path, [GOOD, GOOD], False)
-        big = {"data1": np.zeros(1 << 14)}  # 128 KiB of floats, twice the 64 KiB pipe buffer
-        read = lambda path: os._exit(3) if path.endswith("m0.json") else big
+        own = os.getpid()
+        read = lambda path: {} if os.getpid() == own else os._exit(3)  # only the forked reader dies
         with mock.patch.object(modelio, "read_model_file", read):
             with pytest.raises(RuntimeError, match="exited before it sent its documents"):
                 analyzed(config, 2)
         assert_no_child_left()
 
+    def test_a_sibling_blocked_on_a_full_pipe_exits_when_child_0_dies(self, tmp_path):
+        """The m1 reader dies, and the m2 reader's list pickles to more than a pipe holds; once this process stops
+        reading, that reader must not block."""
+        config = write_models(tmp_path, [GOOD, GOOD, GOOD], False)
+        big = {"data1": np.zeros(1 << 14)}  # 128 KiB of floats, twice the 64 KiB pipe buffer
+        read = lambda path: os._exit(3) if path.endswith("m1.json") else big
+        with mock.patch.object(modelio, "read_model_file", read):
+            with pytest.raises(RuntimeError, match="exited before it sent its documents"):
+                analyzed(config, 3)
+        assert_no_child_left()
+
     def test_a_failed_fork_leaves_no_child_blocked(self, tmp_path):
-        config = write_models(tmp_path, [GOOD, GOOD], False)
+        config = write_models(tmp_path, [GOOD, GOOD, GOOD], False)
         real_fork, forks = os.fork, []
 
         def fork():
@@ -318,5 +322,43 @@ class TestForkedParse:
         big = {"data1": np.zeros(1 << 14)}
         with mock.patch.object(modelio, "read_model_file", lambda path: big), mock.patch.object(os, "fork", fork):
             with pytest.raises(BlockingIOError):
-                analyzed(config, 2)
+                analyzed(config, 3)
         assert_no_child_left()
+
+    def test_an_error_in_this_process_share_propagates_and_reaps_every_child(self, tmp_path):
+        config = write_models(tmp_path, [GOOD, GOOD, GOOD], False)
+        own = os.getpid()
+
+        def read(path):
+            if os.getpid() == own:
+                raise KeyError(path)
+            return {"data1": np.zeros(1 << 14)}  # more than a pipe holds, so the child blocks until reaped
+
+        with mock.patch.object(modelio, "read_model_file", read):
+            with pytest.raises(KeyError, match="m0.json"):
+                analyzed(config, 3)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("files, workers, forks", [(0, 2, 0), (1, 2, 0), (3, 1, 0), (2, 2, 1), (3, 2, 1), (3, 3, 2), (2, 3, 1)])
+    def test_one_reader_per_usable_cpu_and_this_process_is_one(self, tmp_path, files, workers, forks):
+        config = write_models(tmp_path, [GOOD] * files, False)
+        with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            assert json.loads(analyzed(config, workers))["n_failed"] == 0
+        assert fork.call_count == forks
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("cpus, forks", [(3, 2), (1, 0), (None, 0)])
+    def test_without_an_affinity_call_the_cpu_count_decides(self, tmp_path, monkeypatch, cpus, forks):
+        """os.cpu_count() may be None, which counts as one CPU."""
+        config = write_models(tmp_path, [GOOD] * 3, False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        with mock.patch.object(os, "cpu_count", return_value=cpus), mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            assert json.loads(render_json(run_analysis(config)))["n_failed"] == 0
+        assert fork.call_count == forks
+        assert_no_child_left()
+
+    def test_a_host_without_fork_reads_in_this_process(self, tmp_path, monkeypatch):
+        config = write_models(tmp_path, [GOOD, GOOD.replace("[1, 2]", "[3, 1]"), "{not json"], False)
+        expected = analyzed(config, 1)
+        monkeypatch.delattr(os, "fork")
+        assert analyzed(config, 2) == expected
