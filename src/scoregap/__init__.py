@@ -80,27 +80,6 @@ from .experiment import population_payload, render_csv, render_json, run_analysi
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ScoregapError", "NonFiniteError", "EmptyDataError", "RankTooLargeError",
-    "ShapeMismatchError", "DimensionMismatchError", "NotPositiveDefiniteError",
-    "EmptyPeerSetError", "DegenerateObjectiveError",
-    "ZeroProjectedRuleError", "EpsilonOutOfRangeError", "IngestError",
-    "CsvParseError", "UnmappedCategoryError", "MissingColumnError",
-    "EmptyGroupError", "ConfigError",
-    "ProjectionMatrix", "subspace_projection", "effective_rank",
-    "min_norm_least_squares", "alignment",
-    "CostMatrix", "PeerDataset", "Subgroup", "estimate_rule_analytic",
-    "estimate_rule_empirical", "movement", "best_response", "utility",
-    "PopulationModel", "welfare_gain", "welfare_maximizing_rule", "group_optimal_rule",
-    "total_improvement", "per_unit_improvement", "optimal_per_unit_improvement",
-    "improvement_difference", "improvement_report",
-    "ConditionCheck", "check_do_no_harm",
-    "check_equal_improvement", "check_per_unit_optimality",
-    "check_sufficient_per_unit", "condition_report", "disparity_example",
-    "Dataset", "GroupPredicate", "GroupingSpec", "load_csv", "split_masks",
-    "standardize_columns",
-    "ExperimentConfig", "ModelEntry", "load_config",
-    "load_model", "model_from_dict",
-    "run_analysis", "population_payload", "render_json", "render_csv",
-    "__version__",
-]
+# every public name bound above, less the submodules the imports bind
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, type(errors))] + ["__version__"]

@@ -85,7 +85,7 @@ def _check(pop: PopulationModel, power: int, value: float, scale: float, equalit
 
 
 def _require_nondegenerate(pop: PopulationModel) -> None:
-    if not pop.unit_gain.any():
+    if pop.degenerate:
         raise DegenerateObjectiveError("welfare gain is zero for every rule; guarantee checks are vacuous")
 
 

@@ -201,8 +201,6 @@ def min_norm_least_squares(x_mat, y) -> np.ndarray:
         )
     u, s, vt = np.linalg.svd(x, full_matrices=False)
     r = effective_rank(s)
-    if r == 0:
-        return np.zeros(x.shape[1])
     coeff = (u[:, :r].T @ yv) / s[:r]
     return vt[:r].T @ coeff
 

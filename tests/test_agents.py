@@ -68,6 +68,14 @@ class TestCostMatrix:
         cost = CostMatrix(np.diag([2.0, 3.0]))
         assert cost.quad(np.array([1.0, 1.0])) == pytest.approx(5.0)
 
+    def test_keeps_a_read_only_copy_of_the_callers_matrix(self):
+        a = np.diag([2.0, 3.0])
+        cost = CostMatrix(a)
+        a[:] = 7.0
+        np.testing.assert_array_equal(cost.matrix, np.diag([2.0, 3.0]))
+        assert cost.quad(np.array([1.0, 1.0])) == 5.0
+        assert not cost.matrix.flags.writeable
+
     def test_identity_and_scaled(self):
         np.testing.assert_array_equal(CostMatrix.identity(3).matrix, np.eye(3))
         np.testing.assert_array_equal(
@@ -104,6 +112,10 @@ class TestCostMatrix:
         CostMatrix(roundoff)
         with pytest.raises(NotPositiveDefiniteError, match="not symmetric"):
             CostMatrix(asymmetric)
+
+    def test_asymmetry_of_exactly_the_tolerance_is_accepted(self):
+        # max |A - A^T| = 1e-10 = SYMMETRY_TOL * max |A|
+        CostMatrix(np.array([[1.0, 1e-10], [0.0, 1.0]]))
 
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefiniteError):
@@ -145,6 +157,21 @@ class TestPeerDataset:
         peers = PeerDataset(features=x, scores=(x * w).sum(axis=1))
         assert peers.check_consistent(w)
         assert not peers.check_consistent(w + 0.1)
+
+    def test_keeps_read_only_copies_of_the_callers_arrays(self):
+        x, w = np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1.0, -1.0])
+        y = x @ w
+        peers = PeerDataset(features=x, scores=y)
+        x[:], y[:] = 5.0, 9.0
+        np.testing.assert_array_equal(peers.features, [[1.0, 2.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(peers.scores, [-1.0, -1.0])
+        assert peers.check_consistent(w)
+        assert not peers.features.flags.writeable and not peers.scores.flags.writeable
+
+    def test_the_zero_rule_is_consistent_with_zero_scores(self):
+        # the residual and its scale are both 0, and 0 counts as zero
+        peers = PeerDataset.from_rule(np.ones((2, 3)), np.zeros(3))
+        assert peers.check_consistent(np.zeros(3))
 
     def test_consistency_dim_check(self):
         peers = PeerDataset(features=np.ones((2, 3)), scores=np.ones(2))

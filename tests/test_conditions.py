@@ -470,6 +470,22 @@ class TestConditionReport:
         fast = condition_report(pop)["fast_path"]
         assert (fast == "scaled_equal") == same
 
+    @pytest.mark.parametrize("basis2, cost2, fast", [
+        # alignment * d = cos^2 = tolerance(tolerance()) exactly
+        ([1e-8, 1.0], np.eye(2), "orthogonal_subspaces"),
+        # ||V_2 - V_1 V_1^T V_2|| = tolerance() exactly
+        ([1.0, 1e-8], np.eye(2), "scaled_equal"),
+        # max |A_2 - c A_1| = tolerance(max |A_2|) exactly, at the costs' unit scale
+        ([1.0, 0.0], np.array([[1.0, 1e-8], [1e-8, 1.0]]), "scaled_equal"),
+    ])
+    def test_a_structure_at_exactly_its_tolerance_takes_the_fast_path(self, basis2, cost2, fast):
+        pop = PopulationModel(
+            group1=Subgroup(name="g1", cost=CostMatrix.identity(2), projection=ProjectionMatrix(np.eye(2)[:, :1])),
+            group2=Subgroup(name="g2", cost=CostMatrix(cost2), projection=ProjectionMatrix(np.array(basis2)[:, None])),
+            w_star=np.array([0.3, 0.7]),
+        )
+        assert condition_report(pop)["fast_path"] == fast
+
     def test_fast_path_sufficient_ratios(self):
         # same span, costs not proportional, yet both pulls align with the rule
         pop = PopulationModel(

@@ -194,6 +194,17 @@ class TestValidation:
         with pytest.raises(ConfigError, match="costs"):
             config_from_dict({"models": models, "costs": {"group3": 1}})
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("rank", 0, "rank must be >= 1, got 0"),
+        ("wstar", "bogus", "wstar must be 'ones', 'fit:COLUMN', or 'vector:FILE', got 'bogus'"),
+        ("costs", {"group1": {"a": 1}}, "costs.group1: expected a matrix, 'identity', or a positive number"),
+    ])
+    def test_a_bad_dataset_setting_is_named(self, key, value, message):
+        # in models mode the dataset-only check names rank and wstar before their own checks run
+        with pytest.raises(ConfigError) as info:
+            config_from_dict({**MODES["dataset"], key: value})
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("scale", [0, -0.0])
     def test_a_zero_cost_scale_is_rejected(self, scale):
         with pytest.raises(ConfigError) as info:

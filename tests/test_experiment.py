@@ -13,6 +13,7 @@ from scoregap import (
     ConfigError,
     CostMatrix,
     ExperimentConfig,
+    MissingColumnError,
     ModelEntry,
     PopulationModel,
     ProjectionMatrix,
@@ -33,6 +34,7 @@ from scoregap.experiment import (
     run_analysis,
 )
 from scoregap.ingest import GroupPredicate, GroupingSpec
+from scoregap.linalg import unit_exponent
 
 from conftest import model_to_dict
 
@@ -178,6 +180,11 @@ class TestDatasetMode:
         assert result["feature_names"] == ["age", "skill", "effort"]
         assert result["n_failed"] == 0
 
+    def test_a_missing_fit_column_is_named_before_a_missing_drop_column(self, tmp_path):
+        cfg = dataset_config(tmp_path, drop_columns=("gone",), wstar="fit:absent")
+        with pytest.raises(MissingColumnError, match="^no column named 'absent'$"):
+            run_analysis(cfg)
+
     @pytest.mark.parametrize("settings", [
         dict(drop_columns=("age", "skill", "effort", "label")),
         dict(drop_columns=("age", "skill", "effort"), wstar="fit:label"),  # fit drops the last one
@@ -288,6 +295,16 @@ class TestCellStacker:
                 else:
                     assert (got.rank, got.tie_warning) == (want.rank, want.tie_warning)
                     assert np.max(np.abs(got.matrix - want.matrix), initial=0.0) <= 1e-10
+
+
+    def test_large_cells_are_stacked_in_the_order_of_their_mask_bits(self):
+        # the row order of a stack fixes the last bits of the document's floats
+        features = np.random.default_rng(5).standard_normal((8, 2))
+        split = np.arange(8) >= 4  # two cells of 4 rows, the one with bit 0 first
+        everyone = np.ones(8, dtype=bool)
+        scaled = np.ldexp(features, -unit_exponent(features))
+        want = np.vstack([np.linalg.qr(scaled[~split], mode="r"), np.linalg.qr(scaled[split], mode="r")])
+        np.testing.assert_array_equal(_cell_stacker(features, [everyone, split])(everyone), want)
 
 
 class TestRendering:

@@ -43,6 +43,15 @@ class TestProjectionMatrix:
         with pytest.raises(ValueError, match="orthonormal"):
             ProjectionMatrix(np.array([[1.0], [1e-3]]))
 
+    def test_a_basis_off_by_exactly_the_tolerance_is_accepted(self):
+        # V^T V - I has the off-diagonal 1e-8 = tolerance(), and 1 + 1e-16 rounds to 1
+        assert ProjectionMatrix(np.array([[1.0, 1e-8], [0.0, 1.0]])).rank == 2
+
+    def test_a_matrix_off_by_exactly_the_tolerance_is_accepted(self):
+        # eigenvalue 1e-8 falls outside the span, leaving max |m - V V^T| = tolerance()
+        p = ProjectionMatrix.from_matrix(np.diag([1.0, 1e-8]))
+        np.testing.assert_array_equal(p.basis, [[1.0], [0.0]])
+
     def test_rejects_non_symmetric(self):
         m = np.array([[1.0, 0.1], [0.0, 0.0]])
         with pytest.raises(ValueError, match="symmetric"):
@@ -142,6 +151,11 @@ class TestSubspaceProjection:
         p = subspace_projection(np.eye(3), 2)  # all singular values equal 1
         assert p.tie_warning
 
+    def test_tie_warning_set_when_the_gap_is_exactly_the_tolerance(self):
+        # s_1 - s_2 = 1 = RANK_TOL * s_1 to the last bit, at every power-of-two scale of the data
+        assert RANK_TOL * 1e10 == 1.0
+        assert subspace_projection(np.diag([1e10, 1e10 - 1.0]), 1).tie_warning
+
     def test_tie_warning_clear_when_gap_exists(self):
         x = np.diag([3.0, 2.0, 1.0])
         p = subspace_projection(x, 2)
@@ -220,6 +234,7 @@ class TestSubspaceProjection:
 
     def test_effective_rank(self):
         assert effective_rank(np.array([3.0, 1.0, 1e-14])) == 2
+        assert effective_rank(np.array([1.0, RANK_TOL])) == 1  # a value at the cut is dropped
         assert effective_rank(np.array([0.0, 0.0])) == 0
         assert effective_rank(np.array([])) == 0
 

@@ -46,6 +46,12 @@ class TestTotalImprovement:
         with pytest.raises(DimensionMismatchError):
             total_improvement(pop, 1, np.ones(4))
 
+    @pytest.mark.parametrize("gid", [0, 3])
+    def test_a_group_id_other_than_1_or_2_raises(self, gid):
+        # gid 0 would otherwise index group 2's pull
+        with pytest.raises(ValueError, match=f"^group id must be 1 or 2, got {gid}$"):
+            total_improvement(disparity_example(0.3), gid, np.array([0.0, 1.0]))
+
 
 class TestPerUnitImprovement:
     def test_ratio_definition(self):
@@ -76,6 +82,9 @@ class TestPerUnitImprovement:
         # group 1 sees only the first axis; a rule along the second is invisible
         with pytest.raises(ZeroProjectedRuleError):
             per_unit_improvement(pop, 1, np.array([0.0, 1.0]))
+        # the zero rule: ||P_g w|| and its tolerance are both 0
+        with pytest.raises(ZeroProjectedRuleError):
+            per_unit_improvement(pop, 1, np.zeros(2))
 
 
 class TestOptimalPerUnitImprovement:

@@ -11,6 +11,7 @@ from scoregap import (
     PopulationModel,
     ProjectionMatrix,
     Subgroup,
+    disparity_example,
     group_optimal_rule,
     movement,
     welfare_gain,
@@ -29,6 +30,10 @@ def _degenerate_population():
         group2=Subgroup(name="b", cost=ident, projection=p),
         w_star=np.array([0.0, 1.0]),
     )
+
+
+E1 = np.array([[1.0], [0.0]])
+SKEW = np.array([[2.0, 1.0], [1.0, 1.0]])  # its inverse is [[1, -1], [-1, 2]], so every solve below is exact
 
 
 class TestPopulationModel:
@@ -59,6 +64,34 @@ class TestPopulationModel:
         assert pop.group(2) is pop.group2
         with pytest.raises(ValueError):
             pop.group(3)
+
+    def test_keeps_a_read_only_copy_of_w_star(self):
+        rng = np.random.default_rng(4)
+        pop = random_population(rng, d=3)
+        w = pop.w_star.copy()
+        copy = PopulationModel(group1=pop.group1, group2=pop.group2, w_star=w)
+        w[:] = 0.0
+        np.testing.assert_array_equal(copy.w_star, pop.w_star)
+        np.testing.assert_array_equal(copy.unit_pulls, pop.unit_pulls)
+        assert not copy.w_star.flags.writeable
+
+    @pytest.mark.parametrize("basis2, cost2, w_star, attribute, value", [
+        # ||P_g z|| = 1 = tolerance(||z||) for both groups, since 1 + 1e16 rounds to 1e16
+        (E1, np.eye(2), [1.0, 1e8], "zero_pulls", (True, True)),
+        # ||t_1|| = 1 = tolerance(||t_1|| + ||t_2||), with ||t_2|| = 1e8 - 1
+        (np.eye(2)[:, 1:], np.eye(2), [1.0, 1e8 - 1.0], "zero_pulls", (True, False)),
+        # t_1 = (1e8 + 1, 0) and t_2 = (1 - 1e8, 0): ||s|| = 2 = tolerance(||t_1|| + ||t_2||)
+        (E1, SKEW, [1e8 + 1.0, 2e8], "degenerate", True),
+        # s = (1, 1e8) and group 1 sees e1: n_1 = 1 = tolerance(||s||); n_2 = ||s||, held at 2**-e = 2**-27
+        (np.eye(2), SKEW, [33333334.0, 66666667.0], "perceived", (0.0, 1e8 * 2.0 ** -27)),
+    ])
+    def test_a_value_at_exactly_its_tolerance_is_zero(self, basis2, cost2, w_star, attribute, value):
+        pop = PopulationModel(
+            group1=Subgroup(name="a", cost=CostMatrix.identity(2), projection=ProjectionMatrix(E1)),
+            group2=Subgroup(name="b", cost=CostMatrix(cost2), projection=ProjectionMatrix(basis2)),
+            w_star=np.array(w_star),
+        )
+        assert getattr(pop, attribute) == value
 
     def test_a_cost_solve_past_the_float_range_names_its_subgroup(self):
         # a stand-in for a balanced cost so nearly singular that its solve overflows
@@ -165,3 +198,9 @@ class TestGroupOptimalRule:
     def test_degenerate_group_raises(self):
         with pytest.raises(DegenerateObjectiveError):
             group_optimal_rule(_degenerate_population(), 1)
+
+    @pytest.mark.parametrize("gid", [0, 3])
+    def test_a_group_id_other_than_1_or_2_raises(self, gid):
+        # gid 0 would otherwise index group 2's pull
+        with pytest.raises(ValueError, match=f"^group id must be 1 or 2, got {gid}$"):
+            group_optimal_rule(disparity_example(0.3), gid)

@@ -1,11 +1,14 @@
 """Mutation testing of one module of `src/scoregap` against chosen test files.
 
-Each mutant flips one operator of the module to its partner: `<` and
+A mutant either flips one operator of the module to its partner: `<` and
 `<=`, `>` and `>=`, `==` and `!=`, `in` and `not in`, `is` and `is not`,
 `+` and `-` (binary), `and` and `or` (every operator of one boolean
-expression at once). The flip is made in the source text, so every other
+expression at once); or it deletes one statement: an `if` without `else`
+(and not an `elif`), or an expression statement that is not a string
+constant such as a docstring, becomes `pass`. Each change is made in the
+source text, a deleted statement's other lines left blank, so every other
 line keeps its text and its number, and the mutant must parse to the
-module's syntax tree with just that operator changed.
+module's syntax tree with just that operator or statement changed.
 
 Each mutant is written into a temporary copy of `src/` (and
 `pyproject.toml`), never into this checkout, and the test files run against that copy with
@@ -18,7 +21,7 @@ or left no report. The unmutated copy must pass first.
 
     python3 tools/mutate.py src/scoregap/config.py tests/test_config.py tests/test_cli.py
 
-It prints one line per mutant (`module:line:column`, the flip, the
+It prints one line per mutant (`module:line:column`, the change, the
 outcome and, for a killed mutant, the first test that failed) and a
 summary. It exits 0 once every mutant has run, and 2 when the unmutated
 copy does not pass.
@@ -49,7 +52,7 @@ PARTNERS = {
 TEXT = {
     ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!=",
     ast.In: "in", ast.NotIn: "not in", ast.Is: "is", ast.IsNot: "is not",
-    ast.Add: "+", ast.Sub: "-", ast.And: "and", ast.Or: "or",
+    ast.Add: "+", ast.Sub: "-", ast.And: "and", ast.Or: "or", ast.If: "if", ast.Expr: "expr", ast.Pass: "pass",
 }
 # the operator token in the text between two operands, which holds only it, blanks and parentheses
 TOKEN = re.compile(rb"<=|>=|==|!=|<|>|[+-]|\bnot\s+in\b|\bis\s+not\b|\bin\b|\bis\b|\band\b|\bor\b")
@@ -60,12 +63,13 @@ class Mutant:
     line: int
     column: int
     old: type
-    spans: tuple  # the byte range of each operand gap whose operator flips
+    new: type
+    spans: tuple  # the byte range of each operand gap whose operator flips, or of the deleted statement
     node: int  # the node's index in `ast.walk` order, which a parse of the same source repeats
     op: int  # the index of a comparison's operator; 0 otherwise
 
     def label(self, module: str) -> str:
-        return f"{module}:{self.line}:{self.column}  {TEXT[self.old]} -> {TEXT[PARTNERS[self.old]]}"
+        return f"{module}:{self.line}:{self.column}  {TEXT[self.old]} -> {TEXT[self.new]}"
 
 
 def _offset(starts: list, line: int, column: int) -> int:
@@ -85,21 +89,38 @@ def mutants(source: bytes) -> list:
     for index, node in enumerate(ast.walk(ast.parse(source))):
         if isinstance(node, ast.Compare):
             operands = [node.left, *node.comparators]
-            found += [Mutant(operands[i + 1].lineno, operands[i + 1].col_offset, type(op),
+            found += [Mutant(operands[i + 1].lineno, operands[i + 1].col_offset, type(op), PARTNERS[type(op)],
                              (_gap(starts, operands[i], operands[i + 1]),), index, i)
                       for i, op in enumerate(node.ops) if type(op) in PARTNERS]
         elif isinstance(node, ast.BinOp) and type(node.op) in PARTNERS:
             gaps = (_gap(starts, node.left, node.right),)
-            found.append(Mutant(node.lineno, node.col_offset, type(node.op), gaps, index, 0))
+            found.append(Mutant(node.lineno, node.col_offset, type(node.op), PARTNERS[type(node.op)], gaps, index, 0))
         elif isinstance(node, ast.BoolOp):
             gaps = tuple(_gap(starts, a, b) for a, b in zip(node.values, node.values[1:]))
-            found.append(Mutant(node.lineno, node.col_offset, type(node.op), gaps, index, 0))
+            found.append(Mutant(node.lineno, node.col_offset, type(node.op), PARTNERS[type(node.op)], gaps, index, 0))
+        elif (isinstance(node, ast.If) and not node.orelse or isinstance(node, ast.Expr)
+              and not isinstance(node.value, ast.Constant)):
+            span = (_offset(starts, node.lineno, node.col_offset), _offset(starts, node.end_lineno, node.end_col_offset))
+            if not source.startswith(b"elif", span[0]):
+                found.append(Mutant(node.lineno, node.col_offset, type(node), ast.Pass, (span,), index, 0))
     return sorted(found, key=lambda m: (m.line, m.column, m.spans))
 
 
-def mutated(source: bytes, mutant: Mutant) -> bytes:
-    """`source` with `mutant`'s operator flipped; ValueError unless only that operator of the tree changed."""
-    new = TEXT[PARTNERS[mutant.old]].encode()
+def _deleted(source: bytes, mutant: Mutant, expected: ast.AST) -> bytes:
+    """`source` with `mutant`'s statement replaced by `pass` and its further lines left blank, and the
+    same replacement made in `expected`, the parse of `source`."""
+    (start, end), = mutant.spans
+    node = list(ast.walk(expected))[mutant.node]
+    for parent in ast.walk(expected):
+        for _, body in ast.iter_fields(parent):
+            if isinstance(body, list):
+                body[:] = [ast.Pass() if child is node else child for child in body]
+    return source[:start] + b"pass" + b"\n" * source.count(b"\n", start, end) + source[end:]
+
+
+def _flipped(source: bytes, mutant: Mutant, expected: ast.AST) -> bytes:
+    """`source` with `mutant`'s operator flipped, and the same flip made in `expected`, the parse of `source`."""
+    new = TEXT[mutant.new].encode()
     out = source
     for start, end in reversed(mutant.spans):
         gap = source[start:end]
@@ -107,14 +128,21 @@ def mutated(source: bytes, mutant: Mutant) -> bytes:
         if match is None or (gap[:match.start()] + gap[match.end():]).strip(b" \t\r\n()\\"):
             raise ValueError(f"no lone operator between operands at line {mutant.line}: {gap!r}")
         out = out[:start] + gap[:match.start()] + new + gap[match.end():] + out[end:]
-    expected = ast.parse(source)
     node = list(ast.walk(expected))[mutant.node]
     if isinstance(node, ast.Compare):
-        node.ops[mutant.op] = PARTNERS[mutant.old]()
+        node.ops[mutant.op] = mutant.new()
     else:
-        node.op = PARTNERS[mutant.old]()
+        node.op = mutant.new()
+    return out
+
+
+def mutated(source: bytes, mutant: Mutant) -> bytes:
+    """`source` with `mutant`'s operator flipped or statement deleted; ValueError unless only that
+    operator or statement of the tree changed."""
+    expected = ast.parse(source)
+    out = (_deleted if mutant.new is ast.Pass else _flipped)(source, mutant, expected)
     if ast.dump(ast.parse(out)) != ast.dump(expected):
-        raise ValueError(f"the flip at line {mutant.line} changed more than its operator")
+        raise ValueError(f"the change at line {mutant.line} changed more than its {TEXT[mutant.old]}")
     return out
 
 
@@ -155,7 +183,7 @@ def main(argv=None) -> int:
     tests = [str(Path(t).resolve()) for t in args.tests]
     source = (ROOT / "src" / module).read_bytes()
     found = mutants(source)
-    texts = [mutated(source, m) for m in found]  # every flip is checked before any test runs
+    texts = [mutated(source, m) for m in found]  # every change is checked before any test runs
     outcomes: dict = {}
     with tempfile.TemporaryDirectory() as tmp:
         copy, work = Path(tmp) / "copy", Path(tmp) / "work"
