@@ -9,6 +9,8 @@ import yaml
 from scoregap import (
     ConfigError,
     ExperimentConfig,
+    GroupingSpec,
+    GroupPredicate,
     ModelEntry,
     load_config,
 )
@@ -242,9 +244,11 @@ class TestValidation:
         assert config_from_dict({"models": models, "seed": seed}) == config_from_dict({"models": models})
 
     def test_a_replaced_field_is_validated(self):
-        cfg = ExperimentConfig(models=(ModelEntry(name="m", epsilon=0.5),))
-        with pytest.raises(ConfigError, match="rank"):
+        # a dataset config, so that the range check itself runs, not the models-mode dataset-only check
+        cfg = ExperimentConfig(dataset="d.csv", groupings=(GroupingSpec(name="g", group1=GroupPredicate("x", "le", 1)),))
+        with pytest.raises(ConfigError) as info:
             dataclasses.replace(cfg, rank=0)
+        assert str(info.value) == "rank must be >= 1, got 0"
 
     @pytest.mark.parametrize("key, value", [
         ("out", 7), ("out", True), ("out", None), ("out", "results.json"),

@@ -1,41 +1,29 @@
-"""Digest every document the benchmark inputs produce, so two checkouts can be compared with one diff.
+"""Write every document the benchmark inputs produce into `tests/golden/`, which `tests/test_documents.py` checks.
 
-Generates seeds 1-3 of the benchmark workloads (`benchmarks/workloads.py`,
-imported unchanged) into a temporary directory, runs
+Generates seeds 1-3 of the benchmark workloads (`benchmarks/workloads.py`, imported unchanged) into a
+temporary directory and runs `scoregap analyze --config CFG --out OUT --format F` on each, F the format
+`benchmarks/run.py` passes, then `scoregap check` on each seed-1 model file. It runs the seed-1 `credit` and
+`adult` configs again with `costs: {group1: 2.5, group2: A}`, A a seeded SPD matrix, and `check` on two
+model files whose group-1 per-unit verdict no ratio decides: in `zero-pull.json` its pull is zero, and in
+`blind.json` it perceives none of the welfare rule. Last it feeds each reader a malformed input: a config,
+a model file, a `vector:` w* file and a CSV that are not UTF-8, and a model file that does not exist. Every
+path is relative to the temporary directory, so no document depends on where it is.
 
-    python -m scoregap analyze --config CFG --out OUT --format F
+Each command's documents (OUT, and OUT.json for csv; standard output for `check` and the malformed inputs)
+are stored verbatim in `tests/golden/<its label>/`, and `tests/golden/index.json` holds each label's exit
+code and standard error. Rerunning this, from any directory, is the one way to change a golden:
 
-on each, with F the workload's own format as `benchmarks/run.py` passes
-it, then `python -m scoregap check` on each seed-1 model file. No
-workload config sets `costs:`, so it also runs the seed-1 `credit` and
-`adult` configs again with `costs: {group1: 2.5, group2: A}`, A a
-seed-1 SPD matrix of the feature count, which sends a scaled and a
-dense cost through `analyze`. It then runs `check` on two model files in
-which one subgroup's per-unit verdict is not decided by a ratio: in
-`zero-pull.json` group 1's pull is zero while it perceives the welfare
-rule, and in `blind.json` it sees e1 and e2 while w* = e3, so it
-perceives none of the welfare rule. Last it feeds each reader a malformed
-input: a config, a model file, a `vector:` w* file and a CSV that are
-not UTF-8 text, and a model file that does not exist. It prints
-one line per command: its exit code and the sha256 of each file it wrote
-(OUT, and OUT.json for csv; standard output for `check` and for the
-malformed inputs) and of its standard error. The commands run inside the temporary directory on
-relative paths, so no line depends on where that directory is.
-
-Run from any directory, at each checkout, and diff the outputs:
-
-    python3 tools/doc_digest.py > digest.txt
-
-`commands` yields the same commands to `tools/doc_compare.py`, which
-compares the documents of two checkouts value by value.
+    python3 tools/goldens.py
 """
 
 from __future__ import annotations
 
-import hashlib
+import contextlib
+import io
 import json
 import os
-import subprocess
+import re
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -46,21 +34,7 @@ import yaml
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("models", "credit", "adult")
 SEEDS = (1, 2, 3)
-
-
-def _sha(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
-def src_env(root: Path) -> dict:
-    """This process's environment with `root`/src first on PYTHONPATH, so `-m scoregap` runs that checkout."""
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (str(root / "src"), os.environ.get("PYTHONPATH"))
-                                                       if p))
-
-
-def run(argv: list, env: dict) -> subprocess.CompletedProcess:
-    return subprocess.run([sys.executable, "-m", "scoregap", *argv], env=env, capture_output=True,
-                          stdin=subprocess.DEVNULL)
+GOLDEN = ROOT / "tests" / "golden"
 
 
 def _with_costs(config: Path, dim: int) -> Path:
@@ -106,7 +80,7 @@ def _malformed() -> list:
 
 
 def commands():
-    """Write every input into the working directory and yield (label, argv, files) per command, in digest order.
+    """Write every input into the working directory and yield (label, argv, files) per command, in order.
 
     `files` lists what the command writes, or is None where its document is its standard output. Each
     command must have run before the next is drawn: a costed config reads the feature count from the
@@ -135,19 +109,41 @@ def commands():
     yield from _malformed()
 
 
-def main() -> int:
-    env = src_env(ROOT)
+def run(argv: list, files) -> tuple:
+    """One command's exit code, stderr and {name: bytes} per document, by `cli.main` (`cli.run` ends the process)."""
+    from scoregap import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    written = {"stdout": out.getvalue().encode("utf-8")} if files is None else {
+        path.name: path.read_bytes() for path in files if path.exists()}
+    return code, err.getvalue(), written
+
+
+def run_all() -> dict:
+    """{path under GOLDEN: bytes} of every command's documents and of the index, run in a temporary directory."""
+    home, index, documents = os.getcwd(), {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
-        for label, argv, files in commands():
-            proc = run(argv, env)
-            if files is None:
-                outputs = f"stdout={_sha(proc.stdout)}"
-            else:
-                outputs = " ".join(f"{path.name}={_sha(path.read_bytes()) if path.exists() else 'absent'}"
-                                   for path in files)
-            print(f"{label} exit={proc.returncode} {outputs} stderr={_sha(proc.stderr)}", flush=True)
-        os.chdir(ROOT)
+        try:
+            for label, argv, files in commands():
+                code, stderr, written = run(argv, files)
+                index[label] = {"exit": code, "stderr": stderr}
+                folder = re.sub(r"[^\w.=-]+", "-", label)
+                documents.update({f"{folder}/{name}": data for name, data in written.items()})
+        finally:
+            os.chdir(home)
+    return {**documents, "index.json": json.dumps(index, indent=1).encode("utf-8") + b"\n"}
+
+
+def main() -> int:
+    sys.path.insert(0, str(ROOT / "src"))  # this checkout's package
+    documents = run_all()
+    shutil.rmtree(GOLDEN, ignore_errors=True)
+    for name, data in documents.items():
+        (GOLDEN / name).parent.mkdir(parents=True, exist_ok=True)
+        (GOLDEN / name).write_bytes(data)
     return 0
 
 
