@@ -92,10 +92,10 @@ def _write_files(texts: Dict[Optional[str], str]) -> None:
 
 
 def _check_writable(targets: Iterable[Optional[str]]) -> None:
-    """Raise `_write_files`'s error for a missing directory or a directory at a target path."""
+    """Raise `_write_files`'s error for an empty path, a missing directory or a directory at a target path."""
     for path in [target for target in targets if target is not None]:
-        try:
-            os.stat(os.path.join(os.path.dirname(path) or ".", ""))  # the final "/" wants a directory
+        try:  # os.stat("") fails as open("") does; the final "/" wants a directory
+            os.stat(os.path.join(os.path.dirname(path) or ".", "") if path else path)
         except OSError as exc:
             raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
         if os.path.isdir(path):

@@ -188,7 +188,9 @@ def _loadtxt_table(body: str, names: Tuple[str, ...], mappings: Sequence[Optiona
     """np.loadtxt's reading of the body: (kept rows, (texts, codes) per mapped column, rows read), or None.
 
     A body with no '.' and no "-0" (which int64 reads as 0; `re` finds it
-    faster than `in`) is read as int64 and cast. A mapped cell reads as the
+    faster than `in`) is read as int64 and cast, faster than the float parse
+    and to the same values. `encoding=None` gives the converters text on
+    numpy 1.x too. A mapped cell reads as the
     index (its code) of its raw text among its column's distinct texts, each
     then stripped, tested for a missing token and encoded once (nan if it
     maps to nothing). None, for the row reader, unless the body has no '"'

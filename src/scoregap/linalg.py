@@ -167,6 +167,10 @@ def subspace_projection(data, k: int) -> ProjectionMatrix:
         nonzero singular values). When the cut k falls inside a tied
         singular-value block the result carries tie_warning=True, since the
         projection is then not unique.
+
+    The SVD is that of the R of a thin QR of the rows times 2**-e (R-SVD;
+    Golub & Van Loan, Matrix Computations, §5.4.5), so the n x d left
+    factor U is never formed.
     """
     x = as_matrix(data, "data")
     n, d = x.shape

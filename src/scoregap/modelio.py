@@ -124,7 +124,11 @@ def load_model(path: str) -> PopulationModel:
 def read_model_files(paths: List[str]) -> List[Union[dict, ConfigError]]:
     """`read_model_file` of each path, or its ConfigError. With n = max(1, min(len(paths), usable CPUs)), or 1 without
     os.fork, forked child w = 1 … n-1 parses paths[w::n] and pickles its list in one write, while this process parses
-    paths[0::n]. No BLAS call runs before every child is reaped."""
+    paths[0::n]. No BLAS call runs before every child is reaped, and no option sets n.
+
+    The trade-off is memory: this process holds every file's arrays at once, at 8 bytes a number, until `run_analysis`
+    has built each model. Only Python 3.11 on Linux has run the fork; Python 3.12+ may emit a DeprecationWarning when it
+    forks a process that has OpenBLAS threads, and macOS is untested."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     n = max(1, min(len(paths), cpus)) if hasattr(os, "fork") else 1
     pids, pipes = [], []

@@ -213,11 +213,11 @@ class TestUnwritableOut:
         models = models_yaml(tmp_path, "models:\n  - name: m\n    epsilon: 0.3\n")
         args = [a.format(model=model_path, config=toy_config(tmp_path), models=models)
                 for a in command]
-        out = str(tmp_path / "absent" / "out.json")
-        assert main([*args, "--out", out]) == EXIT_CONFIG
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: cannot write {out}: No such file or directory\n"
+        for out in (str(tmp_path / "absent" / "out.json"), ""):  # "" names no file, as for open("")
+            assert main([*args, "--out", out]) == EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: cannot write {out}: No such file or directory\n"
         assert not runs.called and not loads.called
 
     def test_csv_and_side_json_are_written_all_or_nothing(self, tmp_path, capsys, runs):

@@ -13,8 +13,12 @@ from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
-import goldens  # noqa: E402
+TOOLS = str(Path(__file__).resolve().parents[1] / "tools")
+sys.path.insert(0, TOOLS)
+try:
+    import goldens
+finally:
+    sys.path.remove(TOOLS)
 
 
 def _scale(value, scale: float) -> float:
@@ -61,7 +65,9 @@ def summary(old: bytes, new: bytes) -> str:
 
 
 def test_every_document_matches_its_golden():
+    before = list(sys.path)
     documents = goldens.run_all()
+    assert sys.path == before  # goldens imports the workloads without leaving benchmarks/ on it
     golden = {path.relative_to(goldens.GOLDEN).as_posix(): path.read_bytes()
               for path in sorted(goldens.GOLDEN.rglob("*")) if path.is_file()}
     failures = [f"{name}: no golden" for name in documents if name not in golden]

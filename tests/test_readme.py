@@ -12,8 +12,8 @@ import yaml
 import scoregap
 from scoregap.cli import build_parser
 from scoregap.config import _KNOWN_KEYS, config_from_dict
-from scoregap.experiment import CSV_COLUMNS
-from scoregap.modelio import MODEL_KEYS
+from scoregap.experiment import CSV_COLUMNS, RESULT_SCHEMA_VERSION
+from scoregap.modelio import MODEL_KEYS, MODEL_SCHEMA_VERSION
 
 from test_experiment import RESULT_PATHS
 
@@ -87,6 +87,23 @@ def test_box_references_resolve():
     missing += [f"{cls}.{name}" for cls, name in attributes
                 if not hasattr(owners.get(cls) or getattr(scoregap, cls), name)]
     assert missing == []
+
+
+def test_box_names_every_module():
+    # the module tour has an entry for every module of the package
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## What is in the box"):text.index("## Install")]
+    modules = {info.name for info in pkgutil.iter_modules(scoregap.__path__)} - {"__main__"}
+    assert sorted(name for name in modules if f"`scoregap.{name}`" not in section) == []
+
+
+def test_documented_schema_versions_are_current():
+    # the versions README states are the ones a result document carries and a model file must give
+    text = README.read_text(encoding="utf-8")
+    result = text[text.index("## Result document"):text.index("## Experiment config format")]
+    model = text[text.index("## Model file format"):text.index("## Dataset preparation")]
+    assert re.findall(r"carry\s+`schema_version`\s+(\d+)", result) == [str(RESULT_SCHEMA_VERSION)]
+    assert re.findall(r"must\s+be\s+the\s+integer\s+(\d+)", model) == [str(MODEL_SCHEMA_VERSION)]
 
 
 def test_config_keys_and_flags_are_documented():

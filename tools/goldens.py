@@ -86,8 +86,12 @@ def commands():
     command must have run before the next is drawn: a costed config reads the feature count from the
     document of the run before it.
     """
-    sys.path.insert(0, str(ROOT / "benchmarks"))
-    import workloads
+    benchmarks = str(ROOT / "benchmarks")
+    sys.path.insert(0, benchmarks)
+    try:  # so that no later `import run` or `import check` finds the benchmark's modules
+        import workloads
+    finally:
+        sys.path.remove(benchmarks)
 
     generated = {}
     for name in WORKLOADS:
